@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from pathlib import Path
 
@@ -204,20 +203,6 @@ def _merge_settings(command: str, flag_values: dict, file_values: dict) -> dict:
     return merged
 
 
-def _workers() -> int:
-    limit = os.cpu_count() or 1
-    raw = os.environ.get("PSM_THREADS")
-    if raw is not None:
-        try:
-            cap = int(raw)
-        except ValueError:
-            raise UsageError(f"PSM_THREADS must be an integer, got {raw!r}") from None
-        if cap < 1:
-            raise UsageError("PSM_THREADS must be at least 1")
-        limit = min(limit, cap)
-    return limit
-
-
 def _fit_config(merged: dict) -> FitConfig:
     kwargs = {}
     for key, field in (("epsilon", "epsilon"), ("delta", "delta"),
@@ -381,9 +366,8 @@ def _cmd_fit(merged: dict, input_path: Path, written: list[Path],
     if merged["grid_samples"] < 3 or merged["grid_samples"] % 2 == 0:
         raise UsageError("--grid-samples must be an odd number >= 3")
     start, start_kind = _start_point(merged, points)
-    workers = _workers()
 
-    sub = fit_submanifold(points, start, cfg, workers)
+    sub = fit_submanifold(points, start, cfg)
     pds = principal_directions(sub)
     proj = project_submanifold(sub, points)
     score = variation_score(sub, points)
@@ -424,7 +408,8 @@ def _cmd_fit(merged: dict, input_path: Path, written: list[Path],
         "start": [float(v) for v in start.coords],
         "stop_reasons": {str(n.direction_index): n.stop_reason.value
                          for n in sub.nets},
-        "variation_score": {"total": score.total, "per_net": list(score.per_net)},
+        "variation_score": {"total": score.total, "per_net": list(score.per_net),
+                            "skipped": score.skipped},
     }
     if pds.note:
         summary["note"] = pds.note

@@ -17,7 +17,6 @@ candidate that triggers a stop is kept as the terminal net point.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -158,9 +157,10 @@ def seed_directions(start: Point, frame: EigenFrame, cfg: FitConfig) -> list[Poi
     return seeds
 
 
-def _step_coords(prev: np.ndarray, cur: np.ndarray, xs: np.ndarray, chart: str,
-                 cfg: FitConfig) -> np.ndarray:
-    cov = _cov_coords(cur, xs, chart, cfg.kernel)
+def _step_coords(prev: np.ndarray, cur: np.ndarray, vecs: np.ndarray, dists: np.ndarray,
+                 chart: str, cfg: FitConfig) -> np.ndarray:
+    """Step from cur, given the data's logs (vecs, dists) at cur."""
+    cov = _cov_coords(vecs, dists, cfg.kernel)
     rows, _, _ = _top_frame_coords(cov, cur, chart, cfg.dim)
     v = _log_coords(cur, prev, chart)
     u = rows.T @ (rows @ v)
@@ -183,17 +183,19 @@ def step_net(a_prev: Point, a_cur: Point, data, cfg: FitConfig) -> Point:
     if np.array_equal(a_prev.coords, a_cur.coords):
         raise ValueError("previous and current points must differ")
     xs = points_matrix(data)
-    cand = _step_coords(a_prev.coords, a_cur.coords, xs, a_cur.chart, cfg)
+    vecs, dists = _log_coords_many(a_cur.coords, xs, a_cur.chart)
+    cand = _step_coords(a_prev.coords, a_cur.coords, vecs, dists, a_cur.chart, cfg)
     return Point(cand, a_cur.chart)
 
 
-def _stop_coords(nxt: np.ndarray, cur: np.ndarray, xs: np.ndarray, chart: str,
-                 cfg: FitConfig, net_len: float) -> StopReason | None:
-    try:
-        back = _log_coords(nxt, cur, chart)
-        vecs, dists = _log_coords_many(nxt, xs, chart)
-    except AntipodalPairError:
-        return StopReason.ANTIPODAL_GUARD
+def _stop_coords(nxt: np.ndarray, cur: np.ndarray, vecs: np.ndarray, dists: np.ndarray,
+                 chart: str, cfg: FitConfig, net_len: float) -> StopReason | None:
+    """Stop rule at nxt, given the data's logs (vecs, dists) at nxt.
+
+    Raises AntipodalPairError for antipodal nxt and cur; callers report it
+    as antipodal_guard.
+    """
+    back = _log_coords(nxt, cur, chart)
     if bool(np.all(vecs @ back >= 0.0)):
         return StopReason.CONVEX_HULL_EXIT
     if bool(np.all(dists > cfg.delta)):
@@ -214,20 +216,29 @@ def stop_check(a_next: Point, a_cur: Point, data, cfg: FitConfig,
     antipodal_guard reason.
     """
     xs = points_matrix(data)
-    return _stop_coords(a_next.coords, a_cur.coords, xs, a_cur.chart, cfg, net_len)
+    try:
+        vecs, dists = _log_coords_many(a_next.coords, xs, a_cur.chart)
+        return _stop_coords(a_next.coords, a_cur.coords, vecs, dists, a_cur.chart, cfg,
+                            net_len)
+    except AntipodalPairError:
+        return StopReason.ANTIPODAL_GUARD
 
 
 def _grow_net(index: int, start: np.ndarray, seed: np.ndarray, xs: np.ndarray,
               chart: str, cfg: FitConfig) -> Net:
     pts = [start, seed]
     net_len = _distance_coords(start, seed, chart)
-    reason: StopReason | None = None
+    # The data's logs at pts[-1]: one pass per net point, taken for its stop
+    # check and reused by the step from it (the seed has no stop check).
+    logs = None
     while True:
         if len(pts) - 1 >= cfg.max_levels:
             reason = StopReason.LEVEL_CAP
             break
         try:
-            cand = _step_coords(pts[-2], pts[-1], xs, chart, cfg)
+            if logs is None:
+                logs = _log_coords_many(seed, xs, chart)
+            cand = _step_coords(pts[-2], pts[-1], *logs, chart, cfg)
         except EmptyNeighborhoodError:
             reason = StopReason.EMPTY_NEIGHBORHOOD
             break
@@ -237,7 +248,11 @@ def _grow_net(index: int, start: np.ndarray, seed: np.ndarray, xs: np.ndarray,
         except AntipodalPairError:
             reason = StopReason.ANTIPODAL_GUARD
             break
-        stop = _stop_coords(cand, pts[-1], xs, chart, cfg, net_len)
+        try:
+            logs = _log_coords_many(cand, xs, chart)
+            stop = _stop_coords(cand, pts[-1], *logs, chart, cfg, net_len)
+        except AntipodalPairError:
+            stop = StopReason.ANTIPODAL_GUARD
         net_len += _distance_coords(pts[-1], cand, chart)
         pts.append(cand)
         if stop is not None:
@@ -247,47 +262,29 @@ def _grow_net(index: int, start: np.ndarray, seed: np.ndarray, xs: np.ndarray,
     return Net(index, points, reason)
 
 
-def _fit(data, start: Point, cfg: FitConfig, workers: int | None) -> Submanifold:
-    xs = points_matrix(data)
-    if xs.shape[1] != start.ambient_dim:
-        raise ValueError("data and start point have different ambient dimensions")
-    cov = _cov_coords(start.coords, xs, start.chart, cfg.kernel)
-    frame = eigenframe(cov, start, cfg.dim)
-    seeds = seed_directions(start, frame, cfg)
-
-    def grow(pair):
-        index, seed = pair
-        return _grow_net(index, start.coords, seed.coords, xs, start.chart, cfg)
-
-    jobs = list(enumerate(seeds, start=1))
-    if workers is not None and workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            nets = list(pool.map(grow, jobs))
-    else:
-        nets = [grow(job) for job in jobs]
-    return Submanifold(start, tuple(nets), frame, cfg)
-
-
-def fit_submanifold(data, start: Point, cfg: FitConfig,
-                    workers: int | None = None) -> Submanifold:
+def fit_submanifold(data, start: Point, cfg: FitConfig) -> Submanifold:
     """Grow a full fan of nets from the start point.
 
     The local covariance at the start must support cfg.dim directions
-    (RankDeficientError otherwise).  Nets are mutually independent, so they
-    may be grown in parallel worker threads; results are merged in direction
-    order either way, and repeated runs are bit-identical.
+    (RankDeficientError otherwise).  Nets grow one after another in direction
+    order, so repeated runs are bit-identical.
     """
-    if cfg.dim < 2:
-        return fit_flow(data, start, cfg, workers)
-    return _fit(data, start, cfg, workers)
+    xs = points_matrix(data)
+    if xs.shape[1] != start.ambient_dim:
+        raise ValueError("data and start point have different ambient dimensions")
+    vecs, dists = _log_coords_many(start.coords, xs, start.chart)
+    frame = eigenframe(_cov_coords(vecs, dists, cfg.kernel), start, cfg.dim)
+    seeds = seed_directions(start, frame, cfg)
+    nets = tuple(_grow_net(index, start.coords, seed.coords, xs, start.chart, cfg)
+                 for index, seed in enumerate(seeds, start=1))
+    return Submanifold(start, nets, frame, cfg)
 
 
-def fit_flow(data, start: Point, cfg: FitConfig,
-             workers: int | None = None) -> Submanifold:
+def fit_flow(data, start: Point, cfg: FitConfig) -> Submanifold:
     """One-dimensional variant: two nets seeded at +/- epsilon * e1(start)."""
     if cfg.dim != 1:
         raise ValueError("fit_flow requires a config with dim = 1")
-    return _fit(data, start, cfg, workers)
+    return fit_submanifold(data, start, cfg)
 
 
 def net_length(net: Net) -> float:
@@ -300,38 +297,53 @@ def net_length(net: Net) -> float:
 
 @dataclass(frozen=True)
 class VariationScore:
-    """Discretized captured-variation diagnostic, totalled and per net."""
+    """Discretized captured-variation diagnostic, totalled and per net.
+
+    skipped counts the net points that contributed 0 (see variation_score).
+    """
 
     total: float
     per_net: tuple[float, ...]
+    skipped: int
 
 
 def variation_score(sub: Submanifold, data) -> VariationScore:
     """Quadrature of cos(angle) * sum of top-k local eigenvalues over the nets.
 
     Every net point B at level i >= 1 contributes
-    cos(alpha'_B) * sum_{j<=k} lambda_j(B) * w_{l,i} with polar area weight
-    w_{l,i} = (2*pi/num_directions) * (i - 1/2) * epsilon^2.  The angle
-    alpha'_B is measured between the incoming step direction and the local
-    frame span.  Eigenvalues and frames here come from the *demeaned*
-    kernel covariance (classical local PCA), so on a flat chart with an
-    unbounded kernel the integrand reduces exactly to the stationary global
-    PCA spectrum.
+    cos(alpha'_B) * sum_{j<=k} lambda_j(B) * w_{l,i} with the polar volume
+    weight w_{l,i} = |S^{k-1}| / D * ((i - 1/2) * epsilon)^(k-1) * epsilon,
+    where D is the number of nets in the fan: epsilon per level for a k=1
+    flow, (2*pi/D) * (i - 1/2) * epsilon^2 for k=2.  The angle alpha'_B is
+    measured between the incoming step direction and the local frame span.
+    Eigenvalues and frames here come from the *demeaned* kernel covariance
+    (classical local PCA), so on a flat chart with an unbounded kernel the
+    integrand reduces exactly to the stationary global PCA spectrum.  A
+    point whose demeaned covariance raises EmptyNeighborhoodError or
+    RankDeficientError contributes 0 and is counted in skipped.
     """
     xs = points_matrix(data)
     cfg = sub.config
     chart = sub.start.chart
-    base_w = 2.0 * math.pi / cfg.num_directions * cfg.epsilon ** 2
+    k = cfg.dim
+    sphere_area = 2.0 * math.pi ** (k / 2) / math.gamma(k / 2)
+    base_w = sphere_area / len(sub.nets) * cfg.epsilon ** k
     per_net = []
+    skipped = 0
     for net in sub.nets:
         acc = 0.0
         for i in range(1, len(net.points)):
             b = net.points[i].coords
-            cov = _cov_coords(b, xs, chart, cfg.kernel, demean=True)
-            rows, vals, _ = _top_frame_coords(cov, b, chart, cfg.dim)
+            vecs, dists = _log_coords_many(b, xs, chart)
+            try:
+                cov = _cov_coords(vecs, dists, cfg.kernel, demean=True)
+                rows, vals, _ = _top_frame_coords(cov, b, chart, k)
+            except (EmptyNeighborhoodError, RankDeficientError):
+                skipped += 1
+                continue
             v_in = _log_coords(b, net.points[i - 1].coords, chart)
             nv = float(np.linalg.norm(v_in))
             cos_a = min(1.0, float(np.linalg.norm(rows @ (v_in / nv))))
-            acc += cos_a * float(vals.sum()) * base_w * (i - 0.5)
+            acc += cos_a * float(vals.sum()) * base_w * (i - 0.5) ** (k - 1)
         per_net.append(acc)
-    return VariationScore(float(sum(per_net)), tuple(per_net))
+    return VariationScore(float(sum(per_net)), tuple(per_net), skipped)

@@ -85,9 +85,9 @@ class EigenFrame:
         return np.stack([t.vec for t in self.vectors])
 
 
-def _cov_coords(center: np.ndarray, xs: np.ndarray, chart: str,
-                kernel: KernelSpec, demean: bool = False) -> np.ndarray:
-    vecs, dists = _log_coords_many(center, xs, chart)
+def _cov_coords(vecs: np.ndarray, dists: np.ndarray, kernel: KernelSpec,
+                demean: bool = False) -> np.ndarray:
+    """Kernel covariance from the data's logs (vecs, dists) at the center."""
     w = kernel.weights(dists)
     total = float(w.sum())
     if total <= 0.0:
@@ -127,7 +127,8 @@ def local_covariance(center: Point, data, kernel: KernelSpec, *,
     xs = points_matrix(data)
     if xs.shape[1] != center.ambient_dim:
         raise DimensionMismatchError("data and center have different ambient dimensions")
-    return _cov_coords(center.coords, xs, center.chart, kernel, demean)
+    vecs, dists = _log_coords_many(center.coords, xs, center.chart)
+    return _cov_coords(vecs, dists, kernel, demean)
 
 
 def _fix_sign(vec: np.ndarray) -> np.ndarray:
@@ -145,7 +146,7 @@ def _top_frame_coords(cov: np.ndarray, base: np.ndarray, chart: str, k: int):
     vecs = vecs[:, order]
     if vals[k - 1] <= _RANK_TOL:
         raise RankDeficientError(
-            f"requested {k} directions but eigenvalue {k} is {vals[k - 1]!r}")
+            f"requested {k} directions but eigenvalue {k} is {float(vals[k - 1])!r}")
     degenerate = bool(len(vals) > k and vals[k - 1] - vals[k] <= _TIE_TOL)
     rows = []
     for j in range(k):

@@ -154,6 +154,7 @@ class TestFit:
         assert sorted(summary["stop_reasons"]) == [str(i) for i in range(1, 9)]
         assert summary["variation_score"]["total"] >= 0
         assert len(summary["variation_score"]["per_net"]) == 8
+        assert summary["variation_score"]["skipped"] == 0
 
     def test_submanifold_rows_match_summary(self, tmp_path, s_curve_csv):
         out = tmp_path / "run"
@@ -174,6 +175,24 @@ class TestFit:
         assert summary["config"]["dim"] == 1
         assert sorted(summary["stop_reasons"]) == ["1", "2"]
         assert "flow" in summary["note"]
+
+    @pytest.mark.parametrize("family, seed, flags", [
+        ("sea_wave", 6, []),
+        ("s_curve", 7, ["--bandwidth", "0.15"]),
+    ])
+    def test_variation_score_skips_unsupported_points(self, tmp_path, family, seed,
+                                                      flags):
+        # Some terminal points of these fits have too few data points in their
+        # uniform ball for a demeaned rank-2 covariance; the finished fit is
+        # still written, and the score counts those points as skipped.
+        data = tmp_path / "data"
+        assert run("generate", "--family", family, "--n", "200", "--seed", str(seed),
+                   "--quiet", "--out", str(data)) == 0
+        out = tmp_path / "run"
+        assert run("fit", str(data / f"{family}.csv"), *flags,
+                   "--quiet", "--out", str(out)) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["variation_score"]["skipped"] >= 1
 
     def test_custom_start(self, tmp_path, s_curve_csv):
         points, _ = read_dataset_csv(s_curve_csv)
@@ -350,29 +369,6 @@ class TestConfigFile:
         assert run("generate", "--config", str(cfg),
                    "--out", str(tmp_path / "out")) == 2
         assert "n" in capsys.readouterr().err
-
-
-class TestThreadCap:
-    def test_invalid_thread_cap(self, tmp_path, s_curve_csv, monkeypatch):
-        monkeypatch.setenv("PSM_THREADS", "many")
-        assert run("fit", str(s_curve_csv), "--directions", "8",
-                   "--out", str(tmp_path / "x")) == 2
-        monkeypatch.setenv("PSM_THREADS", "0")
-        assert run("fit", str(s_curve_csv), "--directions", "8",
-                   "--out", str(tmp_path / "y")) == 2
-
-    def test_single_thread_matches_default(self, tmp_path, s_curve_csv,
-                                           monkeypatch):
-        out_multi = tmp_path / "multi"
-        monkeypatch.delenv("PSM_THREADS", raising=False)
-        assert run("fit", str(s_curve_csv), "--directions", "8",
-                   "--quiet", "--out", str(out_multi)) == 0
-        monkeypatch.setenv("PSM_THREADS", "1")
-        out_single = tmp_path / "single"
-        assert run("fit", str(s_curve_csv), "--directions", "8",
-                   "--quiet", "--out", str(out_single)) == 0
-        assert (out_multi / "submanifold.csv").read_bytes() == \
-               (out_single / "submanifold.csv").read_bytes()
 
 
 class TestTopLevel:

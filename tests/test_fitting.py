@@ -5,7 +5,10 @@ import math
 import numpy as np
 import pytest
 
+from psm import fitting
+from psm.datagen import GenSpec, generate
 from psm.errors import (
+    AntipodalPairError,
     DegenerateProjectionError,
     EmptyNeighborhoodError,
     RankDeficientError,
@@ -32,7 +35,7 @@ from psm.geometry import (
     log_map,
     points_matrix,
 )
-from psm.tangent_stats import KernelSpec, eigenframe, local_covariance
+from psm.tangent_stats import KernelSpec, eigenframe, frechet_mean, local_covariance
 
 from helpers import random_sphere_point, random_tangent
 
@@ -388,16 +391,57 @@ class TestFitSubmanifold:
         sub = fit_submanifold(data, start, cfg)
         assert len(sub.nets) == 2
 
-    def test_deterministic_across_workers(self):
+    def test_fan_matches_reference_path(self):
+        # Replay every net from its seed with the public step_net and
+        # stop_check, which take their own logs, in the growth loop's stop
+        # order.  The fit shares one log pass per net point between the two
+        # and must give the same bits.
+        data, _ = generate(GenSpec("sea_wave", 200, 1))
+        start = frechet_mean(data)
+        cfg = FitConfig(num_directions=16)
+        sub = fit_submanifold(data, start, cfg)
+        seeds = seed_directions(start, sub.frame_at_start, cfg)
+        for net, seed in zip(sub.nets, seeds):
+            pts = [start, seed]
+            net_len = geodesic_distance(start, seed)
+            while True:
+                if len(pts) - 1 >= cfg.max_levels:
+                    reason = StopReason.LEVEL_CAP
+                    break
+                try:
+                    cand = step_net(pts[-2], pts[-1], data, cfg)
+                except EmptyNeighborhoodError:
+                    reason = StopReason.EMPTY_NEIGHBORHOOD
+                    break
+                except (DegenerateProjectionError, RankDeficientError):
+                    reason = StopReason.DEGENERATE_PROJECTION
+                    break
+                except AntipodalPairError:
+                    reason = StopReason.ANTIPODAL_GUARD
+                    break
+                reason = stop_check(cand, pts[-1], data, cfg, net_len)
+                net_len += geodesic_distance(pts[-1], cand)
+                pts.append(cand)
+                if reason is not None:
+                    break
+            assert reason is net.stop_reason
+            assert np.array_equal(points_matrix(pts), points_matrix(net.points))
+
+    def test_one_log_pass_per_net_point(self, monkeypatch):
         start, data = self.sphere_cluster()
         cfg = FitConfig(epsilon=0.05, delta=0.4, kernel=KernelSpec(),
                         num_directions=8, max_net_length=0.6)
-        one = fit_submanifold(data, start, cfg, workers=1)
-        many = fit_submanifold(data, start, cfg, workers=4)
-        assert len(one.nets) == len(many.nets)
-        for a, b in zip(one.nets, many.nets):
-            assert a.stop_reason is b.stop_reason
-            assert np.array_equal(points_matrix(a.points), points_matrix(b.points))
+        calls = []
+        log_many = fitting._log_coords_many
+
+        def counted(x, ys, chart):
+            calls.append(x)
+            return log_many(x, ys, chart)
+
+        monkeypatch.setattr(fitting, "_log_coords_many", counted)
+        sub = fit_submanifold(data, start, cfg)
+        # one pass at the start for the seeding frame, then one per net point
+        assert len(calls) == 1 + sum(len(net.points) - 1 for net in sub.nets)
 
     def test_rank_deficient_start(self):
         rng = np.random.default_rng(98)
@@ -425,21 +469,28 @@ class TestNetLength:
 
 
 class TestVariationScore:
-    def test_flat_infinite_kernel_reduces_to_pca(self):
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_flat_infinite_kernel_reduces_to_pca(self, k):
+        # Every net runs to the level cap L, so the quadrature covers the
+        # k-ball of radius L * epsilon: exactly for k = 1 and 2, and with the
+        # midpoint rule's factor 1 - 1/(4 L^2) for k = 3.
         rng = np.random.default_rng(99)
-        xs = rng.standard_normal((80, 2)) * [1.5, 0.6]
+        xs = rng.standard_normal((80, 3)) * [1.5, 0.6, 0.3]
         data = flat_points(xs)
         start = Point(xs.mean(axis=0), FLAT)
-        cfg = flat_cfg(epsilon=0.05, delta=3.0, dim=2,
-                       num_directions=8, max_net_length=0.4)
+        levels = 8
+        cfg = flat_cfg(epsilon=0.05, delta=3.0, dim=k, num_directions=8,
+                       max_net_length=10.0, max_levels=levels)
         sub = fit_submanifold(data, start, cfg)
+        assert all(net.stop_reason is StopReason.LEVEL_CAP for net in sub.nets)
         score = variation_score(sub, data)
+        assert score.skipped == 0
         centered = xs - xs.mean(axis=0)
-        lam_sum = np.linalg.eigvalsh(centered.T @ centered / len(xs)).sum()
-        base_w = 2.0 * math.pi / cfg.num_directions * cfg.epsilon ** 2
-        w_sum = sum(base_w * (i - 0.5)
-                    for net in sub.nets for i in range(1, len(net.points)))
-        assert score.total == pytest.approx(lam_sum * w_sum, rel=1e-9)
+        lam = np.linalg.eigvalsh(centered.T @ centered / len(xs))[::-1]
+        radius = levels * cfg.epsilon
+        ball = math.pi ** (k / 2) / math.gamma(k / 2 + 1) * radius ** k
+        midpoint = 1.0 - 1.0 / (4 * levels ** 2) if k == 3 else 1.0
+        assert score.total == pytest.approx(lam[:k].sum() * ball * midpoint, rel=1e-9)
 
     def test_total_is_sum_of_per_net(self):
         rng = np.random.default_rng(100)

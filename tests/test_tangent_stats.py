@@ -267,7 +267,7 @@ class TestEigenframe:
 
     def test_rank_deficient(self):
         base = Point(np.zeros(3), FLAT)
-        with pytest.raises(RankDeficientError):
+        with pytest.raises(RankDeficientError, match=r"eigenvalue 2 is 1e-13$"):
             eigenframe(np.diag([1.0, 1e-13, 0.0]), base, 2)
 
     def test_degenerate_tie_flag(self):
