@@ -79,6 +79,7 @@ from .viz import (
     PrincipalDirections,
     ProjectedSubmanifold,
     principal_directions,
+    principal_geodesics,
     project_submanifold,
     shape_grid,
     write_projected_csv,

@@ -31,11 +31,12 @@ from .datagen import (
 )
 from .errors import PsmError
 from .fitting import FitConfig, fit_submanifold, net_length, variation_score
-from .geometry import FLAT, SPHERE, Point, Tangent, exp_map, project_to_sphere
+from .geometry import FLAT, SPHERE, Point, project_to_sphere
 from .shape import align_dataset, read_landmarks
 from .tangent_stats import GAUSSIAN, UNIFORM_BALL, KernelSpec, frechet_mean
 from .viz import (
     principal_directions,
+    principal_geodesics,
     project_submanifold,
     shape_grid,
     write_projected_csv,
@@ -331,29 +332,6 @@ def _cmd_shapes(merged: dict, input_path: Path, written: list[Path]) -> None:
                  f"landmarks -> {path}")
 
 
-def _geodesic_curves(sub) -> dict[int, list[Point]]:
-    """Great circles through the start along e1 (and e2), arc-matched to PD1/PD2."""
-    cfg = sub.config
-    basis = sub.frame_at_start.basis()
-    nets = {net.direction_index: net for net in sub.nets}
-    if cfg.dim == 1:
-        pairs = [(1, nets[2], nets[1], basis[0])]
-    else:
-        d = cfg.num_directions
-        pairs = [(1, nets[d // 2], nets[d], basis[0]),
-                 (2, nets[d // 4], nets[3 * d // 4], -basis[1])]
-    curves: dict[int, list[Point]] = {}
-    for key, first, second, direction in pairs:
-        m1 = len(first.points) - 1
-        m2 = len(second.points) - 1
-        curve = []
-        for i in range(m1 + m2 + 1):
-            t = (i - m1) * cfg.epsilon
-            curve.append(exp_map(sub.start, Tangent(sub.start, t * direction)))
-        curves[key] = curve
-    return curves
-
-
 def _kernel_dict(kernel: KernelSpec) -> dict:
     bw = kernel.bandwidth
     return {"kind": kernel.kind, "bandwidth": bw if math.isfinite(bw) else "inf"}
@@ -371,7 +349,7 @@ def _cmd_fit(merged: dict, input_path: Path, written: list[Path],
     pds = principal_directions(sub)
     proj = project_submanifold(sub, points)
     score = variation_score(sub, points)
-    geodesics = _geodesic_curves(sub) if with_geodesics else None
+    geodesics = principal_geodesics(sub) if with_geodesics else None
     is_shape_data = meta.get("kind") == "preshape"
     grid = shape_grid(sub, merged["grid_samples"]) if is_shape_data else None
 

@@ -319,8 +319,9 @@ def variation_score(sub: Submanifold, data) -> VariationScore:
     Eigenvalues and frames here come from the *demeaned* kernel covariance
     (classical local PCA), so on a flat chart with an unbounded kernel the
     integrand reduces exactly to the stationary global PCA spectrum.  A
-    point whose demeaned covariance raises EmptyNeighborhoodError or
-    RankDeficientError contributes 0 and is counted in skipped.
+    point antipodal to a data point, or whose demeaned covariance raises
+    EmptyNeighborhoodError or RankDeficientError, contributes 0 and is
+    counted in skipped.
     """
     xs = points_matrix(data)
     cfg = sub.config
@@ -334,11 +335,11 @@ def variation_score(sub: Submanifold, data) -> VariationScore:
         acc = 0.0
         for i in range(1, len(net.points)):
             b = net.points[i].coords
-            vecs, dists = _log_coords_many(b, xs, chart)
             try:
+                vecs, dists = _log_coords_many(b, xs, chart)
                 cov = _cov_coords(vecs, dists, cfg.kernel, demean=True)
                 rows, vals, _ = _top_frame_coords(cov, b, chart, k)
-            except (EmptyNeighborhoodError, RankDeficientError):
+            except (AntipodalPairError, EmptyNeighborhoodError, RankDeficientError):
                 skipped += 1
                 continue
             v_in = _log_coords(b, net.points[i - 1].coords, chart)

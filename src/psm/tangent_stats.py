@@ -158,7 +158,7 @@ def _top_frame_coords(cov: np.ndarray, base: np.ndarray, chart: str, k: int):
             if n < 1e-8:
                 raise RankDeficientError("eigenvector nearly normal to the tangent space")
             v = v / n
-        rows.append(_fix_sign(v))
+        rows.append(v)  # eigh's sign: the fit's uses are sign-invariant, eigenframe() fixes it
     return np.stack(rows), vals[:k].copy(), degenerate
 
 
@@ -180,7 +180,7 @@ def eigenframe(cov: np.ndarray, base: Point, k: int) -> EigenFrame:
     if not 1 <= k <= cov.shape[0]:
         raise ValueError(f"k must be between 1 and {cov.shape[0]}")
     rows, vals, degenerate = _top_frame_coords(cov, base.coords, base.chart, k)
-    vectors = tuple(Tangent(base, row) for row in rows)
+    vectors = tuple(Tangent(base, _fix_sign(row)) for row in rows)
     return EigenFrame(base, vectors, vals, degenerate)
 
 

@@ -16,37 +16,49 @@ import numpy as np
 
 from .errors import NotAShapeFitError
 from .fitting import Net, Submanifold
-from .geometry import Point, Tangent, _distance_coords
+from .geometry import Point, Tangent, _distance_coords, exp_map
 from .shape import LandmarkConfig, from_preshape
 from .tangent_stats import KernelSpec, eigenframe, local_covariance
 
 _CENTER_TOL = 1e-6
+_PD_NAMES = ("pd1", "pd2", "pd3", "pd4")
+# (row, column) step of each PD's shape-grid cells away from the center
+_GRID_AXES = {"pd1": (0, 1), "pd2": (1, 0), "pd3": (1, 1), "pd4": (1, -1)}
 
 
 @dataclass(frozen=True, eq=False)
 class PrincipalDirections:
-    """The four join polylines; pd3/pd4 are None when the fan cannot host them."""
+    """The four join polylines; each is None when the fan cannot host it."""
 
-    pd1: tuple[Point, ...]
+    pd1: tuple[Point, ...] | None
     pd2: tuple[Point, ...] | None
     pd3: tuple[Point, ...] | None
     pd4: tuple[Point, ...] | None
     note: str | None = None
 
     def as_dict(self) -> dict[str, tuple[Point, ...]]:
-        out = {"pd1": self.pd1}
-        for name in ("pd2", "pd3", "pd4"):
-            val = getattr(self, name)
-            if val is not None:
-                out[name] = val
-        return out
+        return {name: getattr(self, name) for name in _PD_NAMES
+                if getattr(self, name) is not None}
 
 
-def _net_by_index(sub: Submanifold, index: int) -> Net:
-    for net in sub.nets:
-        if net.direction_index == index:
-            return net
-    raise ValueError(f"submanifold holds no net with direction index {index}")
+def _pd_pairs(sub: Submanifold) -> dict[str, tuple[Net, Net]]:
+    """The opposite nets forming each PD, first-listed first; every PD export reads it.
+
+    k=1 pairs nets (2, 1) as PD1; k=2 with D nets pairs (D/2, D), (D/4, 3D/4)
+    and, when 8 divides D, (D/8, 5D/8) and (3D/8, 7D/8).  A fan on S^{k-1}
+    for k >= 3 has no opposite nets.
+    """
+    k, d = sub.config.dim, sub.config.num_directions
+    if k == 1:
+        indices = {"pd1": (2, 1)}
+    elif k == 2:
+        indices = {"pd1": (d // 2, d), "pd2": (d // 4, 3 * d // 4)}
+        if d % 8 == 0:
+            indices.update(pd3=(d // 8, 5 * d // 8), pd4=(3 * d // 8, 7 * d // 8))
+    else:
+        return {}
+    nets = {net.direction_index: net for net in sub.nets}
+    return {name: (nets[first], nets[second]) for name, (first, second) in indices.items()}
 
 
 def _join(first: Net, second: Net, start: Point) -> tuple[Point, ...]:
@@ -56,27 +68,42 @@ def _join(first: Net, second: Net, start: Point) -> tuple[Point, ...]:
 
 
 def principal_directions(sub: Submanifold) -> PrincipalDirections:
-    """Join opposite nets into the PD1..PD4 polylines.
+    """Join the opposite nets of _pd_pairs into PD polylines; the note says why any is None."""
+    pairs = _pd_pairs(sub)
+    if not pairs:
+        note = (f"k = {sub.config.dim}: the fan has no opposite nets; "
+                "no principal directions exported")
+    elif "pd2" not in pairs:
+        note = "flow fit: only PD1 is defined"
+    elif "pd3" not in pairs:
+        note = (f"num_directions = {sub.config.num_directions} is not divisible by 8; "
+                "PD3/PD4 omitted")
+    else:
+        note = None
+    polylines = {name: _join(first, second, sub.start)
+                 for name, (first, second) in pairs.items()}
+    return PrincipalDirections(*(polylines.get(name) for name in _PD_NAMES), note=note)
 
-    With D directions, PD1 pairs nets (D/2, D), PD2 pairs (D/4, 3D/4),
-    PD3 (D/8, 5D/8) and PD4 (3D/8, 7D/8); the last two exist only when D
-    is divisible by 8 and are otherwise omitted with a note.  A flow fit
-    (two nets) yields PD1 alone.
+
+def principal_geodesics(sub: Submanifold) -> dict[int, list[Point]]:
+    """Great circles through the start, arc-matched to PD1 and PD2 where _pd_pairs has them.
+
+    Curve 1 runs along e1, curve 2 along -e2 (the second-listed nets' seed
+    directions), epsilon apart with the start at the join.
     """
-    d = sub.config.num_directions
-    if len(sub.nets) == 2 and sub.config.dim == 1:
-        pd1 = _join(_net_by_index(sub, 2), _net_by_index(sub, 1), sub.start)
-        return PrincipalDirections(pd1, None, None, None,
-                                   note="flow fit: only PD1 is defined")
-    pd1 = _join(_net_by_index(sub, d // 2), _net_by_index(sub, d), sub.start)
-    pd2 = _join(_net_by_index(sub, d // 4), _net_by_index(sub, 3 * d // 4), sub.start)
-    if d % 8 == 0:
-        pd3 = _join(_net_by_index(sub, d // 8), _net_by_index(sub, 5 * d // 8), sub.start)
-        pd4 = _join(_net_by_index(sub, 3 * d // 8), _net_by_index(sub, 7 * d // 8), sub.start)
-        return PrincipalDirections(pd1, pd2, pd3, pd4)
-    return PrincipalDirections(
-        pd1, pd2, None, None,
-        note=f"num_directions = {d} is not divisible by 8; PD3/PD4 omitted")
+    pairs = _pd_pairs(sub)
+    basis = sub.frame_at_start.basis()
+    eps = sub.config.epsilon
+    curves: dict[int, list[Point]] = {}
+    for key, sign in ((1, 1.0), (2, -1.0)):
+        if f"pd{key}" not in pairs:
+            continue
+        first, second = pairs[f"pd{key}"]
+        direction = sign * basis[key - 1]
+        m1, m2 = len(first.points) - 1, len(second.points) - 1
+        curves[key] = [exp_map(sub.start, Tangent(sub.start, (i - m1) * eps * direction))
+                       for i in range(m1 + m2 + 1)]
+    return curves
 
 
 @dataclass(frozen=True, eq=False)
@@ -136,9 +163,9 @@ def shape_grid(sub: Submanifold, samples_per_direction: int = 9):
 
     The center cell is the start shape exactly; moving away from the center
     walks outward along the corresponding principal-direction branch.  Cells
-    off those four lines stay None, as do diagonal cells when PD3/PD4 are
-    unavailable.  Raises NotAShapeFitError when the fit does not live on a
-    preshape sphere.
+    off those four lines stay None, as do those of every PD that _pd_pairs
+    leaves out (all four for k >= 3).  Raises NotAShapeFitError when the
+    fit does not live on a preshape sphere.
     """
     m = samples_per_direction
     if m < 3 or m % 2 == 0:
@@ -151,29 +178,15 @@ def shape_grid(sub: Submanifold, samples_per_direction: int = 9):
         raise NotAShapeFitError(f"start point carries a centroid offset of {off!r}")
     k = coords.shape[0] // 2
 
-    pds = principal_directions(sub)
-    d = sub.config.num_directions
     c = m // 2
     grid: list[list[LandmarkConfig | None]] = [[None] * m for _ in range(m)]
     grid[c][c] = from_preshape(sub.start, k, "start")
-
-    def fill(first_index, second_index, cell_of, tag):
-        first = _resample_branch(_net_by_index(sub, first_index).points, c)
-        second = _resample_branch(_net_by_index(sub, second_index).points, c)
-        for i in range(1, c + 1):
-            r, col = cell_of(-i)
-            grid[r][col] = from_preshape(first[i - 1], k, f"{tag}{-i:+d}")
-            r, col = cell_of(i)
-            grid[r][col] = from_preshape(second[i - 1], k, f"{tag}{i:+d}")
-
-    if len(sub.nets) == 2 and sub.config.dim == 1:
-        fill(2, 1, lambda i: (c, c + i), "pd1")
-        return grid
-    fill(d // 2, d, lambda i: (c, c + i), "pd1")
-    fill(d // 4, 3 * d // 4, lambda i: (c + i, c), "pd2")
-    if pds.pd3 is not None:
-        fill(d // 8, 5 * d // 8, lambda i: (c + i, c + i), "pd3")
-        fill(3 * d // 8, 7 * d // 8, lambda i: (c + i, c - i), "pd4")
+    for name, (first, second) in _pd_pairs(sub).items():
+        dr, dc = _GRID_AXES[name]
+        for sign, net in ((-1, first), (1, second)):
+            for i, point in enumerate(_resample_branch(net.points, c), start=1):
+                step = sign * i
+                grid[c + step * dr][c + step * dc] = from_preshape(point, k, f"{name}{step:+d}")
     return grid
 
 

@@ -235,6 +235,21 @@ class TestFit:
         assert len(grid) == 5
         assert grid[2][2] is not None
 
+    @pytest.mark.parametrize("command", ["fit", "compare-geodesic"])
+    def test_k3_exports_no_principal_directions(self, tmp_path, preshapes_csv, command):
+        # A fan on S^2 has no opposite nets to join into principal directions.
+        out = tmp_path / "run"
+        assert run(command, str(preshapes_csv), "--k", "3", "--directions", "8",
+                   "--grid-samples", "5", "--quiet", "--out", str(out)) == 0
+        header, rows = read_csv_rows(out / "projected.csv")
+        assert {r[0] for r in rows} == {"net", "data"}
+        grid = json.loads((out / "shapes.json").read_text())["grid"]
+        filled = {(r, c) for r in range(5) for c in range(5) if grid[r][c] is not None}
+        assert filled == {(2, 2)}
+        summary = json.loads((out / "summary.json").read_text())
+        assert "no opposite nets" in summary["note"]
+        assert summary.get("geodesic_levels", {}) == {}
+
     def test_even_grid_samples_is_usage_error(self, tmp_path, preshapes_csv):
         out = tmp_path / "run"
         code = run("fit", str(preshapes_csv), "--directions", "8",

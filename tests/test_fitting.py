@@ -503,3 +503,24 @@ class TestVariationScore:
         assert len(score.per_net) == 2
         assert score.total == pytest.approx(sum(score.per_net), rel=1e-12)
         assert score.total > 0.0
+
+    def test_antipodal_guard_point_is_skipped(self):
+        # A data point antipodal to net 1's level-3 point stops that net there
+        # with antipodal_guard (it lies far outside every kernel ball, so the
+        # path up to it is unchanged); the score cannot take logs at that
+        # point, counts it as skipped and still scores the finished fit.
+        data, _ = generate(GenSpec("sea_wave", 200, 1))
+        start = frechet_mean(data)
+        cfg = FitConfig(dim=1)
+        net1 = next(n for n in fit_flow(data, start, cfg).nets if n.direction_index == 1)
+        tip = net1.points[3]
+        data = data + [Point(-tip.coords)]
+        sub = fit_flow(data, start, cfg)
+        net1 = next(n for n in sub.nets if n.direction_index == 1)
+        assert net1.stop_reason is StopReason.ANTIPODAL_GUARD
+        assert len(net1.points) == 4
+        np.testing.assert_array_equal(net1.points[3].coords, tip.coords)
+        score = variation_score(sub, data)
+        assert score.skipped == 1
+        assert score.total == pytest.approx(sum(score.per_net), rel=1e-12)
+        assert score.per_net[0] > 0.0

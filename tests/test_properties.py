@@ -1,0 +1,83 @@
+"""Property tests of the geometry on both charts (hypothesis, derandomized).
+
+derandomize=True draws the same examples on every run, so these tests are
+as deterministic as the rest of the suite.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from psm.geometry import (
+    FLAT,
+    SPHERE,
+    Point,
+    exp_map,
+    geodesic_distance,
+    log_map,
+    project_to_sphere,
+)
+from psm.tangent_stats import GAUSSIAN, UNIFORM_BALL, KernelSpec, local_covariance
+
+PROPERTY = settings(derandomize=True, max_examples=100, deadline=None)
+CHARTS = pytest.mark.parametrize("chart", [SPHERE, FLAT])
+COORD = st.floats(min_value=-5.0, max_value=5.0, allow_nan=False, allow_subnormal=False)
+
+
+def _vector(draw, dim: int) -> np.ndarray:
+    return np.array(draw(st.lists(COORD, min_size=dim, max_size=dim)))
+
+
+@st.composite
+def point_sets(draw, chart: str, count: int, min_dim: int = 2):
+    """count points of one random ambient dimension in [min_dim, 6] on chart."""
+    dim = draw(st.integers(min_value=min_dim, max_value=6))
+    points = []
+    for _ in range(count):
+        vec = _vector(draw, dim)
+        if chart == FLAT:
+            points.append(Point(vec, FLAT))
+        else:
+            assume(np.linalg.norm(vec) > 0.1)
+            points.append(project_to_sphere(vec))
+    return points
+
+
+@CHARTS
+@PROPERTY
+@given(data=st.data())
+def test_exp_of_log_returns_the_point(chart, data):
+    x, y = data.draw(point_sets(chart, 2))
+    if chart == SPHERE:
+        assume(float(x.coords @ y.coords) > -0.99)  # log is singular at the antipode
+    back = exp_map(x, log_map(x, y))
+    np.testing.assert_allclose(back.coords, y.coords, rtol=0.0, atol=1e-12)
+
+
+@CHARTS
+@PROPERTY
+@given(data=st.data())
+def test_distance_is_symmetric_and_satisfies_the_triangle_inequality(chart, data):
+    x, y, z = data.draw(point_sets(chart, 3))
+    assert geodesic_distance(x, y) == geodesic_distance(y, x)
+    assert geodesic_distance(x, x) == 0.0
+    assert (geodesic_distance(x, z)
+            <= geodesic_distance(x, y) + geodesic_distance(y, z) + 1e-12)
+    if chart == SPHERE:
+        assert geodesic_distance(x, y) <= math.pi
+
+
+@PROPERTY
+@given(data=st.data(),
+       kernel=st.sampled_from([KernelSpec(), KernelSpec(UNIFORM_BALL, 2.0),
+                               KernelSpec(GAUSSIAN, 0.5)]),
+       demean=st.booleans())
+def test_local_covariance_annihilates_its_base_point(data, kernel, demean):
+    center, *points = data.draw(point_sets(SPHERE, 6, min_dim=3))
+    assume(all(float(center.coords @ p.coords) > -0.99 for p in points))
+    assume(any(geodesic_distance(center, p) <= 2.0 for p in points))
+    cov = local_covariance(center, points, kernel, demean=demean)
+    np.testing.assert_allclose(cov @ center.coords, 0.0, rtol=0.0, atol=1e-12)

@@ -6,15 +6,18 @@ import math
 import numpy as np
 import pytest
 
+from psm.datagen import GenSpec, generate
 from psm.errors import NotAShapeFitError
-from psm.fitting import FitConfig, Net, StopReason, Submanifold, fit_submanifold
+from psm.fitting import FitConfig, Net, StopReason, Submanifold, fit_flow, fit_submanifold
 from psm.geometry import FLAT, Point, Tangent, exp_map, log_map
 from psm.shape import LandmarkConfig, to_preshape
-from psm.tangent_stats import EigenFrame, KernelSpec
+from psm.tangent_stats import EigenFrame, KernelSpec, frechet_mean
 from psm.viz import (
     PrincipalDirections,
     ProjectedSubmanifold,
+    _pd_pairs,
     principal_directions,
+    principal_geodesics,
     project_submanifold,
     shape_grid,
     write_projected_csv,
@@ -132,6 +135,50 @@ class TestPrincipalDirections:
         sub = synthetic_submanifold(num_directions=4, levels=2)
         d = principal_directions(sub).as_dict()
         assert sorted(d) == ["pd1", "pd2"]
+
+
+class TestPairingOnFits:
+    @pytest.mark.parametrize("fit, dim, num_directions, names", [
+        (fit_flow, 1, 4, ["pd1"]),
+        (fit_submanifold, 2, 16, ["pd1", "pd2", "pd3", "pd4"]),
+    ])
+    def test_paired_seeds_are_opposite(self, fit, dim, num_directions, names):
+        data, _ = generate(GenSpec("sea_wave", 200, 1))
+        start = frechet_mean(data)
+        sub = fit(data, start, FitConfig(dim=dim, num_directions=num_directions))
+        pairs = _pd_pairs(sub)
+        assert list(pairs) == names
+        for first, second in pairs.values():
+            np.testing.assert_allclose(log_map(start, first.points[1]).vec,
+                                       -log_map(start, second.points[1]).vec,
+                                       rtol=0.0, atol=1e-12)
+        # each geodesic leaves the join along its PD's second-listed net
+        pds = principal_directions(sub).as_dict()
+        geodesics = principal_geodesics(sub)
+        assert sorted(geodesics) == [int(name[2]) for name in names[:2]]
+        for key, curve in geodesics.items():
+            first, second = pairs[f"pd{key}"]
+            assert len(curve) == len(pds[f"pd{key}"])
+            join = len(first.points) - 1
+            np.testing.assert_array_equal(curve[join].coords, start.coords)
+            np.testing.assert_allclose(log_map(start, curve[join + 1]).vec,
+                                       log_map(start, second.points[1]).vec,
+                                       rtol=0.0, atol=1e-12)
+
+    def test_k3_fan_exports_no_directions(self):
+        rng = np.random.default_rng(113)
+        xs = rng.standard_normal((60, 4)) * [2.0, 1.5, 1.0, 0.1]
+        data = [Point(r, FLAT) for r in xs]
+        start = Point(xs.mean(axis=0), FLAT)
+        cfg = FitConfig(epsilon=0.05, delta=3.0, kernel=KernelSpec(), num_directions=8,
+                        max_net_length=0.2, dim=3)
+        sub = fit_submanifold(data, start, cfg)
+        assert len(sub.nets) == 8
+        pds = principal_directions(sub)
+        assert (pds.pd1, pds.pd2, pds.pd3, pds.pd4) == (None, None, None, None)
+        assert pds.as_dict() == {}
+        assert "no opposite nets" in pds.note
+        assert principal_geodesics(sub) == {}
 
 
 class TestProjectSubmanifold:
