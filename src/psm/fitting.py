@@ -12,6 +12,14 @@ A net stops at the first candidate where every data point lies behind it
 (convex hull exit), where the delta-neighborhood is empty, or where the
 accumulated length would pass the cap; checks run in that order.  The
 candidate that triggers a stop is kept as the terminal net point.
+
+The fan grows in lockstep: a chunk of nets, sized so that its (nets, n, m)
+tensor of the data's logs stays within _LOG_BYTES, advances one level at a
+time, and a net leaves the chunk when it stops.  Each net point's logs are
+taken once and feed its stop check, its variation-score term and the step
+from it.  Every stacked product runs the same BLAS kernel per net as the
+per-point reference path (step_net, stop_check), so a net's points, stop
+reason and score do not depend on which nets share its chunk.
 """
 
 from __future__ import annotations
@@ -22,21 +30,28 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import (
-    AntipodalPairError,
-    DegenerateProjectionError,
-    EmptyNeighborhoodError,
-    RankDeficientError,
-)
+from .errors import AntipodalPairError, DegenerateProjectionError
 from .geometry import (
     Point,
-    _distance_coords,
+    _distance_rows,
     _exp_coords,
+    _exp_rows,
     _log_coords,
+    _log_coords_batch,
     _log_coords_many,
+    _log_rows,
+    _row_norms,
     points_matrix,
 )
-from .tangent_stats import EigenFrame, KernelSpec, _cov_coords, _top_frame_coords, eigenframe
+from .tangent_stats import (
+    EigenFrame,
+    KernelSpec,
+    _cov_at,
+    _cov_coords,
+    _top_frame_at,
+    _top_frame_coords,
+    eigenframe,
+)
 
 _PROJ_TOL = 1e-12
 
@@ -108,6 +123,10 @@ class Submanifold:
     nets: tuple[Net, ...]
     frame_at_start: EigenFrame
     config: FitConfig
+    # (data matrix, VariationScore) of the fit that grew these nets; see
+    # variation_score.  dataclasses.replace leaves it unset.
+    _fit_score: tuple[np.ndarray, VariationScore] | None = field(
+        default=None, init=False, repr=False)
 
 
 def _circle_directions(num: int) -> np.ndarray:
@@ -157,52 +176,27 @@ def seed_directions(start: Point, frame: EigenFrame, cfg: FitConfig) -> list[Poi
     return seeds
 
 
-def _step_coords(prev: np.ndarray, cur: np.ndarray, vecs: np.ndarray, dists: np.ndarray,
-                 chart: str, cfg: FitConfig) -> np.ndarray:
-    """Step from cur, given the data's logs (vecs, dists) at cur."""
-    cov = _cov_coords(vecs, dists, cfg.kernel)
-    rows, _, _ = _top_frame_coords(cov, cur, chart, cfg.dim)
-    v = _log_coords(cur, prev, chart)
+def step_net(a_prev: Point, a_cur: Point, data, cfg: FitConfig) -> Point:
+    """One growth step: refresh the local frame at a_cur and advance epsilon.
+
+    Degeneracies surface as exceptions (EmptyNeighborhoodError when nothing
+    carries kernel weight, DegenerateProjectionError when the backward
+    direction leaves the frame span); the fitting loop records the same
+    cases as stop reasons.
+    """
+    if np.array_equal(a_prev.coords, a_cur.coords):
+        raise ValueError("previous and current points must differ")
+    cur, chart = a_cur.coords, a_cur.chart
+    vecs, dists = _log_coords_many(cur, points_matrix(data), chart)
+    rows, _, _ = _top_frame_at(_cov_at(vecs, dists, cfg.kernel), cur, chart, cfg.dim)
+    v = _log_coords(cur, a_prev.coords, chart)
     u = rows.T @ (rows @ v)
     nu = float(np.linalg.norm(u))
     if nu < _PROJ_TOL:
         raise DegenerateProjectionError(
             "backward direction is orthogonal to the local frame span")
     r = (cfg.epsilon / nu) * u
-    return _exp_coords(cur, -r, chart)
-
-
-def step_net(a_prev: Point, a_cur: Point, data, cfg: FitConfig) -> Point:
-    """One growth step: refresh the local frame at a_cur and advance epsilon.
-
-    Degeneracies surface as exceptions (EmptyNeighborhoodError when nothing
-    carries kernel weight, DegenerateProjectionError when the backward
-    direction leaves the frame span); the fitting loop converts them into
-    recorded stop reasons.
-    """
-    if np.array_equal(a_prev.coords, a_cur.coords):
-        raise ValueError("previous and current points must differ")
-    xs = points_matrix(data)
-    vecs, dists = _log_coords_many(a_cur.coords, xs, a_cur.chart)
-    cand = _step_coords(a_prev.coords, a_cur.coords, vecs, dists, a_cur.chart, cfg)
-    return Point(cand, a_cur.chart)
-
-
-def _stop_coords(nxt: np.ndarray, cur: np.ndarray, vecs: np.ndarray, dists: np.ndarray,
-                 chart: str, cfg: FitConfig, net_len: float) -> StopReason | None:
-    """Stop rule at nxt, given the data's logs (vecs, dists) at nxt.
-
-    Raises AntipodalPairError for antipodal nxt and cur; callers report it
-    as antipodal_guard.
-    """
-    back = _log_coords(nxt, cur, chart)
-    if bool(np.all(vecs @ back >= 0.0)):
-        return StopReason.CONVEX_HULL_EXIT
-    if bool(np.all(dists > cfg.delta)):
-        return StopReason.EMPTY_NEIGHBORHOOD
-    if net_len + cfg.epsilon > cfg.max_net_length:
-        return StopReason.LENGTH_EXCEEDED
-    return None
+    return Point(_exp_coords(cur, -r, chart), chart)
 
 
 def stop_check(a_next: Point, a_cur: Point, data, cfg: FitConfig,
@@ -218,66 +212,193 @@ def stop_check(a_next: Point, a_cur: Point, data, cfg: FitConfig,
     xs = points_matrix(data)
     try:
         vecs, dists = _log_coords_many(a_next.coords, xs, a_cur.chart)
-        return _stop_coords(a_next.coords, a_cur.coords, vecs, dists, a_cur.chart, cfg,
-                            net_len)
+        back = _log_coords(a_next.coords, a_cur.coords, a_cur.chart)
     except AntipodalPairError:
         return StopReason.ANTIPODAL_GUARD
+    if bool(np.all(vecs @ back >= 0.0)):
+        return StopReason.CONVEX_HULL_EXIT
+    if bool(np.all(dists > cfg.delta)):
+        return StopReason.EMPTY_NEIGHBORHOOD
+    if net_len + cfg.epsilon > cfg.max_net_length:
+        return StopReason.LENGTH_EXCEEDED
+    return None
 
 
-def _grow_net(index: int, start: np.ndarray, seed: np.ndarray, xs: np.ndarray,
-              chart: str, cfg: FitConfig) -> Net:
-    pts = [start, seed]
-    net_len = _distance_coords(start, seed, chart)
-    # The data's logs at pts[-1]: one pass per net point, taken for its stop
-    # check and reused by the step from it (the seed has no stop check).
-    logs = None
-    while True:
-        if len(pts) - 1 >= cfg.max_levels:
-            reason = StopReason.LEVEL_CAP
-            break
-        try:
-            if logs is None:
-                logs = _log_coords_many(seed, xs, chart)
-            cand = _step_coords(pts[-2], pts[-1], *logs, chart, cfg)
-        except EmptyNeighborhoodError:
-            reason = StopReason.EMPTY_NEIGHBORHOOD
-            break
-        except (DegenerateProjectionError, RankDeficientError):
-            reason = StopReason.DEGENERATE_PROJECTION
-            break
-        except AntipodalPairError:
-            reason = StopReason.ANTIPODAL_GUARD
-            break
-        try:
-            logs = _log_coords_many(cand, xs, chart)
-            stop = _stop_coords(cand, pts[-1], *logs, chart, cfg, net_len)
-        except AntipodalPairError:
-            stop = StopReason.ANTIPODAL_GUARD
-        net_len += _distance_coords(pts[-1], cand, chart)
-        pts.append(cand)
-        if stop is not None:
-            reason = stop
-            break
-    points = tuple(Point(c, chart) for c in pts)
-    return Net(index, points, reason)
+# -- lockstep growth and the variation score --
+#
+# Failures are per-net masks, applied in the order in which the per-point
+# reference path (step_net, stop_check) raises and checks them.
+
+_LOG_BYTES = 256 * 1024  # budget of one level's log tensor; sets the chunk size
+
+# A net's stop code indexes this tuple; 0 means it is still growing.
+_REASONS = (None, StopReason.CONVEX_HULL_EXIT, StopReason.EMPTY_NEIGHBORHOOD,
+            StopReason.LENGTH_EXCEEDED, StopReason.DEGENERATE_PROJECTION,
+            StopReason.LEVEL_CAP, StopReason.ANTIPODAL_GUARD)
+_CODE = {reason: code for code, reason in enumerate(_REASONS)}
+
+
+def _chunks(num_nets: int, xs: np.ndarray) -> list[range]:
+    """Consecutive runs of nets whose log tensor fits in _LOG_BYTES."""
+    size = max(1, _LOG_BYTES // xs.nbytes)
+    return [range(lo, min(lo + size, num_nets)) for lo in range(0, num_nets, size)]
+
+
+def _stop(code: np.ndarray, mask: np.ndarray, reason: StopReason) -> None:
+    """Stop the still-growing nets in mask with reason."""
+    code[(code == 0) & mask] = _CODE[reason]
+
+
+class _Level:
+    """The data's logs at stacked net points cur (B, m) of one level, whose
+    previous points are prev, and what every consumer derives from them."""
+
+    def __init__(self, cur: np.ndarray, prev: np.ndarray, xs: np.ndarray, chart: str,
+                 kernel: KernelSpec):
+        self.cur = cur
+        self.vecs, self.dists, self.antipodal = _log_coords_batch(cur, xs, chart)
+        # log_cur(prev): the stop check's and the score's backward direction,
+        # and the vector the step projects
+        self.back, self.back_antipodal = _log_rows(cur, prev, chart)
+        self.w = kernel.weights(self.dists)
+        self.total = self.w.sum(axis=-1)
+        self.empty = self.total <= 0.0
+
+
+def _score_terms(lv: _Level, chart: str, cfg: FitConfig, base_w: float, level: int):
+    """Variation-score terms of one level's net points; returns (terms, scored).
+
+    A point antipodal to a data point or to its predecessor, or whose
+    demeaned covariance is empty or rank-deficient, is not scored and its
+    term is 0.
+    """
+    k = cfg.dim
+    cov = _cov_coords(lv.vecs, lv.w, lv.total, demean=True)
+    rows, vals, _, ranked = _top_frame_coords(cov, lv.cur, chart, k)
+    scored = ~(lv.antipodal | lv.back_antipodal | lv.empty) & ranked
+    unit = lv.back / _row_norms(lv.back)[:, None]
+    cos_a = _row_norms(np.matmul(rows, unit[:, :, None])[:, :, 0])
+    cos_a = np.where(cos_a < 1.0, cos_a, 1.0)
+    terms = cos_a * vals.sum(axis=-1) * base_w * (level - 0.5) ** (k - 1)
+    return np.where(scored, terms, 0.0), scored
+
+
+def _score_weight(cfg: FitConfig, num_nets: int) -> float:
+    """|S^{k-1}| / D * epsilon^k, the level-independent part of the quadrature weight."""
+    k = cfg.dim
+    sphere_area = 2.0 * math.pi ** (k / 2) / math.gamma(k / 2)
+    return sphere_area / num_nets * cfg.epsilon ** k
+
+
+def _step_rows(lv: _Level, sel, chart: str, cfg: FitConfig):
+    """Steps from the net points lv.cur[sel], whose neighbourhoods carry weight.
+
+    Returns (candidates, stop codes): a net whose step fails gets its stop
+    code, the others 0 and one candidate row each, in order.
+    """
+    cur, back = lv.cur[sel], lv.back[sel]
+    cov = _cov_coords(lv.vecs[sel], lv.w[sel], lv.total[sel])
+    code = np.zeros(len(cur), dtype=np.int8)
+    rows, _, _, ranked = _top_frame_coords(cov, cur, chart, cfg.dim)
+    _stop(code, ~ranked, StopReason.DEGENERATE_PROJECTION)
+    _stop(code, lv.back_antipodal[sel], StopReason.ANTIPODAL_GUARD)
+    u = np.matmul(rows.transpose(0, 2, 1), np.matmul(rows, back[:, :, None]))[:, :, 0]
+    nu = _row_norms(u)
+    _stop(code, nu < _PROJ_TOL, StopReason.DEGENERATE_PROJECTION)
+    go = code == 0
+    r = (cfg.epsilon / nu[go])[:, None] * u[go]
+    cand, _ = _exp_rows(cur[go], -r, chart)  # |r| = epsilon < pi/8: never cut
+    return cand, code
+
+
+def _grow_chunk(start: np.ndarray, seeds: np.ndarray, xs: np.ndarray, chart: str,
+                cfg: FitConfig, base_w: float):
+    """Grow the nets from seeds (B, m) in lockstep.
+
+    Returns (paths, stop codes, score sums) with one entry per net, and the
+    number of net points left out of the score; a path is the list of its
+    point coordinates.
+    """
+    num = len(seeds)
+    paths = [[start, seed] for seed in seeds]
+    codes = np.zeros(num, dtype=np.int8)
+    acc = np.zeros(num)
+    skipped = 0
+    live = np.arange(num)
+    prev = np.broadcast_to(start, seeds.shape)
+    cur = seeds
+    len_cur = _distance_rows(prev, cur, chart)
+    len_prev = None
+    level = 1
+    while live.size:
+        lv = _Level(cur, prev, xs, chart, cfg.kernel)
+        code = np.zeros(live.size, dtype=np.int8)
+        if level >= 2:
+            # stop check of the candidate that just arrived
+            _stop(code, lv.antipodal | lv.back_antipodal, StopReason.ANTIPODAL_GUARD)
+            hull = np.all(np.matmul(lv.vecs, lv.back[:, :, None])[:, :, 0] >= 0.0, axis=-1)
+            _stop(code, hull, StopReason.CONVEX_HULL_EXIT)
+            _stop(code, np.all(lv.dists > cfg.delta, axis=-1), StopReason.EMPTY_NEIGHBORHOOD)
+            _stop(code, len_prev + cfg.epsilon > cfg.max_net_length,
+                  StopReason.LENGTH_EXCEEDED)
+        terms, scored = _score_terms(lv, chart, cfg, base_w, level)
+        acc[live] += terms
+        skipped += int((~scored).sum())
+        if level >= cfg.max_levels:
+            _stop(code, code == 0, StopReason.LEVEL_CAP)
+        # the step from cur, in the order the reference path raises
+        _stop(code, lv.antipodal, StopReason.ANTIPODAL_GUARD)
+        _stop(code, lv.empty, StopReason.EMPTY_NEIGHBORHOOD)
+        step = np.flatnonzero(code == 0)
+        if step.size == code.size:
+            step = slice(None)  # a view: no copy of the log tensor
+        cand, code[step] = _step_rows(lv, step, chart, cfg)
+        codes[live] = code
+        go = code == 0
+        live = live[go]
+        for net, point in zip(live.tolist(), cand):
+            paths[net].append(point)
+        prev = cur[go]
+        cur = cand
+        len_prev = len_cur[go]
+        len_cur = len_prev + _distance_rows(prev, cur, chart)
+        level += 1
+    return paths, codes, acc, skipped
 
 
 def fit_submanifold(data, start: Point, cfg: FitConfig) -> Submanifold:
     """Grow a full fan of nets from the start point.
 
     The local covariance at the start must support cfg.dim directions
-    (RankDeficientError otherwise).  Nets grow one after another in direction
-    order, so repeated runs are bit-identical.
+    (RankDeficientError otherwise).  Chunks of nets grow in lockstep, one
+    level at a time.  A net's points do not depend on which nets share its
+    chunk, so results are bit-identical across runs and chunk sizes.  The
+    fit also scores its own nets from the same logs; variation_score
+    returns that score for this fit's data.
     """
     xs = points_matrix(data)
     if xs.shape[1] != start.ambient_dim:
         raise ValueError("data and start point have different ambient dimensions")
-    vecs, dists = _log_coords_many(start.coords, xs, start.chart)
-    frame = eigenframe(_cov_coords(vecs, dists, cfg.kernel), start, cfg.dim)
-    seeds = seed_directions(start, frame, cfg)
-    nets = tuple(_grow_net(index, start.coords, seed.coords, xs, start.chart, cfg)
-                 for index, seed in enumerate(seeds, start=1))
-    return Submanifold(start, nets, frame, cfg)
+    chart = start.chart
+    vecs, dists, antipodal = _log_coords_batch(start.coords[None], xs, chart)
+    if antipodal[0]:
+        raise AntipodalPairError("log undefined for an antipodal pair")
+    frame = eigenframe(_cov_at(vecs[0], dists[0], cfg.kernel), start, cfg.dim)
+    seeds = points_matrix(seed_directions(start, frame, cfg))
+    base_w = _score_weight(cfg, len(seeds))
+    nets, per_net, skipped = [], [], 0
+    for chunk in _chunks(len(seeds), xs):
+        paths, codes, acc, skips = _grow_chunk(
+            start.coords, seeds[chunk.start:chunk.stop], xs, chart, cfg, base_w)
+        for index, path, code in zip(chunk, paths, codes.tolist()):
+            nets.append(Net(index + 1, tuple(Point(c, chart) for c in path), _REASONS[code]))
+        per_net += acc.tolist()
+        skipped += skips
+    sub = Submanifold(start, tuple(nets), frame, cfg)
+    xs.setflags(write=False)
+    score = VariationScore(float(sum(per_net)), tuple(per_net), skipped)
+    object.__setattr__(sub, "_fit_score", (xs, score))
+    return sub
 
 
 def fit_flow(data, start: Point, cfg: FitConfig) -> Submanifold:
@@ -289,9 +410,10 @@ def fit_flow(data, start: Point, cfg: FitConfig) -> Submanifold:
 
 def net_length(net: Net) -> float:
     """Sum of consecutive geodesic distances along a net (0 for one point)."""
+    coords = points_matrix(net.points)
     total = 0.0
-    for a, b in zip(net.points, net.points[1:]):
-        total += _distance_coords(a.coords, b.coords, a.chart)
+    for gap in _distance_rows(coords[:-1], coords[1:], net.points[0].chart).tolist():
+        total += gap
     return total
 
 
@@ -307,6 +429,30 @@ class VariationScore:
     skipped: int
 
 
+def _score_nets(sub: Submanifold, xs: np.ndarray) -> VariationScore:
+    """Level-batched variation score of any nets, through the fit's score kernel."""
+    nets, cfg, chart = sub.nets, sub.config, sub.start.chart
+    base_w = _score_weight(cfg, len(nets))
+    per_net = np.zeros(len(nets))
+    skipped = 0
+    for chunk in _chunks(len(nets), xs):
+        paths = [points_matrix(nets[i].points) for i in chunk]
+        level = 1
+        while True:
+            live = [j for j, path in enumerate(paths) if len(path) > level]
+            if not live:
+                break
+            cur = np.stack([paths[j][level] for j in live])
+            prev = np.stack([paths[j][level - 1] for j in live])
+            lv = _Level(cur, prev, xs, chart, cfg.kernel)
+            terms, scored = _score_terms(lv, chart, cfg, base_w, level)
+            per_net[[chunk[j] for j in live]] += terms
+            skipped += int((~scored).sum())
+            level += 1
+    per_net = per_net.tolist()
+    return VariationScore(float(sum(per_net)), tuple(per_net), skipped)
+
+
 def variation_score(sub: Submanifold, data) -> VariationScore:
     """Quadrature of cos(angle) * sum of top-k local eigenvalues over the nets.
 
@@ -319,32 +465,17 @@ def variation_score(sub: Submanifold, data) -> VariationScore:
     Eigenvalues and frames here come from the *demeaned* kernel covariance
     (classical local PCA), so on a flat chart with an unbounded kernel the
     integrand reduces exactly to the stationary global PCA spectrum.  A
-    point antipodal to a data point, or whose demeaned covariance raises
-    EmptyNeighborhoodError or RankDeficientError, contributes 0 and is
-    counted in skipped.
+    point antipodal to a data point, or whose demeaned covariance is empty
+    or rank-deficient, contributes 0 and is counted in skipped.
+
+    fit_submanifold scores its nets while growing them; that score is
+    returned when data is bit for bit the data of the fit.  Any other
+    Submanifold (dataclasses.replace drops the stored score) or data is
+    scored level by level through the same kernel, with equal results.
     """
     xs = points_matrix(data)
-    cfg = sub.config
-    chart = sub.start.chart
-    k = cfg.dim
-    sphere_area = 2.0 * math.pi ** (k / 2) / math.gamma(k / 2)
-    base_w = sphere_area / len(sub.nets) * cfg.epsilon ** k
-    per_net = []
-    skipped = 0
-    for net in sub.nets:
-        acc = 0.0
-        for i in range(1, len(net.points)):
-            b = net.points[i].coords
-            try:
-                vecs, dists = _log_coords_many(b, xs, chart)
-                cov = _cov_coords(vecs, dists, cfg.kernel, demean=True)
-                rows, vals, _ = _top_frame_coords(cov, b, chart, k)
-            except (AntipodalPairError, EmptyNeighborhoodError, RankDeficientError):
-                skipped += 1
-                continue
-            v_in = _log_coords(b, net.points[i - 1].coords, chart)
-            nv = float(np.linalg.norm(v_in))
-            cos_a = min(1.0, float(np.linalg.norm(rows @ (v_in / nv))))
-            acc += cos_a * float(vals.sum()) * base_w * (i - 0.5) ** (k - 1)
-        per_net.append(acc)
-    return VariationScore(float(sum(per_net)), tuple(per_net), skipped)
+    if sub._fit_score is not None:
+        fit_xs, score = sub._fit_score
+        if np.array_equal(fit_xs.view(np.uint64), xs.view(np.uint64)):
+            return score
+    return _score_nets(sub, xs)

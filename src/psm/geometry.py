@@ -88,59 +88,124 @@ class Tangent:
 
 
 # -- coordinate-level core, shared by the public wrappers and the fitting loop --
+#
+# The row-wise and batched forms below stack their operands and take every
+# inner product as a stacked np.matmul, which calls the same BLAS kernel per
+# row as the 1-d dot, gemv or gemm of a single call.  math.acos, math.asin,
+# math.cos and math.sin run per row (numpy's versions can differ in the last
+# bit); elementwise ufuncs give the same bits anywhere in an array.  A
+# result therefore does not depend on how many rows are stacked with it,
+# and the single-point forms are the one-row case.
 
-def _exp_coords(x: np.ndarray, v: np.ndarray, chart: str) -> np.ndarray:
+def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """<a[i], b[i]> for stacked (B, m) rows."""
+    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
+
+
+def _row_norms(a: np.ndarray) -> np.ndarray:
+    """|a[i]| for stacked (B, m) rows, equal to np.linalg.norm of each row."""
+    return np.sqrt(_row_dots(a, a))
+
+
+def _per_row(fn, values: np.ndarray) -> np.ndarray:
+    return np.array([fn(v) for v in values.tolist()], dtype=float)
+
+
+def _exp_rows(xs: np.ndarray, vs: np.ndarray, chart: str):
+    """exp_{xs[i]}(vs[i]) for stacked rows.  Returns (points, cut (B,) bool).
+
+    cut flags steps that reach the cut locus; their rows are meaningless.
+    """
     if chart == FLAT:
-        return x + v
-    n = float(np.linalg.norm(v))
-    if n < _ZERO_TOL:
-        return np.array(x, dtype=float)
-    if n >= math.pi - _CUT_LOCUS_TOL:
-        raise CutLocusError(f"exp step of length {n!r} reaches the cut locus")
-    out = math.cos(n) * x + (math.sin(n) / n) * v
-    return out / np.linalg.norm(out)
+        return xs + vs, np.zeros(len(xs), dtype=bool)
+    n = _row_norms(vs)
+    small = n < _ZERO_TOL
+    safe = np.where(small, 1.0, n)
+    out = (_per_row(math.cos, n)[:, None] * xs
+           + (_per_row(math.sin, n) / safe)[:, None] * vs)
+    out = out / _row_norms(out)[:, None]
+    out[small] = xs[small]
+    return out, n >= math.pi - _CUT_LOCUS_TOL
 
 
-def _log_coords(x: np.ndarray, y: np.ndarray, chart: str) -> np.ndarray:
+def _log_rows(xs: np.ndarray, ys: np.ndarray, chart: str):
+    """log_{xs[i]}(ys[i]) for stacked rows.  Returns (vectors, antipodal (B,) bool).
+
+    antipodal flags pairs within _ANTIPODAL_TOL of antipodal; their rows
+    are meaningless.
+    """
     if chart == FLAT:
-        return y - x
-    c = min(1.0, max(-1.0, float(x @ y)))
-    if c < -1.0 + _ANTIPODAL_TOL:
-        raise AntipodalPairError("log undefined for an antipodal pair")
-    u = y - c * x
-    nu = float(np.linalg.norm(u))
-    if nu < _ZERO_TOL:
-        return np.zeros_like(x)
-    return (math.acos(c) / nu) * u
+        return ys - xs, np.zeros(len(xs), dtype=bool)
+    c = np.clip(_row_dots(xs, ys), -1.0, 1.0)
+    u = ys - c[:, None] * xs
+    nu = _row_norms(u)
+    zero = nu < _ZERO_TOL
+    vecs = (_per_row(math.acos, c) / np.where(zero, 1.0, nu))[:, None] * u
+    vecs[zero] = 0.0
+    return vecs, c < -1.0 + _ANTIPODAL_TOL
 
 
-def _log_coords_many(x: np.ndarray, ys: np.ndarray, chart: str):
-    """Logs of the rows of ys at x.  Returns (vectors, geodesic distances)."""
+def _distance_rows(xs: np.ndarray, ys: np.ndarray, chart: str) -> np.ndarray:
+    """Geodesic distances between stacked rows xs[i] and ys[i]."""
     if chart == FLAT:
-        diffs = ys - x
-        return diffs, np.linalg.norm(diffs, axis=1)
-    c = np.clip(ys @ x, -1.0, 1.0)
-    if np.any(c < -1.0 + _ANTIPODAL_TOL):
-        raise AntipodalPairError("log undefined for an antipodal pair")
-    theta = np.arccos(c)
-    u = ys - c[:, None] * x
-    nu = np.linalg.norm(u, axis=1)
-    safe = np.where(nu < _ZERO_TOL, 1.0, nu)
-    vecs = (theta / safe)[:, None] * u
-    vecs[nu < _ZERO_TOL] = 0.0
-    return vecs, theta
-
-
-def _distance_coords(x: np.ndarray, y: np.ndarray, chart: str) -> float:
-    if chart == FLAT:
-        return float(np.linalg.norm(y - x))
+        return _row_norms(ys - xs)
     # Half-chord form of arccos(x.y): well conditioned at both ends of
     # [0, pi], where the naive arccos loses half the significant digits,
     # and bit-symmetric in its arguments since y - x and x - y are exact
     # negations.
-    if float(x @ y) >= 0.0:
-        return 2.0 * math.asin(min(1.0, 0.5 * float(np.linalg.norm(y - x))))
-    return math.pi - 2.0 * math.asin(min(1.0, 0.5 * float(np.linalg.norm(y + x))))
+    near = _row_dots(xs, ys) >= 0.0
+    half = np.minimum(1.0, 0.5 * _row_norms(np.where(near[:, None], ys - xs, ys + xs)))
+    arc = 2.0 * _per_row(math.asin, half)
+    return np.where(near, arc, math.pi - arc)
+
+
+def _log_coords_batch(xs: np.ndarray, ys: np.ndarray, chart: str):
+    """Logs of the rows of ys (n, m) at each base point xs (B, m).
+
+    Returns (vectors (B, n, m), geodesic distances (B, n), antipodal (B,)
+    bool); antipodal flags a base point with a row of ys within
+    _ANTIPODAL_TOL of its antipode, and that base point's logs are
+    meaningless.
+    """
+    if chart == FLAT:
+        diffs = ys - xs[:, None, :]
+        return diffs, np.linalg.norm(diffs, axis=-1), np.zeros(len(xs), dtype=bool)
+    c = np.clip(np.matmul(ys, xs[:, :, None])[:, :, 0], -1.0, 1.0)
+    theta = np.arccos(c)
+    u = c[:, :, None] * xs[:, None, :]
+    np.subtract(ys, u, out=u)
+    nu = np.linalg.norm(u, axis=-1)
+    zero = nu < _ZERO_TOL
+    u *= (theta / np.where(zero, 1.0, nu))[:, :, None]
+    u[zero] = 0.0
+    return u, theta, np.any(c < -1.0 + _ANTIPODAL_TOL, axis=-1)
+
+
+def _exp_coords(x: np.ndarray, v: np.ndarray, chart: str) -> np.ndarray:
+    out, cut = _exp_rows(x[None], v[None], chart)
+    if cut[0]:
+        raise CutLocusError(
+            f"exp step of length {float(_row_norms(v[None])[0])!r} reaches the cut locus")
+    return out[0]
+
+
+def _log_coords(x: np.ndarray, y: np.ndarray, chart: str) -> np.ndarray:
+    vecs, antipodal = _log_rows(x[None], y[None], chart)
+    if antipodal[0]:
+        raise AntipodalPairError("log undefined for an antipodal pair")
+    return vecs[0]
+
+
+def _log_coords_many(x: np.ndarray, ys: np.ndarray, chart: str):
+    """Logs of the rows of ys at x.  Returns (vectors, geodesic distances)."""
+    vecs, dists, antipodal = _log_coords_batch(x[None], ys, chart)
+    if antipodal[0]:
+        raise AntipodalPairError("log undefined for an antipodal pair")
+    return vecs[0], dists[0]
+
+
+def _distance_coords(x: np.ndarray, y: np.ndarray, chart: str) -> float:
+    return float(_distance_rows(x[None], y[None], chart)[0])
 
 
 def _great_circle_coords(x: np.ndarray, unit: np.ndarray, t: float) -> np.ndarray:

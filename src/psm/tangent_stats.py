@@ -85,18 +85,30 @@ class EigenFrame:
         return np.stack([t.vec for t in self.vectors])
 
 
-def _cov_coords(vecs: np.ndarray, dists: np.ndarray, kernel: KernelSpec,
+def _cov_coords(vecs: np.ndarray, w: np.ndarray, total: np.ndarray,
                 demean: bool = False) -> np.ndarray:
-    """Kernel covariance from the data's logs (vecs, dists) at the center."""
+    """Stacked kernel covariances (B, m, m) from the data's logs at B centers.
+
+    vecs (B, n, m) holds the logs at each center, w (B, n) their kernel
+    weights and total (B,) the weight sums; a center whose total is 0 gets
+    a zero matrix, and callers treat it as an empty neighbourhood.
+    """
+    total = np.where(total > 0.0, total, 1.0)[:, None, None]
+    if demean:
+        vecs = vecs - np.matmul(w[:, None, :], vecs) / total
+    cov = np.matmul((vecs * w[:, :, None]).transpose(0, 2, 1), vecs) / total
+    return (cov + cov.transpose(0, 2, 1)) / 2.0
+
+
+def _cov_at(vecs: np.ndarray, dists: np.ndarray, kernel: KernelSpec,
+            demean: bool = False) -> np.ndarray:
+    """Kernel covariance from the data's logs (vecs, dists) at one center."""
     w = kernel.weights(dists)
-    total = float(w.sum())
+    total = w.sum()
     if total <= 0.0:
         raise EmptyNeighborhoodError(
             f"no data carries kernel weight within bandwidth {kernel.bandwidth!r}")
-    if demean:
-        vecs = vecs - (w @ vecs) / total
-    cov = (vecs * w[:, None]).T @ vecs / total
-    return (cov + cov.T) / 2.0
+    return _cov_coords(vecs[None], w[None], total[None], demean)[0]
 
 
 def local_covariance(center: Point, data, kernel: KernelSpec, *,
@@ -128,7 +140,7 @@ def local_covariance(center: Point, data, kernel: KernelSpec, *,
     if xs.shape[1] != center.ambient_dim:
         raise DimensionMismatchError("data and center have different ambient dimensions")
     vecs, dists = _log_coords_many(center.coords, xs, center.chart)
-    return _cov_coords(vecs, dists, kernel, demean)
+    return _cov_at(vecs, dists, kernel, demean)
 
 
 def _fix_sign(vec: np.ndarray) -> np.ndarray:
@@ -139,27 +151,45 @@ def _fix_sign(vec: np.ndarray) -> np.ndarray:
 
 
 def _top_frame_coords(cov: np.ndarray, base: np.ndarray, chart: str, k: int):
-    """Shared core of eigenframe(); returns (rows (k, m), values (k,), degenerate)."""
+    """Top-k eigenpairs of stacked covariances (B, m, m) at base points (B, m).
+
+    Returns (rows (B, k, m), values (B, k), degenerate (B,), ranked (B,)).
+    ranked is False where the k-th eigenvalue is <= _RANK_TOL or, on the
+    sphere, an eigenvector is nearly normal to the tangent space; those
+    rows are meaningless.  Rows keep eigh's sign: the fit's uses are
+    sign-invariant, and eigenframe() fixes it.
+    """
     vals, vecs = np.linalg.eigh(cov)
-    order = np.argsort(vals)[::-1]
-    vals = vals[order]
-    vecs = vecs[:, order]
-    if vals[k - 1] <= _RANK_TOL:
-        raise RankDeficientError(
-            f"requested {k} directions but eigenvalue {k} is {float(vals[k - 1])!r}")
-    degenerate = bool(len(vals) > k and vals[k - 1] - vals[k] <= _TIE_TOL)
-    rows = []
-    for j in range(k):
-        v = vecs[:, j]
-        if chart == SPHERE:
-            # protective: genuine tangent covariances already annihilate the base
-            v = v - (v @ base) * base
-            n = float(np.linalg.norm(v))
-            if n < 1e-8:
-                raise RankDeficientError("eigenvector nearly normal to the tangent space")
-            v = v / n
-        rows.append(v)  # eigh's sign: the fit's uses are sign-invariant, eigenframe() fixes it
-    return np.stack(rows), vals[:k].copy(), degenerate
+    order = np.argsort(vals, axis=-1)[:, ::-1]
+    vals = np.take_along_axis(vals, order, axis=-1)
+    ranked = vals[:, k - 1] > _RANK_TOL
+    degenerate = vals[:, k - 1] - vals[:, k] <= _TIE_TOL if vals.shape[1] > k \
+        else np.zeros(len(vals), dtype=bool)
+    # Each eigenvector as one contiguous row, as eigh lays out its columns: a
+    # strided dot product below would sum in another order.
+    rows = np.take_along_axis(vecs.transpose(0, 2, 1), order[:, :k, None], axis=1)
+    if chart == SPHERE:
+        # protective: genuine tangent covariances already annihilate the base
+        rows = rows - np.matmul(rows[:, :, None, :], base[:, None, :, None])[:, :, :, 0] \
+            * base[:, None, :]
+        n = np.sqrt(np.matmul(rows[:, :, None, :], rows[:, :, :, None]))[:, :, 0]
+        ranked &= np.all(n >= 1e-8, axis=(1, 2))
+        rows = rows / np.where(n < 1e-8, 1.0, n)
+    return rows, vals[:, :k], degenerate, ranked
+
+
+def _top_frame_at(cov: np.ndarray, base: np.ndarray, chart: str, k: int):
+    """_top_frame_coords for one covariance; returns (rows, values, degenerate).
+
+    Raises RankDeficientError for a covariance that cannot carry k directions.
+    """
+    rows, vals, degenerate, ranked = _top_frame_coords(cov[None], base[None], chart, k)
+    if not ranked[0]:
+        if vals[0, k - 1] <= _RANK_TOL:
+            raise RankDeficientError(
+                f"requested {k} directions but eigenvalue {k} is {float(vals[0, k - 1])!r}")
+        raise RankDeficientError("eigenvector nearly normal to the tangent space")
+    return rows[0], vals[0], bool(degenerate[0])
 
 
 def eigenframe(cov: np.ndarray, base: Point, k: int) -> EigenFrame:
@@ -179,7 +209,7 @@ def eigenframe(cov: np.ndarray, base: Point, k: int) -> EigenFrame:
         raise ValueError("covariance must be symmetric")
     if not 1 <= k <= cov.shape[0]:
         raise ValueError(f"k must be between 1 and {cov.shape[0]}")
-    rows, vals, degenerate = _top_frame_coords(cov, base.coords, base.chart, k)
+    rows, vals, degenerate = _top_frame_at(cov, base.coords, base.chart, k)
     vectors = tuple(Tangent(base, _fix_sign(row)) for row in rows)
     return EigenFrame(base, vectors, vals, degenerate)
 

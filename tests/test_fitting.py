@@ -1,5 +1,6 @@
 """Net growing: seeding, stepping, stop rules, full fits, variation score."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -28,6 +29,7 @@ from psm.fitting import (
 )
 from psm.geometry import (
     FLAT,
+    SPHERE,
     Point,
     Tangent,
     exp_map,
@@ -427,21 +429,93 @@ class TestFitSubmanifold:
             assert reason is net.stop_reason
             assert np.array_equal(points_matrix(pts), points_matrix(net.points))
 
-    def test_one_log_pass_per_net_point(self, monkeypatch):
+    def count_log_bases(self, monkeypatch, nets_per_chunk=None):
+        """Fit the sphere cluster while recording the number of base points
+        of every batched log call; returns (sub, data, bases, chunks)."""
         start, data = self.sphere_cluster()
+        xs = points_matrix(data)
+        if nets_per_chunk is not None:
+            monkeypatch.setattr(fitting, "_LOG_BYTES", nets_per_chunk * xs.nbytes)
         cfg = FitConfig(epsilon=0.05, delta=0.4, kernel=KernelSpec(),
                         num_directions=8, max_net_length=0.6)
-        calls = []
-        log_many = fitting._log_coords_many
+        bases = []
+        log_batch = fitting._log_coords_batch
 
-        def counted(x, ys, chart):
-            calls.append(x)
-            return log_many(x, ys, chart)
+        def counted(xs, ys, chart):
+            bases.append(len(xs))
+            return log_batch(xs, ys, chart)
 
-        monkeypatch.setattr(fitting, "_log_coords_many", counted)
+        monkeypatch.setattr(fitting, "_log_coords_batch", counted)
         sub = fit_submanifold(data, start, cfg)
-        # one pass at the start for the seeding frame, then one per net point
-        assert len(calls) == 1 + sum(len(net.points) - 1 for net in sub.nets)
+        return sub, data, bases, fitting._chunks(len(sub.nets), xs)
+
+    def test_one_log_pass_per_net_point(self, monkeypatch):
+        sub, data, bases, chunks = self.count_log_bases(monkeypatch)
+        # one base point at the start for the seeding frame, then one per net point
+        assert sum(bases) == 1 + sum(len(net.points) - 1 for net in sub.nets)
+        # one batched call per level: all 8 nets share one chunk
+        assert len(chunks) == 1
+        assert len(bases) == 1 + max(len(net.points) - 1 for net in sub.nets)
+        # the fit scored its own nets from those logs
+        bases.clear()
+        variation_score(sub, data)
+        assert bases == []
+
+    def test_one_log_call_per_level_of_each_chunk(self, monkeypatch):
+        sub, _, bases, chunks = self.count_log_bases(monkeypatch, nets_per_chunk=3)
+        assert [len(chunk) for chunk in chunks] == [3, 3, 2]
+        assert sum(bases) == 1 + sum(len(net.points) - 1 for net in sub.nets)
+        levels = sum(max(len(sub.nets[i].points) - 1 for i in chunk) for chunk in chunks)
+        assert len(bases) == 1 + levels
+
+    @pytest.mark.parametrize("chart", [SPHERE, FLAT])
+    def test_results_do_not_depend_on_chunking(self, monkeypatch, chart):
+        # Each net grown in a chunk of its own equals the same net grown
+        # inside the full fan, bit for bit, and so does its score.
+        data, _ = generate(GenSpec("sea_wave", 200, 1))
+        if chart == FLAT:
+            # the sheet's log images at its Frechet mean: a planar flat cloud
+            mean = frechet_mean(data)
+            data = flat_points([log_map(mean, p).vec for p in data])
+        start = frechet_mean(data)
+        cfg = FitConfig(num_directions=16)
+        fan = fit_submanifold(data, start, cfg)
+        assert len(fitting._chunks(16, points_matrix(data))) == 1
+        monkeypatch.setattr(fitting, "_LOG_BYTES", 1)
+        assert len(fitting._chunks(16, points_matrix(data))) == 16
+        alone = fit_submanifold(data, start, cfg)
+        assert len({net.stop_reason for net in fan.nets}) > 1
+        for a, b in zip(fan.nets, alone.nets):
+            assert a.direction_index == b.direction_index
+            assert a.stop_reason is b.stop_reason
+            assert np.array_equal(points_matrix(a.points), points_matrix(b.points))
+        assert variation_score(alone, data) == variation_score(fan, data)
+
+    def test_stored_score_matches_level_batched_driver(self, monkeypatch):
+        data, _ = generate(GenSpec("sea_wave", 200, 1))
+        start = frechet_mean(data)
+        sub = fit_submanifold(data, start, FitConfig(num_directions=16))
+        stored = variation_score(sub, data)
+        copy = dataclasses.replace(sub)
+        assert copy._fit_score is None
+        calls = []
+        log_batch = fitting._log_coords_batch
+
+        def counted(xs, ys, chart):
+            calls.append(len(xs))
+            return log_batch(xs, ys, chart)
+
+        monkeypatch.setattr(fitting, "_log_coords_batch", counted)
+        rescored = variation_score(copy, data)
+        assert sum(calls) == sum(len(net.points) - 1 for net in sub.nets)
+        assert rescored == stored
+        # other data is scored afresh, and the stored score is kept
+        calls.clear()
+        fewer = variation_score(sub, data[:-1])
+        assert calls
+        assert fewer != stored
+        assert fewer == variation_score(copy, data[:-1])
+        assert variation_score(sub, data) is stored
 
     def test_rank_deficient_start(self):
         rng = np.random.default_rng(98)

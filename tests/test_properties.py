@@ -1,4 +1,4 @@
-"""Property tests of the geometry on both charts (hypothesis, derandomized).
+"""Property tests of the geometry and the fit (hypothesis, derandomized).
 
 derandomize=True draws the same examples on every run, so these tests are
 as deterministic as the rest of the suite.
@@ -11,6 +11,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from psm.fitting import FitConfig, fit_submanifold
 from psm.geometry import (
     FLAT,
     SPHERE,
@@ -18,6 +19,7 @@ from psm.geometry import (
     exp_map,
     geodesic_distance,
     log_map,
+    points_matrix,
     project_to_sphere,
 )
 from psm.tangent_stats import GAUSSIAN, UNIFORM_BALL, KernelSpec, local_covariance
@@ -81,3 +83,30 @@ def test_local_covariance_annihilates_its_base_point(data, kernel, demean):
     assume(any(geodesic_distance(center, p) <= 2.0 for p in points))
     cov = local_covariance(center, points, kernel, demean=demean)
     np.testing.assert_allclose(cov @ center.coords, 0.0, rtol=0.0, atol=1e-12)
+
+
+# A small anisotropic Gaussian cloud on a flat chart, fitted from the origin.
+# The length cap is not a multiple of epsilon: at 1.0 the length rule of a
+# 20-step net compares 0.95 + 0.05 with 1.0, a tie that rounding decides.
+_CLOUD = np.random.default_rng(7).standard_normal((40, 3)) * [1.0, 0.5, 0.2]
+_CLOUD_CFG = FitConfig(epsilon=0.05, delta=0.5, kernel=KernelSpec(GAUSSIAN, 0.5),
+                       num_directions=8, max_net_length=0.93)
+
+
+def _fit_cloud(rows: np.ndarray):
+    return fit_submanifold([Point(r, FLAT) for r in rows], Point(np.zeros(3), FLAT),
+                           _CLOUD_CFG)
+
+
+_CLOUD_FIT = _fit_cloud(_CLOUD)
+
+
+@PROPERTY
+@given(order=st.permutations(range(len(_CLOUD))))
+def test_fit_does_not_depend_on_data_order(order):
+    fit = _fit_cloud(_CLOUD[list(order)])
+    for net, ref in zip(fit.nets, _CLOUD_FIT.nets):
+        assert net.stop_reason is ref.stop_reason
+        assert len(net.points) == len(ref.points)
+        np.testing.assert_allclose(points_matrix(net.points), points_matrix(ref.points),
+                                   rtol=0.0, atol=1e-9)
