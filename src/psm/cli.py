@@ -31,7 +31,7 @@ from .datagen import (
 )
 from .errors import PsmError
 from .fitting import FitConfig, fit_submanifold, net_length, variation_score
-from .geometry import FLAT, SPHERE, Point, project_to_sphere
+from .geometry import FLAT, SPHERE, Point, PointArray, project_to_sphere
 from .shape import align_dataset, read_landmarks
 from .tangent_stats import GAUSSIAN, UNIFORM_BALL, KernelSpec, frechet_mean
 from .viz import (
@@ -230,12 +230,12 @@ def _parse_coords(text: str) -> np.ndarray:
     return np.array(values)
 
 
-def _start_point(merged: dict, points: list[Point]) -> tuple[Point, str]:
+def _start_point(merged: dict, points: PointArray) -> tuple[Point, str]:
     if merged["start"] == "custom":
         if merged["coords"] is None:
             raise UsageError("--start custom requires --coords")
         coords = _parse_coords(merged["coords"])
-        if points[0].chart == SPHERE:
+        if points.chart == SPHERE:
             norm = float(np.linalg.norm(coords))
             if abs(norm - 1.0) > 1e-6:
                 raise UsageError(f"custom start must be a unit vector (norm {norm!r})")

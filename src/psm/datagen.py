@@ -13,12 +13,13 @@ from __future__ import annotations
 import csv
 import json
 import math
+from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import InfeasibleShiftError
-from .geometry import FLAT, SPHERE, Point, project_to_sphere
+from .geometry import SPHERE, PointArray, _row_norms, points_matrix
 
 GENERATOR_ID = "numpy.random.PCG64"
 
@@ -60,12 +61,12 @@ def _resolve_shift(triplets: np.ndarray, shift_c) -> float:
     return c
 
 
-def _lift(triplets: np.ndarray, shift_c) -> tuple[list[Point], float]:
+def _lift(triplets: np.ndarray, shift_c) -> tuple[PointArray, float]:
     c = _resolve_shift(triplets, shift_c)
     sq = np.sum(triplets ** 2, axis=1)
     fourth = np.sqrt(np.maximum(c - sq, 0.0))
     lifted = np.column_stack([triplets, fourth]) / math.sqrt(c)
-    return [project_to_sphere(row) for row in lifted], c
+    return PointArray(lifted / _row_norms(lifted)[:, None], SPHERE), c
 
 
 def _s_curve_triplets(n, seed, noise_scale_u: float = 1.0 / 32.0) -> np.ndarray:
@@ -120,7 +121,7 @@ def _ellipsoid_triplets(n, seed, a: float = 2.5, b: float = math.sqrt(2.0),
 
 
 def gen_s_curve(n: int, seed: int, *, noise_scale_u: float = 1.0 / 32.0,
-                shift_c="auto") -> list[Point]:
+                shift_c="auto") -> PointArray:
     """S-bend triplets lifted to S^3.
 
     x1 walks (i - n/2)/n for i = 1..n, x2 rides sin(2 x1)/6 plus the noise
@@ -136,7 +137,7 @@ def gen_s_curve(n: int, seed: int, *, noise_scale_u: float = 1.0 / 32.0,
 
 
 def gen_sea_wave(n: int, seed: int, noise_level: float = 0.05, *,
-                 shift_c="auto") -> list[Point]:
+                 shift_c="auto") -> PointArray:
     """Rolling sinusoidal sheet over [-1/2, 1/2]^2 with isotropic noise.
 
     With noise_level = 0 the triplets sit exactly on the sheet
@@ -148,7 +149,7 @@ def gen_sea_wave(n: int, seed: int, noise_level: float = 0.05, *,
 
 
 def gen_ellipsoid(n: int, seed: int, *, a: float = 2.5, b: float = math.sqrt(2.0),
-                  c: float = 1.0, mode: str = "solid", shift_c="auto") -> list[Point]:
+                  c: float = 1.0, mode: str = "solid", shift_c="auto") -> PointArray:
     """Uniform draws from a solid ellipsoid (or its surface) lifted to S^3.
 
     Solid mode rejection-samples the box [-a, a] x [-b, b] x [-c, c] until n
@@ -167,7 +168,7 @@ _TRIPLET_MAKERS = {
 }
 
 
-def generate(spec: GenSpec) -> tuple[list[Point], dict]:
+def generate(spec: GenSpec) -> tuple[PointArray, dict]:
     """Run a GenSpec; returns (points, info) with the resolved lift constant."""
     params = dict(spec.params)
     shift_c = params.pop("shift_c", "auto")
@@ -187,12 +188,11 @@ def meta_path_for(path):
 
 def write_dataset_csv(points, path, meta: dict | None = None) -> None:
     """Write points as point_index,c0,... rows plus a metadata sidecar."""
-    seq = list(points)
-    dim = seq[0].ambient_dim
-    header = "point_index," + ",".join(f"c{i}" for i in range(dim))
+    xs = points_matrix(points)
+    header = "point_index," + ",".join(f"c{i}" for i in range(xs.shape[1]))
     lines = [header]
-    for idx, p in enumerate(seq):
-        lines.append(f"{idx}," + ",".join(format(float(v), ".17g") for v in p.coords))
+    for idx, row in enumerate(xs.tolist()):
+        lines.append(f"{idx}," + ",".join(format(v, ".17g") for v in row))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
     if meta is not None:
@@ -201,7 +201,7 @@ def write_dataset_csv(points, path, meta: dict | None = None) -> None:
             fh.write("\n")
 
 
-def read_dataset_csv(path) -> tuple[list[Point], dict]:
+def read_dataset_csv(path) -> tuple[PointArray, dict]:
     """Read a coordinate CSV back into Points, honoring any metadata sidecar.
 
     The sidecar's "chart" entry selects the chart (sphere by default);
@@ -216,7 +216,8 @@ def read_dataset_csv(path) -> tuple[list[Point], dict]:
     except FileNotFoundError:
         pass
     chart = meta.get("chart", SPHERE)
-    points: list[Point] = []
+    values = array("d")
+    line_nos = []
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -229,18 +230,19 @@ def read_dataset_csv(path) -> tuple[list[Point], dict]:
             if len(row) != width + 1:
                 raise ValueError(f"{path}: line {line_no}: expected {width + 1} columns")
             try:
-                coords = np.array([float(c) for c in row[1:]])
+                values.extend(map(float, row[1:]))
             except ValueError:
                 raise ValueError(f"{path}: line {line_no}: unparsable coordinates") from None
-            if chart == SPHERE:
-                norm = float(np.linalg.norm(coords))
-                if abs(norm - 1.0) > 1e-6:
-                    raise ValueError(
-                        f"{path}: line {line_no}: sphere rows must be unit vectors "
-                        f"(norm {norm!r})")
-                points.append(project_to_sphere(coords))
-            else:
-                points.append(Point(coords, FLAT))
-    if not points:
+            line_nos.append(line_no)
+    if not line_nos:
         raise ValueError(f"{path}: no data rows")
-    return points, meta
+    xs = np.frombuffer(values, dtype=float).reshape(-1, width)
+    if chart == SPHERE:
+        norms = _row_norms(xs)
+        off = np.abs(norms - 1.0) > 1e-6
+        if off.any():
+            raise ValueError(
+                f"{path}: line {line_nos[off.argmax()]}: sphere rows must be unit vectors "
+                f"(norm {float(norms[off.argmax()])!r})")
+        xs = xs / norms[:, None]
+    return PointArray(xs, chart), meta

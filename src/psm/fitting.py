@@ -33,6 +33,7 @@ import numpy as np
 from .errors import AntipodalPairError, DegenerateProjectionError
 from .geometry import (
     Point,
+    PointArray,
     _distance_rows,
     _exp_coords,
     _exp_rows,
@@ -105,7 +106,7 @@ class Net:
     """One grown direction: its points (points[0] is the start A) and stop reason."""
 
     direction_index: int
-    points: tuple[Point, ...]
+    points: PointArray | tuple[Point, ...]
     stop_reason: StopReason
 
     def __post_init__(self):
@@ -156,7 +157,7 @@ def _frame_directions(k: int, num: int) -> np.ndarray:
     return raw / np.linalg.norm(raw, axis=1, keepdims=True)
 
 
-def seed_directions(start: Point, frame: EigenFrame, cfg: FitConfig) -> list[Point]:
+def seed_directions(start: Point, frame: EigenFrame, cfg: FitConfig) -> PointArray:
     """Seed points at geodesic distance epsilon from the start.
 
     For a two-direction frame the seeds fan over the circle
@@ -167,13 +168,11 @@ def seed_directions(start: Point, frame: EigenFrame, cfg: FitConfig) -> list[Poi
     """
     if frame.k < 1:
         raise ValueError("frame must hold at least one direction")
-    basis = frame.basis()
     dirs = _frame_directions(frame.k, cfg.num_directions)
-    seeds = []
-    for row in dirs:
-        vec = cfg.epsilon * (row @ basis)
-        seeds.append(Point(_exp_coords(start.coords, vec, start.chart), start.chart))
-    return seeds
+    vecs = cfg.epsilon * np.matmul(dirs[:, None, :], frame.basis())[:, 0]
+    starts = np.broadcast_to(start.coords, vecs.shape)
+    seeds, _ = _exp_rows(starts, vecs, start.chart)  # |vecs| = epsilon < pi/8: never cut
+    return PointArray(seeds, start.chart)
 
 
 def step_net(a_prev: Point, a_cur: Point, data, cfg: FitConfig) -> Point:
@@ -384,14 +383,14 @@ def fit_submanifold(data, start: Point, cfg: FitConfig) -> Submanifold:
     if antipodal[0]:
         raise AntipodalPairError("log undefined for an antipodal pair")
     frame = eigenframe(_cov_at(vecs[0], dists[0], cfg.kernel), start, cfg.dim)
-    seeds = points_matrix(seed_directions(start, frame, cfg))
+    seeds = seed_directions(start, frame, cfg).coords
     base_w = _score_weight(cfg, len(seeds))
     nets, per_net, skipped = [], [], 0
     for chunk in _chunks(len(seeds), xs):
         paths, codes, acc, skips = _grow_chunk(
             start.coords, seeds[chunk.start:chunk.stop], xs, chart, cfg, base_w)
         for index, path, code in zip(chunk, paths, codes.tolist()):
-            nets.append(Net(index + 1, tuple(Point(c, chart) for c in path), _REASONS[code]))
+            nets.append(Net(index + 1, PointArray(path, chart), _REASONS[code]))
         per_net += acc.tolist()
         skipped += skips
     sub = Submanifold(start, tuple(nets), frame, cfg)

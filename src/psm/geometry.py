@@ -14,6 +14,7 @@ with the inner product clipped to [-1, 1] before arccos.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,12 +32,19 @@ _ANTIPODAL_TOL = 1e-10  # <x,y> < -1 + tol is treated as antipodal
 _CUT_LOCUS_TOL = 1e-9
 
 
-def _as_vector(values) -> np.ndarray:
+def _checked_coords(values, chart: str, ndim: int) -> np.ndarray:
+    """values as a read-only float array of ndim 1 (a point) or 2 (a point per row)."""
+    if chart not in _CHARTS:
+        raise ValueError(f"unknown chart {chart!r}")
     arr = np.array(values, dtype=float)
-    if arr.ndim != 1 or arr.shape[0] < 2:
-        raise ValueError(f"expected a 1-d coordinate vector, got shape {arr.shape}")
+    if arr.ndim != ndim or arr.shape[-1] < 2 or arr.shape[0] < 1:
+        raise ValueError(f"expected {ndim}-d coordinates of width >= 2, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise ValueError("coordinates must be finite")
+    if chart == SPHERE:
+        off = float(np.max(np.abs(_row_norms(arr.reshape(-1, arr.shape[-1])) - 1.0)))
+        if off > _UNIT_TOL:
+            raise ValueError(f"sphere points must have unit norm, one is off by {off!r}")
     arr.setflags(write=False)
     return arr
 
@@ -49,17 +57,31 @@ class Point:
     chart: str = SPHERE
 
     def __post_init__(self):
-        object.__setattr__(self, "coords", _as_vector(self.coords))
-        if self.chart not in _CHARTS:
-            raise ValueError(f"unknown chart {self.chart!r}")
-        if self.chart == SPHERE:
-            norm = float(np.linalg.norm(self.coords))
-            if abs(norm - 1.0) > _UNIT_TOL:
-                raise ValueError(f"sphere point must have unit norm, got {norm!r}")
+        object.__setattr__(self, "coords", _checked_coords(self.coords, self.chart, 1))
 
     @property
     def ambient_dim(self) -> int:
         return self.coords.shape[0]
+
+
+@dataclass(frozen=True, eq=False)
+class PointArray(Sequence):
+    """A read-only (n, m) matrix of n points on one chart, each row checked as a Point
+    is; indexing builds a Point (a slice gives a PointArray)."""
+
+    coords: np.ndarray
+    chart: str = SPHERE
+
+    def __post_init__(self):
+        object.__setattr__(self, "coords", _checked_coords(self.coords, self.chart, 2))
+
+    def __len__(self) -> int:
+        return self.coords.shape[0]
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return PointArray(self.coords[index], self.chart)
+        return Point(self.coords[index], self.chart)
 
 
 @dataclass(frozen=True, eq=False)
@@ -204,10 +226,6 @@ def _log_coords_many(x: np.ndarray, ys: np.ndarray, chart: str):
     return vecs[0], dists[0]
 
 
-def _distance_coords(x: np.ndarray, y: np.ndarray, chart: str) -> float:
-    return float(_distance_rows(x[None], y[None], chart)[0])
-
-
 def _great_circle_coords(x: np.ndarray, unit: np.ndarray, t: float) -> np.ndarray:
     # Closed-form arc point without the cut-locus guard; used for sampling,
     # where reaching the antipode exactly is legitimate.
@@ -264,7 +282,7 @@ def geodesic_distance(x: Point, y: Point) -> float:
         raise ValueError("points live on different charts")
     if x.ambient_dim != y.ambient_dim:
         raise ValueError("points live in different ambient spaces")
-    return _distance_coords(x.coords, y.coords, x.chart)
+    return float(_distance_rows(x.coords[None], y.coords[None], x.chart)[0])
 
 
 def sample_geodesic(x: Point, v: Tangent, length: float, steps: int) -> list[Point]:
@@ -294,6 +312,8 @@ def sample_geodesic(x: Point, v: Tangent, length: float, steps: int) -> list[Poi
 
 def points_matrix(data) -> np.ndarray:
     """Stack a homogeneous list of Points into an (n, d+1) coordinate matrix."""
+    if isinstance(data, PointArray):
+        return data.coords
     seq = list(data)
     if not seq:
         raise ValueError("empty point list")

@@ -222,9 +222,8 @@ def frechet_mean(data, tol: float = 1e-10, max_iter: int = 200) -> Point:
     hemisphere surfaces as HemisphereViolationError; exhausting max_iter
     raises NoConvergenceError.
     """
-    seq = list(data)
-    xs = points_matrix(seq)
-    chart = seq[0].chart
+    xs = points_matrix(data)
+    chart = data[0].chart
     if chart == FLAT:
         center = xs.mean(axis=0)
     else:

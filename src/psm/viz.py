@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import NotAShapeFitError
 from .fitting import Net, Submanifold
-from .geometry import Point, Tangent, _distance_coords, exp_map
+from .geometry import Point, Tangent, _distance_rows, exp_map, points_matrix
 from .shape import LandmarkConfig, from_preshape
 from .tangent_stats import KernelSpec, eigenframe, local_covariance
 
@@ -120,8 +120,7 @@ class ProjectedSubmanifold:
         mat = np.stack([t.vec for t in self.basis])
         if len(points) == 0:
             return np.zeros((0, 3))
-        coords = np.stack([p.coords for p in points])
-        return (coords - self.start.coords) @ mat.T
+        return (points_matrix(points) - self.start.coords) @ mat.T
 
 
 def project_submanifold(sub: Submanifold, data,
@@ -139,14 +138,14 @@ def project_submanifold(sub: Submanifold, data,
     basis = (frame.vectors[0], frame.vectors[1], frame.vectors[2])
     proj = ProjectedSubmanifold((), np.zeros((0, 3)), basis, sub.start)
     nets = tuple(proj.project(net.points) for net in sub.nets)
-    projected_data = proj.project(list(data))
+    projected_data = proj.project(data)
     return ProjectedSubmanifold(nets, projected_data, basis, sub.start)
 
 
 def _resample_branch(net_points, q: int) -> list[Point]:
     """Pick q branch points at (roughly) evenly spaced arc lengths from the start."""
-    pts = list(net_points)  # pts[0] is the start itself
-    gaps = [_distance_coords(a.coords, b.coords, a.chart) for a, b in zip(pts, pts[1:])]
+    xs = points_matrix(net_points)  # row 0 is the start itself
+    gaps = _distance_rows(xs[:-1], xs[1:], net_points[0].chart)
     arcs = np.concatenate([[0.0], np.cumsum(gaps)])
     total = float(arcs[-1])
     picks = []
@@ -154,7 +153,7 @@ def _resample_branch(net_points, q: int) -> list[Point]:
         target = total * i / q
         # snap to the nearest grown level, never back to the start cell
         j = int(np.argmin(np.abs(arcs[1:] - target))) + 1
-        picks.append(pts[j])
+        picks.append(net_points[j])
     return picks
 
 
@@ -200,9 +199,8 @@ def write_submanifold_csv(sub: Submanifold, path) -> None:
     header = "net_index,level," + ",".join(f"c{i}" for i in range(dim))
     lines = [header]
     for net in sub.nets:
-        for level, point in enumerate(net.points):
-            lines.append(f"{net.direction_index},{level}," +
-                         ",".join(_fmt(v) for v in point.coords))
+        for level, row in enumerate(points_matrix(net.points).tolist()):
+            lines.append(f"{net.direction_index},{level}," + ",".join(_fmt(v) for v in row))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -227,10 +225,10 @@ def write_projected_csv(path, proj: ProjectedSubmanifold,
     emit("data", 0, proj.data)
     if pds is not None:
         for name, points in pds.as_dict().items():
-            emit(name, 0, proj.project(list(points)))
+            emit(name, 0, proj.project(points))
     if geodesics:
         for idx in sorted(geodesics):
-            emit("geodesic", idx, proj.project(list(geodesics[idx])))
+            emit("geodesic", idx, proj.project(geodesics[idx]))
     if pds is not None and (pds.pd3 is not None or pds.pd4 is not None):
         lines.append("# pd3/pd4 label the fan diagonals, not third/fourth principal components")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:

@@ -588,7 +588,7 @@ class TestVariationScore:
         cfg = FitConfig(dim=1)
         net1 = next(n for n in fit_flow(data, start, cfg).nets if n.direction_index == 1)
         tip = net1.points[3]
-        data = data + [Point(-tip.coords)]
+        data = list(data) + [Point(-tip.coords)]
         sub = fit_flow(data, start, cfg)
         net1 = next(n for n in sub.nets if n.direction_index == 1)
         assert net1.stop_reason is StopReason.ANTIPODAL_GUARD
