@@ -3,10 +3,11 @@
 The package fits multi-dimensional generalizations of principal components
 to data living on a unit sphere (or a flat chart): from a start point, nets
 of points grow outward along local tangent covariance frames, one small
-geodesic step at a time.  Submodules: geometry (sphere primitives),
-tangent_stats (kernel covariance, frames, Frechet means), shape (planar
-landmark preshapes), fitting (the net-growing procedure), viz (exports),
-datagen (synthetic datasets), cli (command line).
+geodesic step at a time.  Submodules: geometry (sphere primitives and
+PointArray, the matrix that holds every point set), tangent_stats (kernel
+covariance, frames, Frechet means), shape (planar landmark preshapes),
+fitting (the net-growing procedure), viz (exports), datagen (synthetic
+datasets), cli (command line).
 """
 
 from .errors import (
@@ -31,6 +32,7 @@ from .geometry import (
     FLAT,
     SPHERE,
     Point,
+    PointArray,
     Tangent,
     exp_map,
     geodesic_distance,

@@ -51,10 +51,6 @@ class UsageError(Exception):
     """Bad flags, config keys, or parameter combinations; exits with code 2."""
 
 
-def _float_or_inf(text: str) -> float:
-    return float(text)  # float() accepts 'inf' already
-
-
 def _shift_value(text: str):
     return text if text == "auto" else float(text)
 
@@ -75,7 +71,7 @@ _GENERATE_KEYS = {
     "a": float, "b": float, "c": float, "mode": str, "shift": _shift_value,
 }
 _FIT_KEYS = {
-    "epsilon": float, "delta": float, "bandwidth": _float_or_inf, "kernel": str,
+    "epsilon": float, "delta": float, "bandwidth": float, "kernel": str,
     "directions": int, "max_length": float, "k": int, "start": str,
     "coords": str, "grid_samples": int,
 }
@@ -147,7 +143,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("input", metavar="DATASET")
         p.add_argument("--epsilon", type=float, default=sup)
         p.add_argument("--delta", type=float, default=sup)
-        p.add_argument("--bandwidth", type=_float_or_inf, default=sup)
+        p.add_argument("--bandwidth", type=float, default=sup)
         p.add_argument("--kernel", choices=_CHOICES["kernel"], default=sup)
         p.add_argument("--directions", type=int, default=sup)
         p.add_argument("--max-length", dest="max_length", type=float, default=sup)

@@ -169,7 +169,11 @@ _TRIPLET_MAKERS = {
 
 
 def generate(spec: GenSpec) -> tuple[PointArray, dict]:
-    """Run a GenSpec; returns (points, info) with the resolved lift constant."""
+    """Run a GenSpec; returns (points, info) with the resolved lift constant.
+
+    The points are one PointArray on the sphere chart: the lifted rows are
+    normalized as a matrix, and Points are built only when it is indexed.
+    """
     params = dict(spec.params)
     shift_c = params.pop("shift_c", "auto")
     triplets = _TRIPLET_MAKERS[spec.family](spec.n, spec.seed, **params)
@@ -202,11 +206,12 @@ def write_dataset_csv(points, path, meta: dict | None = None) -> None:
 
 
 def read_dataset_csv(path) -> tuple[PointArray, dict]:
-    """Read a coordinate CSV back into Points, honoring any metadata sidecar.
+    """Read a coordinate CSV into one PointArray, honoring any metadata sidecar.
 
-    The sidecar's "chart" entry selects the chart (sphere by default);
-    sphere rows must be unit vectors up to 1e-6 and are cleaned by exact
-    renormalization.
+    The sidecar's "chart" entry selects the chart (sphere by default).
+    Every line is parsed to floats as it is read; the rows must be finite,
+    and sphere rows must be unit vectors up to 1e-6 and are cleaned by exact
+    renormalization of the whole matrix.  Errors name the path and the line.
     """
     meta = {}
     mp = meta_path_for(path)
@@ -224,6 +229,8 @@ def read_dataset_csv(path) -> tuple[PointArray, dict]:
         if header is None or header[0].strip() != "point_index":
             raise ValueError(f"{path}: expected a point_index,c0,... header")
         width = len(header) - 1
+        if width < 2:
+            raise ValueError(f"{path}: line 1: expected at least two coordinate columns")
         for line_no, row in enumerate(reader, start=2):
             if not row or not any(cell.strip() for cell in row):
                 continue
@@ -237,6 +244,9 @@ def read_dataset_csv(path) -> tuple[PointArray, dict]:
     if not line_nos:
         raise ValueError(f"{path}: no data rows")
     xs = np.frombuffer(values, dtype=float).reshape(-1, width)
+    bad = ~np.isfinite(xs).all(axis=1)
+    if bad.any():
+        raise ValueError(f"{path}: line {line_nos[bad.argmax()]}: coordinates must be finite")
     if chart == SPHERE:
         norms = _row_norms(xs)
         off = np.abs(norms - 1.0) > 1e-6

@@ -20,6 +20,11 @@ taken once and feed its stop check, its variation-score term and the step
 from it.  Every stacked product runs the same BLAS kernel per net as the
 per-point reference path (step_net, stop_check), so a net's points, stop
 reason and score do not depend on which nets share its chunk.
+
+The fit works on coordinate matrices only: the data's (a PointArray passes
+through points_matrix uncopied), the seeds and each net's path, which is
+stored as one PointArray.  It builds no Point; step_net and stop_check, the
+single-point reference API, take and return Points.
 """
 
 from __future__ import annotations
@@ -103,7 +108,12 @@ class FitConfig:
 
 @dataclass(frozen=True, eq=False)
 class Net:
-    """One grown direction: its points (points[0] is the start A) and stop reason."""
+    """One grown direction: its points (points[0] is the start A) and stop reason.
+
+    fit_submanifold stores each path as one PointArray, whose Points are
+    built only when it is indexed or iterated; a hand-built net, or one made
+    with dataclasses.replace, may hold a tuple of Points instead.
+    """
 
     direction_index: int
     points: PointArray | tuple[Point, ...]
@@ -158,13 +168,13 @@ def _frame_directions(k: int, num: int) -> np.ndarray:
 
 
 def seed_directions(start: Point, frame: EigenFrame, cfg: FitConfig) -> PointArray:
-    """Seed points at geodesic distance epsilon from the start.
+    """Seed points at geodesic distance epsilon from the start, one row per net.
 
     For a two-direction frame the seeds fan over the circle
     Z_l = epsilon * (cos(2*l*pi/D) e1 + sin(2*l*pi/D) e2), l = 1..D, so
     l = D/2 sits at -e1 and l = D at +e1.  One-direction frames seed the
     pair +/- e1; higher-dimensional frames use a deterministic grid on the
-    frame's unit sphere.
+    frame's unit sphere.  The seeds come back as one PointArray.
     """
     if frame.k < 1:
         raise ValueError("frame must hold at least one direction")

@@ -311,7 +311,11 @@ def sample_geodesic(x: Point, v: Tangent, length: float, steps: int) -> list[Poi
 
 
 def points_matrix(data) -> np.ndarray:
-    """Stack a homogeneous list of Points into an (n, d+1) coordinate matrix."""
+    """The (n, d+1) coordinate matrix of a homogeneous point set.
+
+    A PointArray's read-only coords pass through without a copy; any other
+    sequence of Points is stacked into a new matrix.
+    """
     if isinstance(data, PointArray):
         return data.coords
     seq = list(data)

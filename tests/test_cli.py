@@ -219,6 +219,11 @@ class TestFit:
         assert run("fit", str(s_curve_csv), "--epsilon", "0.3",
                    "--delta", "0.2", "--out", str(tmp_path / "x")) == 2
 
+    def test_unparsable_bandwidth(self, tmp_path, s_curve_csv, capsys):
+        assert run("fit", str(s_curve_csv), "--bandwidth", "wide",
+                   "--out", str(tmp_path / "x")) == 2
+        assert "invalid float value: 'wide'" in capsys.readouterr().err
+
     def test_missing_input_file(self, tmp_path):
         assert run("fit", str(tmp_path / "ghost.csv"),
                    "--out", str(tmp_path)) == 2

@@ -19,7 +19,7 @@ from psm.datagen import (
     write_dataset_csv,
 )
 from psm.errors import InfeasibleShiftError
-from psm.geometry import FLAT, SPHERE, Point, points_matrix
+from psm.geometry import FLAT, SPHERE, Point, points_matrix, project_to_sphere
 
 
 def recover_triplets(points, c):
@@ -248,6 +248,23 @@ class TestDatasetFiles:
         with pytest.raises(ValueError, match="unit"):
             read_dataset_csv(path)
 
+    @pytest.mark.parametrize("chart", [SPHERE, FLAT])
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_rejects_non_finite_row_by_line(self, tmp_path, chart, bad):
+        # NaN passes a sphere row's |norm - 1| check, so finiteness comes first
+        path = tmp_path / "nonfinite.csv"
+        path.write_text(f"point_index,c0,c1,c2,c3\n0,1,0,0,0\n1,0,{bad},0,0\n",
+                        encoding="utf-8")
+        meta_path_for(path).write_text(json.dumps({"chart": chart}), encoding="utf-8")
+        with pytest.raises(ValueError, match=r"nonfinite\.csv: line 3: .*finite"):
+            read_dataset_csv(path)
+
+    def test_rejects_one_coordinate_column_by_line(self, tmp_path):
+        path = tmp_path / "narrow.csv"
+        path.write_text("point_index,c0\n0,1\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=r"narrow\.csv: line 1: "):
+            read_dataset_csv(path)
+
     def test_rejects_empty(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("point_index,c0,c1\n", encoding="utf-8")
@@ -261,3 +278,20 @@ class TestDatasetFiles:
                         encoding="utf-8")
         back, _ = read_dataset_csv(path)
         assert abs(np.linalg.norm(back[0].coords) - 1.0) <= 1e-15
+
+    def test_reader_matches_per_row_projection(self, tmp_path):
+        # The reader normalizes the whole matrix at once; every row must keep
+        # the bits of projecting that row alone.
+        rng = np.random.default_rng(12)
+        rows = rng.standard_normal((300, 4))
+        rows /= np.linalg.norm(rows, axis=1)[:, None]
+        rows *= 1.0 + rng.uniform(-1e-7, 1e-7, (300, 1))
+        lines = ["point_index,c0,c1,c2,c3"]
+        lines += [f"{i}," + ",".join(format(v, ".17g") for v in row)
+                  for i, row in enumerate(rows.tolist())]
+        path = tmp_path / "drift.csv"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        back, _ = read_dataset_csv(path)
+        parsed = [np.array([float(c) for c in line.split(",")[1:]]) for line in lines[1:]]
+        want = np.stack([project_to_sphere(row).coords for row in parsed])
+        assert back.coords.tobytes() == want.tobytes()

@@ -31,6 +31,7 @@ from psm.geometry import (
     FLAT,
     SPHERE,
     Point,
+    PointArray,
     Tangent,
     exp_map,
     geodesic_distance,
@@ -428,6 +429,23 @@ class TestFitSubmanifold:
                     break
             assert reason is net.stop_reason
             assert np.array_equal(points_matrix(pts), points_matrix(net.points))
+
+    def test_fit_on_a_point_array_builds_no_point(self, monkeypatch):
+        data, _ = generate(GenSpec("sea_wave", 200, 1))
+        start = frechet_mean(data)
+        built = []
+        post_init = Point.__post_init__
+
+        def counted(point):
+            built.append(point)
+            post_init(point)
+
+        monkeypatch.setattr(Point, "__post_init__", counted)
+        sub = fit_submanifold(data, start, FitConfig(num_directions=16))
+        assert built == []
+        # each net is one PointArray; a Point is built only when one is asked for
+        assert all(isinstance(net.points, PointArray) for net in sub.nets)
+        assert isinstance(sub.nets[0].points[-1], Point) and len(built) == 1
 
     def count_log_bases(self, monkeypatch, nets_per_chunk=None):
         """Fit the sphere cluster while recording the number of base points

@@ -1,5 +1,6 @@
 """Sphere and flat-chart primitives against closed-form trigonometry."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -10,6 +11,7 @@ from psm.geometry import (
     FLAT,
     SPHERE,
     Point,
+    PointArray,
     Tangent,
     exp_map,
     geodesic_distance,
@@ -294,3 +296,55 @@ class TestPointsMatrix:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             points_matrix([])
+
+    def test_point_array_passes_through(self):
+        pa = PointArray(np.eye(3), SPHERE)
+        assert points_matrix(pa) is pa.coords
+
+
+class TestPointArray:
+    def test_items_are_points_equal_to_rows(self):
+        rows = np.random.default_rng(3).standard_normal((5, 3))
+        for chart, coords in ((FLAT, rows),
+                              (SPHERE, rows / np.linalg.norm(rows, axis=1)[:, None])):
+            pa = PointArray(coords, chart)
+            assert len(pa) == 5 and pa.chart == chart
+            items = list(pa)
+            assert all(isinstance(p, Point) and p.chart == chart for p in items)
+            np.testing.assert_array_equal(points_matrix(items), coords)
+            assert pa[-1].coords.tolist() == coords[-1].tolist()
+            tail = pa[2:]
+            assert isinstance(tail, PointArray) and tail.chart == chart
+            np.testing.assert_array_equal(tail.coords, coords[2:])
+
+    def test_read_only(self):
+        source = np.array([[3.0, 4.0], [0.0, 1.0]])
+        pa = PointArray(source, FLAT)
+        source[0, 0] = 7.0  # the array holds its own copy
+        assert pa.coords[0, 0] == 3.0
+        with pytest.raises(ValueError):
+            pa.coords[0, 0] = 1.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            pa.coords = np.zeros((2, 2))
+        with pytest.raises(ValueError):
+            pa[0].coords[0] = 1.0
+
+    @pytest.mark.parametrize("chart", [SPHERE, FLAT])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite(self, chart, bad):
+        with pytest.raises(ValueError, match="finite"):
+            PointArray([[1.0, 0.0], [0.0, bad]], chart)
+
+    def test_rejects_off_sphere_rows(self):
+        with pytest.raises(ValueError, match="unit norm"):
+            PointArray([[1.0, 0.0], [0.6, 0.8 + 1e-9]], SPHERE)
+        PointArray([[1.0, 0.0], [0.6, 0.8 + 1e-9]], FLAT)
+
+    @pytest.mark.parametrize("shape", [(3,), (0, 3), (4, 1), (2, 2, 2)])
+    def test_rejects_wrong_shape(self, shape):
+        with pytest.raises(ValueError, match="shape"):
+            PointArray(np.ones(shape), FLAT)
+
+    def test_rejects_unknown_chart(self):
+        with pytest.raises(ValueError, match="chart"):
+            PointArray(np.eye(2), "torus")

@@ -16,6 +16,7 @@ from psm.geometry import (
     FLAT,
     SPHERE,
     Point,
+    PointArray,
     exp_map,
     geodesic_distance,
     log_map,
@@ -109,4 +110,41 @@ def test_fit_does_not_depend_on_data_order(order):
         assert net.stop_reason is ref.stop_reason
         assert len(net.points) == len(ref.points)
         np.testing.assert_allclose(points_matrix(net.points), points_matrix(ref.points),
+                                   rtol=0.0, atol=1e-9)
+
+
+# An orthogonal Q applied to the data and the start maps every net to Q times
+# a net of the original fan.  eigenframe fixes each eigenvector's sign by its
+# first nonzero coordinate, so the rotated fit's e1 and e2 are +/- Q e1 and
+# +/- Q e2, and the fan is relabelled: net l maps to net l, D/2 - l, D - l or
+# D/2 + l (mod D).  The start is off the origin, which every Q fixes.
+_START = np.array([0.1, -0.05, 0.02])
+_D = _CLOUD_CFG.num_directions
+# (e1 sign, e2 sign) -> (offset, sign) of the relabelling l -> offset + sign * l
+_RELABEL = {(1, 1): (0, 1), (-1, 1): (_D // 2, -1), (1, -1): (0, -1), (-1, -1): (_D // 2, 1)}
+
+
+def _fit_cloud_from(rows: np.ndarray, start: np.ndarray):
+    return fit_submanifold(PointArray(rows, FLAT), Point(start, FLAT), _CLOUD_CFG)
+
+
+_CLOUD_FIT_FROM_START = _fit_cloud_from(_CLOUD, _START)
+
+
+@PROPERTY
+@given(entries=st.lists(COORD, min_size=9, max_size=9), reflect=st.booleans())
+def test_fit_is_rotation_equivariant(entries, reflect):
+    q, _ = np.linalg.qr(np.reshape(entries, (3, 3)))  # a rotation
+    if reflect:
+        q = -q
+    ref = _CLOUD_FIT_FROM_START
+    fit = _fit_cloud_from(_CLOUD @ q.T, q @ _START)
+    rotated_frame = ref.frame_at_start.basis() @ q.T
+    flips = np.sign(np.sum(fit.frame_at_start.basis() * rotated_frame, axis=1))
+    offset, sign = _RELABEL[tuple(int(f) for f in flips)]
+    for net in ref.nets:
+        mate = fit.nets[(offset + sign * net.direction_index - 1) % _D]
+        assert mate.stop_reason is net.stop_reason
+        assert len(mate.points) == len(net.points)
+        np.testing.assert_allclose(points_matrix(mate.points), points_matrix(net.points) @ q.T,
                                    rtol=0.0, atol=1e-9)
