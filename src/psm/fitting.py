@@ -21,10 +21,10 @@ from it.  Every stacked product runs the same BLAS kernel per net as the
 per-point reference path (step_net, stop_check), so a net's points, stop
 reason and score do not depend on which nets share its chunk.
 
-The fit works on coordinate matrices only: the data's (a PointArray passes
-through points_matrix uncopied), the seeds and each net's path, which is
-stored as one PointArray.  It builds no Point; step_net and stop_check, the
-single-point reference API, take and return Points.
+The fit works on coordinate matrices only: the data (a PointArray's coords
+pass through points_matrix uncopied), the seeds, and each net's path, which
+is stored as one PointArray.  It builds no Point; step_net and stop_check,
+the single-point reference path, take and return Points.
 """
 
 from __future__ import annotations

@@ -134,7 +134,7 @@ _CLOUD_FIT_FROM_START = _fit_cloud_from(_CLOUD, _START)
 @PROPERTY
 @given(entries=st.lists(COORD, min_size=9, max_size=9), reflect=st.booleans())
 def test_fit_is_rotation_equivariant(entries, reflect):
-    q, _ = np.linalg.qr(np.reshape(entries, (3, 3)))  # a rotation
+    q, _ = np.linalg.qr(np.reshape(entries, (3, 3)))  # orthogonal
     if reflect:
         q = -q
     ref = _CLOUD_FIT_FROM_START
