@@ -279,6 +279,14 @@ def _out_dir(merged: dict) -> Path:
     return out
 
 
+def _write_dataset(points: PointArray, path: Path, meta: dict, written: list[Path]) -> None:
+    write_dataset_csv(points, path, meta)
+    written.extend([path, meta_path_for(path)])
+    back, _ = read_dataset_csv(path)
+    if len(back) != len(points):
+        raise PsmError(f"{path}: wrote {len(points)} points but read back {len(back)}")
+
+
 def _cmd_generate(merged: dict, written: list[Path]) -> None:
     family = merged["family"]
     if family is None:
@@ -293,39 +301,28 @@ def _cmd_generate(merged: dict, written: list[Path]) -> None:
     spec = GenSpec(family, merged["n"], merged["seed"],
                    {**params, "shift_c": merged["shift"]})
     points, info = generate(spec)
-    out = _out_dir(merged)
-    path = out / f"{family}.csv"
+    path = _out_dir(merged) / f"{family}.csv"
     meta = {
         "kind": "dataset", "chart": SPHERE, "family": family,
         "n": merged["n"], "seed": merged["seed"], "params": params,
         "shift": merged["shift"], "resolved_shift": info["resolved_shift"],
         "generator": info["generator"],
     }
-    write_dataset_csv(points, path, meta)
-    written.extend([path, meta_path_for(path)])
-    back, _ = read_dataset_csv(path)
-    if len(back) != len(points):
-        raise PsmError(f"{path}: wrote {len(points)} points but read back {len(back)}")
+    _write_dataset(points, path, meta, written)
     _say(merged, f"wrote {path} ({len(points)} points, family {family})")
 
 
 def _cmd_shapes(merged: dict, input_path: Path, written: list[Path]) -> None:
     configs = read_landmarks(input_path)
     aligned, mean = align_dataset(configs)
-    out = _out_dir(merged)
-    path = out / "preshapes.csv"
+    path = _out_dir(merged) / "preshapes.csv"
     meta = {
         "kind": "preshape", "chart": SPHERE, "k": configs[0].k,
         "n": len(aligned), "mean": [float(v) for v in mean.coords],
         "specimen_ids": [c.specimen_id for c in configs],
     }
-    write_dataset_csv(aligned, path, meta)
-    written.extend([path, meta_path_for(path)])
-    back, _ = read_dataset_csv(path)
-    if len(back) != len(aligned):
-        raise PsmError(f"{path}: wrote {len(aligned)} points but read back {len(back)}")
-    _say(merged, f"aligned {len(aligned)} configurations of {configs[0].k} "
-                 f"landmarks -> {path}")
+    _write_dataset(aligned, path, meta, written)
+    _say(merged, f"aligned {len(aligned)} configurations of {configs[0].k} landmarks -> {path}")
 
 
 def _kernel_dict(kernel: KernelSpec) -> dict:
@@ -349,15 +346,14 @@ def _cmd_fit(merged: dict, input_path: Path, written: list[Path],
     is_shape_data = meta.get("kind") == "preshape"
     grid = shape_grid(sub, merged["grid_samples"]) if is_shape_data else None
 
-    per_net = np.array(score.per_net)
-    _say(merged, f"fitted {len(sub.nets)} nets from the {start_kind} start "
-                 f"({len(points)} data points)")
-    for net in sub.nets:
-        _say(merged, f"net {net.direction_index:>3}: {net.stop_reason.value} "
-                     f"after {len(net.points) - 1} levels "
-                     f"(length {net_length(net):.4f})")
-    _say(merged, f"variation score: total {score.total:.6g} "
-                 f"(per-net mean {per_net.mean():.6g}, max {per_net.max():.6g})")
+    if not merged["quiet"]:
+        per_net = np.array(score.per_net)
+        print(f"fitted {len(sub.nets)} nets from the {start_kind} start ({len(points)} data points)")
+        for net in sub.nets:
+            print(f"net {net.direction_index:>3}: {net.stop_reason.value} "
+                  f"after {len(net.points) - 1} levels (length {net_length(net):.4f})")
+        print(f"variation score: total {score.total:.6g} "
+              f"(per-net mean {per_net.mean():.6g}, max {per_net.max():.6g})")
 
     out = _out_dir(merged)
     sub_path = out / "submanifold.csv"

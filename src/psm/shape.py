@@ -23,7 +23,7 @@ from .errors import (
     NoConvergenceError,
     NotCenteredError,
 )
-from .geometry import SPHERE, Point, geodesic_distance
+from .geometry import SPHERE, Point, PointArray, _row_norms, geodesic_distance
 from .tangent_stats import frechet_mean
 
 _CENTER_TOL = 1e-10
@@ -69,7 +69,7 @@ class Preshape:
             raise ValueError("preshapes live on the sphere chart")
         if coords.shape[0] % 2 != 0 or coords.shape[0] < 6:
             raise ValueError("preshape coordinates must pair into >= 3 landmarks")
-        if max(abs(float(coords[0::2].sum())), abs(float(coords[1::2].sum()))) > _CENTER_TOL:
+        if _centroid_offset(coords) > _CENTER_TOL:
             raise ValueError("preshape coordinates are not centered")
 
     @property
@@ -77,8 +77,38 @@ class Preshape:
         return self.point.ambient_dim // 2
 
     def complex_form(self) -> np.ndarray:
-        c = self.point.coords
-        return c[0::2] + 1j * c[1::2]
+        return self.point.coords.view(complex).copy()
+
+
+def _centroid_offset(coords: np.ndarray) -> float:
+    """max(|sum x_j|, |sum y_j|) of a landmark-major (x1, y1, x2, y2, ...) vector."""
+    return max(abs(float(coords[0::2].sum())), abs(float(coords[1::2].sum())))
+
+
+# -- row kernels on the (N, 2k) preshape matrix: each row is computed alone
+# (geometry's stacked-matmul rule), so to_preshape and align_rotation are
+# their one-row case --
+
+def _preshape_rows(landmarks: np.ndarray, specimen_ids) -> np.ndarray:
+    """Centered unit rows (N, 2k) of stacked (N, k, 2) landmarks; a collapsed
+    specimen raises DegenerateConfigError naming it."""
+    flat = (landmarks - landmarks.mean(axis=1, keepdims=True)).reshape(len(landmarks), -1)
+    scales = _row_norms(flat)
+    collapsed = np.flatnonzero(scales < _SCALE_TOL)
+    if collapsed.size:
+        raise DegenerateConfigError(
+            f"configuration {specimen_ids[collapsed[0]]!r} collapses to a point")
+    return flat / scales[:, None]
+
+
+def _align_rotations(rows: np.ndarray, base: np.ndarray) -> np.ndarray:
+    """Preshape rows (N, 2k) each rotated by the argument of sum_j conj(z_j) w_j,
+    with z_j = x_j + i y_j of the row and w_j of base."""
+    z = rows.view(complex)
+    inner = np.matmul(z.conj()[:, None, :], base.view(complex)[:, None])[:, 0, 0]
+    if np.any(np.abs(inner) < _ORBIT_TOL):
+        raise DegenerateOrbitError("rotation alignment undefined: orbit is orthogonal")
+    return (np.exp(1j * np.angle(inner))[:, None] * z).view(float)
 
 
 def to_preshape(config: LandmarkConfig) -> Preshape:
@@ -86,21 +116,7 @@ def to_preshape(config: LandmarkConfig) -> Preshape:
 
     Raises DegenerateConfigError when all landmarks coincide.
     """
-    centered = config.landmarks - config.landmarks.mean(axis=0)
-    scale = float(np.linalg.norm(centered))
-    if scale < _SCALE_TOL:
-        raise DegenerateConfigError(
-            f"configuration {config.specimen_id!r} collapses to a point")
-    flat = (centered / scale).ravel()
-    # ravel of (k, 2) is landmark-major: (x1, y1, x2, y2, ...)
-    return Preshape(Point(flat, SPHERE))
-
-
-def _interleave(z: np.ndarray) -> np.ndarray:
-    out = np.empty(2 * z.shape[0])
-    out[0::2] = z.real
-    out[1::2] = z.imag
-    return out
+    return Preshape(Point(_preshape_rows(config.landmarks[None], [config.specimen_id])[0]))
 
 
 def align_rotation(p: Preshape, base: Preshape) -> Preshape:
@@ -113,42 +129,31 @@ def align_rotation(p: Preshape, base: Preshape) -> Preshape:
     """
     if p.k != base.k:
         raise DimensionMismatchError("preshapes have different landmark counts")
-    z = p.complex_form()
-    w = base.complex_form()
-    inner = complex(np.vdot(z, w))  # sum conj(z_j) w_j
-    if abs(inner) < _ORBIT_TOL:
-        raise DegenerateOrbitError("rotation alignment undefined: orbit is orthogonal")
-    theta = np.angle(inner)
-    rotated = np.exp(1j * theta) * z
-    return Preshape(Point(_interleave(rotated), SPHERE))
+    return Preshape(Point(_align_rotations(p.point.coords[None], base.point.coords)[0]))
 
 
-def align_dataset(configs) -> tuple[list[Point], Point]:
+def align_dataset(configs) -> tuple[PointArray, Point]:
     """Generalized Procrustes alignment of a landmark dataset.
 
-    All configurations are mapped to preshapes and rotation-aligned to an
-    evolving Frechet mean (seeded from the first preshape) until the mean
-    moves less than 1e-9, then aligned once more to the final mean.
+    The preshapes, one matrix row each, are rotated onto an evolving Frechet
+    mean (seeded from row 0) until it moves less than 1e-9, then once more:
+    row i is align_rotation(to_preshape(configs[i]), Preshape(mean)) exactly.
 
-    Returns (aligned preshape points, mean point).
+    Returns (aligned preshapes as one PointArray, mean point).
     """
     seq = list(configs)
     if len(seq) < 2:
         raise ValueError("alignment needs at least two configurations")
-    k = seq[0].k
-    for c in seq:
-        if c.k != k:
-            raise DimensionMismatchError("configurations have different landmark counts")
-    pres = [to_preshape(c) for c in seq]
-    mean = pres[0].point
+    if len({c.k for c in seq}) > 1:
+        raise DimensionMismatchError("configurations have different landmark counts")
+    pres = _preshape_rows(np.stack([c.landmarks for c in seq]), [c.specimen_id for c in seq])
+    mean = Point(pres[0])
     for _ in range(_GPA_MAX_ITER):
-        aligned = [align_rotation(p, Preshape(mean)) for p in pres]
-        new_mean = frechet_mean([a.point for a in aligned])
+        new_mean = frechet_mean(PointArray(_align_rotations(pres, mean.coords)))
         moved = geodesic_distance(mean, new_mean)
         mean = new_mean
         if moved < _GPA_TOL:
-            final = [align_rotation(p, Preshape(mean)) for p in pres]
-            return [a.point for a in final], mean
+            return PointArray(_align_rotations(pres, mean.coords)), mean
     raise NoConvergenceError("Procrustes alignment did not stabilize in 100 rounds")
 
 
@@ -160,11 +165,10 @@ def from_preshape(p: Point, k: int, specimen_id: str = "recovered") -> LandmarkC
     """
     if p.ambient_dim != 2 * k:
         raise DimensionMismatchError(f"expected {2 * k} coordinates, got {p.ambient_dim}")
-    coords = p.coords
-    off = max(abs(float(coords[0::2].sum())), abs(float(coords[1::2].sum())))
+    off = _centroid_offset(p.coords)
     if off > _RECOVER_CENTER_TOL:
         raise NotCenteredError(f"coordinates carry a centroid offset of {off!r}")
-    return LandmarkConfig(coords.reshape(k, 2), specimen_id)
+    return LandmarkConfig(p.coords.reshape(k, 2), specimen_id)
 
 
 # -- landmark file reading --
@@ -236,12 +240,7 @@ def _read_landmarks_csv(lines) -> list[LandmarkConfig]:
         last_index = idx
         rows.append((x, y))
     flush(len(lines))
-    if not configs:
-        raise LandmarkFormatError("no landmark rows found", 1)
-    counts = {c.k for c in configs}
-    if len(counts) > 1:
-        raise LandmarkFormatError(f"inconsistent landmark counts across specimens: {sorted(counts)}")
-    return configs
+    return _checked_configs(configs, "specimens")
 
 
 def _read_landmarks_blocks(lines) -> list[LandmarkConfig]:
@@ -278,9 +277,13 @@ def _read_landmarks_blocks(lines) -> list[LandmarkConfig]:
             block_start = line_no
         rows.append(pair)
     flush(len(lines))
+    return _checked_configs(configs, "blocks")
+
+
+def _checked_configs(configs: list[LandmarkConfig], units: str) -> list[LandmarkConfig]:
     if not configs:
         raise LandmarkFormatError("no landmark rows found", 1)
     counts = {c.k for c in configs}
     if len(counts) > 1:
-        raise LandmarkFormatError(f"inconsistent landmark counts across blocks: {sorted(counts)}")
+        raise LandmarkFormatError(f"inconsistent landmark counts across {units}: {sorted(counts)}")
     return configs

@@ -17,7 +17,7 @@ import numpy as np
 from .errors import NotAShapeFitError
 from .fitting import Net, Submanifold
 from .geometry import Point, Tangent, _distance_rows, exp_map, points_matrix
-from .shape import LandmarkConfig, from_preshape
+from .shape import LandmarkConfig, _centroid_offset, from_preshape
 from .tangent_stats import KernelSpec, eigenframe, local_covariance
 
 _CENTER_TOL = 1e-6
@@ -172,7 +172,7 @@ def shape_grid(sub: Submanifold, samples_per_direction: int = 9):
     coords = sub.start.coords
     if coords.shape[0] % 2 != 0 or coords.shape[0] < 6:
         raise NotAShapeFitError("start point does not pair into planar landmarks")
-    off = max(abs(float(coords[0::2].sum())), abs(float(coords[1::2].sum())))
+    off = _centroid_offset(coords)
     if off > _CENTER_TOL:
         raise NotAShapeFitError(f"start point carries a centroid offset of {off!r}")
     k = coords.shape[0] // 2

@@ -85,6 +85,24 @@ class TestGenerate:
         assert meta["params"]["b"] == pytest.approx(math.sqrt(2.0))
 
 
+def test_quiet_fit_computes_no_net_lengths(tmp_path, monkeypatch, capsys):
+    import psm.cli
+
+    assert run("generate", "--family", "sea_wave", "--n", "200", "--seed", "1",
+               "--quiet", "--out", str(tmp_path)) == 0
+    calls = []
+    net_length = psm.cli.net_length
+    monkeypatch.setattr(psm.cli, "net_length", lambda net: calls.append(net) or net_length(net))
+    data = str(tmp_path / "sea_wave.csv")
+    assert run("fit", data, "--quiet", "--out", str(tmp_path / "quiet")) == 0
+    assert calls == [] and capsys.readouterr().out == ""
+    # printed, each net's line still carries its length
+    assert run("fit", data, "--out", str(tmp_path / "loud")) == 0
+    lines = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("net ")]
+    assert len(calls) == len(lines) == 180
+    assert all("(length " in ln for ln in lines)
+
+
 class TestShapes:
     def test_alignment_outputs(self, tmp_path):
         lm = write_digit_landmarks(tmp_path / "digits.csv")

@@ -12,7 +12,7 @@ from psm.errors import (
     LandmarkFormatError,
     NotCenteredError,
 )
-from psm.geometry import SPHERE, Point, geodesic_distance, points_matrix
+from psm.geometry import SPHERE, Point, PointArray, geodesic_distance, points_matrix
 from psm.shape import (
     LandmarkConfig,
     Preshape,
@@ -180,6 +180,38 @@ class TestAlignDataset:
         with pytest.raises(DimensionMismatchError):
             align_dataset([LandmarkConfig(DIGIT3_BASE), LandmarkConfig(LEAF_BASE)])
 
+    def test_rows_match_the_single_pair_reference(self):
+        configs = digit3_configs(n=25, seed=3)
+        aligned, mean = align_dataset(configs)
+        assert isinstance(aligned, PointArray) and len(aligned) == 25
+        target = Preshape(mean)
+        for row, config in zip(points_matrix(aligned), configs):
+            reference = align_rotation(to_preshape(config), target).point.coords
+            assert np.array_equal(row, reference)
+
+    def test_collapsed_specimen_is_named(self):
+        configs = digit3_configs(n=9, seed=4)
+        configs[4] = LandmarkConfig(np.full(DIGIT3_BASE.shape, 2.5), "flat-one")
+        with pytest.raises(DegenerateConfigError, match="'flat-one'"):
+            align_dataset(configs)
+
+    def test_builds_no_per_specimen_objects(self, monkeypatch):
+        built = {Point: 0, Preshape: 0}
+        for cls in built:
+            def counted(self, cls=cls, post_init=cls.__post_init__):
+                built[cls] += 1
+                post_init(self)
+            monkeypatch.setattr(cls, "__post_init__", counted)
+        per_size = []
+        for n in (12, 120):
+            built.update({Point: 0, Preshape: 0})
+            align_dataset(digit3_configs(n=n, seed=1))
+            per_size.append(dict(built))
+        # both sizes take the same number of Procrustes rounds at this seed,
+        # so the Point count (a few per round) must not depend on n
+        assert per_size[0][Preshape] == per_size[1][Preshape] == 0
+        assert per_size[0][Point] == per_size[1][Point] < 12
+
 
 class TestFromPreshape:
     def test_round_trip(self):
@@ -196,6 +228,20 @@ class TestFromPreshape:
         v[0] = 1.0  # x-sums to 1: not a centered configuration
         with pytest.raises(NotCenteredError):
             from_preshape(Point(v, SPHERE), 4)
+
+    def test_centering_tolerances(self):
+        # Preshape demands a centroid offset <= 1e-10, from_preshape <= 1e-6
+        base = to_preshape(LandmarkConfig(LEAF_BASE)).point.coords
+        for offset, recoverable in ((1e-8, True), (1e-5, False)):
+            v = base + offset * np.eye(8)[0]
+            p = Point(v / np.linalg.norm(v), SPHERE)
+            with pytest.raises(ValueError, match="not centered"):
+                Preshape(p)
+            if recoverable:
+                assert from_preshape(p, 4).k == 4
+            else:
+                with pytest.raises(NotCenteredError):
+                    from_preshape(p, 4)
 
     def test_dimension_check(self):
         p = to_preshape(LandmarkConfig(LEAF_BASE)).point
@@ -252,8 +298,15 @@ class TestReadLandmarksCsv:
         text = ("specimen_id,landmark_index,x,y\n"
                 "a,1,0,0\na,2,1,0\na,3,0,1\n"
                 "b,1,0,0\nb,2,1,0\nb,3,0,1\nb,4,1,1\n")
-        with pytest.raises(LandmarkFormatError):
+        with pytest.raises(LandmarkFormatError) as exc:
             read_landmarks(self.write(tmp_path, text))
+        assert str(exc.value) == "inconsistent landmark counts across specimens: [3, 4]"
+        assert exc.value.line is None
+
+    def test_header_only(self, tmp_path):
+        with pytest.raises(LandmarkFormatError) as exc:
+            read_landmarks(self.write(tmp_path, "specimen_id,landmark_index,x,y\n"))
+        assert str(exc.value) == "line 1: no landmark rows found"
 
 
 class TestReadLandmarksBlocks:
@@ -284,5 +337,13 @@ class TestReadLandmarksBlocks:
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.txt"
         path.write_text("\n\n", encoding="utf-8")
-        with pytest.raises(LandmarkFormatError):
+        with pytest.raises(LandmarkFormatError) as exc:
             read_landmarks(path)
+        assert str(exc.value) == "line 1: no landmark rows found"
+
+    def test_inconsistent_counts(self, tmp_path):
+        path = tmp_path / "mixed.txt"
+        path.write_text("0 0\n1 0\n0 1\n\n0 0\n1 0\n0 1\n1 1\n", encoding="utf-8")
+        with pytest.raises(LandmarkFormatError) as exc:
+            read_landmarks(path)
+        assert str(exc.value) == "inconsistent landmark counts across blocks: [3, 4]"
