@@ -11,6 +11,7 @@ inputs and flags.  Exit codes: 0 success, 1 any computation or IO error,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -64,42 +65,62 @@ def _bool_value(text: str) -> bool:
     raise ValueError(f"expected a boolean, got {text!r}")
 
 
-# Key tables drive both config-file conversion and post-merge validation.
-_COMMON_KEYS = {"seed": int, "out": str, "quiet": _bool_value}
-_GENERATE_KEYS = {
-    "family": str, "n": int, "noise_level": float, "noise_scale_u": float,
-    "a": float, "b": float, "c": float, "mode": str, "shift": _shift_value,
-}
-_FIT_KEYS = {
-    "epsilon": float, "delta": float, "bandwidth": float, "kernel": str,
-    "directions": int, "max_length": float, "k": int, "start": str,
-    "coords": str, "grid_samples": int,
-}
-_KEYS_BY_COMMAND = {
-    "generate": {**_COMMON_KEYS, **_GENERATE_KEYS},
-    "shapes": dict(_COMMON_KEYS),
-    "fit": {**_COMMON_KEYS, **_FIT_KEYS},
-    "compare-geodesic": {**_COMMON_KEYS, **_FIT_KEYS},
-}
-_ALL_KEYS = {k for keys in _KEYS_BY_COMMAND.values() for k in keys}
+_FAMILY_PARAMS = {S_CURVE: ("noise_scale_u",), SEA_WAVE: ("noise_level",),
+                  ELLIPSOID: ("a", "b", "c", "mode")}
 
-_CHOICES = {
-    "family": FAMILIES,
-    "kernel": tuple(_KERNEL_NAMES),
-    "mode": ("solid", "surface"),
-    "start": ("mean", "custom"),
+# command -> (help, metavar of its input file, or None if it reads none)
+_COMMANDS = {
+    "generate": ("write a synthetic dataset CSV", None),
+    "shapes": ("align a landmark file into preshape points", "LANDMARKS"),
+    "fit": ("fit a principal sub-manifold and export", "DATASET"),
+    "compare-geodesic": ("fit, then add principal geodesic rows to projected.csv", "DATASET"),
 }
 
-_DEFAULTS_COMMON = {"seed": 0, "out": ".", "quiet": False}
-_DEFAULTS_BY_COMMAND = {
-    "generate": {**_DEFAULTS_COMMON, "family": None, "n": 200,
-                 "noise_level": 0.05, "noise_scale_u": 1.0 / 32.0,
-                 "a": 2.5, "b": math.sqrt(2.0), "c": 1.0,
-                 "mode": "solid", "shift": "auto"},
-    "shapes": dict(_DEFAULTS_COMMON),
-    "fit": {**_DEFAULTS_COMMON, "start": "mean", "coords": None, "grid_samples": 9},
-    "compare-geodesic": {**_DEFAULTS_COMMON, "start": "mean", "coords": None,
-                         "grid_samples": 9},
+
+class _Setting:
+    """One setting: the flag --name (dashes for underscores) and the config key name.
+
+    convert reads the text of both.  A setting with a fit_field passes its
+    value to that FitConfig field; its None default keeps FitConfig's default.
+    """
+
+    def __init__(self, commands, convert, default=None, fit_field=None, **flag):
+        self.commands, self.convert, self.default = commands, convert, default
+        self.fit_field = fit_field
+        # argparse keywords; a store_true flag takes no type
+        self.flag = flag if "action" in flag else {"type": convert, **flag}
+
+
+_ALL = tuple(_COMMANDS)
+_GENERATE = ("generate",)
+_FIT = ("fit", "compare-geodesic")
+_SETTINGS = {
+    "seed": _Setting(_ALL, int, 0),
+    "out": _Setting(_ALL, str, ".", metavar="DIR",
+                    help="output directory (default: current directory)"),
+    "quiet": _Setting(_ALL, _bool_value, False, action="store_true"),
+    "family": _Setting(_GENERATE, str, choices=FAMILIES),
+    "n": _Setting(_GENERATE, int, 200),
+    "noise_level": _Setting(_GENERATE, float, 0.05, help="sea_wave: isotropic noise scale"),
+    "noise_scale_u": _Setting(_GENERATE, float, 1.0 / 32.0,
+                              help="s_curve: multiplier of the 32*U noise term"),
+    "a": _Setting(_GENERATE, float, 2.5, help="ellipsoid: first semi-axis"),
+    "b": _Setting(_GENERATE, float, math.sqrt(2.0)),
+    "c": _Setting(_GENERATE, float, 1.0),
+    "mode": _Setting(_GENERATE, str, "solid", choices=("solid", "surface"),
+                     help="ellipsoid: solid or surface sampling"),
+    "shift": _Setting(_GENERATE, _shift_value, "auto", help="lift constant, 'auto' or a number"),
+    "epsilon": _Setting(_FIT, float, fit_field="epsilon"),
+    "delta": _Setting(_FIT, float, fit_field="delta"),
+    "bandwidth": _Setting(_FIT, float),
+    "kernel": _Setting(_FIT, str, choices=tuple(_KERNEL_NAMES)),
+    "directions": _Setting(_FIT, int, fit_field="num_directions"),
+    "max_length": _Setting(_FIT, float, fit_field="max_net_length"),
+    "k": _Setting(_FIT, int, fit_field="dim",
+                  help="sub-manifold dimension (1 grows a two-net flow)"),
+    "start": _Setting(_FIT, str, "mean", choices=("mean", "custom")),
+    "coords": _Setting(_FIT, str, help="comma-separated start coordinates for --start custom"),
+    "grid_samples": _Setting(_FIT, int, 9, help="shape grid side length (odd), preshape data only"),
 }
 
 
@@ -108,58 +129,16 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="psm",
         description="Fit principal sub-manifolds to data on embedded spheres.")
     sub = parser.add_subparsers(dest="command", required=True)
-    sup = argparse.SUPPRESS
-
-    def add_common(p):
-        p.add_argument("--config", metavar="PATH", default=sup,
+    for command, (help_text, input_metavar) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        p.add_argument("--config", metavar="PATH", default=argparse.SUPPRESS,
                        help="key = value config file; flags override it")
-        p.add_argument("--seed", type=int, default=sup)
-        p.add_argument("--out", metavar="DIR", default=sup,
-                       help="output directory (default: current directory)")
-        p.add_argument("--quiet", action="store_true", default=sup)
-
-    gen = sub.add_parser("generate", help="write a synthetic dataset CSV")
-    add_common(gen)
-    gen.add_argument("--family", choices=FAMILIES, default=sup)
-    gen.add_argument("--n", type=int, default=sup)
-    gen.add_argument("--noise-level", dest="noise_level", type=float, default=sup,
-                     help="sea_wave: isotropic noise scale")
-    gen.add_argument("--noise-scale-u", dest="noise_scale_u", type=float, default=sup,
-                     help="s_curve: multiplier of the 32*U noise term")
-    gen.add_argument("--a", type=float, default=sup, help="ellipsoid: first semi-axis")
-    gen.add_argument("--b", type=float, default=sup)
-    gen.add_argument("--c", type=float, default=sup)
-    gen.add_argument("--mode", choices=_CHOICES["mode"], default=sup,
-                     help="ellipsoid: solid or surface sampling")
-    gen.add_argument("--shift", type=_shift_value, default=sup,
-                     help="lift constant, 'auto' or a number")
-
-    shp = sub.add_parser("shapes", help="align a landmark file into preshape points")
-    add_common(shp)
-    shp.add_argument("input", metavar="LANDMARKS")
-
-    def add_fit_flags(p):
-        add_common(p)
-        p.add_argument("input", metavar="DATASET")
-        p.add_argument("--epsilon", type=float, default=sup)
-        p.add_argument("--delta", type=float, default=sup)
-        p.add_argument("--bandwidth", type=float, default=sup)
-        p.add_argument("--kernel", choices=_CHOICES["kernel"], default=sup)
-        p.add_argument("--directions", type=int, default=sup)
-        p.add_argument("--max-length", dest="max_length", type=float, default=sup)
-        p.add_argument("--k", type=int, default=sup,
-                       help="sub-manifold dimension (1 grows a two-net flow)")
-        p.add_argument("--start", choices=_CHOICES["start"], default=sup)
-        p.add_argument("--coords", default=sup,
-                       help="comma-separated start coordinates for --start custom")
-        p.add_argument("--grid-samples", dest="grid_samples", type=int, default=sup,
-                       help="shape grid side length (odd), preshape data only")
-
-    fit = sub.add_parser("fit", help="fit a principal sub-manifold and export")
-    add_fit_flags(fit)
-    cmp_ = sub.add_parser("compare-geodesic",
-                          help="fit, then add principal geodesic rows to projected.csv")
-    add_fit_flags(cmp_)
+        if input_metavar:
+            p.add_argument("input", metavar=input_metavar)
+        for name, setting in _SETTINGS.items():
+            if command in setting.commands:
+                p.add_argument("--" + name.replace("_", "-"), default=argparse.SUPPRESS,
+                               **setting.flag)
     return parser
 
 
@@ -181,35 +160,33 @@ def _read_config_file(path: str) -> dict:
 
 
 def _merge_settings(command: str, flag_values: dict, file_values: dict) -> dict:
-    known = _KEYS_BY_COMMAND[command]
-    merged = dict(_DEFAULTS_BY_COMMAND[command])
+    settings = {k: s for k, s in _SETTINGS.items() if command in s.commands}
+    merged = {k: s.default for k, s in settings.items()}
     for key, text in file_values.items():
-        if key not in _ALL_KEYS:
+        if key not in _SETTINGS:
             raise UsageError(f"unknown config key {key!r}")
-        if key not in known:
+        if key not in settings:
             continue  # shared config files may hold other commands' keys
         try:
-            merged[key] = known[key](text)
+            merged[key] = settings[key].convert(text)
         except ValueError as exc:
             raise UsageError(f"config key {key!r}: {exc}") from None
     merged.update(flag_values)
-    for key, choices in _CHOICES.items():
-        value = merged.get(key)
-        if value is not None and value not in choices:
+    for key, setting in settings.items():
+        choices = setting.flag.get("choices")
+        if choices and merged[key] is not None and merged[key] not in choices:
             raise UsageError(f"{key} must be one of {', '.join(choices)}")
     return merged
 
 
 def _fit_config(merged: dict) -> FitConfig:
-    kwargs = {}
-    for key, field in (("epsilon", "epsilon"), ("delta", "delta"),
-                       ("directions", "num_directions"),
-                       ("max_length", "max_net_length"), ("k", "dim")):
-        if key in merged:
-            kwargs[field] = merged[key]
-    if "kernel" in merged or "bandwidth" in merged:
-        kwargs["kernel"] = KernelSpec(_KERNEL_NAMES[merged.get("kernel", "uniform")],
-                                      merged.get("bandwidth", 0.4))
+    kwargs = {s.fit_field: merged[key] for key, s in _SETTINGS.items()
+              if s.fit_field and merged[key] is not None}
+    if merged["kernel"] is not None or merged["bandwidth"] is not None:
+        default = FitConfig().kernel
+        kwargs["kernel"] = KernelSpec(
+            default.kind if merged["kernel"] is None else _KERNEL_NAMES[merged["kernel"]],
+            default.bandwidth if merged["bandwidth"] is None else merged["bandwidth"])
     try:
         return FitConfig(**kwargs)
     except ValueError as exc:
@@ -291,13 +268,7 @@ def _cmd_generate(merged: dict, written: list[Path]) -> None:
     family = merged["family"]
     if family is None:
         raise UsageError("generate requires --family (or a config file entry)")
-    if family == S_CURVE:
-        params = {"noise_scale_u": merged["noise_scale_u"]}
-    elif family == SEA_WAVE:
-        params = {"noise_level": merged["noise_level"]}
-    else:
-        params = {"a": merged["a"], "b": merged["b"], "c": merged["c"],
-                  "mode": merged["mode"]}
+    params = {name: merged[name] for name in _FAMILY_PARAMS[family]}
     spec = GenSpec(family, merged["n"], merged["seed"],
                    {**params, "shift_c": merged["shift"]})
     points, info = generate(spec)
@@ -367,13 +338,7 @@ def _cmd_fit(merged: dict, input_path: Path, written: list[Path],
         "command": "compare-geodesic" if with_geodesics else "fit",
         "input": input_path.name,
         "n_points": len(points),
-        "config": {
-            "epsilon": cfg.epsilon, "delta": cfg.delta,
-            "kernel": _kernel_dict(cfg.kernel),
-            "num_directions": cfg.num_directions,
-            "max_net_length": cfg.max_net_length,
-            "max_levels": cfg.max_levels, "dim": cfg.dim,
-        },
+        "config": {**dataclasses.asdict(cfg), "kernel": _kernel_dict(cfg.kernel)},
         "start_kind": start_kind,
         "start": [float(v) for v in start.coords],
         "stop_reasons": {str(n.direction_index): n.stop_reason.value

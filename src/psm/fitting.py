@@ -47,6 +47,7 @@ from .geometry import (
     _log_coords_many,
     _log_rows,
     _row_norms,
+    chart_of,
     points_matrix,
 )
 from .tangent_stats import (
@@ -100,8 +101,10 @@ class FitConfig:
         if self.dim < 1:
             raise ValueError("dim must be at least 1")
         if self.max_levels is None:
-            object.__setattr__(
-                self, "max_levels", int(math.ceil(10 * self.max_net_length / self.epsilon)))
+            levels = 10 * self.max_net_length / self.epsilon
+            if not math.isfinite(levels):
+                raise ValueError("max_net_length / epsilon is too large to derive max_levels")
+            object.__setattr__(self, "max_levels", int(math.ceil(levels)))
         elif self.max_levels < 1:
             raise ValueError("max_levels must be at least 1")
 
@@ -421,7 +424,7 @@ def net_length(net: Net) -> float:
     """Sum of consecutive geodesic distances along a net (0 for one point)."""
     coords = points_matrix(net.points)
     total = 0.0
-    for gap in _distance_rows(coords[:-1], coords[1:], net.points[0].chart).tolist():
+    for gap in _distance_rows(coords[:-1], coords[1:], chart_of(net.points)).tolist():
         total += gap
     return total
 

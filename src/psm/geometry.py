@@ -310,6 +310,11 @@ def sample_geodesic(x: Point, v: Tangent, length: float, steps: int) -> list[Poi
     return [Point(_great_circle_coords(x.coords, unit, float(t)), SPHERE) for t in ts]
 
 
+def chart_of(data) -> str:
+    """The chart of a homogeneous point set: a PointArray's own, else its first Point's."""
+    return data.chart if isinstance(data, PointArray) else data[0].chart
+
+
 def points_matrix(data) -> np.ndarray:
     """The (n, d+1) coordinate matrix of a homogeneous point set.
 

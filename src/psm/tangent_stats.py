@@ -27,6 +27,7 @@ from .geometry import (
     Tangent,
     _exp_coords,
     _log_coords_many,
+    chart_of,
     points_matrix,
     project_to_sphere,
 )
@@ -223,7 +224,7 @@ def frechet_mean(data, tol: float = 1e-10, max_iter: int = 200) -> Point:
     raises NoConvergenceError.
     """
     xs = points_matrix(data)
-    chart = data[0].chart
+    chart = chart_of(data)
     if chart == FLAT:
         center = xs.mean(axis=0)
     else:

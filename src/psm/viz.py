@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import NotAShapeFitError
 from .fitting import Net, Submanifold
-from .geometry import Point, Tangent, _distance_rows, exp_map, points_matrix
+from .geometry import Point, Tangent, _distance_rows, chart_of, exp_map, points_matrix
 from .shape import LandmarkConfig, _centroid_offset, from_preshape
 from .tangent_stats import KernelSpec, eigenframe, local_covariance
 
@@ -145,7 +145,7 @@ def project_submanifold(sub: Submanifold, data,
 def _resample_branch(net_points, q: int) -> list[Point]:
     """Pick q branch points at (roughly) evenly spaced arc lengths from the start."""
     xs = points_matrix(net_points)  # row 0 is the start itself
-    gaps = _distance_rows(xs[:-1], xs[1:], net_points[0].chart)
+    gaps = _distance_rows(xs[:-1], xs[1:], chart_of(net_points))
     arcs = np.concatenate([[0.0], np.cumsum(gaps)])
     total = float(arcs[-1])
     picks = []

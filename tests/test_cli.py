@@ -2,11 +2,12 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 
-from psm.cli import main
+from psm.cli import _build_parser, _merge_settings, main
 from psm.geometry import points_matrix
 from psm.datagen import read_dataset_csv
 
@@ -237,6 +238,21 @@ class TestFit:
         assert run("fit", str(s_curve_csv), "--epsilon", "0.3",
                    "--delta", "0.2", "--out", str(tmp_path / "x")) == 2
 
+    @pytest.mark.parametrize("how, value", [("flag", "inf"), ("flag", "1e308"),
+                                            ("config", "inf")])
+    def test_unbounded_max_length_is_usage_error(self, tmp_path, s_curve_csv, capsys,
+                                                 how, value):
+        if how == "flag":
+            argv = ["--max-length", value]
+        else:
+            cfg = tmp_path / "run.conf"
+            cfg.write_text(f"max_length = {value}\n", encoding="utf-8")
+            argv = ["--config", str(cfg)]
+        out = tmp_path / "x"
+        assert run("fit", str(s_curve_csv), *argv, "--out", str(out)) == 2
+        assert "usage error: max_net_length / epsilon" in capsys.readouterr().err
+        assert not out.exists() or list(out.iterdir()) == []
+
     def test_unparsable_bandwidth(self, tmp_path, s_curve_csv, capsys):
         assert run("fit", str(s_curve_csv), "--bandwidth", "wide",
                    "--out", str(tmp_path / "x")) == 2
@@ -419,3 +435,58 @@ class TestTopLevel:
 
     def test_unknown_command(self):
         assert run("transmogrify") == 2
+
+
+# Every setting each command takes, with a sample text that differs from
+# its default; `quiet` has no text (flag `--quiet`, config `quiet = yes`).
+_COMMON_SAMPLES = {"seed": "3", "out": "elsewhere", "quiet": None}
+_FIT_SAMPLES = {
+    **_COMMON_SAMPLES, "epsilon": "0.03", "delta": "0.25", "bandwidth": "0.3",
+    "kernel": "gaussian", "directions": "12", "max_length": "0.8", "k": "1",
+    "start": "custom", "coords": "0,0,1", "grid_samples": "7",
+}
+SETTING_SAMPLES = {
+    "generate": {
+        **_COMMON_SAMPLES, "family": "ellipsoid", "n": "50", "noise_level": "0.1",
+        "noise_scale_u": "0.5", "a": "3", "b": "2", "c": "0.5", "mode": "surface",
+        "shift": "1.5",
+    },
+    "shapes": dict(_COMMON_SAMPLES),
+    "fit": _FIT_SAMPLES,
+    "compare-geodesic": dict(_FIT_SAMPLES),
+}
+_ALL_SAMPLES = {k: v for samples in SETTING_SAMPLES.values() for k, v in samples.items()}
+
+
+def _flag_argv(key, text):
+    flag = "--" + key.replace("_", "-")
+    return [flag] if text is None else [flag, text]
+
+
+def _merged_from_flags(command, argv):
+    positional = [] if command == "generate" else ["input.csv"]
+    flag_values = vars(_build_parser().parse_args([command, *positional, *argv])).copy()
+    for key in ("command", "input", "config"):
+        flag_values.pop(key, None)
+    return _merge_settings(command, flag_values, {})
+
+
+def _merged_from_file(command, key, text):
+    return _merge_settings(command, {}, {key: "yes" if text is None else text})
+
+
+@pytest.mark.parametrize("command", sorted(SETTING_SAMPLES))
+def test_flags_and_config_files_agree_on_every_setting(command, capsys):
+    samples = SETTING_SAMPLES[command]
+    baseline = _merged_from_flags(command, [])
+    for key, text in samples.items():
+        by_flag = _merged_from_flags(command, _flag_argv(key, text))
+        assert by_flag == _merged_from_file(command, key, text), key
+        assert by_flag != baseline, key
+    for key, text in _ALL_SAMPLES.items():
+        if key not in samples:  # another command's setting: skipped in a file
+            assert _merged_from_file(command, key, text) == baseline, key
+    with pytest.raises(SystemExit):
+        _build_parser().parse_args([command, "--help"])
+    flags = set(re.findall(r"--[a-z-]+", capsys.readouterr().out))
+    assert flags == {"--help", "--config"} | {_flag_argv(k, None)[0] for k in samples}

@@ -92,6 +92,11 @@ class TestFitConfig:
     def test_explicit_level_cap_kept(self):
         assert FitConfig(max_levels=7).max_levels == 7
 
+    @pytest.mark.parametrize("length", [math.inf, 1e308])
+    def test_unbounded_derived_level_cap_rejected(self, length):
+        with pytest.raises(ValueError, match="max_levels"):
+            FitConfig(max_net_length=length)
+
 
 class TestNetValidation:
     def test_requires_points(self):
@@ -558,6 +563,20 @@ class TestNetLength:
     def test_polyline_sum(self):
         pts = tuple(Point(np.array([float(i), 0.0]), FLAT) for i in range(4))
         assert net_length(Net(1, pts, StopReason.LEVEL_CAP)) == pytest.approx(3.0)
+
+    def test_fitted_net_builds_no_point(self, monkeypatch):
+        data, _ = generate(GenSpec("sea_wave", 200, 1))
+        sub = fit_submanifold(data, frechet_mean(data), FitConfig(num_directions=8))
+        built = []
+        post_init = Point.__post_init__
+
+        def counted(point):
+            built.append(point)
+            post_init(point)
+
+        monkeypatch.setattr(Point, "__post_init__", counted)
+        assert net_length(sub.nets[0]) > 0.0
+        assert built == []
 
 
 class TestVariationScore:
