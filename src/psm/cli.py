@@ -182,12 +182,12 @@ def _merge_settings(command: str, flag_values: dict, file_values: dict) -> dict:
 def _fit_config(merged: dict) -> FitConfig:
     kwargs = {s.fit_field: merged[key] for key, s in _SETTINGS.items()
               if s.fit_field and merged[key] is not None}
-    if merged["kernel"] is not None or merged["bandwidth"] is not None:
-        default = FitConfig().kernel
-        kwargs["kernel"] = KernelSpec(
-            default.kind if merged["kernel"] is None else _KERNEL_NAMES[merged["kernel"]],
-            default.bandwidth if merged["bandwidth"] is None else merged["bandwidth"])
     try:
+        if merged["kernel"] is not None or merged["bandwidth"] is not None:
+            default = FitConfig().kernel
+            kwargs["kernel"] = KernelSpec(
+                default.kind if merged["kernel"] is None else _KERNEL_NAMES[merged["kernel"]],
+                default.bandwidth if merged["bandwidth"] is None else merged["bandwidth"])
         return FitConfig(**kwargs)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
@@ -269,9 +269,12 @@ def _cmd_generate(merged: dict, written: list[Path]) -> None:
     if family is None:
         raise UsageError("generate requires --family (or a config file entry)")
     params = {name: merged[name] for name in _FAMILY_PARAMS[family]}
-    spec = GenSpec(family, merged["n"], merged["seed"],
-                   {**params, "shift_c": merged["shift"]})
-    points, info = generate(spec)
+    try:
+        # GenSpec and the generators reject out-of-range values with ValueError
+        points, info = generate(GenSpec(family, merged["n"], merged["seed"],
+                                        {**params, "shift_c": merged["shift"]}))
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
     path = _out_dir(merged) / f"{family}.csv"
     meta = {
         "kind": "dataset", "chart": SPHERE, "family": family,

@@ -13,13 +13,18 @@ A net stops at the first candidate where every data point lies behind it
 accumulated length would pass the cap; checks run in that order.  The
 candidate that triggers a stop is kept as the terminal net point.
 
-The fan grows in lockstep: a chunk of nets, sized so that its (nets, n, m)
-tensor of the data's logs stays within _LOG_BYTES, advances one level at a
-time, and a net leaves the chunk when it stops.  Each net point's logs are
-taken once and feed its stop check, its variation-score term and the step
-from it.  Every stacked product runs the same BLAS kernel per net as the
-per-point reference path (step_net, stop_check), so a net's points, stop
-reason and score do not depend on which nets share its chunk.
+The fan grows in lockstep: a chunk of nets advances one level at a time,
+and a net leaves the chunk when it stops.  At each level one pass of the
+Gram-form kernel (tangent_stats._GramLevel) works from the inner products
+of the chunk's net points with the data, not from a tensor of logs: it
+gives every net point's distances and kernel weights, its hull test, and
+one raw covariance and tangent mean, which feed the stop check of the
+point, its variation-score term (the demeaned covariance) and the step
+from it.  The chunk size keeps the kernel's largest temporary, a
+(nets, n, m) weighted copy of the data, within _LOG_BYTES.  Every stacked
+product runs the same BLAS kernel per net as the per-point reference path
+(step_net, stop_check), which is the kernel's one-row case, so a net's
+points, stop reason and score do not depend on which nets share its chunk.
 
 The fit works on coordinate matrices only: the data (a PointArray's coords
 pass through points_matrix uncopied), the seeds, and each net's path, which
@@ -35,7 +40,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import AntipodalPairError, DegenerateProjectionError
+from .errors import DegenerateProjectionError
 from .geometry import (
     Point,
     PointArray,
@@ -43,8 +48,6 @@ from .geometry import (
     _exp_coords,
     _exp_rows,
     _log_coords,
-    _log_coords_batch,
-    _log_coords_many,
     _log_rows,
     _row_norms,
     chart_of,
@@ -54,13 +57,16 @@ from .tangent_stats import (
     EigenFrame,
     KernelSpec,
     _cov_at,
-    _cov_coords,
+    _demeaned,
+    _GramData,
+    _GramLevel,
     _top_frame_at,
     _top_frame_coords,
     eigenframe,
 )
 
 _PROJ_TOL = 1e-12
+_LENGTH_RTOL = 1e-9  # relative slack of the length rule; see _past_cap
 
 
 class StopReason(Enum):
@@ -199,8 +205,8 @@ def step_net(a_prev: Point, a_cur: Point, data, cfg: FitConfig) -> Point:
     if np.array_equal(a_prev.coords, a_cur.coords):
         raise ValueError("previous and current points must differ")
     cur, chart = a_cur.coords, a_cur.chart
-    vecs, dists = _log_coords_many(cur, points_matrix(data), chart)
-    rows, _, _ = _top_frame_at(_cov_at(vecs, dists, cfg.kernel), cur, chart, cfg.dim)
+    cov = _cov_at(cur, _GramData(points_matrix(data), chart), cfg.kernel)
+    rows, _, _ = _top_frame_at(cov, cur, chart, cfg.dim)
     v = _log_coords(cur, a_prev.coords, chart)
     u = rows.T @ (rows @ v)
     nu = float(np.linalg.norm(u))
@@ -218,22 +224,34 @@ def stop_check(a_next: Point, a_cur: Point, data, cfg: FitConfig,
     Order: convex_hull_exit (every data point satisfies
     <log_next(cur), log_next(x_j)> >= 0), then empty_neighborhood (every
     data point farther than delta), then length_exceeded (net_len + epsilon
-    would pass max_net_length).  Antipodal log failures report the
-    antipodal_guard reason.
+    would pass max_net_length; see _past_cap).  Antipodal log failures
+    report the antipodal_guard reason.
     """
-    xs = points_matrix(data)
-    try:
-        vecs, dists = _log_coords_many(a_next.coords, xs, a_cur.chart)
-        back = _log_coords(a_next.coords, a_cur.coords, a_cur.chart)
-    except AntipodalPairError:
+    chart = a_cur.chart
+    lv = _GramLevel(a_next.coords[None], _GramData(points_matrix(data), chart), cfg.kernel)
+    back, back_antipodal = _log_rows(a_next.coords[None], a_cur.coords[None], chart)
+    if lv.antipodal[0] or back_antipodal[0]:
         return StopReason.ANTIPODAL_GUARD
-    if bool(np.all(vecs @ back >= 0.0)):
+    if lv.hull(back)[0]:
         return StopReason.CONVEX_HULL_EXIT
-    if bool(np.all(dists > cfg.delta)):
+    if bool(np.all(lv.dists > cfg.delta)):
         return StopReason.EMPTY_NEIGHBORHOOD
-    if net_len + cfg.epsilon > cfg.max_net_length:
+    if _past_cap(net_len, cfg):
         return StopReason.LENGTH_EXCEEDED
     return None
+
+
+def _past_cap(net_len, cfg: FitConfig):
+    """The length rule: net_len + epsilon passes max_net_length by more than
+    the relative slack _LENGTH_RTOL.  net_len may be a float or an array.
+
+    Every step is epsilon in exact arithmetic, so when the cap is a whole
+    number of steps the summed step lengths round to either side of it; the
+    slack counts that tie as within the cap.  At the defaults (epsilon 0.02,
+    cap 1.0) a net that reaches the cap is stopped by it at its level-51
+    candidate, whose path is 1.02 long.
+    """
+    return net_len + cfg.epsilon > cfg.max_net_length * (1.0 + _LENGTH_RTOL)
 
 
 # -- lockstep growth and the variation score --
@@ -241,7 +259,9 @@ def stop_check(a_next: Point, a_cur: Point, data, cfg: FitConfig,
 # Failures are per-net masks, applied in the order in which the per-point
 # reference path (step_net, stop_check) raises and checks them.
 
-_LOG_BYTES = 256 * 1024  # budget of one level's log tensor; sets the chunk size
+# Budget of one level's largest temporary, the (nets, n, m) weighted copy of
+# the data behind the Gram products; sets the chunk size.
+_LOG_BYTES = 256 * 1024
 
 # A net's stop code indexes this tuple; 0 means it is still growing.
 _REASONS = (None, StopReason.CONVEX_HULL_EXIT, StopReason.EMPTY_NEIGHBORHOOD,
@@ -251,7 +271,7 @@ _CODE = {reason: code for code, reason in enumerate(_REASONS)}
 
 
 def _chunks(num_nets: int, xs: np.ndarray) -> list[range]:
-    """Consecutive runs of nets whose log tensor fits in _LOG_BYTES."""
+    """Consecutive runs of nets whose weighted data copies fit in _LOG_BYTES."""
     size = max(1, _LOG_BYTES // xs.nbytes)
     return [range(lo, min(lo + size, num_nets)) for lo in range(0, num_nets, size)]
 
@@ -262,19 +282,20 @@ def _stop(code: np.ndarray, mask: np.ndarray, reason: StopReason) -> None:
 
 
 class _Level:
-    """The data's logs at stacked net points cur (B, m) of one level, whose
-    previous points are prev, and what every consumer derives from them."""
+    """The kernel statistics of the data at stacked net points cur (B, m) of
+    one level, whose previous points are prev: one Gram-form pass (gram),
+    its raw covariances and tangent means, and the backward directions."""
 
-    def __init__(self, cur: np.ndarray, prev: np.ndarray, xs: np.ndarray, chart: str,
+    def __init__(self, cur: np.ndarray, prev: np.ndarray, data: _GramData,
                  kernel: KernelSpec):
         self.cur = cur
-        self.vecs, self.dists, self.antipodal = _log_coords_batch(cur, xs, chart)
+        self.gram = _GramLevel(cur, data, kernel)
+        self.cov = self.gram.covariance()
+        self.mean = self.gram.mean()
         # log_cur(prev): the stop check's and the score's backward direction,
         # and the vector the step projects
-        self.back, self.back_antipodal = _log_rows(cur, prev, chart)
-        self.w = kernel.weights(self.dists)
-        self.total = self.w.sum(axis=-1)
-        self.empty = self.total <= 0.0
+        self.back, self.back_antipodal = _log_rows(cur, prev, data.chart)
+        self.empty = self.gram.total <= 0.0
 
 
 def _score_terms(lv: _Level, chart: str, cfg: FitConfig, base_w: float, level: int):
@@ -285,9 +306,9 @@ def _score_terms(lv: _Level, chart: str, cfg: FitConfig, base_w: float, level: i
     term is 0.
     """
     k = cfg.dim
-    cov = _cov_coords(lv.vecs, lv.w, lv.total, demean=True)
+    cov = _demeaned(lv.cov, lv.mean)
     rows, vals, _, ranked = _top_frame_coords(cov, lv.cur, chart, k)
-    scored = ~(lv.antipodal | lv.back_antipodal | lv.empty) & ranked
+    scored = ~(lv.gram.antipodal | lv.back_antipodal | lv.empty) & ranked
     unit = lv.back / _row_norms(lv.back)[:, None]
     cos_a = _row_norms(np.matmul(rows, unit[:, :, None])[:, :, 0])
     cos_a = np.where(cos_a < 1.0, cos_a, 1.0)
@@ -309,9 +330,8 @@ def _step_rows(lv: _Level, sel, chart: str, cfg: FitConfig):
     code, the others 0 and one candidate row each, in order.
     """
     cur, back = lv.cur[sel], lv.back[sel]
-    cov = _cov_coords(lv.vecs[sel], lv.w[sel], lv.total[sel])
     code = np.zeros(len(cur), dtype=np.int8)
-    rows, _, _, ranked = _top_frame_coords(cov, cur, chart, cfg.dim)
+    rows, _, _, ranked = _top_frame_coords(lv.cov[sel], cur, chart, cfg.dim)
     _stop(code, ~ranked, StopReason.DEGENERATE_PROJECTION)
     _stop(code, lv.back_antipodal[sel], StopReason.ANTIPODAL_GUARD)
     u = np.matmul(rows.transpose(0, 2, 1), np.matmul(rows, back[:, :, None]))[:, :, 0]
@@ -323,7 +343,7 @@ def _step_rows(lv: _Level, sel, chart: str, cfg: FitConfig):
     return cand, code
 
 
-def _grow_chunk(start: np.ndarray, seeds: np.ndarray, xs: np.ndarray, chart: str,
+def _grow_chunk(start: np.ndarray, seeds: np.ndarray, data: _GramData,
                 cfg: FitConfig, base_w: float):
     """Grow the nets from seeds (B, m) in lockstep.
 
@@ -331,7 +351,7 @@ def _grow_chunk(start: np.ndarray, seeds: np.ndarray, xs: np.ndarray, chart: str
     number of net points left out of the score; a path is the list of its
     point coordinates.
     """
-    num = len(seeds)
+    num, chart = len(seeds), data.chart
     paths = [[start, seed] for seed in seeds]
     codes = np.zeros(num, dtype=np.int8)
     acc = np.zeros(num)
@@ -343,27 +363,24 @@ def _grow_chunk(start: np.ndarray, seeds: np.ndarray, xs: np.ndarray, chart: str
     len_prev = None
     level = 1
     while live.size:
-        lv = _Level(cur, prev, xs, chart, cfg.kernel)
+        lv = _Level(cur, prev, data, cfg.kernel)
+        gram = lv.gram
         code = np.zeros(live.size, dtype=np.int8)
         if level >= 2:
             # stop check of the candidate that just arrived
-            _stop(code, lv.antipodal | lv.back_antipodal, StopReason.ANTIPODAL_GUARD)
-            hull = np.all(np.matmul(lv.vecs, lv.back[:, :, None])[:, :, 0] >= 0.0, axis=-1)
-            _stop(code, hull, StopReason.CONVEX_HULL_EXIT)
-            _stop(code, np.all(lv.dists > cfg.delta, axis=-1), StopReason.EMPTY_NEIGHBORHOOD)
-            _stop(code, len_prev + cfg.epsilon > cfg.max_net_length,
-                  StopReason.LENGTH_EXCEEDED)
+            _stop(code, gram.antipodal | lv.back_antipodal, StopReason.ANTIPODAL_GUARD)
+            _stop(code, gram.hull(lv.back), StopReason.CONVEX_HULL_EXIT)
+            _stop(code, np.all(gram.dists > cfg.delta, axis=-1), StopReason.EMPTY_NEIGHBORHOOD)
+            _stop(code, _past_cap(len_prev, cfg), StopReason.LENGTH_EXCEEDED)
         terms, scored = _score_terms(lv, chart, cfg, base_w, level)
         acc[live] += terms
         skipped += int((~scored).sum())
         if level >= cfg.max_levels:
             _stop(code, code == 0, StopReason.LEVEL_CAP)
         # the step from cur, in the order the reference path raises
-        _stop(code, lv.antipodal, StopReason.ANTIPODAL_GUARD)
+        _stop(code, gram.antipodal, StopReason.ANTIPODAL_GUARD)
         _stop(code, lv.empty, StopReason.EMPTY_NEIGHBORHOOD)
         step = np.flatnonzero(code == 0)
-        if step.size == code.size:
-            step = slice(None)  # a view: no copy of the log tensor
         cand, code[step] = _step_rows(lv, step, chart, cfg)
         codes[live] = code
         go = code == 0
@@ -392,16 +409,14 @@ def fit_submanifold(data, start: Point, cfg: FitConfig) -> Submanifold:
     if xs.shape[1] != start.ambient_dim:
         raise ValueError("data and start point have different ambient dimensions")
     chart = start.chart
-    vecs, dists, antipodal = _log_coords_batch(start.coords[None], xs, chart)
-    if antipodal[0]:
-        raise AntipodalPairError("log undefined for an antipodal pair")
-    frame = eigenframe(_cov_at(vecs[0], dists[0], cfg.kernel), start, cfg.dim)
+    gram = _GramData(xs, chart)
+    frame = eigenframe(_cov_at(start.coords, gram, cfg.kernel), start, cfg.dim)
     seeds = seed_directions(start, frame, cfg).coords
     base_w = _score_weight(cfg, len(seeds))
     nets, per_net, skipped = [], [], 0
     for chunk in _chunks(len(seeds), xs):
         paths, codes, acc, skips = _grow_chunk(
-            start.coords, seeds[chunk.start:chunk.stop], xs, chart, cfg, base_w)
+            start.coords, seeds[chunk.start:chunk.stop], gram, cfg, base_w)
         for index, path, code in zip(chunk, paths, codes.tolist()):
             nets.append(Net(index + 1, PointArray(path, chart), _REASONS[code]))
         per_net += acc.tolist()
@@ -444,6 +459,7 @@ class VariationScore:
 def _score_nets(sub: Submanifold, xs: np.ndarray) -> VariationScore:
     """Level-batched variation score of any nets, through the fit's score kernel."""
     nets, cfg, chart = sub.nets, sub.config, sub.start.chart
+    gram = _GramData(xs, chart)
     base_w = _score_weight(cfg, len(nets))
     per_net = np.zeros(len(nets))
     skipped = 0
@@ -456,7 +472,7 @@ def _score_nets(sub: Submanifold, xs: np.ndarray) -> VariationScore:
                 break
             cur = np.stack([paths[j][level] for j in live])
             prev = np.stack([paths[j][level - 1] for j in live])
-            lv = _Level(cur, prev, xs, chart, cfg.kernel)
+            lv = _Level(cur, prev, gram, cfg.kernel)
             terms, scored = _score_terms(lv, chart, cfg, base_w, level)
             per_net[[chunk[j] for j in live]] += terms
             skipped += int((~scored).sum())

@@ -6,9 +6,11 @@ manifold, so exp and log reduce to vector addition and subtraction.  All
 closed forms are the standard great-circle ones:
 
     exp_x(v) = cos(|v|) x + sin(|v|) v/|v|
-    log_x(y) = theta * (y - <x,y> x) / |y - <x,y> x|,  theta = arccos(<x,y>)
+    log_x(y) = theta * u / |u|,  u = y - <x,y> x,  theta = atan2(|u|, <x,y>)
 
-with the inner product clipped to [-1, 1] before arccos.
+with the inner product clipped to [-1, 1].  The angle is taken from both
+legs of the triangle: arccos(<x,y>) alone loses about half the significant
+digits on a short arc.
 """
 
 from __future__ import annotations
@@ -111,13 +113,13 @@ class Tangent:
 
 # -- coordinate-level core, shared by the public wrappers and the fitting loop --
 #
-# The row-wise and batched forms below stack their operands and take every
-# inner product as a stacked np.matmul, which calls the same BLAS kernel per
-# row as the 1-d dot, gemv or gemm of a single call.  math.acos, math.asin,
-# math.cos and math.sin run per row (numpy's versions can differ in the last
-# bit); elementwise ufuncs give the same bits anywhere in an array.  A
-# result therefore does not depend on how many rows are stacked with it,
-# and the single-point forms are the one-row case.
+# The row-wise forms below stack their operands and take every inner
+# product as a stacked np.matmul, which calls the same BLAS kernel per row
+# as the 1-d dot, gemv or gemm of a single call.  math.atan2, math.asin,
+# math.cos and math.sin run per row (numpy's versions can differ from them
+# in the last bit); elementwise ufuncs give the same bits anywhere in an
+# array.  A result therefore does not depend on how many rows are stacked
+# with it, and the single-point forms are the one-row case.
 
 def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """<a[i], b[i]> for stacked (B, m) rows."""
@@ -129,8 +131,8 @@ def _row_norms(a: np.ndarray) -> np.ndarray:
     return np.sqrt(_row_dots(a, a))
 
 
-def _per_row(fn, values: np.ndarray) -> np.ndarray:
-    return np.array([fn(v) for v in values.tolist()], dtype=float)
+def _per_row(fn, *values: np.ndarray) -> np.ndarray:
+    return np.array([fn(*v) for v in zip(*(a.tolist() for a in values))], dtype=float)
 
 
 def _exp_rows(xs: np.ndarray, vs: np.ndarray, chart: str):
@@ -162,7 +164,7 @@ def _log_rows(xs: np.ndarray, ys: np.ndarray, chart: str):
     u = ys - c[:, None] * xs
     nu = _row_norms(u)
     zero = nu < _ZERO_TOL
-    vecs = (_per_row(math.acos, c) / np.where(zero, 1.0, nu))[:, None] * u
+    vecs = (_per_row(math.atan2, nu, c) / np.where(zero, 1.0, nu))[:, None] * u
     vecs[zero] = 0.0
     return vecs, c < -1.0 + _ANTIPODAL_TOL
 
@@ -181,28 +183,6 @@ def _distance_rows(xs: np.ndarray, ys: np.ndarray, chart: str) -> np.ndarray:
     return np.where(near, arc, math.pi - arc)
 
 
-def _log_coords_batch(xs: np.ndarray, ys: np.ndarray, chart: str):
-    """Logs of the rows of ys (n, m) at each base point xs (B, m).
-
-    Returns (vectors (B, n, m), geodesic distances (B, n), antipodal (B,)
-    bool); antipodal flags a base point with a row of ys within
-    _ANTIPODAL_TOL of its antipode, and that base point's logs are
-    meaningless.
-    """
-    if chart == FLAT:
-        diffs = ys - xs[:, None, :]
-        return diffs, np.linalg.norm(diffs, axis=-1), np.zeros(len(xs), dtype=bool)
-    c = np.clip(np.matmul(ys, xs[:, :, None])[:, :, 0], -1.0, 1.0)
-    theta = np.arccos(c)
-    u = c[:, :, None] * xs[:, None, :]
-    np.subtract(ys, u, out=u)
-    nu = np.linalg.norm(u, axis=-1)
-    zero = nu < _ZERO_TOL
-    u *= (theta / np.where(zero, 1.0, nu))[:, :, None]
-    u[zero] = 0.0
-    return u, theta, np.any(c < -1.0 + _ANTIPODAL_TOL, axis=-1)
-
-
 def _exp_coords(x: np.ndarray, v: np.ndarray, chart: str) -> np.ndarray:
     out, cut = _exp_rows(x[None], v[None], chart)
     if cut[0]:
@@ -216,14 +196,6 @@ def _log_coords(x: np.ndarray, y: np.ndarray, chart: str) -> np.ndarray:
     if antipodal[0]:
         raise AntipodalPairError("log undefined for an antipodal pair")
     return vecs[0]
-
-
-def _log_coords_many(x: np.ndarray, ys: np.ndarray, chart: str):
-    """Logs of the rows of ys at x.  Returns (vectors, geodesic distances)."""
-    vecs, dists, antipodal = _log_coords_batch(x[None], ys, chart)
-    if antipodal[0]:
-        raise AntipodalPairError("log undefined for an antipodal pair")
-    return vecs[0], dists[0]
 
 
 def _great_circle_coords(x: np.ndarray, unit: np.ndarray, t: float) -> np.ndarray:

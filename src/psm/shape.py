@@ -212,7 +212,7 @@ def _read_landmarks_csv(lines) -> list[LandmarkConfig]:
 
     header_seen = False
     for line_no, row in enumerate(reader, start=1):
-        if not row or not any(cell.strip() for cell in row):
+        if not "".join(row).strip():
             continue
         if not header_seen:
             header_seen = True

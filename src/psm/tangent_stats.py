@@ -2,6 +2,9 @@
 
 These are the ingredients the net-growing fitter consumes at every level:
 a kernel-weighted second moment of log images and its leading eigenvectors.
+Both come from one Gram-form kernel (_GramLevel), which works from the
+inner products of the base points with the data rather than from the logs
+themselves; every public statistic here is its one-row case.
 """
 
 from __future__ import annotations
@@ -21,12 +24,14 @@ from .errors import (
     ZeroVectorError,
 )
 from .geometry import (
+    _ANTIPODAL_TOL,
     FLAT,
     SPHERE,
     Point,
     Tangent,
+    _distance_rows,
     _exp_coords,
-    _log_coords_many,
+    _row_dots,
     chart_of,
     points_matrix,
     project_to_sphere,
@@ -86,30 +91,135 @@ class EigenFrame:
         return np.stack([t.vec for t in self.vectors])
 
 
-def _cov_coords(vecs: np.ndarray, w: np.ndarray, total: np.ndarray,
-                demean: bool = False) -> np.ndarray:
-    """Stacked kernel covariances (B, m, m) from the data's logs at B centers.
+# -- the Gram-form kernel --
+#
+# With the data rows centred once at one of them, y = z + y' for z = ys[0],
+# the log of y at a base point x is
+#
+#     sphere:  log_x(y) = s (P y' + t),  P = I - x x^T,  t = P z,
+#              s = theta / sin(theta),  theta = arccos(<x, y>)
+#     flat:    log_x(y) = y' + t,        t = z - x       (P = I, s = 1)
+#
+# so every kernel statistic of the logs follows from the (B, n) products
+# Y' x (or Y' t) and the centred data matrix Y', with no (B, n, m) tensor
+# of logs.  Any fixed z keeps the algebra exact; one inside the data keeps
+# the expanded products the size of the data's spread and of |t|, not 1.
+# Each product is stacked per base row, as (n, m) @ (B, m, 1),
+# (B, 1, n) @ (n, m) or (B, n, m)^T @ (n, m), so a row's statistics do not
+# depend on the rows stacked with it (geometry's stacked-matmul rule), and
+# a single center is the one-row case.
 
-    vecs (B, n, m) holds the logs at each center, w (B, n) their kernel
-    weights and total (B,) the weight sums; a center whose total is 0 gets
-    a zero matrix, and callers treat it as an empty neighbourhood.
+class _GramData:
+    """A data matrix xs (n, m) on chart as the Gram kernel reads it: the
+    rows ys centred at the first row, origin."""
+
+    def __init__(self, xs: np.ndarray, chart: str):
+        self.chart = chart
+        self.origin = xs[0].copy()
+        self.ys = xs - self.origin
+        if chart == FLAT:
+            self.sq = np.einsum("ij,ij->i", self.ys, self.ys)
+
+
+class _GramLevel:
+    """Kernel statistics of the data's logs at stacked base points x (B, m).
+
+    dists and w (B, n) hold the geodesic distances and kernel weights,
+    total (B,) the weight sums; antipodal (B,) flags a base point with a
+    data row within _ANTIPODAL_TOL of its antipode, whose statistics are
+    meaningless.  On the sphere theta comes from <x, y>, and arccos loses
+    about half the digits of a short arc; here a short arc only feeds the
+    kernel weight, which is flat there, and s, which tends to 1.
     """
-    total = np.where(total > 0.0, total, 1.0)[:, None, None]
-    if demean:
-        vecs = vecs - np.matmul(w[:, None, :], vecs) / total
-    cov = np.matmul((vecs * w[:, :, None]).transpose(0, 2, 1), vecs) / total
-    return (cov + cov.transpose(0, 2, 1)) / 2.0
+
+    def __init__(self, x: np.ndarray, data: _GramData, kernel: KernelSpec):
+        self.x, self.data = x, data
+        ys, z = data.ys, data.origin
+        if data.chart == SPHERE:
+            e = _row_dots(x, np.broadcast_to(z, x.shape))
+            self.t = z - e[:, None] * x
+            c = np.clip(np.matmul(ys, x[:, :, None])[:, :, 0] + e[:, None], -1.0, 1.0)
+            self.dists = np.arccos(c)
+            sin = np.sqrt((1.0 - c) * (1.0 + c))
+            # s = 1 at a zero arc; an antipodal row (flagged) gets 0
+            self.s = np.divide(self.dists, sin, out=np.where(c > 0.0, 1.0, 0.0),
+                               where=sin > _ZERO_TOL)
+            self.antipodal = np.any(c < -1.0 + _ANTIPODAL_TOL, axis=-1)
+        else:
+            self.t = z - x
+            proj = np.matmul(ys, self.t[:, :, None])[:, :, 0]
+            sq = data.sq + 2.0 * proj + _row_dots(self.t, self.t)[:, None]
+            self.dists = np.sqrt(np.maximum(sq, 0.0))
+            self.s = np.ones_like(proj)
+            self.antipodal = np.zeros(len(x), dtype=bool)
+        self.w = kernel.weights(self.dists)
+        self.total = self.w.sum(axis=-1)
+
+    def _tangent(self, v: np.ndarray) -> np.ndarray:
+        """P v for stacked rows v (B, m)."""
+        if self.data.chart == FLAT:
+            return v
+        return v - _row_dots(v, self.x)[:, None] * self.x
+
+    def _per_weight(self) -> np.ndarray:
+        return np.where(self.total > 0.0, self.total, 1.0)
+
+    def mean(self) -> np.ndarray:
+        """Kernel-weighted tangent means (B, m): [P Y'^T b + (sum b) t] / sum w, b = w s."""
+        b = self.w * self.s
+        h = np.matmul(b[:, None, :], self.data.ys)[:, 0]
+        mean = self._tangent(h) + b.sum(axis=-1)[:, None] * self.t
+        return mean / self._per_weight()[:, None]
+
+    def covariance(self) -> np.ndarray:
+        """Raw kernel covariances (B, m, m) of the logs: P M P / sum w, with
+
+            M = Y'^T diag(a) Y' + g t^T + t g^T + (sum a) t t^T,
+            a = w s^2,  g = Y'^T a.
+
+        A base point whose weight total is 0 gets a zero matrix, and callers
+        treat it as an empty neighbourhood.
+        """
+        a = self.w * self.s * self.s
+        ys = self.data.ys
+        g = np.matmul(a[:, None, :], ys)[:, 0]
+        t = self.t
+        gt = g[:, :, None] * t[:, None, :]
+        tt = t[:, :, None] * t[:, None, :]
+        cov = np.matmul((ys * a[:, :, None]).transpose(0, 2, 1), ys) \
+            + gt + gt.transpose(0, 2, 1) + a.sum(axis=-1)[:, None, None] * tt
+        if self.data.chart == SPHERE:
+            x = self.x
+            mx = np.matmul(cov, x[:, :, None])[:, :, 0]
+            xmx = x[:, :, None] * mx[:, None, :]
+            xx = x[:, :, None] * x[:, None, :]
+            cov = cov - xmx - xmx.transpose(0, 2, 1) + _row_dots(x, mx)[:, None, None] * xx
+        cov /= self._per_weight()[:, None, None]
+        return (cov + cov.transpose(0, 2, 1)) / 2.0
+
+    def hull(self, back: np.ndarray) -> np.ndarray:
+        """(B,) True where every data row y has <log_x(y), back> >= 0, whose
+        sign is that of <y', P back> + <t, back>."""
+        yb = np.matmul(self.data.ys, self._tangent(back)[:, :, None])[:, :, 0]
+        return np.all(yb + _row_dots(self.t, back)[:, None] >= 0.0, axis=-1)
 
 
-def _cov_at(vecs: np.ndarray, dists: np.ndarray, kernel: KernelSpec,
+def _demeaned(cov: np.ndarray, mean: np.ndarray) -> np.ndarray:
+    """Raw covariances (B, m, m) less the outer products of their tangent means."""
+    return cov - mean[:, :, None] * mean[:, None, :]
+
+
+def _cov_at(center: np.ndarray, data: _GramData, kernel: KernelSpec,
             demean: bool = False) -> np.ndarray:
-    """Kernel covariance from the data's logs (vecs, dists) at one center."""
-    w = kernel.weights(dists)
-    total = w.sum()
-    if total <= 0.0:
+    """Kernel covariance of the data's logs at one center (m,)."""
+    lv = _GramLevel(center[None], data, kernel)
+    if lv.antipodal[0]:
+        raise AntipodalPairError("log undefined for an antipodal pair")
+    if lv.total[0] <= 0.0:
         raise EmptyNeighborhoodError(
             f"no data carries kernel weight within bandwidth {kernel.bandwidth!r}")
-    return _cov_coords(vecs[None], w[None], total[None], demean)[0]
+    cov = lv.covariance()
+    return (_demeaned(cov, lv.mean()) if demean else cov)[0]
 
 
 def local_covariance(center: Point, data, kernel: KernelSpec, *,
@@ -134,14 +244,13 @@ def local_covariance(center: Point, data, kernel: KernelSpec, *,
     Returns
     -------
     (d+1, d+1) symmetric ndarray.  On the sphere chart the matrix annihilates
-    the center point.  Raises EmptyNeighborhoodError when no point carries
+    the center point up to rounding.  Raises EmptyNeighborhoodError when no point carries
     weight.
     """
     xs = points_matrix(data)
     if xs.shape[1] != center.ambient_dim:
         raise DimensionMismatchError("data and center have different ambient dimensions")
-    vecs, dists = _log_coords_many(center.coords, xs, center.chart)
-    return _cov_at(vecs, dists, kernel, demean)
+    return _cov_at(center.coords, _GramData(xs, center.chart), kernel, demean)
 
 
 def _fix_sign(vec: np.ndarray) -> np.ndarray:
@@ -170,7 +279,7 @@ def _top_frame_coords(cov: np.ndarray, base: np.ndarray, chart: str, k: int):
     # strided dot product below would sum in another order.
     rows = np.take_along_axis(vecs.transpose(0, 2, 1), order[:, :k, None], axis=1)
     if chart == SPHERE:
-        # protective: genuine tangent covariances already annihilate the base
+        # the kernel's covariances annihilate the base up to rounding
         rows = rows - np.matmul(rows[:, :, None, :], base[:, None, :, None])[:, :, :, 0] \
             * base[:, None, :]
         n = np.sqrt(np.matmul(rows[:, :, None, :], rows[:, :, :, None]))[:, :, 0]
@@ -233,13 +342,12 @@ def frechet_mean(data, tol: float = 1e-10, max_iter: int = 200) -> Point:
         except ZeroVectorError as exc:
             raise HemisphereViolationError(
                 "extrinsic average vanishes; data spans no open hemisphere") from exc
+    gram, unit = _GramData(xs, chart), KernelSpec()
     for _ in range(max_iter):
-        try:
-            vecs, _ = _log_coords_many(center, xs, chart)
-        except AntipodalPairError as exc:
-            raise HemisphereViolationError(
-                "mean iterate became antipodal to a data point") from exc
-        grad = vecs.mean(axis=0)
+        lv = _GramLevel(center[None], gram, unit)
+        if lv.antipodal[0]:
+            raise HemisphereViolationError("mean iterate became antipodal to a data point")
+        grad = lv.mean()[0]
         if float(np.linalg.norm(grad)) <= tol:
             return Point(center, chart)
         center = _exp_coords(center, grad, chart)
@@ -251,7 +359,7 @@ def frechet_variance(center: Point, data) -> float:
     xs = points_matrix(data)
     if xs.shape[1] != center.ambient_dim:
         raise DimensionMismatchError("data and center have different ambient dimensions")
-    _, dists = _log_coords_many(center.coords, xs, center.chart)
+    dists = _distance_rows(np.broadcast_to(center.coords, xs.shape), xs, center.chart)
     return float(np.mean(dists ** 2))
 
 

@@ -70,6 +70,16 @@ class TestGenerate:
         assert "error" in capsys.readouterr().err
         assert not (tmp_path / "s_curve.csv").exists()
 
+    @pytest.mark.parametrize("argv, message", [
+        (["--family", "s_curve", "--n", "2"], "n must be at least 3"),
+        (["--family", "ellipsoid", "--a", "-1"], "semi-axes must be positive"),
+        (["--family", "sea_wave", "--noise-level", "-1"], "noise_level must be nonnegative"),
+    ])
+    def test_out_of_range_value_is_usage_error(self, tmp_path, capsys, argv, message):
+        assert run("generate", *argv, "--out", str(tmp_path)) == 2
+        assert f"usage error: {message}" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_quiet_silences_stdout(self, tmp_path, capsys):
         code = run("generate", "--family", "s_curve", "--n", "20",
                    "--quiet", "--out", str(tmp_path))
@@ -252,6 +262,11 @@ class TestFit:
         assert run("fit", str(s_curve_csv), *argv, "--out", str(out)) == 2
         assert "usage error: max_net_length / epsilon" in capsys.readouterr().err
         assert not out.exists() or list(out.iterdir()) == []
+
+    def test_negative_bandwidth_is_usage_error(self, tmp_path, s_curve_csv, capsys):
+        assert run("fit", str(s_curve_csv), "--bandwidth", "-1",
+                   "--out", str(tmp_path / "x")) == 2
+        assert "usage error: bandwidth must be positive" in capsys.readouterr().err
 
     def test_unparsable_bandwidth(self, tmp_path, s_curve_csv, capsys):
         assert run("fit", str(s_curve_csv), "--bandwidth", "wide",

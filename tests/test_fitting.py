@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from psm import fitting
+from psm import fitting, tangent_stats
 from psm.datagen import GenSpec, generate
 from psm.errors import (
     AntipodalPairError,
@@ -45,6 +45,19 @@ from helpers import random_sphere_point, random_tangent
 
 def flat_points(rows):
     return [Point(np.asarray(r, dtype=float), FLAT) for r in rows]
+
+
+def spy_gram_passes(monkeypatch, bases):
+    """Record the number of base points of every Gram kernel pass, in the
+    fit and in the one-center statistics of tangent_stats, into bases."""
+    gram_level = tangent_stats._GramLevel
+
+    def counted(cur, data, kernel):
+        bases.append(len(cur))
+        return gram_level(cur, data, kernel)
+
+    for module in (fitting, tangent_stats):
+        monkeypatch.setattr(module, "_GramLevel", counted)
 
 
 def flat_cfg(**kw):
@@ -454,7 +467,7 @@ class TestFitSubmanifold:
 
     def count_log_bases(self, monkeypatch, nets_per_chunk=None):
         """Fit the sphere cluster while recording the number of base points
-        of every batched log call; returns (sub, data, bases, chunks)."""
+        of every Gram kernel pass; returns (sub, data, bases, chunks)."""
         start, data = self.sphere_cluster()
         xs = points_matrix(data)
         if nets_per_chunk is not None:
@@ -462,13 +475,7 @@ class TestFitSubmanifold:
         cfg = FitConfig(epsilon=0.05, delta=0.4, kernel=KernelSpec(),
                         num_directions=8, max_net_length=0.6)
         bases = []
-        log_batch = fitting._log_coords_batch
-
-        def counted(xs, ys, chart):
-            bases.append(len(xs))
-            return log_batch(xs, ys, chart)
-
-        monkeypatch.setattr(fitting, "_log_coords_batch", counted)
+        spy_gram_passes(monkeypatch, bases)
         sub = fit_submanifold(data, start, cfg)
         return sub, data, bases, fitting._chunks(len(sub.nets), xs)
 
@@ -522,13 +529,7 @@ class TestFitSubmanifold:
         copy = dataclasses.replace(sub)
         assert copy._fit_score is None
         calls = []
-        log_batch = fitting._log_coords_batch
-
-        def counted(xs, ys, chart):
-            calls.append(len(xs))
-            return log_batch(xs, ys, chart)
-
-        monkeypatch.setattr(fitting, "_log_coords_batch", counted)
+        spy_gram_passes(monkeypatch, calls)
         rescored = variation_score(copy, data)
         assert sum(calls) == sum(len(net.points) - 1 for net in sub.nets)
         assert rescored == stored

@@ -308,6 +308,51 @@ class TestReadLandmarksCsv:
             read_landmarks(self.write(tmp_path, "specimen_id,landmark_index,x,y\n"))
         assert str(exc.value) == "line 1: no landmark rows found"
 
+    def test_digit_file_parses_bit_for_bit(self, tmp_path):
+        lines = ["specimen_id,landmark_index,x,y"]
+        for config in digit3_configs(n=200, seed=11):
+            for i, (x, y) in enumerate(config.landmarks):
+                lines.append(f"{config.specimen_id},{i},{float(x)!r},{float(y)!r}")
+        configs = read_landmarks(self.write(tmp_path, "\n".join(lines) + "\n"))
+        rows = [line.split(",") for line in lines[1:]]
+        assert [c.specimen_id for c in configs] == list(dict.fromkeys(r[0] for r in rows))
+        parsed = np.array([[float(r[2]), float(r[3])] for r in rows])
+        np.testing.assert_array_equal(
+            np.concatenate([c.landmarks for c in configs]).view(np.uint64), parsed.view(np.uint64))
+
+    # Each message and line is the one that reading row by row meets first.
+    # A specimen's landmark count and values are checked when the next
+    # specimen starts, before that row's own checks, or after the last row.
+    @pytest.mark.parametrize("body, error, message", [
+        ("a,1,0,0\na,2,1\na,3,0,1\n", LandmarkFormatError, "line 3: expected 4 columns, got 3"),
+        ("a,1,0,0\na,x,1,0\n", LandmarkFormatError,
+         "line 3: unparsable row: invalid literal for int() with base 10: 'x'"),
+        ("a,1,0,0\na,2,0,0\nb,1,0,0\n", LandmarkFormatError,
+         "line 4: specimen 'a' has only 2 landmarks (need >= 3)"),
+        ("a,1,0,0\na,2,1,0\na,3,0,1\nb,1,0,0\nb,2,1,0\n", LandmarkFormatError,
+         "line 6: specimen 'b' has only 2 landmarks (need >= 3)"),
+        ("a,1,0,0\na,2,nan,0\na,3,0,1\nb,1,0,0\n", ValueError,
+         "landmark coordinates must be finite"),
+        ("a,1,0,0\na,2,1,0\na,4,0,1\nb,1,0,0\nb,2,1,0\nb,3,0,1\n", LandmarkFormatError,
+         "line 4: landmark_index jumps from 2 to 4"),
+        # a short specimen before an unparsable row
+        ("a,1,0,0\nb,1,0,0\nb,2,1,0\nb,3,oops,1\n", LandmarkFormatError,
+         "line 3: specimen 'a' has only 1 landmarks (need >= 3)"),
+        # a short specimen, then a repeated one on the same row
+        ("a,1,0,0\nb,1,0,0\nb,2,1,0\nb,3,0,1\na,1,0,0\n", LandmarkFormatError,
+         "line 3: specimen 'a' has only 1 landmarks (need >= 3)"),
+        # an index jump on the last row, before the last specimen's count
+        ("a,1,0,0\na,2,1,0\na,3,0,1\nb,1,0,0\nb,3,1,0", LandmarkFormatError,
+         "line 6: landmark_index jumps from 1 to 3"),
+        # blank lines count, quoted fields parse
+        ('\na,1,0,0\n\n"a",2,1,0\na,3,0,1\nb,1,0,0\n', LandmarkFormatError,
+         "line 7: specimen 'b' has only 1 landmarks (need >= 3)"),
+    ])
+    def test_errors_name_the_first_line(self, tmp_path, body, error, message):
+        with pytest.raises(error) as exc:
+            read_landmarks(self.write(tmp_path, "specimen_id,landmark_index,x,y\n" + body))
+        assert str(exc.value) == message
+
 
 class TestReadLandmarksBlocks:
     def test_blank_line_separated(self, tmp_path):

@@ -15,17 +15,22 @@ from psm.errors import (
 )
 from psm.geometry import (
     FLAT,
+    SPHERE,
     Point,
+    PointArray,
     Tangent,
     exp_map,
     geodesic_distance,
     log_map,
+    points_matrix,
 )
 from psm.tangent_stats import (
     GAUSSIAN,
     UNIFORM_BALL,
     EigenFrame,
     KernelSpec,
+    _GramData,
+    _GramLevel,
     eigenframe,
     frechet_mean,
     frechet_variance,
@@ -215,6 +220,81 @@ class TestLocalCovariance:
         centered = xs - xs.mean(axis=0)
         np.testing.assert_allclose(cov, centered.T @ centered / 20.0,
                                    rtol=0.0, atol=1e-12)
+
+
+class TestGramKernel:
+    """The Gram-form kernel against explicit logs and their weighted sums.
+
+    Tolerance: 1e-12 of the largest covariance entry for the covariances,
+    and of its square root for the means (measured errors are about 1e-14);
+    1e-10 absolute for the distances, which on the sphere come from arccos
+    of the inner product.
+    """
+
+    @staticmethod
+    def explicit(data, base, kernel):
+        vecs = np.stack([log_map(base, y).vec for y in data])
+        dists = np.array([geodesic_distance(base, y) for y in data])
+        w = kernel.weights(dists)
+        total = w.sum()
+        return (vecs * w[:, None]).T @ vecs / total, w @ vecs / total, dists, vecs
+
+    def check(self, data, bases, kernel):
+        """Compare the kernel at bases with explicit logs; returns the hull
+        test along each base point's tangent mean, which both must agree on."""
+        lv = _GramLevel(points_matrix(bases), _GramData(points_matrix(data), bases.chart), kernel)
+        cov, mean = lv.covariance(), lv.mean()
+        backs, hulls = [], []
+        for i, base in enumerate(bases):
+            ref_cov, ref_mean, ref_dists, vecs = self.explicit(data, base, kernel)
+            scale = np.abs(ref_cov).max()
+            np.testing.assert_allclose(cov[i], ref_cov, rtol=0.0, atol=1e-12 * scale)
+            np.testing.assert_allclose(mean[i], ref_mean, rtol=0.0, atol=1e-12 * scale ** 0.5)
+            np.testing.assert_allclose(lv.dists[i], ref_dists, rtol=0.0, atol=1e-10)
+            backs.append(ref_mean)
+            hulls.append(bool(np.all(vecs @ ref_mean >= 0.0)))
+        assert not lv.antipodal.any()
+        assert lv.hull(np.stack(backs)).tolist() == hulls
+        return hulls
+
+    @pytest.mark.parametrize("kernel", [KernelSpec(GAUSSIAN, 0.05), KernelSpec(UNIFORM_BALL, 0.6)])
+    def test_small_bandwidth_on_the_sphere(self, kernel):
+        rng = np.random.default_rng(80)
+        center = random_sphere_point(rng, 4)
+        data = PointArray(np.stack([
+            exp_map(center, random_tangent(rng, center, rng.uniform(0.0, 0.15))).coords
+            for _ in range(300)]))
+        # five base points inside the cloud and one outside it, behind which
+        # every data row lies
+        offsets = [rng.uniform(0.0, 0.1) for _ in range(5)] + [0.5]
+        bases = PointArray(np.stack([
+            exp_map(center, random_tangent(rng, center, r)).coords for r in offsets]))
+        assert self.check(data, bases, kernel) == [False] * 5 + [True]
+
+    @pytest.mark.parametrize("kernel", [KernelSpec(GAUSSIAN, 0.5), KernelSpec()])
+    def test_flat_data_far_from_the_origin(self, kernel):
+        rng = np.random.default_rng(81)
+        xs = rng.standard_normal((300, 3)) * [1.0, 0.5, 0.2] + 1e3
+        bases = xs[:5] + rng.standard_normal((5, 3)) * 0.3
+        self.check(PointArray(xs, FLAT), PointArray(bases, FLAT), kernel)
+
+    @pytest.mark.parametrize("chart", [SPHERE, FLAT])
+    def test_a_row_does_not_depend_on_its_batch(self, chart):
+        rng = np.random.default_rng(82)
+        xs = rng.standard_normal((50, 4))
+        bases = rng.standard_normal((7, 4))
+        if chart == SPHERE:
+            xs = xs / np.linalg.norm(xs, axis=1, keepdims=True)
+            bases = bases / np.linalg.norm(bases, axis=1, keepdims=True)
+        data, kernel = _GramData(xs, chart), KernelSpec(GAUSSIAN, 0.8)
+        batch = _GramLevel(bases, data, kernel)
+        back = rng.standard_normal((7, 4))
+        for i in range(7):
+            one = _GramLevel(bases[i:i + 1], data, kernel)
+            np.testing.assert_array_equal(one.covariance()[0], batch.covariance()[i])
+            np.testing.assert_array_equal(one.mean()[0], batch.mean()[i])
+            np.testing.assert_array_equal(one.dists[0], batch.dists[i])
+            assert one.hull(back[i:i + 1])[0] == batch.hull(back)[i]
 
 
 class TestEigenframe:
