@@ -208,6 +208,9 @@ def _start_point(merged: dict, points: PointArray) -> tuple[Point, str]:
         if merged["coords"] is None:
             raise UsageError("--start custom requires --coords")
         coords = _parse_coords(merged["coords"])
+        if len(coords) != points.coords.shape[1]:
+            raise UsageError(f"--coords has {len(coords)} components but the data has "
+                             f"{points.coords.shape[1]} coordinate columns")
         if points.chart == SPHERE:
             norm = float(np.linalg.norm(coords))
             if abs(norm - 1.0) > 1e-6:
@@ -219,20 +222,27 @@ def _start_point(merged: dict, points: PointArray) -> tuple[Point, str]:
 
 # -- output bookkeeping: compute first, write late, clean up on failure --
 
-def _remove_outputs(paths: list[Path]) -> None:
-    for p in paths:
+# each written path -> the data rows a dataset must hold, or None
+_Written = dict[Path, int | None]
+
+
+def _remove_outputs(written: _Written) -> None:
+    for p in written:
         try:
             p.unlink()
         except OSError:
             pass
 
 
-def _validate_written(paths: list[Path]) -> None:
-    for p in paths:
+def _validate_written(written: _Written) -> None:
+    """Read every written file back once: JSON must parse, every CSV row must
+    match its header's width, and a dataset must hold the rows it was given."""
+    for p, expected in written.items():
         if p.suffix == ".json":
             with open(p, "r", encoding="utf-8") as fh:
                 json.load(fh)
             continue
+        rows = 0
         with open(p, "r", encoding="utf-8") as fh:
             header = fh.readline().rstrip("\n")
             if not header:
@@ -243,6 +253,9 @@ def _validate_written(paths: list[Path]) -> None:
                     continue
                 if len(line.rstrip("\n").split(",")) != width:
                     raise PsmError(f"{p}: line {line_no}: column count mismatch")
+                rows += 1
+        if expected is not None and rows != expected:
+            raise PsmError(f"{p}: wrote {expected} points but read back {rows}")
 
 
 def _say(merged: dict, text: str) -> None:
@@ -256,15 +269,12 @@ def _out_dir(merged: dict) -> Path:
     return out
 
 
-def _write_dataset(points: PointArray, path: Path, meta: dict, written: list[Path]) -> None:
+def _write_dataset(points: PointArray, path: Path, meta: dict, written: _Written) -> None:
     write_dataset_csv(points, path, meta)
-    written.extend([path, meta_path_for(path)])
-    back, _ = read_dataset_csv(path)
-    if len(back) != len(points):
-        raise PsmError(f"{path}: wrote {len(points)} points but read back {len(back)}")
+    written.update({path: len(points), meta_path_for(path): None})
 
 
-def _cmd_generate(merged: dict, written: list[Path]) -> None:
+def _cmd_generate(merged: dict, written: _Written) -> None:
     family = merged["family"]
     if family is None:
         raise UsageError("generate requires --family (or a config file entry)")
@@ -286,7 +296,7 @@ def _cmd_generate(merged: dict, written: list[Path]) -> None:
     _say(merged, f"wrote {path} ({len(points)} points, family {family})")
 
 
-def _cmd_shapes(merged: dict, input_path: Path, written: list[Path]) -> None:
+def _cmd_shapes(merged: dict, input_path: Path, written: _Written) -> None:
     configs = read_landmarks(input_path)
     aligned, mean = align_dataset(configs)
     path = _out_dir(merged) / "preshapes.csv"
@@ -304,7 +314,7 @@ def _kernel_dict(kernel: KernelSpec) -> dict:
     return {"kind": kernel.kind, "bandwidth": bw if math.isfinite(bw) else "inf"}
 
 
-def _cmd_fit(merged: dict, input_path: Path, written: list[Path],
+def _cmd_fit(merged: dict, input_path: Path, written: _Written,
              with_geodesics: bool) -> None:
     points, meta = read_dataset_csv(input_path)
     cfg = _fit_config(merged)
@@ -334,9 +344,9 @@ def _cmd_fit(merged: dict, input_path: Path, written: list[Path],
     proj_path = out / "projected.csv"
     summary_path = out / "summary.json"
     write_submanifold_csv(sub, sub_path)
-    written.append(sub_path)
+    written[sub_path] = None
     write_projected_csv(proj_path, proj, sub, pds, geodesics)
-    written.append(proj_path)
+    written[proj_path] = None
     summary = {
         "command": "compare-geodesic" if with_geodesics else "fit",
         "input": input_path.name,
@@ -356,11 +366,11 @@ def _cmd_fit(merged: dict, input_path: Path, written: list[Path],
     with open(summary_path, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    written.append(summary_path)
+    written[summary_path] = None
     if grid is not None:
         shapes_path = out / "shapes.json"
         write_shapes_json(shapes_path, grid, merged["grid_samples"], start_kind)
-        written.append(shapes_path)
+        written[shapes_path] = None
     for p in written:
         _say(merged, f"wrote {p}")
 
@@ -376,7 +386,7 @@ def main(argv=None) -> int:
     input_arg = flag_values.pop("input", None)
     config_path = flag_values.pop("config", None)
 
-    written: list[Path] = []
+    written: _Written = {}
     try:
         file_values = _read_config_file(config_path) if config_path else {}
         merged = _merge_settings(command, flag_values, file_values)

@@ -132,8 +132,8 @@ def gen_s_curve(n: int, seed: int, *, noise_scale_u: float = 1.0 / 32.0,
     triplet norm) or an explicit constant; constants that leave a negative
     radicand raise InfeasibleShiftError.
     """
-    points, _ = _lift(_s_curve_triplets(n, seed, noise_scale_u), shift_c)
-    return points
+    return generate(GenSpec(S_CURVE, n, seed,
+                            {"noise_scale_u": noise_scale_u, "shift_c": shift_c}))[0]
 
 
 def gen_sea_wave(n: int, seed: int, noise_level: float = 0.05, *,
@@ -144,8 +144,8 @@ def gen_sea_wave(n: int, seed: int, noise_level: float = 0.05, *,
     x3 = sea_wave_height(x1, x2); larger levels blur them isotropically in
     all three coordinates before the lift.
     """
-    points, _ = _lift(_sea_wave_triplets(n, seed, noise_level), shift_c)
-    return points
+    return generate(GenSpec(SEA_WAVE, n, seed,
+                            {"noise_level": noise_level, "shift_c": shift_c}))[0]
 
 
 def gen_ellipsoid(n: int, seed: int, *, a: float = 2.5, b: float = math.sqrt(2.0),
@@ -157,8 +157,8 @@ def gen_ellipsoid(n: int, seed: int, *, a: float = 2.5, b: float = math.sqrt(2.0
     uniform sphere directions onto the ellipsoid boundary, which covers the
     near-diameter regime of strongly anisotropic semi-axes.
     """
-    points, _ = _lift(_ellipsoid_triplets(n, seed, a, b, c, mode), shift_c)
-    return points
+    params = {"a": a, "b": b, "c": c, "mode": mode, "shift_c": shift_c}
+    return generate(GenSpec(ELLIPSOID, n, seed, params))[0]
 
 
 _TRIPLET_MAKERS = {
@@ -232,7 +232,7 @@ def read_dataset_csv(path) -> tuple[PointArray, dict]:
         if width < 2:
             raise ValueError(f"{path}: line 1: expected at least two coordinate columns")
         for line_no, row in enumerate(reader, start=2):
-            if not row or not any(cell.strip() for cell in row):
+            if not "".join(row).strip():
                 continue
             if len(row) != width + 1:
                 raise ValueError(f"{path}: line {line_no}: expected {width + 1} columns")

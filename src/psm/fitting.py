@@ -10,8 +10,10 @@ the forward continuation; the sign is the easiest mistake to make here.)
 
 A net stops at the first candidate where every data point lies behind it
 (convex hull exit), where the delta-neighborhood is empty, or where the
-accumulated length would pass the cap; checks run in that order.  The
-candidate that triggers a stop is kept as the terminal net point.
+net's length would pass the cap; checks run in that order.  The candidate
+that triggers a stop is kept as the terminal net point.  Every step is
+epsilon long, so the length rule counts steps; it is the only bound on
+growth (see FitConfig and _past_cap).
 
 The fan grows in lockstep: a chunk of nets advances one level at a time,
 and a net leaves the chunk when it stops.  At each level one pass of the
@@ -74,7 +76,6 @@ class StopReason(Enum):
     EMPTY_NEIGHBORHOOD = "empty_neighborhood"
     LENGTH_EXCEEDED = "length_exceeded"
     DEGENERATE_PROJECTION = "degenerate_projection"
-    LEVEL_CAP = "level_cap"
     ANTIPODAL_GUARD = "antipodal_guard"
 
 
@@ -82,9 +83,9 @@ class StopReason(Enum):
 class FitConfig:
     """Parameters of the net-growing procedure.
 
-    max_levels defaults to ceil(10 * max_net_length / epsilon), a safety cap
-    well past the number of epsilon-steps a net can take before the length
-    rule fires.
+    The length rule on max_net_length is the only bound on net growth, so
+    max_net_length / epsilon must be finite: a net then stops by level
+    max(2, floor(max_net_length * (1 + 1e-9) / epsilon) + 1).
     """
 
     epsilon: float = 0.02
@@ -92,7 +93,6 @@ class FitConfig:
     kernel: KernelSpec = field(default_factory=lambda: KernelSpec("uniform_ball", 0.4))
     num_directions: int = 180
     max_net_length: float = 1.0
-    max_levels: int | None = None
     dim: int = 2
 
     def __post_init__(self):
@@ -106,13 +106,8 @@ class FitConfig:
             raise ValueError("max_net_length must be positive")
         if self.dim < 1:
             raise ValueError("dim must be at least 1")
-        if self.max_levels is None:
-            levels = 10 * self.max_net_length / self.epsilon
-            if not math.isfinite(levels):
-                raise ValueError("max_net_length / epsilon is too large to derive max_levels")
-            object.__setattr__(self, "max_levels", int(math.ceil(levels)))
-        elif self.max_levels < 1:
-            raise ValueError("max_levels must be at least 1")
+        if not math.isfinite(self.max_net_length / self.epsilon):
+            raise ValueError("max_net_length / epsilon must be finite")
 
 
 @dataclass(frozen=True, eq=False)
@@ -241,15 +236,15 @@ def stop_check(a_next: Point, a_cur: Point, data, cfg: FitConfig,
     return None
 
 
-def _past_cap(net_len, cfg: FitConfig):
+def _past_cap(net_len: float, cfg: FitConfig) -> bool:
     """The length rule: net_len + epsilon passes max_net_length by more than
-    the relative slack _LENGTH_RTOL.  net_len may be a float or an array.
+    the relative slack _LENGTH_RTOL.
 
-    Every step is epsilon in exact arithmetic, so when the cap is a whole
-    number of steps the summed step lengths round to either side of it; the
-    slack counts that tie as within the cap.  At the defaults (epsilon 0.02,
-    cap 1.0) a net that reaches the cap is stopped by it at its level-51
-    candidate, whose path is 1.02 long.
+    The fit passes its step count times epsilon; stop_check passes a measured
+    length, equal to that up to rounding.  When the cap is a whole number of
+    steps either form may round to either side of it; the slack counts that
+    tie as within the cap.  At the defaults (epsilon 0.02, cap 1.0) a net that
+    reaches the cap is stopped by it at its level-51 candidate, 1.02 along.
     """
     return net_len + cfg.epsilon > cfg.max_net_length * (1.0 + _LENGTH_RTOL)
 
@@ -266,7 +261,7 @@ _LOG_BYTES = 256 * 1024
 # A net's stop code indexes this tuple; 0 means it is still growing.
 _REASONS = (None, StopReason.CONVEX_HULL_EXIT, StopReason.EMPTY_NEIGHBORHOOD,
             StopReason.LENGTH_EXCEEDED, StopReason.DEGENERATE_PROJECTION,
-            StopReason.LEVEL_CAP, StopReason.ANTIPODAL_GUARD)
+            StopReason.ANTIPODAL_GUARD)
 _CODE = {reason: code for code, reason in enumerate(_REASONS)}
 
 
@@ -359,8 +354,6 @@ def _grow_chunk(start: np.ndarray, seeds: np.ndarray, data: _GramData,
     live = np.arange(num)
     prev = np.broadcast_to(start, seeds.shape)
     cur = seeds
-    len_cur = _distance_rows(prev, cur, chart)
-    len_prev = None
     level = 1
     while live.size:
         lv = _Level(cur, prev, data, cfg.kernel)
@@ -371,12 +364,11 @@ def _grow_chunk(start: np.ndarray, seeds: np.ndarray, data: _GramData,
             _stop(code, gram.antipodal | lv.back_antipodal, StopReason.ANTIPODAL_GUARD)
             _stop(code, gram.hull(lv.back), StopReason.CONVEX_HULL_EXIT)
             _stop(code, np.all(gram.dists > cfg.delta, axis=-1), StopReason.EMPTY_NEIGHBORHOOD)
-            _stop(code, _past_cap(len_prev, cfg), StopReason.LENGTH_EXCEEDED)
+            # the candidate ends a path of level epsilon-steps; _past_cap adds the last
+            _stop(code, _past_cap((level - 1) * cfg.epsilon, cfg), StopReason.LENGTH_EXCEEDED)
         terms, scored = _score_terms(lv, chart, cfg, base_w, level)
         acc[live] += terms
         skipped += int((~scored).sum())
-        if level >= cfg.max_levels:
-            _stop(code, code == 0, StopReason.LEVEL_CAP)
         # the step from cur, in the order the reference path raises
         _stop(code, gram.antipodal, StopReason.ANTIPODAL_GUARD)
         _stop(code, lv.empty, StopReason.EMPTY_NEIGHBORHOOD)
@@ -389,8 +381,6 @@ def _grow_chunk(start: np.ndarray, seeds: np.ndarray, data: _GramData,
             paths[net].append(point)
         prev = cur[go]
         cur = cand
-        len_prev = len_cur[go]
-        len_cur = len_prev + _distance_rows(prev, cur, chart)
         level += 1
     return paths, codes, acc, skipped
 

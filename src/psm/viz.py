@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import NotAShapeFitError
 from .fitting import Net, Submanifold
-from .geometry import Point, Tangent, _distance_rows, chart_of, exp_map, points_matrix
+from .geometry import Point, PointArray, Tangent, _distance_rows, _exp_rows, chart_of, points_matrix
 from .shape import LandmarkConfig, _centroid_offset, from_preshape
 from .tangent_stats import KernelSpec, eigenframe, local_covariance
 
@@ -85,24 +85,27 @@ def principal_directions(sub: Submanifold) -> PrincipalDirections:
     return PrincipalDirections(*(polylines.get(name) for name in _PD_NAMES), note=note)
 
 
-def principal_geodesics(sub: Submanifold) -> dict[int, list[Point]]:
+def principal_geodesics(sub: Submanifold) -> dict[int, PointArray]:
     """Great circles through the start, arc-matched to PD1 and PD2 where _pd_pairs has them.
 
     Curve 1 runs along e1, curve 2 along -e2 (the second-listed nets' seed
-    directions), epsilon apart with the start at the join.
+    directions), epsilon apart with the start at the join, as one PointArray
+    each.  A curve longer than pi wraps past the antipode; those points stay.
     """
     pairs = _pd_pairs(sub)
     basis = sub.frame_at_start.basis()
     eps = sub.config.epsilon
-    curves: dict[int, list[Point]] = {}
+    start, chart = sub.start.coords, sub.start.chart
+    curves: dict[int, PointArray] = {}
     for key, sign in ((1, 1.0), (2, -1.0)):
         if f"pd{key}" not in pairs:
             continue
         first, second = pairs[f"pd{key}"]
         direction = sign * basis[key - 1]
         m1, m2 = len(first.points) - 1, len(second.points) - 1
-        curves[key] = [exp_map(sub.start, Tangent(sub.start, (i - m1) * eps * direction))
-                       for i in range(m1 + m2 + 1)]
+        vecs = ((np.arange(m1 + m2 + 1) - m1) * eps)[:, None] * direction
+        rows, _ = _exp_rows(np.broadcast_to(start, vecs.shape), vecs, chart)
+        curves[key] = PointArray(rows, chart)
     return curves
 
 
@@ -208,7 +211,7 @@ def write_submanifold_csv(sub: Submanifold, path) -> None:
 def write_projected_csv(path, proj: ProjectedSubmanifold,
                         sub: Submanifold | None = None,
                         pds: PrincipalDirections | None = None,
-                        geodesics: dict[int, list[Point]] | None = None) -> None:
+                        geodesics: dict[int, PointArray] | None = None) -> None:
     """Three-coordinate rows for nets, data, PD polylines and geodesics."""
     lines = ["kind,net_index,level,p1,p2,p3"]
 

@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 from psm.cli import _build_parser, _merge_settings, main
-from psm.geometry import points_matrix
-from psm.datagen import read_dataset_csv
+from psm.geometry import PointArray, points_matrix
+from psm.datagen import read_dataset_csv, write_dataset_csv
 
 from helpers import DIGIT3_BASE, digit3_configs, read_csv_rows
 
@@ -96,6 +96,33 @@ class TestGenerate:
         assert meta["params"]["b"] == pytest.approx(math.sqrt(2.0))
 
 
+@pytest.mark.parametrize("command", ["generate", "shapes"])
+def test_written_dataset_is_read_back_once(tmp_path, monkeypatch, capsys, command):
+    # The one read-back in _validate_written checks the row count; nothing
+    # parses the written dataset as data.
+    import psm.cli
+
+    if command == "generate":
+        argv = ["generate", "--family", "sea_wave", "--n", "20"]
+    else:
+        argv = ["shapes", str(write_digit_landmarks(tmp_path / "digits.csv"))]
+    reads = []
+    read = psm.cli.read_dataset_csv
+    monkeypatch.setattr(psm.cli, "read_dataset_csv",
+                        lambda path: reads.append(path) or read(path))
+    assert run(*argv, "--quiet", "--out", str(tmp_path / "ok")) == 0
+    assert reads == []
+    # a writer that drops a row fails the run, which leaves no outputs
+    write = psm.cli.write_dataset_csv
+    monkeypatch.setattr(psm.cli, "write_dataset_csv",
+                        lambda points, path, meta: write(points[:-1], path, meta))
+    out = tmp_path / "short"
+    assert run(*argv, "--quiet", "--out", str(out)) == 1
+    n = 20 if command == "generate" else 12
+    assert f"wrote {n} points but read back {n - 1}" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
 def test_quiet_fit_computes_no_net_lengths(tmp_path, monkeypatch, capsys):
     import psm.cli
 
@@ -152,6 +179,22 @@ def preshapes_csv(tmp_path):
     out = tmp_path / "pre"
     assert run("shapes", str(lm), "--quiet", "--out", str(out)) == 0
     return out / "preshapes.csv"
+
+
+@pytest.fixture()
+def great_circle_csv(tmp_path):
+    """400 sphere rows spread around a whole great circle, with a little noise
+    off it; arc-matched geodesics of a length-4 flow wrap past the antipode."""
+    rng = np.random.default_rng(0)
+    t = np.linspace(0.0, 2.0 * math.pi, 400, endpoint=False)
+    rows = np.column_stack([np.cos(t), np.sin(t), 0.05 * rng.standard_normal((400, 2))])
+    path = tmp_path / "circle.csv"
+    write_dataset_csv(PointArray(rows / np.linalg.norm(rows, axis=1)[:, None]), path)
+    return path
+
+
+_GREAT_CIRCLE_FLOW = ("--k", "1", "--max-length", "4", "--kernel", "gaussian",
+                      "--bandwidth", "0.3", "--start", "custom", "--coords=1,0,0,0")
 
 
 class TestFit:
@@ -243,6 +286,34 @@ class TestFit:
     def test_custom_start_must_be_unit(self, tmp_path, s_curve_csv):
         assert run("fit", str(s_curve_csv), "--start", "custom",
                    "--coords", "2,0,0,0", "--out", str(tmp_path / "x")) == 2
+
+    def test_custom_start_of_wrong_width_is_usage_error(self, tmp_path, s_curve_csv, capsys):
+        out = tmp_path / "x"
+        assert run("fit", str(s_curve_csv), "--start", "custom",
+                   "--coords", "1,0", "--out", str(out)) == 2
+        assert ("usage error: --coords has 2 components but the data has 4"
+                in capsys.readouterr().err)
+        assert not out.exists() or list(out.iterdir()) == []
+
+    def test_cap_below_one_step_stops_every_net_at_level_two(self, tmp_path, s_curve_csv,
+                                                             capsys):
+        assert run("fit", str(s_curve_csv), "--directions", "8", "--max-length", "0.002",
+                   "--out", str(tmp_path / "run")) == 0
+        lines = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("net ")]
+        assert len(lines) == 8
+        assert all("length_exceeded after 2 levels" in ln for ln in lines)
+
+    def test_length_rule_alone_ends_long_nets(self, tmp_path, great_circle_csv):
+        # 200 steps of 0.02 reach the cap of 4; the candidate that passes it
+        # is the level-201 point, and no other bound on growth applies.
+        out = tmp_path / "run"
+        assert run("fit", str(great_circle_csv), *_GREAT_CIRCLE_FLOW,
+                   "--quiet", "--out", str(out)) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["stop_reasons"] == {"1": "length_exceeded", "2": "length_exceeded"}
+        _, rows = read_csv_rows(out / "submanifold.csv")
+        for net in ("1", "2"):
+            assert max(int(r[1]) for r in rows if r[0] == net) == 201
 
     def test_bad_epsilon_delta_pair(self, tmp_path, s_curve_csv):
         assert run("fit", str(s_curve_csv), "--epsilon", "0.3",
@@ -378,6 +449,24 @@ class TestCompareGeodesic:
         for key in ("1", "2"):
             count = sum(1 for r in rows if r[0] == "geodesic" and r[1] == key)
             assert count == summary["geodesic_levels"][key]
+
+    def test_geodesic_past_the_antipode_is_kept(self, tmp_path, great_circle_csv):
+        # Each arc-matched geodesic spans 402 steps of 0.02 around a great
+        # circle, past the start's antipode; the finished fit is still written.
+        out = tmp_path / "run"
+        assert run("compare-geodesic", str(great_circle_csv), *_GREAT_CIRCLE_FLOW,
+                   "--quiet", "--out", str(out)) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["geodesic_levels"] == {"1": 403}
+        _, rows = read_csv_rows(out / "projected.csv")
+        geo = np.array([[float(v) for v in r[3:]] for r in rows if r[0] == "geodesic"])
+        assert geo.shape == (403, 3)
+        # level i sits at arc t = (i - 201) * 0.02 from the start along e1, a
+        # top eigenvector there, so it projects to length |sin t| at every
+        # level, on both sides of the antipode (t = +/- pi)
+        arcs = (np.arange(403) - 201) * 0.02
+        np.testing.assert_allclose(np.linalg.norm(geo, axis=1), np.abs(np.sin(arcs)),
+                                   rtol=0.0, atol=1e-12)
 
 
 class TestConfigFile:

@@ -186,6 +186,12 @@ class TestGenerate:
     def test_generator_id(self):
         assert GENERATOR_ID == "numpy.random.PCG64"
 
+    @pytest.mark.parametrize("make", [gen_s_curve, gen_sea_wave, gen_ellipsoid])
+    @pytest.mark.parametrize("n", [0, 2])
+    def test_wrappers_validate_like_genspec(self, make, n):
+        with pytest.raises(ValueError, match="n must be at least 3"):
+            make(n, 0)
+
 
 class TestDatasetFiles:
     def test_round_trip_sphere(self, tmp_path):
@@ -263,6 +269,17 @@ class TestDatasetFiles:
         path = tmp_path / "narrow.csv"
         path.write_text("point_index,c0\n0,1\n", encoding="utf-8")
         with pytest.raises(ValueError, match=r"narrow\.csv: line 1: "):
+            read_dataset_csv(path)
+
+    def test_blank_rows_are_skipped(self, tmp_path):
+        # empty and whitespace-only rows are skipped, and a later bad row
+        # still reports its own line number
+        path = tmp_path / "blanks.csv"
+        path.write_text("point_index,c0,c1\n0,1,0\n\n , \n  \n1,0,1\n", encoding="utf-8")
+        back, _ = read_dataset_csv(path)
+        np.testing.assert_array_equal(points_matrix(back), [[1.0, 0.0], [0.0, 1.0]])
+        path.write_text("point_index,c0,c1\n0,1,0\n\n,\n \t \n1,0\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=r"blanks\.csv: line 6: expected 3 columns"):
             read_dataset_csv(path)
 
     def test_rejects_empty(self, tmp_path):

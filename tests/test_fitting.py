@@ -77,7 +77,6 @@ class TestFitConfig:
         assert cfg.num_directions == 180
         assert cfg.max_net_length == 1.0
         assert cfg.dim == 2
-        assert cfg.max_levels == math.ceil(10 * 1.0 / 0.02)
 
     def test_epsilon_bounds(self):
         with pytest.raises(ValueError):
@@ -99,27 +98,22 @@ class TestFitConfig:
             FitConfig(dim=0)
         with pytest.raises(ValueError):
             FitConfig(max_net_length=0.0)
-        with pytest.raises(ValueError):
-            FitConfig(max_levels=0)
-
-    def test_explicit_level_cap_kept(self):
-        assert FitConfig(max_levels=7).max_levels == 7
 
     @pytest.mark.parametrize("length", [math.inf, 1e308])
     def test_unbounded_derived_level_cap_rejected(self, length):
-        with pytest.raises(ValueError, match="max_levels"):
+        with pytest.raises(ValueError, match="max_net_length / epsilon must be finite"):
             FitConfig(max_net_length=length)
 
 
 class TestNetValidation:
     def test_requires_points(self):
         with pytest.raises(ValueError):
-            Net(1, (), StopReason.LEVEL_CAP)
+            Net(1, (), StopReason.LENGTH_EXCEEDED)
 
     def test_requires_stop_reason_type(self):
         p = Point(np.zeros(2), FLAT)
         with pytest.raises(ValueError):
-            Net(1, (p,), "level_cap")
+            Net(1, (p,), "length_exceeded")
 
 
 class TestSeedDirections:
@@ -349,16 +343,6 @@ class TestFitFlow:
             total = net_length(net)
             assert cfg.max_net_length < total <= cfg.max_net_length + cfg.epsilon + 1e-12
 
-    def test_level_cap(self):
-        data = self.make_line_data()
-        start = Point(np.zeros(2), FLAT)
-        cfg = flat_cfg(epsilon=0.05, delta=0.5, dim=1,
-                       max_net_length=10.0, max_levels=3)
-        sub = fit_flow(data, start, cfg)
-        for net in sub.nets:
-            assert net.stop_reason is StopReason.LEVEL_CAP
-            assert len(net.points) == 4
-
     def test_hull_exit_on_tight_blob(self):
         rng = np.random.default_rng(95)
         data = flat_points(0.05 * rng.standard_normal((40, 2)))
@@ -416,7 +400,8 @@ class TestFitSubmanifold:
         # Replay every net from its seed with the public step_net and
         # stop_check, which take their own logs, in the growth loop's stop
         # order.  The fit shares one log pass per net point between the two
-        # and must give the same bits.
+        # and must give the same bits.  The replay sums measured step lengths
+        # for the length rule, where the fit counts steps.
         data, _ = generate(GenSpec("sea_wave", 200, 1))
         start = frechet_mean(data)
         cfg = FitConfig(num_directions=16)
@@ -426,9 +411,6 @@ class TestFitSubmanifold:
             pts = [start, seed]
             net_len = geodesic_distance(start, seed)
             while True:
-                if len(pts) - 1 >= cfg.max_levels:
-                    reason = StopReason.LEVEL_CAP
-                    break
                 try:
                     cand = step_net(pts[-2], pts[-1], data, cfg)
                 except EmptyNeighborhoodError:
@@ -555,15 +537,33 @@ class TestFitSubmanifold:
         with pytest.raises(ValueError):
             fit_submanifold(data, start, flat_cfg())
 
+    def test_stop_levels_do_not_depend_on_an_offset(self):
+        # The length rule counts epsilon-steps, so shifting a flat cloud far
+        # from the origin, which rounds every measured step length
+        # differently, stops each net at the same level for the same reason.
+        xs = np.random.default_rng(5).standard_normal((200, 3)) * [1.0, 0.5, 0.1]
+        cfg = flat_cfg(epsilon=0.02, delta=3.0, num_directions=16)
+
+        def stops(offset):
+            shifted = xs + offset
+            sub = fit_submanifold(PointArray(shifted, FLAT),
+                                  Point(shifted.mean(axis=0), FLAT), cfg)
+            return [(net.stop_reason, len(net.points)) for net in sub.nets]
+
+        base = stops(0.0)
+        assert base == [(StopReason.LENGTH_EXCEEDED, 52)] * 16
+        assert stops(1e6) == base
+        assert stops(1e8) == base
+
 
 class TestNetLength:
     def test_single_point(self):
         p = Point(np.zeros(2), FLAT)
-        assert net_length(Net(1, (p,), StopReason.LEVEL_CAP)) == 0.0
+        assert net_length(Net(1, (p,), StopReason.LENGTH_EXCEEDED)) == 0.0
 
     def test_polyline_sum(self):
         pts = tuple(Point(np.array([float(i), 0.0]), FLAT) for i in range(4))
-        assert net_length(Net(1, pts, StopReason.LEVEL_CAP)) == pytest.approx(3.0)
+        assert net_length(Net(1, pts, StopReason.LENGTH_EXCEEDED)) == pytest.approx(3.0)
 
     def test_fitted_net_builds_no_point(self, monkeypatch):
         data, _ = generate(GenSpec("sea_wave", 200, 1))
@@ -583,18 +583,19 @@ class TestNetLength:
 class TestVariationScore:
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_flat_infinite_kernel_reduces_to_pca(self, k):
-        # Every net runs to the level cap L, so the quadrature covers the
-        # k-ball of radius L * epsilon: exactly for k = 1 and 2, and with the
-        # midpoint rule's factor 1 - 1/(4 L^2) for k = 3.
+        # A cap of L - 1 steps stops every net at level L, so the quadrature
+        # covers the k-ball of radius L * epsilon: exactly for k = 1 and 2,
+        # and with the midpoint rule's factor 1 - 1/(4 L^2) for k = 3.
         rng = np.random.default_rng(99)
         xs = rng.standard_normal((80, 3)) * [1.5, 0.6, 0.3]
         data = flat_points(xs)
         start = Point(xs.mean(axis=0), FLAT)
         levels = 8
         cfg = flat_cfg(epsilon=0.05, delta=3.0, dim=k, num_directions=8,
-                       max_net_length=10.0, max_levels=levels)
+                       max_net_length=(levels - 1) * 0.05)
         sub = fit_submanifold(data, start, cfg)
-        assert all(net.stop_reason is StopReason.LEVEL_CAP for net in sub.nets)
+        assert all(net.stop_reason is StopReason.LENGTH_EXCEEDED for net in sub.nets)
+        assert all(len(net.points) == levels + 1 for net in sub.nets)
         score = variation_score(sub, data)
         assert score.skipped == 0
         centered = xs - xs.mean(axis=0)

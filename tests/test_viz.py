@@ -48,7 +48,7 @@ def synthetic_submanifold(num_directions=8, levels=3, epsilon=0.05, dim=2,
     nets = []
     for l, d in dirs.items():
         pts = tuple(Point(i * epsilon * d, FLAT) for i in range(levels + 1))
-        nets.append(Net(l, pts, StopReason.LEVEL_CAP))
+        nets.append(Net(l, pts, StopReason.LENGTH_EXCEEDED))
     return Submanifold(start, tuple(nets), frame, cfg)
 
 
@@ -87,7 +87,7 @@ def preshape_submanifold(num_directions=8, levels=4, epsilon=0.05, dim=2,
         pts = [start]
         for i in range(1, levels + 1):
             pts.append(exp_map(start, Tangent(start, i * epsilon * d)))
-        nets.append(Net(l, tuple(pts), StopReason.LEVEL_CAP))
+        nets.append(Net(l, tuple(pts), StopReason.LENGTH_EXCEEDED))
     return Submanifold(start, tuple(nets), frame, cfg)
 
 
