@@ -190,13 +190,24 @@ def meta_path_for(path):
     return p.with_name(p.stem + ".meta.json")
 
 
+def _row_format(lead: str, width: int) -> str:
+    """%-format of one CSV row: the lead fields, then width coordinates at
+    full precision (%.17g, the digits of format(x, ".17g")).
+
+    Writers fill it from one matrix row at a time (row.tolist()): a whole
+    matrix's tolist() would hold every row as a list of floats at once.
+    """
+    return lead + ",".join(["%.17g"] * width)
+
+
 def write_dataset_csv(points, path, meta: dict | None = None) -> None:
     """Write points as point_index,c0,... rows plus a metadata sidecar."""
     xs = points_matrix(points)
     header = "point_index," + ",".join(f"c{i}" for i in range(xs.shape[1]))
+    row_fmt = _row_format("%d,", xs.shape[1])
     lines = [header]
-    for idx, row in enumerate(xs.tolist()):
-        lines.append(f"{idx}," + ",".join(format(v, ".17g") for v in row))
+    for idx, row in enumerate(xs):
+        lines.append(row_fmt % (idx, *row.tolist()))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
     if meta is not None:

@@ -8,12 +8,12 @@ into the new top-k eigenspace, and the net advances by epsilon along the
 *negated* projection.  (v points back toward the previous level, so -r is
 the forward continuation; the sign is the easiest mistake to make here.)
 
-A net stops at the first candidate where every data point lies behind it
-(convex hull exit), where the delta-neighborhood is empty, or where the
-net's length would pass the cap; checks run in that order.  The candidate
-that triggers a stop is kept as the terminal net point.  Every step is
-epsilon long, so the length rule counts steps; it is the only bound on
-growth (see FitConfig and _past_cap).
+A net stops at the first candidate, its seed included, where every data
+point lies behind it (convex hull exit), where the delta-neighborhood is
+empty, or where the net's length would pass the cap; checks run in that
+order.  The candidate that triggers a stop is kept as the terminal net
+point.  Every step is epsilon long, so the length rule counts steps; it is
+the only bound on growth (see FitConfig and _past_cap).
 
 The fan grows in lockstep: a chunk of nets advances one level at a time,
 and a net leaves the chunk when it stops.  At each level one pass of the
@@ -22,11 +22,15 @@ of the chunk's net points with the data, not from a tensor of logs: it
 gives every net point's distances and kernel weights, its hull test, and
 one raw covariance and tangent mean, which feed the stop check of the
 point, its variation-score term (the demeaned covariance) and the step
-from it.  The chunk size keeps the kernel's largest temporary, a
-(nets, n, m) weighted copy of the data, within _LOG_BYTES.  Every stacked
-product runs the same BLAS kernel per net as the per-point reference path
-(step_net, stop_check), which is the kernel's one-row case, so a net's
-points, stop reason and score do not depend on which nets share its chunk.
+from it.  The chunk size keeps each of the level's stacked arrays within
+_LEVEL_ARRAY_BYTES: the kernel's (nets, n) arrays, one float row per net,
+and the (nets, m, m) covariance arrays, one m x m matrix per net.  The one
+(n, m) weighted copy of the data is reused net by net, so on data with
+n >= m^2 the data's width does not shrink the chunk.
+Every stacked product runs the same BLAS kernel per net as the per-point
+reference path (step_net, stop_check), which is the kernel's one-row case,
+so a net's points, stop reason and score do not depend on which nets share
+its chunk.
 
 The fit works on coordinate matrices only: the data (a PointArray's coords
 pass through points_matrix uncopied), the seeds, and each net's path, which
@@ -85,7 +89,7 @@ class FitConfig:
 
     The length rule on max_net_length is the only bound on net growth, so
     max_net_length / epsilon must be finite: a net then stops by level
-    max(2, floor(max_net_length * (1 + 1e-9) / epsilon) + 1).
+    floor(max_net_length * (1 + 1e-9) / epsilon) + 1.
     """
 
     epsilon: float = 0.02
@@ -254,9 +258,10 @@ def _past_cap(net_len: float, cfg: FitConfig) -> bool:
 # Failures are per-net masks, applied in the order in which the per-point
 # reference path (step_net, stop_check) raises and checks them.
 
-# Budget of one level's largest temporary, the (nets, n, m) weighted copy of
-# the data behind the Gram products; sets the chunk size.
-_LOG_BYTES = 256 * 1024
+# Budget of each stacked array of one level, which holds per net one float64
+# row of n (distances, weights, ...) or one m x m matrix (covariances, their
+# Gram terms); sets the chunk size.
+_LEVEL_ARRAY_BYTES = 256 * 1024
 
 # A net's stop code indexes this tuple; 0 means it is still growing.
 _REASONS = (None, StopReason.CONVEX_HULL_EXIT, StopReason.EMPTY_NEIGHBORHOOD,
@@ -266,8 +271,9 @@ _CODE = {reason: code for code, reason in enumerate(_REASONS)}
 
 
 def _chunks(num_nets: int, xs: np.ndarray) -> list[range]:
-    """Consecutive runs of nets whose weighted data copies fit in _LOG_BYTES."""
-    size = max(1, _LOG_BYTES // xs.nbytes)
+    """Consecutive runs of nets whose stacked level arrays, (nets, n) and
+    (nets, m, m), each fit in _LEVEL_ARRAY_BYTES."""
+    size = max(1, _LEVEL_ARRAY_BYTES // (8 * max(len(xs), xs.shape[1] ** 2)))
     return [range(lo, min(lo + size, num_nets)) for lo in range(0, num_nets, size)]
 
 
@@ -359,13 +365,12 @@ def _grow_chunk(start: np.ndarray, seeds: np.ndarray, data: _GramData,
         lv = _Level(cur, prev, data, cfg.kernel)
         gram = lv.gram
         code = np.zeros(live.size, dtype=np.int8)
-        if level >= 2:
-            # stop check of the candidate that just arrived
-            _stop(code, gram.antipodal | lv.back_antipodal, StopReason.ANTIPODAL_GUARD)
-            _stop(code, gram.hull(lv.back), StopReason.CONVEX_HULL_EXIT)
-            _stop(code, np.all(gram.dists > cfg.delta, axis=-1), StopReason.EMPTY_NEIGHBORHOOD)
-            # the candidate ends a path of level epsilon-steps; _past_cap adds the last
-            _stop(code, _past_cap((level - 1) * cfg.epsilon, cfg), StopReason.LENGTH_EXCEEDED)
+        # stop check of the candidate that just arrived (at level 1, the seed)
+        _stop(code, gram.antipodal | lv.back_antipodal, StopReason.ANTIPODAL_GUARD)
+        _stop(code, gram.hull(lv.back), StopReason.CONVEX_HULL_EXIT)
+        _stop(code, np.all(gram.dists > cfg.delta, axis=-1), StopReason.EMPTY_NEIGHBORHOOD)
+        # the candidate ends a path of level epsilon-steps; _past_cap adds the last
+        _stop(code, _past_cap((level - 1) * cfg.epsilon, cfg), StopReason.LENGTH_EXCEEDED)
         terms, scored = _score_terms(lv, chart, cfg, base_w, level)
         acc[live] += terms
         skipped += int((~scored).sum())

@@ -104,10 +104,11 @@ class EigenFrame:
 # Y' x (or Y' t) and the centred data matrix Y', with no (B, n, m) tensor
 # of logs.  Any fixed z keeps the algebra exact; one inside the data keeps
 # the expanded products the size of the data's spread and of |t|, not 1.
-# Each product is stacked per base row, as (n, m) @ (B, m, 1),
-# (B, 1, n) @ (n, m) or (B, n, m)^T @ (n, m), so a row's statistics do not
-# depend on the rows stacked with it (geometry's stacked-matmul rule), and
-# a single center is the one-row case.
+# Each product is stacked per base row, as (n, m) @ (B, m, 1) or
+# (B, 1, n) @ (n, m), or taken one base row at a time, as the
+# (n, m)^T @ (n, m) product of Y'^T diag(a) Y' through one reused weighted
+# copy, so a row's statistics do not depend on the rows stacked with it
+# (geometry's stacked-matmul rule), and a single center is the one-row case.
 
 class _GramData:
     """A data matrix xs (n, m) on chart as the Gram kernel reads it: the
@@ -186,8 +187,12 @@ class _GramLevel:
         t = self.t
         gt = g[:, :, None] * t[:, None, :]
         tt = t[:, :, None] * t[:, None, :]
-        cov = np.matmul((ys * a[:, :, None]).transpose(0, 2, 1), ys) \
-            + gt + gt.transpose(0, 2, 1) + a.sum(axis=-1)[:, None, None] * tt
+        # Y'^T diag(a) Y' one base row at a time, through one weighted copy
+        yay = np.empty_like(gt)
+        weighted = np.empty_like(ys)
+        for row, ai in zip(yay, a):
+            np.matmul(np.multiply(ys, ai[:, None], out=weighted).T, ys, out=row)
+        cov = yay + gt + gt.transpose(0, 2, 1) + a.sum(axis=-1)[:, None, None] * tt
         if self.data.chart == SPHERE:
             x = self.x
             mx = np.matmul(cov, x[:, :, None])[:, :, 0]

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .datagen import _row_format
 from .errors import NotAShapeFitError
 from .fitting import Net, Submanifold
 from .geometry import Point, PointArray, Tangent, _distance_rows, _exp_rows, chart_of, points_matrix
@@ -192,18 +193,15 @@ def shape_grid(sub: Submanifold, samples_per_direction: int = 9):
     return grid
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 def write_submanifold_csv(sub: Submanifold, path) -> None:
     """Full-precision ambient coordinates of every net level."""
     dim = sub.start.ambient_dim
     header = "net_index,level," + ",".join(f"c{i}" for i in range(dim))
+    row_fmt = _row_format("%d,%d,", dim)
     lines = [header]
     for net in sub.nets:
-        for level, row in enumerate(points_matrix(net.points).tolist()):
-            lines.append(f"{net.direction_index},{level}," + ",".join(_fmt(v) for v in row))
+        for level, row in enumerate(points_matrix(net.points)):
+            lines.append(row_fmt % (net.direction_index, level, *row.tolist()))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -214,10 +212,11 @@ def write_projected_csv(path, proj: ProjectedSubmanifold,
                         geodesics: dict[int, PointArray] | None = None) -> None:
     """Three-coordinate rows for nets, data, PD polylines and geodesics."""
     lines = ["kind,net_index,level,p1,p2,p3"]
+    row_fmt = _row_format("%s,%d,%d,", 3)
 
     def emit(kind, net_index, rows):
-        for level, row in enumerate(np.asarray(rows)):
-            lines.append(f"{kind},{net_index},{level}," + ",".join(_fmt(v) for v in row))
+        for level, row in enumerate(np.asarray(rows, dtype=float)):
+            lines.append(row_fmt % (kind, net_index, level, *row.tolist()))
 
     if sub is not None:
         for net, rows in zip(sub.nets, proj.nets):

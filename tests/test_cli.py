@@ -295,13 +295,13 @@ class TestFit:
                 in capsys.readouterr().err)
         assert not out.exists() or list(out.iterdir()) == []
 
-    def test_cap_below_one_step_stops_every_net_at_level_two(self, tmp_path, s_curve_csv,
-                                                             capsys):
+    def test_cap_below_one_step_stops_every_net_at_its_seed(self, tmp_path, s_curve_csv,
+                                                            capsys):
         assert run("fit", str(s_curve_csv), "--directions", "8", "--max-length", "0.002",
                    "--out", str(tmp_path / "run")) == 0
         lines = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("net ")]
         assert len(lines) == 8
-        assert all("length_exceeded after 2 levels" in ln for ln in lines)
+        assert all("length_exceeded after 1 levels" in ln for ln in lines)
 
     def test_length_rule_alone_ends_long_nets(self, tmp_path, great_circle_csv):
         # 200 steps of 0.02 reach the cap of 4; the candidate that passes it

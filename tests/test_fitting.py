@@ -399,9 +399,9 @@ class TestFitSubmanifold:
     def test_fan_matches_reference_path(self):
         # Replay every net from its seed with the public step_net and
         # stop_check, which take their own logs, in the growth loop's stop
-        # order.  The fit shares one log pass per net point between the two
-        # and must give the same bits.  The replay sums measured step lengths
-        # for the length rule, where the fit counts steps.
+        # order, the seed's check first.  The fit shares one log pass per net
+        # point between the two and must give the same bits.  The replay sums
+        # measured step lengths for the length rule, where the fit counts steps.
         data, _ = generate(GenSpec("sea_wave", 200, 1))
         start = frechet_mean(data)
         cfg = FitConfig(num_directions=16)
@@ -409,8 +409,9 @@ class TestFitSubmanifold:
         seeds = seed_directions(start, sub.frame_at_start, cfg)
         for net, seed in zip(sub.nets, seeds):
             pts = [start, seed]
+            reason = stop_check(seed, start, data, cfg, 0.0)
             net_len = geodesic_distance(start, seed)
-            while True:
+            while reason is None:
                 try:
                     cand = step_net(pts[-2], pts[-1], data, cfg)
                 except EmptyNeighborhoodError:
@@ -425,10 +426,40 @@ class TestFitSubmanifold:
                 reason = stop_check(cand, pts[-1], data, cfg, net_len)
                 net_len += geodesic_distance(pts[-1], cand)
                 pts.append(cand)
-                if reason is not None:
-                    break
             assert reason is net.stop_reason
             assert np.array_equal(points_matrix(pts), points_matrix(net.points))
+
+    @pytest.mark.parametrize("layout, reason", [
+        ("edge", StopReason.CONVEX_HULL_EXIT),
+        ("gap", StopReason.EMPTY_NEIGHBORHOOD),
+    ], ids=["edge", "gap"])
+    def test_seed_is_stop_checked(self, layout, reason):
+        # A flat 4 x 2 grid: started 0.01 inside its right edge, the seed
+        # that points out along e1 has every data point behind it; started
+        # in a gap cut between the grid's halves, at least 0.3 from either,
+        # no seed has data within delta.  Such a net ends on its seed, as
+        # stop_check says.
+        xs = np.stack(np.meshgrid(np.linspace(-2.0, 2.0, 41),
+                                  np.linspace(-1.0, 1.0, 21)), axis=-1).reshape(-1, 2)
+        if layout == "edge":
+            start = Point(np.array([1.99, 0.0]), FLAT)
+        else:
+            xs = xs + np.where(xs[:, :1] > 0.0, 0.3, -0.3) * [1.0, 0.0]
+            start = Point(np.array([0.0, 0.0]), FLAT)
+        data = PointArray(xs, FLAT)
+        cfg = flat_cfg(epsilon=0.02, delta=0.25, max_net_length=0.2)
+        sub = fit_submanifold(data, start, cfg)
+        fired = []
+        for net, seed in zip(sub.nets, seed_directions(start, sub.frame_at_start, cfg)):
+            at_seed = stop_check(seed, start, data, cfg, 0.0)
+            if at_seed is not None:
+                fired.append(at_seed)
+                assert net.stop_reason is at_seed
+                assert np.array_equal(points_matrix(net.points),
+                                      np.stack([start.coords, seed.coords]))
+            else:
+                assert len(net.points) > 2
+        assert fired and set(fired) == {reason}
 
     def test_fit_on_a_point_array_builds_no_point(self, monkeypatch):
         data, _ = generate(GenSpec("sea_wave", 200, 1))
@@ -453,7 +484,7 @@ class TestFitSubmanifold:
         start, data = self.sphere_cluster()
         xs = points_matrix(data)
         if nets_per_chunk is not None:
-            monkeypatch.setattr(fitting, "_LOG_BYTES", nets_per_chunk * xs.nbytes)
+            monkeypatch.setattr(fitting, "_LEVEL_ARRAY_BYTES", nets_per_chunk * 8 * len(xs))
         cfg = FitConfig(epsilon=0.05, delta=0.4, kernel=KernelSpec(),
                         num_directions=8, max_net_length=0.6)
         bases = []
@@ -480,12 +511,22 @@ class TestFitSubmanifold:
         levels = sum(max(len(sub.nets[i].points) - 1 for i in chunk) for chunk in chunks)
         assert len(bases) == 1 + levels
 
-    @pytest.mark.parametrize("chart", [SPHERE, FLAT])
-    def test_results_do_not_depend_on_chunking(self, monkeypatch, chart):
+    @pytest.mark.parametrize("layout", [SPHERE, FLAT, "wide"])
+    def test_results_do_not_depend_on_chunking(self, monkeypatch, layout):
         # Each net grown in a chunk of its own equals the same net grown
         # inside the full fan, bit for bit, and so does its score.
-        data, _ = generate(GenSpec("sea_wave", 200, 1))
-        if chart == FLAT:
+        if layout == "wide":
+            # 24 coordinates over 60 rows: the covariance builds the weighted
+            # product of each net of the shared chunk in turn
+            rng = np.random.default_rng(99)
+            center = random_sphere_point(rng, 24)
+            raw = rng.standard_normal((60, 24)) * np.linspace(0.1, 0.01, 24)
+            vecs = raw - np.outer(raw @ center.coords, center.coords)
+            data = PointArray(np.stack([exp_map(center, Tangent(center, v)).coords
+                                        for v in vecs]))
+        else:
+            data, _ = generate(GenSpec("sea_wave", 200, 1))
+        if layout == FLAT:
             # the sheet's log images at its Frechet mean: a planar flat cloud
             mean = frechet_mean(data)
             data = flat_points([log_map(mean, p).vec for p in data])
@@ -493,7 +534,7 @@ class TestFitSubmanifold:
         cfg = FitConfig(num_directions=16)
         fan = fit_submanifold(data, start, cfg)
         assert len(fitting._chunks(16, points_matrix(data))) == 1
-        monkeypatch.setattr(fitting, "_LOG_BYTES", 1)
+        monkeypatch.setattr(fitting, "_LEVEL_ARRAY_BYTES", 1)
         assert len(fitting._chunks(16, points_matrix(data))) == 16
         alone = fit_submanifold(data, start, cfg)
         assert len({net.stop_reason for net in fan.nets}) > 1
@@ -502,6 +543,17 @@ class TestFitSubmanifold:
             assert a.stop_reason is b.stop_reason
             assert np.array_equal(points_matrix(a.points), points_matrix(b.points))
         assert variation_score(alone, data) == variation_score(fan, data)
+
+    def test_chunk_size_follows_the_largest_per_net_array(self):
+        # the procrustes shape: 3000 preshapes of 13 landmarks, 26 coordinates;
+        # a net's kernel row of 3000 outweighs its 26 x 26 covariance, so the
+        # width does not change the chunks
+        chunks = fitting._chunks(180, np.zeros((3000, 26)))
+        assert len(chunks) == 18 and all(len(chunk) == 10 for chunk in chunks)
+        assert fitting._chunks(180, np.zeros((3000, 3))) == chunks
+        # 100 preshapes of 200 landmarks: each net's 400 x 400 covariance
+        # arrays (1.28 MB) exceed the budget, so every net grows alone
+        assert fitting._chunks(180, np.zeros((100, 400))) == [range(i, i + 1) for i in range(180)]
 
     def test_stored_score_matches_level_batched_driver(self, monkeypatch):
         data, _ = generate(GenSpec("sea_wave", 200, 1))
