@@ -39,7 +39,6 @@ from .geometry import (
     log_map,
     points_matrix,
     project_to_sphere,
-    sample_geodesic,
     tangent_project,
 )
 from .tangent_stats import (
@@ -51,8 +50,6 @@ from .tangent_stats import (
     frechet_mean,
     frechet_variance,
     local_covariance,
-    subspace_cos_angle,
-    vector_subspace_cos,
 )
 from .shape import (
     LandmarkConfig,

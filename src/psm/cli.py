@@ -32,7 +32,7 @@ from .datagen import (
 )
 from .errors import PsmError
 from .fitting import FitConfig, fit_submanifold, net_length, variation_score
-from .geometry import FLAT, SPHERE, Point, PointArray, project_to_sphere
+from .geometry import FLAT, SPHERE, Point, PointArray, _tangent_dim, project_to_sphere
 from .shape import align_dataset, read_landmarks
 from .tangent_stats import GAUSSIAN, UNIFORM_BALL, KernelSpec, frechet_mean
 from .viz import (
@@ -318,6 +318,11 @@ def _cmd_fit(merged: dict, input_path: Path, written: _Written,
              with_geodesics: bool) -> None:
     points, meta = read_dataset_csv(input_path)
     cfg = _fit_config(merged)
+    width = points.coords.shape[1]
+    tangent_dim = _tangent_dim(points.chart, width)
+    if cfg.dim > tangent_dim:
+        raise UsageError(f"--k {cfg.dim} exceeds the data's tangent dimension {tangent_dim} "
+                         f"({width} coordinate columns on the {points.chart} chart)")
     if merged["grid_samples"] < 3 or merged["grid_samples"] % 2 == 0:
         raise UsageError("--grid-samples must be an odd number >= 3")
     start, start_kind = _start_point(merged, points)

@@ -56,7 +56,6 @@ from .geometry import (
     _log_coords,
     _log_rows,
     _row_norms,
-    chart_of,
     points_matrix,
 )
 from .tangent_stats import (
@@ -116,20 +115,16 @@ class FitConfig:
 
 @dataclass(frozen=True, eq=False)
 class Net:
-    """One grown direction: its points (points[0] is the start A) and stop reason.
-
-    fit_submanifold stores each path as one PointArray, whose Points are
-    built only when it is indexed or iterated; a hand-built net, or one made
-    with dataclasses.replace, may hold a tuple of Points instead.
-    """
+    """One grown direction: its path as one PointArray (row 0 is the start A)
+    and its stop reason."""
 
     direction_index: int
-    points: PointArray | tuple[Point, ...]
+    points: PointArray
     stop_reason: StopReason
 
     def __post_init__(self):
-        if not self.points:
-            raise ValueError("a net holds at least its start point")
+        if not isinstance(self.points, PointArray):
+            raise ValueError("a net's points must be a PointArray")
         if not isinstance(self.stop_reason, StopReason):
             raise ValueError("stop_reason must be a StopReason")
 
@@ -432,9 +427,9 @@ def fit_flow(data, start: Point, cfg: FitConfig) -> Submanifold:
 
 def net_length(net: Net) -> float:
     """Sum of consecutive geodesic distances along a net (0 for one point)."""
-    coords = points_matrix(net.points)
+    coords = net.points.coords
     total = 0.0
-    for gap in _distance_rows(coords[:-1], coords[1:], chart_of(net.points)).tolist():
+    for gap in _distance_rows(coords[:-1], coords[1:], net.points.chart).tolist():
         total += gap
     return total
 
@@ -459,7 +454,7 @@ def _score_nets(sub: Submanifold, xs: np.ndarray) -> VariationScore:
     per_net = np.zeros(len(nets))
     skipped = 0
     for chunk in _chunks(len(nets), xs):
-        paths = [points_matrix(nets[i].points) for i in chunk]
+        paths = [nets[i].points.coords for i in chunk]
         level = 1
         while True:
             live = [j for j, path in enumerate(paths) if len(path) > level]

@@ -198,11 +198,9 @@ def _log_coords(x: np.ndarray, y: np.ndarray, chart: str) -> np.ndarray:
     return vecs[0]
 
 
-def _great_circle_coords(x: np.ndarray, unit: np.ndarray, t: float) -> np.ndarray:
-    # Closed-form arc point without the cut-locus guard; used for sampling,
-    # where reaching the antipode exactly is legitimate.
-    out = math.cos(t) * x + math.sin(t) * unit
-    return out / np.linalg.norm(out)
+def _tangent_dim(chart: str, ambient_dim: int) -> int:
+    """Dimension of the tangent spaces: ambient_dim - 1 on the sphere, ambient_dim flat."""
+    return ambient_dim - 1 if chart == SPHERE else ambient_dim
 
 
 # -- public operations --
@@ -255,31 +253,6 @@ def geodesic_distance(x: Point, y: Point) -> float:
     if x.ambient_dim != y.ambient_dim:
         raise ValueError("points live in different ambient spaces")
     return float(_distance_rows(x.coords[None], y.coords[None], x.chart)[0])
-
-
-def sample_geodesic(x: Point, v: Tangent, length: float, steps: int) -> list[Point]:
-    """Evenly spaced points along the geodesic through x in direction v.
-
-    The arc may reach the antipode exactly (length == pi); only arcs strictly
-    longer than pi raise CutLocusError, since past the antipode the curve is
-    no longer distance-minimizing.
-    """
-    if steps < 2:
-        raise ValueError("steps must be at least 2")
-    if length < 0:
-        raise ValueError("length must be nonnegative")
-    n = float(np.linalg.norm(v.vec))
-    if n < _ZERO_TOL:
-        raise ZeroVectorError("direction vector has zero length")
-    if v.base is not x and not np.array_equal(v.base.coords, x.coords):
-        raise ValueError("tangent vector is based at a different point")
-    unit = v.vec / n
-    ts = np.linspace(0.0, length, steps)
-    if x.chart == FLAT:
-        return [Point(x.coords + t * unit, FLAT) for t in ts]
-    if length > math.pi + _CUT_LOCUS_TOL:
-        raise CutLocusError("arc longer than pi leaves the minimal geodesic")
-    return [Point(_great_circle_coords(x.coords, unit, float(t)), SPHERE) for t in ts]
 
 
 def chart_of(data) -> str:

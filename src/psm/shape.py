@@ -76,9 +76,6 @@ class Preshape:
     def k(self) -> int:
         return self.point.ambient_dim // 2
 
-    def complex_form(self) -> np.ndarray:
-        return self.point.coords.view(complex).copy()
-
 
 def _centroid_offset(coords: np.ndarray) -> float:
     """max(|sum x_j|, |sum y_j|) of a landmark-major (x1, y1, x2, y2, ...) vector."""

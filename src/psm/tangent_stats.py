@@ -32,6 +32,7 @@ from .geometry import (
     _distance_rows,
     _exp_coords,
     _row_dots,
+    _tangent_dim,
     chart_of,
     points_matrix,
     project_to_sphere,
@@ -151,7 +152,7 @@ class _GramLevel:
             proj = np.matmul(ys, self.t[:, :, None])[:, :, 0]
             sq = data.sq + 2.0 * proj + _row_dots(self.t, self.t)[:, None]
             self.dists = np.sqrt(np.maximum(sq, 0.0))
-            self.s = np.ones_like(proj)
+            self.s = 1.0  # the flat log is y - x: no (B, n) array of ones
             self.antipodal = np.zeros(len(x), dtype=bool)
         self.w = kernel.weights(self.dists)
         self.total = self.w.sum(axis=-1)
@@ -313,6 +314,7 @@ def eigenframe(cov: np.ndarray, base: Point, k: int) -> EigenFrame:
     Eigenvalues come out nonincreasing; each eigenvector has its first
     nonzero coordinate made positive so repeated runs are bit-identical.
     Ties within 1e-12 across the k-th boundary set the degenerate flag.
+    k runs from 1 to the tangent dimension at base (ValueError otherwise).
     Raises RankDeficientError when the k-th eigenvalue is <= 1e-12.
     """
     cov = np.asarray(cov, dtype=float)
@@ -322,8 +324,9 @@ def eigenframe(cov: np.ndarray, base: Point, k: int) -> EigenFrame:
         raise DimensionMismatchError("covariance and base point dimensions differ")
     if not np.allclose(cov, cov.T, atol=1e-8):
         raise ValueError("covariance must be symmetric")
-    if not 1 <= k <= cov.shape[0]:
-        raise ValueError(f"k must be between 1 and {cov.shape[0]}")
+    dim = _tangent_dim(base.chart, base.ambient_dim)
+    if not 1 <= k <= dim:
+        raise ValueError(f"k must be between 1 and the tangent dimension {dim}")
     rows, vals, degenerate = _top_frame_at(cov, base.coords, base.chart, k)
     vectors = tuple(Tangent(base, _fix_sign(row)) for row in rows)
     return EigenFrame(base, vectors, vals, degenerate)
@@ -366,30 +369,3 @@ def frechet_variance(center: Point, data) -> float:
         raise DimensionMismatchError("data and center have different ambient dimensions")
     dists = _distance_rows(np.broadcast_to(center.coords, xs.shape), xs, center.chart)
     return float(np.mean(dists ** 2))
-
-
-def subspace_cos_angle(frame_a: EigenFrame, frame_b: EigenFrame) -> float:
-    """Cosine of the largest principal angle between two frame spans.
-
-    Computed as the smallest singular value of the k x k matrix of pairwise
-    inner products; 1 for equal spans, 0 when some direction of one span is
-    orthogonal to all of the other.
-    """
-    if frame_a.k != frame_b.k:
-        raise DimensionMismatchError("frames hold different numbers of directions")
-    if frame_a.base.ambient_dim != frame_b.base.ambient_dim:
-        raise DimensionMismatchError("frames live in different ambient spaces")
-    m = frame_a.basis() @ frame_b.basis().T
-    s = np.linalg.svd(m, compute_uv=False)
-    return float(min(1.0, max(0.0, s[-1])))
-
-
-def vector_subspace_cos(v: Tangent, frame: EigenFrame) -> float:
-    """|proj_F v| / |v|: 1 when v lies in the span, 0 when orthogonal to it."""
-    if v.base.ambient_dim != frame.base.ambient_dim:
-        raise DimensionMismatchError("vector and frame live in different ambient spaces")
-    n = v.norm
-    if n < _ZERO_TOL:
-        raise ZeroVectorError("cannot measure the angle of a zero vector")
-    coeffs = frame.basis() @ (v.vec / n)
-    return float(min(1.0, float(np.linalg.norm(coeffs))))

@@ -1,7 +1,8 @@
 """Turning fitted sub-manifolds into exportable views.
 
 Two schemes: an orthographic projection of everything onto the top-3
-eigenvectors at the start point (synthetic data), and a square grid of
+eigenvectors at the start point (synthetic data; fewer where the tangent
+space is smaller, with zero columns for the rest), and a square grid of
 recovered landmark shapes sampled along the principal-direction polylines
 (preshape data).  The writers emit UTF-8, LF-terminated files with '.'
 decimal separators and enough digits to round-trip float64 exactly.
@@ -17,7 +18,7 @@ import numpy as np
 from .datagen import _row_format
 from .errors import NotAShapeFitError
 from .fitting import Net, Submanifold
-from .geometry import Point, PointArray, Tangent, _distance_rows, _exp_rows, chart_of, points_matrix
+from .geometry import Point, PointArray, Tangent, _distance_rows, _exp_rows, _tangent_dim, points_matrix
 from .shape import LandmarkConfig, _centroid_offset, from_preshape
 from .tangent_stats import KernelSpec, eigenframe, local_covariance
 
@@ -29,15 +30,15 @@ _GRID_AXES = {"pd1": (0, 1), "pd2": (1, 0), "pd3": (1, 1), "pd4": (1, -1)}
 
 @dataclass(frozen=True, eq=False)
 class PrincipalDirections:
-    """The four join polylines; each is None when the fan cannot host it."""
+    """The four join polylines, one PointArray each; None when the fan cannot host it."""
 
-    pd1: tuple[Point, ...] | None
-    pd2: tuple[Point, ...] | None
-    pd3: tuple[Point, ...] | None
-    pd4: tuple[Point, ...] | None
+    pd1: PointArray | None
+    pd2: PointArray | None
+    pd3: PointArray | None
+    pd4: PointArray | None
     note: str | None = None
 
-    def as_dict(self) -> dict[str, tuple[Point, ...]]:
+    def as_dict(self) -> dict[str, PointArray]:
         return {name: getattr(self, name) for name in _PD_NAMES
                 if getattr(self, name) is not None}
 
@@ -62,10 +63,11 @@ def _pd_pairs(sub: Submanifold) -> dict[str, tuple[Net, Net]]:
     return {name: (nets[first], nets[second]) for name, (first, second) in indices.items()}
 
 
-def _join(first: Net, second: Net, start: Point) -> tuple[Point, ...]:
+def _join(first: Net, second: Net, start: Point) -> PointArray:
     # The first-listed branch is reversed so the polyline is monotone in arc
     # length and passes through the start exactly once, at the join.
-    return tuple(reversed(first.points[1:])) + (start,) + tuple(second.points[1:])
+    return PointArray(np.concatenate([first.points.coords[:0:-1], start.coords[None],
+                                      second.points.coords[1:]]), start.chart)
 
 
 def principal_directions(sub: Submanifold) -> PrincipalDirections:
@@ -116,40 +118,43 @@ class ProjectedSubmanifold:
 
     nets: tuple[np.ndarray, ...]
     data: np.ndarray
-    basis: tuple[Tangent, Tangent, Tangent]
+    basis: tuple[Tangent, ...]  # at most 3
     start: Point
 
     def project(self, points) -> np.ndarray:
-        """Map points to (len, 3): inner products of (p - start) with the basis."""
-        mat = np.stack([t.vec for t in self.basis])
-        if len(points) == 0:
-            return np.zeros((0, 3))
-        return (points_matrix(points) - self.start.coords) @ mat.T
+        """Map points to (len, 3): inner products of (p - start) with the basis,
+        0 in the columns past the basis."""
+        out = np.zeros((len(points), 3))
+        if len(points):
+            mat = np.stack([t.vec for t in self.basis])
+            out[:, :len(self.basis)] = (points_matrix(points) - self.start.coords) @ mat.T
+        return out
 
 
 def project_submanifold(sub: Submanifold, data,
                         kernel: KernelSpec | None = None) -> ProjectedSubmanifold:
-    """Project nets and data onto the top-3 eigenvectors at the start.
+    """Project nets and data onto the top min(3, d) eigenvectors at the start.
 
-    The basis comes from the local covariance at the start under the given
-    kernel (the fit's kernel by default); the start itself maps to the
-    origin.  RankDeficientError surfaces when fewer than three directions
-    carry variance.
+    d is the tangent dimension: m - 1 on the sphere in R^m (2 on S^2), m on
+    a flat chart of m columns; a p3 (and p2) column with no eigenvector is
+    all zero.  The basis comes from the local covariance at the start under
+    the given kernel (the fit's kernel by default); the start itself maps to
+    the origin.  RankDeficientError surfaces when fewer than min(3, d)
+    directions carry variance.
     """
     kern = kernel if kernel is not None else sub.config.kernel
-    cov = local_covariance(sub.start, data, kern)
-    frame = eigenframe(cov, sub.start, 3)
-    basis = (frame.vectors[0], frame.vectors[1], frame.vectors[2])
-    proj = ProjectedSubmanifold((), np.zeros((0, 3)), basis, sub.start)
+    start = sub.start
+    cov = local_covariance(start, data, kern)
+    basis = eigenframe(cov, start, min(3, _tangent_dim(start.chart, start.ambient_dim))).vectors
+    proj = ProjectedSubmanifold((), np.zeros((0, 3)), basis, start)
     nets = tuple(proj.project(net.points) for net in sub.nets)
-    projected_data = proj.project(data)
-    return ProjectedSubmanifold(nets, projected_data, basis, sub.start)
+    return ProjectedSubmanifold(nets, proj.project(data), basis, start)
 
 
-def _resample_branch(net_points, q: int) -> list[Point]:
+def _resample_branch(net_points: PointArray, q: int) -> list[Point]:
     """Pick q branch points at (roughly) evenly spaced arc lengths from the start."""
-    xs = points_matrix(net_points)  # row 0 is the start itself
-    gaps = _distance_rows(xs[:-1], xs[1:], chart_of(net_points))
+    xs = net_points.coords  # row 0 is the start itself
+    gaps = _distance_rows(xs[:-1], xs[1:], net_points.chart)
     arcs = np.concatenate([[0.0], np.cumsum(gaps)])
     total = float(arcs[-1])
     picks = []
@@ -200,14 +205,13 @@ def write_submanifold_csv(sub: Submanifold, path) -> None:
     row_fmt = _row_format("%d,%d,", dim)
     lines = [header]
     for net in sub.nets:
-        for level, row in enumerate(points_matrix(net.points)):
+        for level, row in enumerate(net.points.coords):
             lines.append(row_fmt % (net.direction_index, level, *row.tolist()))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
-def write_projected_csv(path, proj: ProjectedSubmanifold,
-                        sub: Submanifold | None = None,
+def write_projected_csv(path, proj: ProjectedSubmanifold, sub: Submanifold,
                         pds: PrincipalDirections | None = None,
                         geodesics: dict[int, PointArray] | None = None) -> None:
     """Three-coordinate rows for nets, data, PD polylines and geodesics."""
@@ -218,12 +222,8 @@ def write_projected_csv(path, proj: ProjectedSubmanifold,
         for level, row in enumerate(np.asarray(rows, dtype=float)):
             lines.append(row_fmt % (kind, net_index, level, *row.tolist()))
 
-    if sub is not None:
-        for net, rows in zip(sub.nets, proj.nets):
-            emit("net", net.direction_index, rows)
-    else:
-        for idx, rows in enumerate(proj.nets, start=1):
-            emit("net", idx, rows)
+    for net, rows in zip(sub.nets, proj.nets):
+        emit("net", net.direction_index, rows)
     emit("data", 0, proj.data)
     if pds is not None:
         for name, points in pds.as_dict().items():

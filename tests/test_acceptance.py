@@ -29,6 +29,7 @@ from psm.fitting import (
 )
 from psm.geometry import (
     Point,
+    PointArray,
     Tangent,
     exp_map,
     geodesic_distance,
@@ -291,8 +292,8 @@ def test_criterion_08_flat_variation_score_identity(flat_gaussian_fit):
            + np.outer(v3, v2) - np.outer(v2, v3))
     mean = f["mean"].coords
     rotated = dataclasses.replace(sub, nets=tuple(
-        dataclasses.replace(net, points=tuple(
-            Point(mean + rot @ (p.coords - mean), "flat") for p in net.points))
+        dataclasses.replace(net, points=PointArray(
+            [mean + rot @ (p.coords - mean) for p in net.points], "flat"))
         for net in sub.nets))
     rotated_score = variation_score(rotated, data)
     _verdict(

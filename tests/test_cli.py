@@ -1,12 +1,16 @@
 """End-to-end runs of the psm command line through main(argv)."""
 
+import ast
 import json
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import psm
+from psm import cli
 from psm.cli import _build_parser, _merge_settings, main
 from psm.geometry import PointArray, points_matrix
 from psm.datagen import read_dataset_csv, write_dataset_csv
@@ -190,6 +194,30 @@ def great_circle_csv(tmp_path):
     rows = np.column_stack([np.cos(t), np.sin(t), 0.05 * rng.standard_normal((400, 2))])
     path = tmp_path / "circle.csv"
     write_dataset_csv(PointArray(rows / np.linalg.norm(rows, axis=1)[:, None]), path)
+    return path
+
+
+@pytest.fixture()
+def s2_csv(tmp_path):
+    """120 rows on S^2 (3 coordinates) around the pole, wider along c0 than c1."""
+    rng = np.random.default_rng(121)
+    rows = np.column_stack([0.4 * rng.standard_normal(120),
+                            0.15 * rng.standard_normal(120), np.ones(120)])
+    path = tmp_path / "s2.csv"
+    write_dataset_csv(PointArray(rows / np.linalg.norm(rows, axis=1)[:, None]), path)
+    return path
+
+
+@pytest.fixture()
+def flat2_csv(tmp_path):
+    """60 rows of a 2-column flat chart."""
+    rng = np.random.default_rng(122)
+    xs = np.column_stack([rng.uniform(-1, 1, 60), 0.3 * rng.standard_normal(60)])
+    lines = ["point_index,c0,c1"]
+    lines += [f"{i}," + ",".join(repr(float(v)) for v in row) for i, row in enumerate(xs)]
+    path = tmp_path / "flat2.csv"
+    path.write_text("\n".join(lines) + "\n")
+    (tmp_path / "flat2.meta.json").write_text(json.dumps({"chart": "flat"}) + "\n")
     return path
 
 
@@ -391,7 +419,7 @@ class TestFit:
             assert (a / name).read_bytes() == (b / name).read_bytes()
 
     def test_flat_chart_dataset(self, tmp_path):
-        # ambient 3 so the top-3 eigen projection has a full basis
+        # 3 flat columns: a 3-d tangent space, so all three projection columns are used
         rng = np.random.default_rng(120)
         xs = np.stack([rng.uniform(-1, 1, 50),
                        0.02 * rng.standard_normal(50),
@@ -410,6 +438,35 @@ class TestFit:
         assert code == 0
         summary = json.loads((out / "summary.json").read_text())
         assert len(summary["start"]) == 3
+
+    @pytest.mark.parametrize("command", ["fit", "compare-geodesic"])
+    @pytest.mark.parametrize("dataset", ["s2_csv", "flat2_csv"])
+    def test_two_dimensional_tangent_space_projects_p3_zero(self, tmp_path, request,
+                                                             command, dataset):
+        # S^2 and a 2-column flat chart have 2-d tangent spaces: the projection
+        # takes 2 eigenvectors and writes an all-zero p3 column
+        out = tmp_path / "run"
+        assert run(command, str(request.getfixturevalue(dataset)), "--directions", "8",
+                   "--quiet", "--out", str(out)) == 0
+        header, rows = read_csv_rows(out / "projected.csv")
+        assert header == ["kind", "net_index", "level", "p1", "p2", "p3"]
+        p = np.array([[float(v) for v in r[3:]] for r in rows])
+        assert {r[0] for r in rows} >= {"net", "data", "pd1", "pd2"}
+        assert np.all(p[:, 2] == 0.0) and np.any(p[:, 1] != 0.0)
+        assert not any(r[5].startswith("-") for r in rows)
+
+    @pytest.mark.parametrize("dataset, k, dim, width", [
+        ("s2_csv", 3, 2, 3), ("flat2_csv", 3, 2, 2), ("s_curve_csv", 4, 3, 4)])
+    def test_k_above_tangent_dimension_is_usage_error(self, tmp_path, request, capsys,
+                                                      dataset, k, dim, width):
+        out = tmp_path / "run"
+        code = run("fit", str(request.getfixturevalue(dataset)), "--k", str(k),
+                   "--out", str(out))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"--k {k} exceeds the data's tangent dimension {dim}" in err
+        assert f"{width} coordinate columns" in err
+        assert not out.exists() or not any(out.iterdir())
 
     def test_rank_deficient_data_fails_cleanly(self, tmp_path):
         data_dir = tmp_path / "data"
@@ -594,3 +651,18 @@ def test_flags_and_config_files_agree_on_every_setting(command, capsys):
         _build_parser().parse_args([command, "--help"])
     flags = set(re.findall(r"--[a-z-]+", capsys.readouterr().out))
     assert flags == {"--help", "--config"} | {_flag_argv(k, None)[0] for k in samples}
+
+
+def test_bench_runner_names_exist():
+    """Every psm.cli name the bench runner traces, and every name it imports
+    from psm, still exists; read from bench/run.py without importing it."""
+    tree = ast.parse((Path(__file__).parents[1] / "bench" / "run.py").read_text())
+    traced = next(node.value for node in ast.walk(tree) if isinstance(node, ast.Assign)
+                  and any(getattr(t, "id", None) == "TRACED_CALLS" for t in node.targets))
+    names = list(ast.literal_eval(traced))
+    imported = [alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.module == "psm"
+                for alias in node.names]
+    assert names and imported
+    assert [n for n in names if not hasattr(cli, n)] == []
+    assert [n for n in imported if not hasattr(psm, n)] == []

@@ -107,13 +107,15 @@ class TestFitConfig:
 
 class TestNetValidation:
     def test_requires_points(self):
+        p = Point(np.zeros(2), FLAT)
+        with pytest.raises(ValueError, match="PointArray"):
+            Net(1, (p,), StopReason.LENGTH_EXCEEDED)
         with pytest.raises(ValueError):
-            Net(1, (), StopReason.LENGTH_EXCEEDED)
+            Net(1, PointArray(np.zeros((0, 2)), FLAT), StopReason.LENGTH_EXCEEDED)
 
     def test_requires_stop_reason_type(self):
-        p = Point(np.zeros(2), FLAT)
-        with pytest.raises(ValueError):
-            Net(1, (p,), "length_exceeded")
+        with pytest.raises(ValueError, match="StopReason"):
+            Net(1, PointArray(np.zeros((1, 2)), FLAT), "length_exceeded")
 
 
 class TestSeedDirections:
@@ -610,11 +612,11 @@ class TestFitSubmanifold:
 
 class TestNetLength:
     def test_single_point(self):
-        p = Point(np.zeros(2), FLAT)
-        assert net_length(Net(1, (p,), StopReason.LENGTH_EXCEEDED)) == 0.0
+        p = PointArray(np.zeros((1, 2)), FLAT)
+        assert net_length(Net(1, p, StopReason.LENGTH_EXCEEDED)) == 0.0
 
     def test_polyline_sum(self):
-        pts = tuple(Point(np.array([float(i), 0.0]), FLAT) for i in range(4))
+        pts = PointArray([[float(i), 0.0] for i in range(4)], FLAT)
         assert net_length(Net(1, pts, StopReason.LENGTH_EXCEEDED)) == pytest.approx(3.0)
 
     def test_fitted_net_builds_no_point(self, monkeypatch):

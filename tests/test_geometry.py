@@ -18,7 +18,6 @@ from psm.geometry import (
     log_map,
     points_matrix,
     project_to_sphere,
-    sample_geodesic,
     tangent_project,
 )
 
@@ -239,47 +238,6 @@ class TestGeodesicDistance:
             x, y, z = (random_sphere_point(rng, 4) for _ in range(3))
             assert (geodesic_distance(x, z)
                     <= geodesic_distance(x, y) + geodesic_distance(y, z) + 1e-12)
-
-
-class TestSampleGeodesic:
-    def test_zero_length(self):
-        x = Point(np.array([1.0, 0.0]))
-        pts = sample_geodesic(x, Tangent(x, np.array([0.0, 1.0])), 0.0, 4)
-        for p in pts:
-            np.testing.assert_allclose(p.coords, x.coords, rtol=0.0, atol=1e-15)
-
-    def test_half_circle_endpoints(self):
-        # length pi is allowed: the endpoint is the antipode itself
-        x = Point(np.array([1.0, 0.0]))
-        pts = sample_geodesic(x, Tangent(x, np.array([0.0, 1.0])), math.pi, 3)
-        np.testing.assert_allclose(pts[0].coords, [1.0, 0.0], rtol=0.0, atol=1e-15)
-        np.testing.assert_allclose(pts[1].coords, [0.0, 1.0], rtol=0.0, atol=1e-15)
-        np.testing.assert_allclose(pts[2].coords, [-1.0, 0.0], rtol=0.0, atol=1e-15)
-
-    def test_beyond_pi_rejected(self):
-        x = Point(np.array([1.0, 0.0]))
-        with pytest.raises(CutLocusError):
-            sample_geodesic(x, Tangent(x, np.array([0.0, 1.0])), math.pi + 0.01, 3)
-
-    def test_zero_direction_rejected(self):
-        x = Point(np.array([1.0, 0.0]))
-        with pytest.raises(ZeroVectorError):
-            sample_geodesic(x, Tangent(x, np.zeros(2)), 1.0, 3)
-
-    def test_even_spacing(self):
-        rng = np.random.default_rng(25)
-        x = random_sphere_point(rng, 4)
-        v = random_tangent(rng, x, 1.0)
-        pts = sample_geodesic(x, v, 2.0, 9)
-        gaps = [geodesic_distance(a, b) for a, b in zip(pts, pts[1:])]
-        for gap in gaps:
-            assert abs(gap - 0.25) <= 1e-10
-
-    def test_flat_chart_line(self):
-        x = Point(np.array([1.0, 1.0]), FLAT)
-        v = Tangent(x, np.array([2.0, 0.0]))
-        pts = sample_geodesic(x, v, 1.0, 3)
-        np.testing.assert_allclose(pts[2].coords, [2.0, 1.0], rtol=0.0, atol=1e-15)
 
 
 class TestPointsMatrix:

@@ -95,12 +95,6 @@ class TestPreshapeClass:
         with pytest.raises(ValueError):
             Preshape(Point(v, SPHERE))
 
-    def test_complex_form(self):
-        p = to_preshape(LandmarkConfig(LEAF_BASE))
-        z = p.complex_form()
-        np.testing.assert_allclose(z.real, p.point.coords[0::2], atol=0.0)
-        np.testing.assert_allclose(z.imag, p.point.coords[1::2], atol=0.0)
-
 
 class TestAlignRotation:
     def test_undoes_known_rotation(self):

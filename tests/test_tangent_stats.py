@@ -6,12 +6,10 @@ import numpy as np
 import pytest
 
 from psm.errors import (
-    DimensionMismatchError,
     EmptyNeighborhoodError,
     HemisphereViolationError,
     NoConvergenceError,
     RankDeficientError,
-    ZeroVectorError,
 )
 from psm.geometry import (
     FLAT,
@@ -27,7 +25,6 @@ from psm.geometry import (
 from psm.tangent_stats import (
     GAUSSIAN,
     UNIFORM_BALL,
-    EigenFrame,
     KernelSpec,
     _GramData,
     _GramLevel,
@@ -35,8 +32,6 @@ from psm.tangent_stats import (
     frechet_mean,
     frechet_variance,
     local_covariance,
-    subspace_cos_angle,
-    vector_subspace_cos,
 )
 
 from helpers import random_sphere_point, random_tangent, tangent_basis
@@ -364,81 +359,14 @@ class TestEigenframe:
         # first nonzero component forced positive
         assert frame.vectors[0].vec[0] > 0
 
+    def test_k_bounded_by_tangent_dimension(self):
+        # S^2 in R^3 has 2 tangent directions; a flat chart of 2 columns has 2
+        with pytest.raises(ValueError, match="tangent dimension 2"):
+            eigenframe(np.diag([1.0, 1.0, 0.0]), Point(np.eye(3)[2], SPHERE), 3)
+        with pytest.raises(ValueError, match="tangent dimension 2"):
+            eigenframe(np.eye(2), Point(np.zeros(2), FLAT), 3)
+
     def test_rejects_asymmetric(self):
         base = Point(np.zeros(2), FLAT)
         with pytest.raises(ValueError):
             eigenframe(np.array([[1.0, 0.5], [0.0, 1.0]]), base, 1)
-
-
-class TestSubspaceAngles:
-    def _frame(self, base, rows, vals):
-        return EigenFrame(base, tuple(Tangent(base, r) for r in rows),
-                          np.array(vals))
-
-    def test_equal_frames(self):
-        base = Point(np.zeros(4), FLAT)
-        rows = [np.array([1.0, 0, 0, 0]), np.array([0, 1.0, 0, 0])]
-        f = self._frame(base, rows, [2.0, 1.0])
-        assert subspace_cos_angle(f, f) == pytest.approx(1.0, abs=1e-12)
-
-    def test_orthogonal_spans(self):
-        base = Point(np.zeros(4), FLAT)
-        f1 = self._frame(base, [np.array([1.0, 0, 0, 0])], [1.0])
-        f2 = self._frame(base, [np.array([0, 0, 1.0, 0])], [1.0])
-        assert subspace_cos_angle(f1, f2) == 0.0
-
-    def test_one_dimensional_angle(self):
-        base = Point(np.zeros(2), FLAT)
-        theta = 0.7
-        f1 = self._frame(base, [np.array([1.0, 0.0])], [1.0])
-        f2 = self._frame(base, [np.array([math.cos(theta), math.sin(theta)])], [1.0])
-        assert subspace_cos_angle(f1, f2) == pytest.approx(abs(math.cos(theta)),
-                                                           abs=1e-12)
-
-    def test_symmetry(self):
-        rng = np.random.default_rng(73)
-        base = Point(np.zeros(5), FLAT)
-        q1, _ = np.linalg.qr(rng.standard_normal((5, 2)))
-        q2, _ = np.linalg.qr(rng.standard_normal((5, 2)))
-        f1 = self._frame(base, list(q1.T), [2.0, 1.0])
-        f2 = self._frame(base, list(q2.T), [2.0, 1.0])
-        assert abs(subspace_cos_angle(f1, f2) - subspace_cos_angle(f2, f1)) <= 1e-12
-
-    def test_size_mismatch(self):
-        base = Point(np.zeros(3), FLAT)
-        f1 = self._frame(base, [np.array([1.0, 0, 0])], [1.0])
-        f2 = self._frame(base, [np.array([1.0, 0, 0]), np.array([0, 1.0, 0])],
-                         [2.0, 1.0])
-        with pytest.raises(DimensionMismatchError):
-            subspace_cos_angle(f1, f2)
-
-
-class TestVectorSubspaceCos:
-    def _frame(self, base, rows):
-        return EigenFrame(base, tuple(Tangent(base, r) for r in rows),
-                          np.ones(len(rows)))
-
-    def test_vector_in_span(self):
-        base = Point(np.zeros(4), FLAT)
-        frame = self._frame(base, [np.array([1.0, 0, 0, 0]), np.array([0, 1.0, 0, 0])])
-        v = Tangent(base, np.array([1.0, 0, 0, 0]))
-        assert vector_subspace_cos(v, frame) == pytest.approx(1.0, abs=1e-12)
-
-    def test_vector_orthogonal(self):
-        base = Point(np.zeros(4), FLAT)
-        frame = self._frame(base, [np.array([1.0, 0, 0, 0])])
-        v = Tangent(base, np.array([0, 0, 2.0, 0]))
-        assert vector_subspace_cos(v, frame) == 0.0
-
-    def test_pythagoras_mix(self):
-        base = Point(np.zeros(4), FLAT)
-        frame = self._frame(base, [np.array([1.0, 0, 0, 0])])
-        v = Tangent(base, np.array([1.0, 0, 1.0, 0]))
-        assert vector_subspace_cos(v, frame) == pytest.approx(1.0 / math.sqrt(2.0),
-                                                              abs=1e-12)
-
-    def test_zero_vector(self):
-        base = Point(np.zeros(3), FLAT)
-        frame = self._frame(base, [np.array([1.0, 0, 0])])
-        with pytest.raises(ZeroVectorError):
-            vector_subspace_cos(Tangent(base, np.zeros(3)), frame)

@@ -9,7 +9,7 @@ import pytest
 from psm.datagen import GenSpec, generate
 from psm.errors import NotAShapeFitError
 from psm.fitting import FitConfig, Net, StopReason, Submanifold, fit_flow, fit_submanifold
-from psm.geometry import FLAT, Point, Tangent, exp_map, log_map
+from psm.geometry import FLAT, Point, PointArray, Tangent, exp_map, log_map
 from psm.shape import LandmarkConfig, to_preshape
 from psm.tangent_stats import EigenFrame, KernelSpec, frechet_mean
 from psm.viz import (
@@ -47,7 +47,7 @@ def synthetic_submanifold(num_directions=8, levels=3, epsilon=0.05, dim=2,
                     num_directions=num_directions, dim=dim)
     nets = []
     for l, d in dirs.items():
-        pts = tuple(Point(i * epsilon * d, FLAT) for i in range(levels + 1))
+        pts = PointArray([i * epsilon * d for i in range(levels + 1)], FLAT)
         nets.append(Net(l, pts, StopReason.LENGTH_EXCEEDED))
     return Submanifold(start, tuple(nets), frame, cfg)
 
@@ -87,7 +87,7 @@ def preshape_submanifold(num_directions=8, levels=4, epsilon=0.05, dim=2,
         pts = [start]
         for i in range(1, levels + 1):
             pts.append(exp_map(start, Tangent(start, i * epsilon * d)))
-        nets.append(Net(l, tuple(pts), StopReason.LENGTH_EXCEEDED))
+        nets.append(Net(l, PointArray([p.coords for p in pts]), StopReason.LENGTH_EXCEEDED))
     return Submanifold(start, tuple(nets), frame, cfg)
 
 
@@ -98,13 +98,15 @@ class TestPrincipalDirections:
         by_index = {n.direction_index: n for n in sub.nets}
 
         def expect(first, second):
-            return (tuple(reversed(by_index[first].points[1:])) + (sub.start,)
-                    + by_index[second].points[1:])
+            points = (list(reversed(by_index[first].points[1:])) + [sub.start]
+                      + list(by_index[second].points[1:]))
+            return np.stack([p.coords for p in points])
 
-        assert pds.pd1 == expect(4, 8)
-        assert pds.pd2 == expect(2, 6)
-        assert pds.pd3 == expect(1, 5)
-        assert pds.pd4 == expect(3, 7)
+        for name, (first, second) in (("pd1", (4, 8)), ("pd2", (2, 6)),
+                                      ("pd3", (1, 5)), ("pd4", (3, 7))):
+            polyline = getattr(pds, name)
+            assert isinstance(polyline, PointArray) and polyline.chart == FLAT
+            np.testing.assert_array_equal(polyline.coords, expect(first, second))
         assert pds.note is None
 
     def test_polyline_through_start_once(self):
@@ -125,9 +127,9 @@ class TestPrincipalDirections:
         sub = synthetic_submanifold(dim=1, levels=3)
         pds = principal_directions(sub)
         by_index = {n.direction_index: n for n in sub.nets}
-        want = (tuple(reversed(by_index[2].points[1:])) + (sub.start,)
-                + by_index[1].points[1:])
-        assert pds.pd1 == want
+        want = (list(reversed(by_index[2].points[1:])) + [sub.start]
+                + list(by_index[1].points[1:]))
+        np.testing.assert_array_equal(pds.pd1.coords, np.stack([p.coords for p in want]))
         assert pds.pd2 is None and pds.pd3 is None and pds.pd4 is None
         assert "flow" in pds.note
 
@@ -368,7 +370,7 @@ class TestWriteProjectedCsv:
         curve = [Point(np.array([t, 0.0, 0.0, 0.0]), FLAT)
                  for t in (-0.1, 0.0, 0.1)]
         path = tmp_path / "projected.csv"
-        write_projected_csv(path, proj, geodesics={2: curve, 1: curve})
+        write_projected_csv(path, proj, sub, geodesics={2: curve, 1: curve})
         header, rows = read_csv_rows(path)
         geo = [r for r in rows if r[0] == "geodesic"]
         assert [r[1] for r in geo] == ["1", "1", "1", "2", "2", "2"]
@@ -377,8 +379,9 @@ class TestWriteProjectedCsv:
         start = Point(np.zeros(4), FLAT)
         basis = tuple(Tangent(start, np.eye(4)[i]) for i in range(3))
         proj = ProjectedSubmanifold((), np.zeros((0, 3)), basis, start)
+        sub = Submanifold(start, (), EigenFrame(start, basis, np.ones(3)), FitConfig())
         path = tmp_path / "projected.csv"
-        write_projected_csv(path, proj)
+        write_projected_csv(path, proj, sub)
         assert path.read_text(encoding="utf-8") == "kind,net_index,level,p1,p2,p3\n"
 
     def test_float_round_trip(self, tmp_path):
