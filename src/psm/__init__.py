@@ -88,9 +88,6 @@ from .viz import (
 from .datagen import (
     GENERATOR_ID,
     GenSpec,
-    gen_ellipsoid,
-    gen_s_curve,
-    gen_sea_wave,
     generate,
     read_dataset_csv,
     sea_wave_height,

@@ -20,10 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .datagen import (
-    ELLIPSOID,
-    FAMILIES,
-    S_CURVE,
-    SEA_WAVE,
+    RECIPES,
     GenSpec,
     generate,
     meta_path_for,
@@ -65,9 +62,6 @@ def _bool_value(text: str) -> bool:
     raise ValueError(f"expected a boolean, got {text!r}")
 
 
-_FAMILY_PARAMS = {S_CURVE: ("noise_scale_u",), SEA_WAVE: ("noise_level",),
-                  ELLIPSOID: ("a", "b", "c", "mode")}
-
 # command -> (help, metavar of its input file, or None if it reads none)
 _COMMANDS = {
     "generate": ("write a synthetic dataset CSV", None),
@@ -81,7 +75,8 @@ class _Setting:
     """One setting: the flag --name (dashes for underscores) and the config key name.
 
     convert reads the text of both.  A setting with a fit_field passes its
-    value to that FitConfig field; its None default keeps FitConfig's default.
+    value to that FitConfig field, and a family parameter's setting to the
+    generator; a None default keeps the library default.
     """
 
     def __init__(self, commands, convert, default=None, fit_field=None, **flag):
@@ -99,15 +94,14 @@ _SETTINGS = {
     "out": _Setting(_ALL, str, ".", metavar="DIR",
                     help="output directory (default: current directory)"),
     "quiet": _Setting(_ALL, _bool_value, False, action="store_true"),
-    "family": _Setting(_GENERATE, str, choices=FAMILIES),
+    "family": _Setting(_GENERATE, str, choices=tuple(RECIPES)),
     "n": _Setting(_GENERATE, int, 200),
-    "noise_level": _Setting(_GENERATE, float, 0.05, help="sea_wave: isotropic noise scale"),
-    "noise_scale_u": _Setting(_GENERATE, float, 1.0 / 32.0,
-                              help="s_curve: multiplier of the 32*U noise term"),
-    "a": _Setting(_GENERATE, float, 2.5, help="ellipsoid: first semi-axis"),
-    "b": _Setting(_GENERATE, float, math.sqrt(2.0)),
-    "c": _Setting(_GENERATE, float, 1.0),
-    "mode": _Setting(_GENERATE, str, "solid", choices=("solid", "surface"),
+    "noise_level": _Setting(_GENERATE, float, help="sea_wave: isotropic noise scale"),
+    "noise_scale_u": _Setting(_GENERATE, float, help="s_curve: multiplier of the 32*U noise term"),
+    "a": _Setting(_GENERATE, float, help="ellipsoid: first semi-axis"),
+    "b": _Setting(_GENERATE, float),
+    "c": _Setting(_GENERATE, float),
+    "mode": _Setting(_GENERATE, str, choices=("solid", "surface"),
                      help="ellipsoid: solid or surface sampling"),
     "shift": _Setting(_GENERATE, _shift_value, "auto", help="lift constant, 'auto' or a number"),
     "epsilon": _Setting(_FIT, float, fit_field="epsilon"),
@@ -198,6 +192,8 @@ def _parse_coords(text: str) -> np.ndarray:
         values = [float(part) for part in text.split(",")]
     except ValueError:
         raise UsageError(f"--coords must be a comma-separated float list, got {text!r}") from None
+    if not all(map(math.isfinite, values)):
+        raise UsageError(f"--coords must be finite, got {text!r}")
     if len(values) < 2:
         raise UsageError("--coords needs at least two components")
     return np.array(values)
@@ -278,7 +274,8 @@ def _cmd_generate(merged: dict, written: _Written) -> None:
     family = merged["family"]
     if family is None:
         raise UsageError("generate requires --family (or a config file entry)")
-    params = {name: merged[name] for name in _FAMILY_PARAMS[family]}
+    # the family's parameters that are set; generate fills in the rest
+    params = {name: merged[name] for name in RECIPES[family][1] if merged[name] is not None}
     try:
         # GenSpec and the generators reject out-of-range values with ValueError
         points, info = generate(GenSpec(family, merged["n"], merged["seed"],
@@ -288,7 +285,7 @@ def _cmd_generate(merged: dict, written: _Written) -> None:
     path = _out_dir(merged) / f"{family}.csv"
     meta = {
         "kind": "dataset", "chart": SPHERE, "family": family,
-        "n": merged["n"], "seed": merged["seed"], "params": params,
+        "n": merged["n"], "seed": merged["seed"], "params": info["params"],
         "shift": merged["shift"], "resolved_shift": info["resolved_shift"],
         "generator": info["generator"],
     }

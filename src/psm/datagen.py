@@ -15,6 +15,7 @@ import json
 import math
 from array import array
 from dataclasses import dataclass, field
+from numbers import Real
 
 import numpy as np
 
@@ -23,17 +24,16 @@ from .geometry import SPHERE, PointArray, _row_norms, points_matrix
 
 GENERATOR_ID = "numpy.random.PCG64"
 
-S_CURVE = "s_curve"
-SEA_WAVE = "sea_wave"
-ELLIPSOID = "ellipsoid"
-FAMILIES = (S_CURVE, SEA_WAVE, ELLIPSOID)
-
 _AUTO_MARGIN = 1.1  # auto shift: C = 1.1 * max squared triplet norm
 
 
 @dataclass(frozen=True)
 class GenSpec:
-    """A reproducible dataset recipe: family, size, seed and parameters."""
+    """A reproducible dataset recipe: family, size, seed and parameters.
+
+    params may set any of the family's RECIPES parameters and shift_c; a
+    number among them must be finite.
+    """
 
     family: str
     n: int
@@ -41,10 +41,16 @@ class GenSpec:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.family not in FAMILIES:
+        if self.family not in RECIPES:
             raise ValueError(f"unknown family {self.family!r}")
         if self.n < 3:
             raise ValueError("n must be at least 3")
+        takes = RECIPES[self.family][1]
+        for key, value in self.params.items():
+            if key != "shift_c" and key not in takes:
+                raise ValueError(f"{self.family} takes no parameter {key!r}")
+            if isinstance(value, Real) and not math.isfinite(value):
+                raise ValueError(f"{key} must be finite")
 
 
 def _resolve_shift(triplets: np.ndarray, shift_c) -> float:
@@ -69,7 +75,15 @@ def _lift(triplets: np.ndarray, shift_c) -> tuple[PointArray, float]:
     return PointArray(lifted / _row_norms(lifted)[:, None], SPHERE), c
 
 
-def _s_curve_triplets(n, seed, noise_scale_u: float = 1.0 / 32.0) -> np.ndarray:
+def _s_curve_triplets(n, seed, noise_scale_u) -> np.ndarray:
+    """S-bend triplets.
+
+    x1 walks (i - n/2)/n for i = 1..n, x2 rides sin(2 x1)/6 plus the noise
+    term noise_scale_u * 32 * U with U ~ N(0, 1/10), and x3 hugs 1 with a
+    small N(0, 1/100)/100 wobble.  The default noise_scale_u cancels the
+    factor 32, so the noise term is exactly U; pass 1.0 for the raw recipe,
+    whose noise dwarfs the bend.
+    """
     rng = np.random.default_rng(seed)
     i = np.arange(1, n + 1, dtype=float)
     x1 = (i - n / 2.0) / n
@@ -85,7 +99,13 @@ def sea_wave_height(s, t):
     return 0.15 * np.sin(4.0 * np.asarray(s) + 2.0 * np.asarray(t))
 
 
-def _sea_wave_triplets(n, seed, noise_level: float = 0.05) -> np.ndarray:
+def _sea_wave_triplets(n, seed, noise_level) -> np.ndarray:
+    """Rolling sinusoidal sheet over [-1/2, 1/2]^2 with isotropic noise.
+
+    With noise_level = 0 the triplets sit exactly on the sheet
+    x3 = sea_wave_height(x1, x2); larger levels blur them isotropically in
+    all three coordinates.
+    """
     if noise_level < 0:
         raise ValueError("noise_level must be nonnegative")
     rng = np.random.default_rng(seed)
@@ -95,8 +115,14 @@ def _sea_wave_triplets(n, seed, noise_level: float = 0.05) -> np.ndarray:
     return triplets + noise_level * rng.standard_normal((n, 3))
 
 
-def _ellipsoid_triplets(n, seed, a: float = 2.5, b: float = math.sqrt(2.0),
-                        c: float = 1.0, mode: str = "solid") -> np.ndarray:
+def _ellipsoid_triplets(n, seed, a, b, c, mode) -> np.ndarray:
+    """Uniform draws from a solid ellipsoid (or its surface).
+
+    Solid mode rejection-samples the box [-a, a] x [-b, b] x [-c, c] until n
+    points satisfy (x1/a)^2 + (x2/b)^2 + (x3/c)^2 <= 1.  Surface mode scales
+    uniform sphere directions onto the ellipsoid boundary, which covers the
+    near-diameter regime of strongly anisotropic semi-axes.
+    """
     if mode not in ("solid", "surface"):
         raise ValueError(f"mode must be 'solid' or 'surface', got {mode!r}")
     if min(a, b, c) <= 0:
@@ -120,65 +146,29 @@ def _ellipsoid_triplets(n, seed, a: float = 2.5, b: float = math.sqrt(2.0),
     return np.concatenate(collected)[:n]
 
 
-def gen_s_curve(n: int, seed: int, *, noise_scale_u: float = 1.0 / 32.0,
-                shift_c="auto") -> PointArray:
-    """S-bend triplets lifted to S^3.
-
-    x1 walks (i - n/2)/n for i = 1..n, x2 rides sin(2 x1)/6 plus the noise
-    term noise_scale_u * 32 * U with U ~ N(0, 1/10), and x3 hugs 1 with a
-    small N(0, 1/100)/100 wobble.  The default noise_scale_u of 1/32 makes
-    the noise term exactly U; pass 1.0 for the raw recipe, whose noise
-    dwarfs the bend.  shift_c is either 'auto' (1.1 x the largest squared
-    triplet norm) or an explicit constant; constants that leave a negative
-    radicand raise InfeasibleShiftError.
-    """
-    return generate(GenSpec(S_CURVE, n, seed,
-                            {"noise_scale_u": noise_scale_u, "shift_c": shift_c}))[0]
-
-
-def gen_sea_wave(n: int, seed: int, noise_level: float = 0.05, *,
-                 shift_c="auto") -> PointArray:
-    """Rolling sinusoidal sheet over [-1/2, 1/2]^2 with isotropic noise.
-
-    With noise_level = 0 the triplets sit exactly on the sheet
-    x3 = sea_wave_height(x1, x2); larger levels blur them isotropically in
-    all three coordinates before the lift.
-    """
-    return generate(GenSpec(SEA_WAVE, n, seed,
-                            {"noise_level": noise_level, "shift_c": shift_c}))[0]
-
-
-def gen_ellipsoid(n: int, seed: int, *, a: float = 2.5, b: float = math.sqrt(2.0),
-                  c: float = 1.0, mode: str = "solid", shift_c="auto") -> PointArray:
-    """Uniform draws from a solid ellipsoid (or its surface) lifted to S^3.
-
-    Solid mode rejection-samples the box [-a, a] x [-b, b] x [-c, c] until n
-    points satisfy (x1/a)^2 + (x2/b)^2 + (x3/c)^2 <= 1.  Surface mode scales
-    uniform sphere directions onto the ellipsoid boundary, which covers the
-    near-diameter regime of strongly anisotropic semi-axes.
-    """
-    params = {"a": a, "b": b, "c": c, "mode": mode, "shift_c": shift_c}
-    return generate(GenSpec(ELLIPSOID, n, seed, params))[0]
-
-
-_TRIPLET_MAKERS = {
-    S_CURVE: _s_curve_triplets,
-    SEA_WAVE: _sea_wave_triplets,
-    ELLIPSOID: _ellipsoid_triplets,
+# family -> (triplet maker, {parameter: default}).  Every family also takes
+# shift_c, the lift constant: "auto" (1.1 x the largest squared triplet norm)
+# or a number, which raises InfeasibleShiftError below that norm.
+RECIPES = {
+    "s_curve": (_s_curve_triplets, {"noise_scale_u": 1.0 / 32.0}),
+    "sea_wave": (_sea_wave_triplets, {"noise_level": 0.05}),
+    "ellipsoid": (_ellipsoid_triplets, {"a": 2.5, "b": math.sqrt(2.0), "c": 1.0, "mode": "solid"}),
 }
 
 
 def generate(spec: GenSpec) -> tuple[PointArray, dict]:
-    """Run a GenSpec; returns (points, info) with the resolved lift constant.
+    """Run a GenSpec; returns (points, info).
 
+    info holds the generator, the resolved lift constant and the family's
+    parameters, spec.params laid over the recipe's defaults (shift_c aside).
     The points are one PointArray on the sphere chart: the lifted rows are
     normalized as a matrix, and Points are built only when it is indexed.
     """
-    params = dict(spec.params)
+    make, defaults = RECIPES[spec.family]
+    params = {**defaults, **spec.params}
     shift_c = params.pop("shift_c", "auto")
-    triplets = _TRIPLET_MAKERS[spec.family](spec.n, spec.seed, **params)
-    points, resolved = _lift(triplets, shift_c)
-    return points, {"generator": GENERATOR_ID, "resolved_shift": resolved}
+    points, resolved = _lift(make(spec.n, spec.seed, **params), shift_c)
+    return points, {"generator": GENERATOR_ID, "resolved_shift": resolved, "params": params}
 
 
 # -- dataset files: CSV of coordinates plus a JSON sidecar with the recipe --

@@ -329,7 +329,6 @@ def _step_rows(lv: _Level, sel, chart: str, cfg: FitConfig):
     code = np.zeros(len(cur), dtype=np.int8)
     rows, _, _, ranked = _top_frame_coords(lv.cov[sel], cur, chart, cfg.dim)
     _stop(code, ~ranked, StopReason.DEGENERATE_PROJECTION)
-    _stop(code, lv.back_antipodal[sel], StopReason.ANTIPODAL_GUARD)
     u = np.matmul(rows.transpose(0, 2, 1), np.matmul(rows, back[:, :, None]))[:, :, 0]
     nu = _row_norms(u)
     _stop(code, nu < _PROJ_TOL, StopReason.DEGENERATE_PROJECTION)
@@ -370,7 +369,6 @@ def _grow_chunk(start: np.ndarray, seeds: np.ndarray, data: _GramData,
         acc[live] += terms
         skipped += int((~scored).sum())
         # the step from cur, in the order the reference path raises
-        _stop(code, gram.antipodal, StopReason.ANTIPODAL_GUARD)
         _stop(code, lv.empty, StopReason.EMPTY_NEIGHBORHOOD)
         step = np.flatnonzero(code == 0)
         cand, code[step] = _step_rows(lv, step, chart, cfg)

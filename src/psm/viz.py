@@ -20,7 +20,7 @@ from .errors import NotAShapeFitError
 from .fitting import Net, Submanifold
 from .geometry import Point, PointArray, Tangent, _distance_rows, _exp_rows, _tangent_dim, points_matrix
 from .shape import LandmarkConfig, _centroid_offset, from_preshape
-from .tangent_stats import KernelSpec, eigenframe, local_covariance
+from .tangent_stats import eigenframe, local_covariance
 
 _CENTER_TOL = 1e-6
 _PD_NAMES = ("pd1", "pd2", "pd3", "pd4")
@@ -131,20 +131,17 @@ class ProjectedSubmanifold:
         return out
 
 
-def project_submanifold(sub: Submanifold, data,
-                        kernel: KernelSpec | None = None) -> ProjectedSubmanifold:
+def project_submanifold(sub: Submanifold, data) -> ProjectedSubmanifold:
     """Project nets and data onto the top min(3, d) eigenvectors at the start.
 
     d is the tangent dimension: m - 1 on the sphere in R^m (2 on S^2), m on
     a flat chart of m columns; a p3 (and p2) column with no eigenvector is
     all zero.  The basis comes from the local covariance at the start under
-    the given kernel (the fit's kernel by default); the start itself maps to
-    the origin.  RankDeficientError surfaces when fewer than min(3, d)
-    directions carry variance.
+    the fit's kernel; the start itself maps to the origin.  RankDeficientError
+    surfaces when fewer than min(3, d) directions carry variance.
     """
-    kern = kernel if kernel is not None else sub.config.kernel
     start = sub.start
-    cov = local_covariance(start, data, kern)
+    cov = local_covariance(start, data, sub.config.kernel)
     basis = eigenframe(cov, start, min(3, _tangent_dim(start.chart, start.ambient_dim))).vectors
     proj = ProjectedSubmanifold((), np.zeros((0, 3)), basis, start)
     nets = tuple(proj.project(net.points) for net in sub.nets)

@@ -13,7 +13,7 @@ import psm
 from psm import cli
 from psm.cli import _build_parser, _merge_settings, main
 from psm.geometry import PointArray, points_matrix
-from psm.datagen import read_dataset_csv, write_dataset_csv
+from psm.datagen import RECIPES, read_dataset_csv, write_dataset_csv
 
 from helpers import DIGIT3_BASE, digit3_configs, read_csv_rows
 
@@ -82,6 +82,25 @@ class TestGenerate:
     def test_out_of_range_value_is_usage_error(self, tmp_path, capsys, argv, message):
         assert run("generate", *argv, "--out", str(tmp_path)) == 2
         assert f"usage error: {message}" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("family, key", [
+        (family, key) for family, (_, defaults) in RECIPES.items()
+        for key in [*defaults, "shift_c"] if key != "mode"
+    ])
+    @pytest.mark.parametrize("bad", ["inf", "-inf", "nan"])
+    def test_non_finite_parameter_is_usage_error(self, tmp_path, monkeypatch, capsys,
+                                                 family, key, bad):
+        # GenSpec rejects the value before generate runs: a solid ellipsoid
+        # with an infinite or NaN semi-axis would never accept a draw
+        def never(spec):
+            raise AssertionError("generate ran")
+
+        monkeypatch.setattr(cli, "generate", never)
+        flag = "--shift" if key == "shift_c" else "--" + key.replace("_", "-")
+        assert run("generate", "--family", family, f"{flag}={bad}",
+                   "--out", str(tmp_path)) == 2
+        assert capsys.readouterr().err == f"usage error: {key} must be finite\n"
         assert list(tmp_path.iterdir()) == []
 
     def test_quiet_silences_stdout(self, tmp_path, capsys):
@@ -314,6 +333,18 @@ class TestFit:
     def test_custom_start_must_be_unit(self, tmp_path, s_curve_csv):
         assert run("fit", str(s_curve_csv), "--start", "custom",
                    "--coords", "2,0,0,0", "--out", str(tmp_path / "x")) == 2
+
+    @pytest.mark.parametrize("dataset, coords", [
+        ("s_curve_csv", "nan,0,0,1"), ("s_curve_csv", "inf,0,0,1"),
+        ("flat2_csv", "nan,0"), ("flat2_csv", "0,-inf"),
+    ])
+    def test_non_finite_coords_are_usage_error(self, tmp_path, request, capsys,
+                                               dataset, coords):
+        out = tmp_path / "x"
+        assert run("fit", str(request.getfixturevalue(dataset)), "--start", "custom",
+                   f"--coords={coords}", "--out", str(out)) == 2
+        assert f"usage error: --coords must be finite, got {coords!r}" in capsys.readouterr().err
+        assert not out.exists() or list(out.iterdir()) == []
 
     def test_custom_start_of_wrong_width_is_usage_error(self, tmp_path, s_curve_csv, capsys):
         out = tmp_path / "x"

@@ -8,10 +8,8 @@ import pytest
 
 from psm.datagen import (
     GENERATOR_ID,
+    RECIPES,
     GenSpec,
-    gen_ellipsoid,
-    gen_s_curve,
-    gen_sea_wave,
     generate,
     meta_path_for,
     read_dataset_csv,
@@ -20,6 +18,11 @@ from psm.datagen import (
 )
 from psm.errors import InfeasibleShiftError
 from psm.geometry import FLAT, SPHERE, Point, points_matrix, project_to_sphere
+
+
+def make(family, n, seed, **params):
+    """The points of generate(GenSpec(family, n, seed, params))."""
+    return generate(GenSpec(family, n, seed, params))[0]
 
 
 def recover_triplets(points, c):
@@ -43,10 +46,25 @@ class TestGenSpec:
         with pytest.raises(Exception):
             spec.n = 20
 
+    @pytest.mark.parametrize("family, key", [
+        ("s_curve", "noise_level"), ("sea_wave", "a"), ("ellipsoid", "noise_scale_u"),
+        ("ellipsoid", "shift"),
+    ])
+    def test_parameter_of_another_family_rejected(self, family, key):
+        with pytest.raises(ValueError, match=f"{family} takes no parameter '{key}'"):
+            GenSpec(family, 10, 0, {key: 1.0})
+
+    @pytest.mark.parametrize("key", ["a", "shift_c"])
+    @pytest.mark.parametrize("bad", [math.nan, -math.inf, np.float32("inf")])
+    def test_non_finite_parameter_rejected(self, key, bad):
+        # every family's parameters, through the CLI: test_cli.py
+        with pytest.raises(ValueError, match=f"^{key} must be finite$"):
+            GenSpec("ellipsoid", 10, 0, {key: bad})
+
 
 class TestLiftProperties:
     def test_unit_norms_all_families(self):
-        for pts in (gen_s_curve(50, 1), gen_sea_wave(50, 1), gen_ellipsoid(50, 1)):
+        for pts in (make(family, 50, 1) for family in RECIPES):
             mat = points_matrix(pts)
             assert mat.shape == (50, 4)
             np.testing.assert_allclose(np.linalg.norm(mat, axis=1), 1.0,
@@ -75,11 +93,11 @@ class TestLiftProperties:
 
     def test_infeasible_shift(self):
         with pytest.raises(InfeasibleShiftError):
-            gen_s_curve(30, 5, shift_c=0.5)
+            make("s_curve", 30, 5, shift_c=0.5)
 
     def test_bad_shift_string(self):
         with pytest.raises(ValueError):
-            gen_s_curve(30, 5, shift_c="automatic")
+            make("s_curve", 30, 5, shift_c="automatic")
 
 
 class TestSCurve:
@@ -105,17 +123,17 @@ class TestSCurve:
 
     def test_default_noise_scale_keeps_unit_noise(self):
         # the default 1/32 cancels the recipe's 32x factor on U
-        a = points_matrix(gen_s_curve(30, 13))
-        b = points_matrix(gen_s_curve(30, 13, noise_scale_u=1.0 / 32.0))
+        a = points_matrix(make("s_curve", 30, 13))
+        b = points_matrix(make("s_curve", 30, 13, noise_scale_u=1.0 / 32.0))
         np.testing.assert_array_equal(a, b)
-        loud = points_matrix(gen_s_curve(30, 13, noise_scale_u=1.0))
+        loud = points_matrix(make("s_curve", 30, 13, noise_scale_u=1.0))
         assert not np.array_equal(a, loud)
 
     def test_determinism(self):
-        a = points_matrix(gen_s_curve(25, 9))
-        b = points_matrix(gen_s_curve(25, 9))
+        a = points_matrix(make("s_curve", 25, 9))
+        b = points_matrix(make("s_curve", 25, 9))
         assert np.array_equal(a, b)
-        other = points_matrix(gen_s_curve(25, 10))
+        other = points_matrix(make("s_curve", 25, 10))
         assert not np.array_equal(a, other)
 
 
@@ -138,7 +156,7 @@ class TestSeaWave:
 
     def test_negative_noise_rejected(self):
         with pytest.raises(ValueError):
-            gen_sea_wave(30, 0, noise_level=-0.1)
+            make("sea_wave", 30, 0, noise_level=-0.1)
 
 
 class TestEllipsoid:
@@ -160,42 +178,31 @@ class TestEllipsoid:
 
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):
-            gen_ellipsoid(30, 0, mode="shell")
+            make("ellipsoid", 30, 0, mode="shell")
         with pytest.raises(ValueError):
-            gen_ellipsoid(30, 0, a=-1.0)
+            make("ellipsoid", 30, 0, a=-1.0)
 
     def test_determinism(self):
-        a = points_matrix(gen_ellipsoid(40, 33))
-        b = points_matrix(gen_ellipsoid(40, 33))
+        a = points_matrix(make("ellipsoid", 40, 33))
+        b = points_matrix(make("ellipsoid", 40, 33))
         assert np.array_equal(a, b)
 
 
 class TestGenerate:
-    def test_dispatch_matches_direct_calls(self):
-        cases = [
-            (GenSpec("s_curve", 20, 2), gen_s_curve(20, 2)),
-            (GenSpec("sea_wave", 20, 2), gen_sea_wave(20, 2)),
-            (GenSpec("ellipsoid", 20, 2, {"mode": "surface"}),
-             gen_ellipsoid(20, 2, mode="surface")),
-        ]
-        for spec, direct in cases:
-            via, info = generate(spec)
-            assert np.array_equal(points_matrix(via), points_matrix(direct))
-            assert info["generator"] == GENERATOR_ID
-
     def test_generator_id(self):
         assert GENERATOR_ID == "numpy.random.PCG64"
 
-    @pytest.mark.parametrize("make", [gen_s_curve, gen_sea_wave, gen_ellipsoid])
-    @pytest.mark.parametrize("n", [0, 2])
-    def test_wrappers_validate_like_genspec(self, make, n):
-        with pytest.raises(ValueError, match="n must be at least 3"):
-            make(n, 0)
+    def test_info_holds_resolved_parameters(self):
+        _, info = generate(GenSpec("ellipsoid", 20, 2, {"a": 3.0, "shift_c": 40.0}))
+        assert info == {"generator": GENERATOR_ID, "resolved_shift": 40.0,
+                        "params": {"a": 3.0, "b": math.sqrt(2.0), "c": 1.0, "mode": "solid"}}
+        _, info = generate(GenSpec("s_curve", 20, 2))
+        assert info["params"] == {"noise_scale_u": 1.0 / 32.0}
 
 
 class TestDatasetFiles:
     def test_round_trip_sphere(self, tmp_path):
-        pts = gen_s_curve(25, 4)
+        pts = make("s_curve", 25, 4)
         path = tmp_path / "curve.csv"
         meta = {"kind": "dataset", "chart": SPHERE, "n": 25}
         write_dataset_csv(pts, path, meta)
@@ -218,13 +225,13 @@ class TestDatasetFiles:
     def test_sidecar_location_and_format(self, tmp_path):
         path = tmp_path / "d.csv"
         assert meta_path_for(path) == tmp_path / "d.meta.json"
-        write_dataset_csv(gen_s_curve(5, 0), path, {"b": 1, "a": 2})
+        write_dataset_csv(make("s_curve", 5, 0), path, {"b": 1, "a": 2})
         text = meta_path_for(path).read_text(encoding="utf-8")
         assert text == '{\n  "a": 2,\n  "b": 1\n}\n'
 
     def test_missing_sidecar_defaults_to_sphere(self, tmp_path):
         path = tmp_path / "bare.csv"
-        write_dataset_csv(gen_s_curve(5, 0), path)
+        write_dataset_csv(make("s_curve", 5, 0), path)
         assert not meta_path_for(path).exists()
         back, meta = read_dataset_csv(path)
         assert meta == {}

@@ -11,7 +11,14 @@ from psm.errors import NotAShapeFitError
 from psm.fitting import FitConfig, Net, StopReason, Submanifold, fit_flow, fit_submanifold
 from psm.geometry import FLAT, Point, PointArray, Tangent, exp_map, log_map
 from psm.shape import LandmarkConfig, to_preshape
-from psm.tangent_stats import EigenFrame, KernelSpec, frechet_mean
+from psm.tangent_stats import (
+    GAUSSIAN,
+    EigenFrame,
+    KernelSpec,
+    eigenframe,
+    frechet_mean,
+    local_covariance,
+)
 from psm.viz import (
     PrincipalDirections,
     ProjectedSubmanifold,
@@ -184,12 +191,12 @@ class TestPairingOnFits:
 
 
 class TestProjectSubmanifold:
-    def fit_small(self, seed=111):
+    def fit_small(self, seed=111, kernel=KernelSpec()):
         rng = np.random.default_rng(seed)
         xs = rng.standard_normal((80, 4)) * [2.0, 1.0, 0.5, 0.1]
         data = [Point(r, FLAT) for r in xs]
         start = Point(xs.mean(axis=0), FLAT)
-        cfg = FitConfig(epsilon=0.05, delta=3.0, kernel=KernelSpec(),
+        cfg = FitConfig(epsilon=0.05, delta=3.0, kernel=kernel,
                         num_directions=4, max_net_length=0.3)
         return fit_submanifold(data, start, cfg), data
 
@@ -219,10 +226,13 @@ class TestProjectSubmanifold:
         assert proj.project([]).shape == (0, 3)
 
     def test_default_kernel_is_fit_kernel(self):
-        sub, data = self.fit_small()
-        a = project_submanifold(sub, data)
-        b = project_submanifold(sub, data, sub.config.kernel)
-        np.testing.assert_array_equal(a.data, b.data)
+        sub, data = self.fit_small(kernel=KernelSpec(GAUSSIAN, 0.5))
+        basis = [t.vec for t in project_submanifold(sub, data).basis]
+        frame = eigenframe(local_covariance(sub.start, data, sub.config.kernel), sub.start, 3)
+        np.testing.assert_array_equal(basis, [t.vec for t in frame.vectors])
+        # the uniform ball would give another basis
+        ball = eigenframe(local_covariance(sub.start, data, KernelSpec()), sub.start, 3)
+        assert not np.allclose(basis, [t.vec for t in ball.vectors])
 
 
 class TestShapeGrid:
@@ -331,7 +341,7 @@ class TestWriteProjectedCsv:
         sub = synthetic_submanifold(num_directions=num_directions, levels=2)
         rng = np.random.default_rng(112)
         data = [Point(r, FLAT) for r in rng.standard_normal((10, 4))]
-        proj = project_submanifold(sub, data, KernelSpec())
+        proj = project_submanifold(sub, data)
         return sub, data, proj
 
     def test_kinds_and_counts(self, tmp_path):
