@@ -53,8 +53,8 @@ class GenSpec:
                 raise ValueError(f"{key} must be finite")
 
 
-def _resolve_shift(triplets: np.ndarray, shift_c) -> float:
-    sq = np.sum(triplets ** 2, axis=1)
+def _resolve_shift(sq: np.ndarray, shift_c) -> float:
+    """The lift constant C for squared triplet norms sq."""
     if isinstance(shift_c, str):
         if shift_c != "auto":
             raise ValueError(f"shift must be 'auto' or a number, got {shift_c!r}")
@@ -67,9 +67,14 @@ def _resolve_shift(triplets: np.ndarray, shift_c) -> float:
     return c
 
 
-def _lift(triplets: np.ndarray, shift_c) -> tuple[PointArray, float]:
-    c = _resolve_shift(triplets, shift_c)
+def _lift(triplets: np.ndarray, shift_c, source: str) -> tuple[PointArray, float]:
+    """Lift and normalize the triplets; source names the parameters that made
+    them, for the ValueError raised when their squared norms are not finite."""
     sq = np.sum(triplets ** 2, axis=1)
+    # an overflowing norm, or 1.1 x the largest one, leaves C infinite
+    c = _resolve_shift(sq, shift_c) if np.all(np.isfinite(sq)) else math.inf
+    if not math.isfinite(c):
+        raise ValueError(f"{source} are too large: the squared triplet norms overflow")
     fourth = np.sqrt(np.maximum(c - sq, 0.0))
     lifted = np.column_stack([triplets, fourth]) / math.sqrt(c)
     return PointArray(lifted / _row_norms(lifted)[:, None], SPHERE), c
@@ -167,7 +172,10 @@ def generate(spec: GenSpec) -> tuple[PointArray, dict]:
     make, defaults = RECIPES[spec.family]
     params = {**defaults, **spec.params}
     shift_c = params.pop("shift_c", "auto")
-    points, resolved = _lift(make(spec.n, spec.seed, **params), shift_c)
+    source = f"{spec.family} parameters " + ", ".join(f"{k}={v!r}" for k, v in params.items())
+    # a huge parameter overflows to inf or nan here, which _lift rejects by name
+    with np.errstate(over="ignore", invalid="ignore"):
+        points, resolved = _lift(make(spec.n, spec.seed, **params), shift_c, source)
     return points, {"generator": GENERATOR_ID, "resolved_shift": resolved, "params": params}
 
 

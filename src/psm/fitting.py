@@ -19,14 +19,15 @@ The fan grows in lockstep: a chunk of nets advances one level at a time,
 and a net leaves the chunk when it stops.  At each level one pass of the
 Gram-form kernel (tangent_stats._GramLevel) works from the inner products
 of the chunk's net points with the data, not from a tensor of logs: it
-gives every net point's distances and kernel weights, its hull test, and
-one raw covariance and tangent mean, which feed the stop check of the
-point, its variation-score term (the demeaned covariance) and the step
-from it.  The chunk size keeps each of the level's stacked arrays within
-_LEVEL_ARRAY_BYTES: the kernel's (nets, n) arrays, one float row per net,
-and the (nets, m, m) covariance arrays, one m x m matrix per net.  The one
-(n, m) weighted copy of the data is reused net by net, so on data with
-n >= m^2 the data's width does not shrink the chunk.
+gives every net point's kernel weights, its distance to the nearest data
+row, its hull test, and one raw covariance and tangent mean, which feed
+the stop check of the point, its variation-score term (the demeaned
+covariance) and the step from it.  The chunk size keeps each of the
+level's stacked arrays within _LEVEL_ARRAY_BYTES: the kernel's (nets, n)
+arrays, one float row per net, and the (nets, m, m) covariance arrays,
+one m x m matrix per net.  The kernel holds the centred data once,
+column-major, and one (m, n) weighted copy of it, reused net by net, so on
+data with n >= m^2 the data's width does not shrink the chunk.
 Every stacked product runs the same BLAS kernel per net as the per-point
 reference path (step_net, stop_check), which is the kernel's one-row case,
 so a net's points, stop reason and score do not depend on which nets share
@@ -228,7 +229,7 @@ def stop_check(a_next: Point, a_cur: Point, data, cfg: FitConfig,
         return StopReason.ANTIPODAL_GUARD
     if lv.hull(back)[0]:
         return StopReason.CONVEX_HULL_EXIT
-    if bool(np.all(lv.dists > cfg.delta)):
+    if lv.nearest[0] > cfg.delta:
         return StopReason.EMPTY_NEIGHBORHOOD
     if _past_cap(net_len, cfg):
         return StopReason.LENGTH_EXCEEDED
@@ -254,9 +255,11 @@ def _past_cap(net_len: float, cfg: FitConfig) -> bool:
 # reference path (step_net, stop_check) raises and checks them.
 
 # Budget of each stacked array of one level, which holds per net one float64
-# row of n (distances, weights, ...) or one m x m matrix (covariances, their
-# Gram terms); sets the chunk size.
-_LEVEL_ARRAY_BYTES = 256 * 1024
+# row of n (weights, log scales, ...) or one m x m matrix (covariances, their
+# Gram terms); sets the chunk size.  320 KiB is the smallest multiple of
+# 64 KiB at which two nets over 20,000 rows (160 KB a row) share a chunk;
+# BENCH_columns.json holds the RSS probe behind it.
+_LEVEL_ARRAY_BYTES = 320 * 1024
 
 # A net's stop code indexes this tuple; 0 means it is still growing.
 _REASONS = (None, StopReason.CONVEX_HULL_EXIT, StopReason.EMPTY_NEIGHBORHOOD,
@@ -362,7 +365,7 @@ def _grow_chunk(start: np.ndarray, seeds: np.ndarray, data: _GramData,
         # stop check of the candidate that just arrived (at level 1, the seed)
         _stop(code, gram.antipodal | lv.back_antipodal, StopReason.ANTIPODAL_GUARD)
         _stop(code, gram.hull(lv.back), StopReason.CONVEX_HULL_EXIT)
-        _stop(code, np.all(gram.dists > cfg.delta, axis=-1), StopReason.EMPTY_NEIGHBORHOOD)
+        _stop(code, gram.nearest > cfg.delta, StopReason.EMPTY_NEIGHBORHOOD)
         # the candidate ends a path of level epsilon-steps; _past_cap adds the last
         _stop(code, _past_cap((level - 1) * cfg.epsilon, cfg), StopReason.LENGTH_EXCEEDED)
         terms, scored = _score_terms(lv, chart, cfg, base_w, level)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -66,7 +67,11 @@ class KernelSpec:
             return np.ones_like(dists)
         if self.kind == UNIFORM_BALL:
             return (dists <= self.bandwidth).astype(float)
-        return np.exp(-0.5 * (dists / self.bandwidth) ** 2)
+        # exp(-(d / h)^2 / 2) in one new buffer; dists is left as it is
+        w = np.divide(dists, self.bandwidth, out=np.empty_like(dists))
+        np.square(w, out=w)
+        w *= -0.5
+        return np.exp(w, out=w)
 
 
 @dataclass(frozen=True, eq=False)
@@ -105,57 +110,83 @@ class EigenFrame:
 # Y' x (or Y' t) and the centred data matrix Y', with no (B, n, m) tensor
 # of logs.  Any fixed z keeps the algebra exact; one inside the data keeps
 # the expanded products the size of the data's spread and of |t|, not 1.
-# Each product is stacked per base row, as (n, m) @ (B, m, 1) or
-# (B, 1, n) @ (n, m), or taken one base row at a time, as the
-# (n, m)^T @ (n, m) product of Y'^T diag(a) Y' through one reused weighted
-# copy, so a row's statistics do not depend on the rows stacked with it
-# (geometry's stacked-matmul rule), and a single center is the one-row case.
+# Y' is stored once, column-major, as Y'^T (m, n), so every product runs
+# along rows of length n: x^T Y'^T as (B, 1, m) @ (m, n), Y'^T a as
+# (m, n) @ (B, n, 1), and Y'^T diag(a) Y' as (m, n) @ (n, m) through one
+# reused (m, n) weighted copy, one base row at a time.  Each product is
+# stacked per base row, so a row's statistics do not depend on the rows
+# stacked with it (geometry's stacked-matmul rule), and a single center is
+# the one-row case.
 
 class _GramData:
-    """A data matrix xs (n, m) on chart as the Gram kernel reads it: the
-    rows ys centred at the first row, origin."""
+    """A data matrix xs (n, m) on chart as the Gram kernel reads it: the rows
+    centred at the first row, origin, stored once as yt (m, n), C-contiguous;
+    ys (n, m) is its transposed view, not a copy."""
 
     def __init__(self, xs: np.ndarray, chart: str):
         self.chart = chart
         self.origin = xs[0].copy()
-        self.ys = xs - self.origin
+        self.yt = np.subtract(xs.T, self.origin[:, None], order="C")
+        self.ys = self.yt.T
         if chart == FLAT:
-            self.sq = np.einsum("ij,ij->i", self.ys, self.ys)
+            self.sq = np.einsum("ij,ij->j", self.yt, self.yt)
+
+
+def _arcs(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """theta = arccos(c) and s = theta / sin(theta) for clipped inner products
+    c (B, n); s is written over c.  s = 1 at a zero arc, and an antipodal row
+    (flagged by the caller) gets 0."""
+    theta = np.arccos(c)
+    sin = np.subtract(1.0, c)
+    zero_arc = c > 0.0  # s where sin vanishes: 1 at c = 1, 0 at c = -1
+    c += 1.0
+    sin *= c
+    np.sqrt(sin, out=sin)
+    np.copyto(c, zero_arc)
+    return theta, np.divide(theta, sin, out=c, where=sin > _ZERO_TOL)
 
 
 class _GramLevel:
     """Kernel statistics of the data's logs at stacked base points x (B, m).
 
-    dists and w (B, n) hold the geodesic distances and kernel weights,
-    total (B,) the weight sums; antipodal (B,) flags a base point with a
-    data row within _ANTIPODAL_TOL of its antipode, whose statistics are
-    meaningless.  On the sphere theta comes from <x, y>, and arccos loses
-    about half the digits of a short arc; here a short arc only feeds the
-    kernel weight, which is flat there, and s, which tends to 1.
+    w and s (B, n) hold the kernel weights and the log scales
+    theta / sin(theta) (s is the scalar 1.0 on the flat chart), total (B,)
+    the weight sums and nearest (B,) the distance to the nearest data row;
+    antipodal (B,) flags a base point with a data row within _ANTIPODAL_TOL
+    of its antipode, whose statistics are meaningless.  On the sphere theta
+    comes from <x, y>, and arccos loses about half the digits of a short
+    arc; here a short arc only feeds the kernel weight, which is flat there,
+    and s, which tends to 1.  The distances themselves are not kept.
     """
 
     def __init__(self, x: np.ndarray, data: _GramData, kernel: KernelSpec):
         self.x, self.data = x, data
-        ys, z = data.ys, data.origin
+        yt, z = data.yt, data.origin
         if data.chart == SPHERE:
             e = _row_dots(x, np.broadcast_to(z, x.shape))
             self.t = z - e[:, None] * x
-            c = np.clip(np.matmul(ys, x[:, :, None])[:, :, 0] + e[:, None], -1.0, 1.0)
-            self.dists = np.arccos(c)
-            sin = np.sqrt((1.0 - c) * (1.0 + c))
-            # s = 1 at a zero arc; an antipodal row (flagged) gets 0
-            self.s = np.divide(self.dists, sin, out=np.where(c > 0.0, 1.0, 0.0),
-                               where=sin > _ZERO_TOL)
+            c = np.matmul(x[:, None, :], yt)[:, 0]
+            c += e[:, None]
+            np.clip(c, -1.0, 1.0, out=c)
             self.antipodal = np.any(c < -1.0 + _ANTIPODAL_TOL, axis=-1)
+            dists, self.s = _arcs(c)
         else:
             self.t = z - x
-            proj = np.matmul(ys, self.t[:, :, None])[:, :, 0]
-            sq = data.sq + 2.0 * proj + _row_dots(self.t, self.t)[:, None]
-            self.dists = np.sqrt(np.maximum(sq, 0.0))
+            dists = np.matmul(self.t[:, None, :], yt)[:, 0]
+            dists *= 2.0
+            dists += data.sq
+            dists += _row_dots(self.t, self.t)[:, None]
+            np.sqrt(np.maximum(dists, 0.0, out=dists), out=dists)
             self.s = 1.0  # the flat log is y - x: no (B, n) array of ones
             self.antipodal = np.zeros(len(x), dtype=bool)
-        self.w = kernel.weights(self.dists)
+        self.w = kernel.weights(dists)
+        self.nearest = dists.min(axis=-1)
         self.total = self.w.sum(axis=-1)
+
+    @cached_property
+    def b(self) -> np.ndarray:
+        """w s (B, n), the weights of the tangent mean."""
+        return self.w * self.s
 
     def _tangent(self, v: np.ndarray) -> np.ndarray:
         """P v for stacked rows v (B, m)."""
@@ -168,8 +199,8 @@ class _GramLevel:
 
     def mean(self) -> np.ndarray:
         """Kernel-weighted tangent means (B, m): [P Y'^T b + (sum b) t] / sum w, b = w s."""
-        b = self.w * self.s
-        h = np.matmul(b[:, None, :], self.data.ys)[:, 0]
+        b = self.b
+        h = np.matmul(self.data.yt, b[:, :, None])[:, :, 0]
         mean = self._tangent(h) + b.sum(axis=-1)[:, None] * self.t
         return mean / self._per_weight()[:, None]
 
@@ -177,22 +208,22 @@ class _GramLevel:
         """Raw kernel covariances (B, m, m) of the logs: P M P / sum w, with
 
             M = Y'^T diag(a) Y' + g t^T + t g^T + (sum a) t t^T,
-            a = w s^2,  g = Y'^T a.
+            a = b s = w s^2,  g = Y'^T a.
 
         A base point whose weight total is 0 gets a zero matrix, and callers
         treat it as an empty neighbourhood.
         """
-        a = self.w * self.s * self.s
-        ys = self.data.ys
-        g = np.matmul(a[:, None, :], ys)[:, 0]
+        a = self.b * self.s
+        yt = self.data.yt
+        g = np.matmul(yt, a[:, :, None])[:, :, 0]
         t = self.t
         gt = g[:, :, None] * t[:, None, :]
         tt = t[:, :, None] * t[:, None, :]
         # Y'^T diag(a) Y' one base row at a time, through one weighted copy
         yay = np.empty_like(gt)
-        weighted = np.empty_like(ys)
+        weighted = np.empty_like(yt)
         for row, ai in zip(yay, a):
-            np.matmul(np.multiply(ys, ai[:, None], out=weighted).T, ys, out=row)
+            np.matmul(np.multiply(yt, ai, out=weighted), self.data.ys, out=row)
         cov = yay + gt + gt.transpose(0, 2, 1) + a.sum(axis=-1)[:, None, None] * tt
         if self.data.chart == SPHERE:
             x = self.x
@@ -206,8 +237,9 @@ class _GramLevel:
     def hull(self, back: np.ndarray) -> np.ndarray:
         """(B,) True where every data row y has <log_x(y), back> >= 0, whose
         sign is that of <y', P back> + <t, back>."""
-        yb = np.matmul(self.data.ys, self._tangent(back)[:, :, None])[:, :, 0]
-        return np.all(yb + _row_dots(self.t, back)[:, None] >= 0.0, axis=-1)
+        yb = np.matmul(self._tangent(back)[:, None, :], self.data.yt)[:, 0]
+        yb += _row_dots(self.t, back)[:, None]
+        return np.all(yb >= 0.0, axis=-1)
 
 
 def _demeaned(cov: np.ndarray, mean: np.ndarray) -> np.ndarray:

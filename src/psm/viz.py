@@ -18,7 +18,7 @@ import numpy as np
 from .datagen import _row_format
 from .errors import NotAShapeFitError
 from .fitting import Net, Submanifold
-from .geometry import Point, PointArray, Tangent, _distance_rows, _exp_rows, _tangent_dim, points_matrix
+from .geometry import Point, PointArray, Tangent, _exp_rows, _tangent_dim, points_matrix
 from .shape import LandmarkConfig, _centroid_offset, from_preshape
 from .tangent_stats import eigenframe, local_covariance
 
@@ -149,18 +149,17 @@ def project_submanifold(sub: Submanifold, data) -> ProjectedSubmanifold:
 
 
 def _resample_branch(net_points: PointArray, q: int) -> list[Point]:
-    """Pick q branch points at (roughly) evenly spaced arc lengths from the start."""
-    xs = net_points.coords  # row 0 is the start itself
-    gaps = _distance_rows(xs[:-1], xs[1:], net_points.chart)
-    arcs = np.concatenate([[0.0], np.cumsum(gaps)])
-    total = float(arcs[-1])
-    picks = []
-    for i in range(1, q + 1):
-        target = total * i / q
-        # snap to the nearest grown level, never back to the start cell
-        j = int(np.argmin(np.abs(arcs[1:] - target))) + 1
-        picks.append(net_points[j])
-    return picks
+    """Pick q branch points at evenly spaced arc lengths from the start.
+
+    Every step of a net is epsilon long, so the arc to level j is j epsilon
+    and target i of q sits at level L i / q of a net with L steps.  Each
+    target snaps to the nearest level, a tie to the lower one, never back to
+    the start cell; integer arithmetic keeps a tie from going to whichever
+    side the rounding of summed step lengths favours.
+    """
+    steps = len(net_points) - 1  # row 0 is the start itself
+    # the nearest j to steps * i / q, a tie down: floor((2 steps i + q - 1) / 2q)
+    return [net_points[max(1, (2 * steps * i + q - 1) // (2 * q))] for i in range(1, q + 1)]
 
 
 def shape_grid(sub: Submanifold, samples_per_direction: int = 9):

@@ -103,6 +103,23 @@ class TestGenerate:
         assert capsys.readouterr().err == f"usage error: {key} must be finite\n"
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("family, key, value", [
+        ("ellipsoid", "a", 1e200),
+        ("sea_wave", "noise_level", 1e200),
+        ("sea_wave", "noise_level", 1e308),  # the noise itself overflows
+        ("s_curve", "noise_scale_u", 1e300),
+    ])
+    def test_overflowing_parameter_is_usage_error(self, tmp_path, capsys, family, key, value):
+        # finite, but the squared triplet norms overflow; the error names the
+        # parameter, and no numpy warning (an error under pytest) comes first
+        flag = "--" + key.replace("_", "-")
+        assert run("generate", "--family", family, "--n", "20", flag, repr(value),
+                   "--out", str(tmp_path)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage error: {family} parameters ")
+        assert f"{key}={value!r}" in err and "squared triplet norms overflow" in err
+        assert list(tmp_path.iterdir()) == []
+
     def test_quiet_silences_stdout(self, tmp_path, capsys):
         code = run("generate", "--family", "s_curve", "--n", "20",
                    "--quiet", "--out", str(tmp_path))

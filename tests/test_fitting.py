@@ -551,8 +551,11 @@ class TestFitSubmanifold:
         # a net's kernel row of 3000 outweighs its 26 x 26 covariance, so the
         # width does not change the chunks
         chunks = fitting._chunks(180, np.zeros((3000, 26)))
-        assert len(chunks) == 18 and all(len(chunk) == 10 for chunk in chunks)
+        assert len(chunks) == 14 and all(len(chunk) == 13 for chunk in chunks[:-1])
+        assert len(chunks[-1]) == 11
         assert fitting._chunks(180, np.zeros((3000, 3))) == chunks
+        # the wide_flow shape: the two nets of a flow over 20,000 rows share one
+        assert fitting._chunks(2, np.zeros((20000, 4))) == [range(0, 2)]
         # 100 preshapes of 200 landmarks: each net's 400 x 400 covariance
         # arrays (1.28 MB) exceed the budget, so every net grows alone
         assert fitting._chunks(180, np.zeros((100, 400))) == [range(i, i + 1) for i in range(180)]

@@ -222,8 +222,8 @@ class TestGramKernel:
 
     Tolerance: 1e-12 of the largest covariance entry for the covariances,
     and of its square root for the means (measured errors are about 1e-14);
-    1e-10 absolute for the distances, which on the sphere come from arccos
-    of the inner product.
+    1e-10 absolute for the nearest distance and the kernel weights, which
+    on the sphere come from arccos of the inner product.
     """
 
     @staticmethod
@@ -245,7 +245,8 @@ class TestGramKernel:
             scale = np.abs(ref_cov).max()
             np.testing.assert_allclose(cov[i], ref_cov, rtol=0.0, atol=1e-12 * scale)
             np.testing.assert_allclose(mean[i], ref_mean, rtol=0.0, atol=1e-12 * scale ** 0.5)
-            np.testing.assert_allclose(lv.dists[i], ref_dists, rtol=0.0, atol=1e-10)
+            np.testing.assert_allclose(lv.nearest[i], ref_dists.min(), rtol=0.0, atol=1e-10)
+            np.testing.assert_allclose(lv.w[i], kernel.weights(ref_dists), rtol=0.0, atol=1e-10)
             backs.append(ref_mean)
             hulls.append(bool(np.all(vecs @ ref_mean >= 0.0)))
         assert not lv.antipodal.any()
@@ -282,13 +283,21 @@ class TestGramKernel:
             xs = xs / np.linalg.norm(xs, axis=1, keepdims=True)
             bases = bases / np.linalg.norm(bases, axis=1, keepdims=True)
         data, kernel = _GramData(xs, chart), KernelSpec(GAUSSIAN, 0.8)
+        # the centred data are one (m, n) array; ys is a view of it
+        assert data.yt.shape == (4, 50) and data.yt.flags.c_contiguous
+        assert np.shares_memory(data.ys, data.yt)
         batch = _GramLevel(bases, data, kernel)
         back = rng.standard_normal((7, 4))
         for i in range(7):
             one = _GramLevel(bases[i:i + 1], data, kernel)
             np.testing.assert_array_equal(one.covariance()[0], batch.covariance()[i])
             np.testing.assert_array_equal(one.mean()[0], batch.mean()[i])
-            np.testing.assert_array_equal(one.dists[0], batch.dists[i])
+            np.testing.assert_array_equal(one.nearest[0], batch.nearest[i])
+            np.testing.assert_array_equal(one.w[0], batch.w[i])
+            if chart == SPHERE:
+                np.testing.assert_array_equal(one.s[0], batch.s[i])
+            else:
+                assert one.s == batch.s == 1.0
             assert one.hull(back[i:i + 1])[0] == batch.hull(back)[i]
 
 

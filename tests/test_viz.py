@@ -23,6 +23,7 @@ from psm.viz import (
     PrincipalDirections,
     ProjectedSubmanifold,
     _pd_pairs,
+    _resample_branch,
     principal_directions,
     principal_geodesics,
     project_submanifold,
@@ -277,6 +278,20 @@ class TestShapeGrid:
         np.testing.assert_allclose(
             to_preshape(grid[c][c + 2]).point.coords, second.points[4].coords,
             rtol=0.0, atol=1e-12)
+
+    def test_resampling_ties_go_to_the_lower_level(self):
+        # a 3-step net at q = 4: the targets at 0.75, 1.5, 2.25 and 3 steps
+        # snap to levels 1, 1 (the tie), 2 and 3
+        path = np.array([[0.1 * j, 0.3 + 0.05 * j] for j in range(4)])
+
+        def levels(rows):
+            return [int(np.flatnonzero((rows == p.coords).all(axis=1))[0])
+                    for p in _resample_branch(PointArray(rows, FLAT), 4)]
+
+        assert levels(path) == [1, 1, 2, 3]
+        # one ulp either way moves the summed step lengths, not the picks
+        for toward in (-np.inf, np.inf):
+            assert levels(np.nextafter(path, toward)) == [1, 1, 2, 3]
 
     def test_flow_fills_row_only(self):
         sub = preshape_submanifold(dim=1, levels=4)
