@@ -243,11 +243,11 @@ def _validate_written(written: _Written) -> None:
             header = fh.readline().rstrip("\n")
             if not header:
                 raise PsmError(f"{p}: written file has no header")
-            width = len(header.split(","))
+            commas = header.count(",")
             for line_no, line in enumerate(fh, start=2):
                 if not line.strip() or line.startswith("#"):
                     continue
-                if len(line.rstrip("\n").split(",")) != width:
+                if line.count(",") != commas:
                     raise PsmError(f"{p}: line {line_no}: column count mismatch")
                 rows += 1
         if expected is not None and rows != expected:

@@ -199,43 +199,79 @@ def _row_format(lead: str, width: int) -> str:
 
 
 def write_dataset_csv(points, path, meta: dict | None = None) -> None:
-    """Write points as point_index,c0,... rows plus a metadata sidecar."""
+    """Write points as point_index,c0,... rows plus a metadata sidecar.
+
+    Rows are streamed to the file: no list of every row's text and no joined
+    copy of it are held.
+    """
     xs = points_matrix(points)
     header = "point_index," + ",".join(f"c{i}" for i in range(xs.shape[1]))
-    row_fmt = _row_format("%d,", xs.shape[1])
-    lines = [header]
-    for idx, row in enumerate(xs):
-        lines.append(row_fmt % (idx, *row.tolist()))
+    row_fmt = _row_format("%d,", xs.shape[1]) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(header + "\n")
+        fh.writelines(row_fmt % (idx, *row.tolist()) for idx, row in enumerate(xs))
     if meta is not None:
         with open(meta_path_for(path), "w", encoding="utf-8", newline="\n") as fh:
             json.dump(meta, fh, indent=2, sort_keys=True)
             fh.write("\n")
 
 
-def read_dataset_csv(path) -> tuple[PointArray, dict]:
-    """Read a coordinate CSV into one PointArray, honoring any metadata sidecar.
-
-    The sidecar's "chart" entry selects the chart (sphere by default).
-    Every line is parsed to floats as it is read; the rows must be finite,
-    and sphere rows must be unit vectors up to 1e-6 and are cleaned by exact
-    renormalization of the whole matrix.  Errors name the path and the line.
-    """
-    meta = {}
+def _read_sidecar(path) -> dict:
+    """The JSON object in path's metadata sidecar, or {} when there is none;
+    a sidecar that does not parse or holds no object raises ValueError naming it."""
     mp = meta_path_for(path)
     try:
         with open(mp, "r", encoding="utf-8") as fh:
             meta = json.load(fh)
     except FileNotFoundError:
+        return {}
+    except ValueError as exc:  # bad JSON or bad UTF-8
+        raise ValueError(f"{mp}: {exc}") from None
+    if not isinstance(meta, dict):
+        raise ValueError(f"{mp}: the sidecar must hold a JSON object, not {type(meta).__name__}")
+    return meta
+
+
+def _body_is_empty(fh) -> bool:
+    """Whether only empty lines follow fh's position, which is kept: np.loadtxt
+    warns on such a body, and the row loops word its error."""
+    start = fh.tell()
+    while (line := fh.readline()) == "\n":
         pass
-    chart = meta.get("chart", SPHERE)
+    fh.seek(start)
+    return not line
+
+
+def _load_coordinates(path) -> np.ndarray | None:
+    """The coordinate columns of a dataset CSV parsed by numpy's C reader, or
+    None when it cannot parse them or the header is not a plain
+    point_index,c0,... line: the row loop then reads the file."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            first = fh.readline()
+            header = first.rstrip("\n").split(",")
+            # a quote makes the csv module split the header otherwise
+            if '"' in first or header[0].strip() != "point_index" or len(header) < 3 \
+                    or _body_is_empty(fh):
+                return None
+            table = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
+        except ValueError:  # a row numpy cannot parse, or bad UTF-8
+            return None
+    if table.shape[1] != len(header):
+        return None
+    return np.ascontiguousarray(table[:, 1:])
+
+
+def _read_coordinate_rows(path) -> tuple[np.ndarray, list[int]]:
+    """The coordinate rows of a dataset CSV and their line numbers, parsed row
+    by row with the csv module; a malformed file raises ValueError naming the
+    path and the line."""
     values = array("d")
     line_nos = []
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
-        if header is None or header[0].strip() != "point_index":
+        if not header or header[0].strip() != "point_index":
             raise ValueError(f"{path}: expected a point_index,c0,... header")
         width = len(header) - 1
         if width < 2:
@@ -252,16 +288,43 @@ def read_dataset_csv(path) -> tuple[PointArray, dict]:
             line_nos.append(line_no)
     if not line_nos:
         raise ValueError(f"{path}: no data rows")
-    xs = np.frombuffer(values, dtype=float).reshape(-1, width)
+    return np.frombuffer(values, dtype=float).reshape(-1, width), line_nos
+
+
+def _row_fault(xs: np.ndarray, chart: str) -> tuple[int, str] | None:
+    """(row, reason) of the first row that is not finite or, on the sphere,
+    not a unit vector up to 1e-6; None when every row passes."""
     bad = ~np.isfinite(xs).all(axis=1)
     if bad.any():
-        raise ValueError(f"{path}: line {line_nos[bad.argmax()]}: coordinates must be finite")
+        return int(bad.argmax()), "coordinates must be finite"
     if chart == SPHERE:
         norms = _row_norms(xs)
         off = np.abs(norms - 1.0) > 1e-6
         if off.any():
-            raise ValueError(
-                f"{path}: line {line_nos[off.argmax()]}: sphere rows must be unit vectors "
-                f"(norm {float(norms[off.argmax()])!r})")
-        xs = xs / norms[:, None]
+            row = int(off.argmax())
+            return row, f"sphere rows must be unit vectors (norm {float(norms[row])!r})"
+    return None
+
+
+def read_dataset_csv(path) -> tuple[PointArray, dict]:
+    """Read a coordinate CSV into one PointArray, honoring any metadata sidecar.
+
+    The sidecar, a JSON object, selects the chart with its "chart" entry
+    (sphere by default).  numpy's C reader parses the body; the rows must be
+    finite, and sphere rows must be unit vectors up to 1e-6 and are cleaned by
+    exact renormalization of the whole matrix.  A file numpy cannot parse, or
+    whose rows fail a check, is read again row by row, which accepts blank
+    rows and csv quoting and words each error with the path and the line.
+    """
+    meta = _read_sidecar(path)
+    chart = meta.get("chart", SPHERE)
+    xs = _load_coordinates(path)
+    if xs is None or _row_fault(xs, chart):
+        xs, line_nos = _read_coordinate_rows(path)
+        fault = _row_fault(xs, chart)
+        if fault:
+            row, reason = fault
+            raise ValueError(f"{path}: line {line_nos[row]}: {reason}")
+    if chart == SPHERE:
+        xs = xs / _row_norms(xs)[:, None]
     return PointArray(xs, chart), meta

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .datagen import _body_is_empty
 from .errors import (
     DegenerateConfigError,
     DegenerateOrbitError,
@@ -176,19 +177,75 @@ def from_preshape(p: Point, k: int, specimen_id: str = "recovered") -> LandmarkC
 #   2. whitespace-separated blocks of k rows "x y", blank lines between
 #      specimens, specimens implicitly numbered from 1.
 
+_CSV_HEADER = ["specimen_id", "landmark_index", "x", "y"]
+
+# Characters after which the row loop reads a file otherwise than numpy: the
+# csv module's quote and the line breaks of str.splitlines other than \n and \r.
+_ROW_LOOP_ONLY = '"\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029'
+
+_LANDMARK_ROW = np.dtype([("index", np.int64), ("xy", float, (2,))])
+
+
 def read_landmarks(path) -> list[LandmarkConfig]:
     """Parse a landmark file in either accepted layout.
 
+    numpy's C reader parses the CSV layout; a file it cannot parse, or whose
+    rows fail a check, is read row by row, which also reads the block layout.
     Layout errors raise LandmarkFormatError with a 1-based line number.
     """
+    configs = _load_landmarks_csv(path)
+    if configs is not None:
+        return configs
     with open(path, "r", encoding="utf-8", newline="") as fh:
         text = fh.read()
     lines = text.splitlines()
     first = next((ln for ln in lines if ln.strip()), "")
     header = [col.strip().lower() for col in first.split(",")]
-    if header[:4] == ["specimen_id", "landmark_index", "x", "y"]:
+    if header[:4] == _CSV_HEADER:
         return _read_landmarks_csv(lines)
     return _read_landmarks_blocks(lines)
+
+
+def _load_landmarks_csv(path) -> list[LandmarkConfig] | None:
+    """A CSV-layout file parsed by numpy's C reader in two column passes, ids
+    and (landmark_index, x, y) rows, then checked as arrays; None when the file
+    is in another layout, holds a _ROW_LOOP_ONLY character, or fails a parse
+    or check, for the row loop to read it."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            while (line := fh.readline()) and not line.strip():
+                pass
+            if [col.strip().lower() for col in line.split(",")][:4] != _CSV_HEADER:
+                return None
+            body = fh.tell()
+            fh.seek(0)
+            while chunk := fh.read(1 << 16):
+                if any(ch in chunk for ch in _ROW_LOOP_ONLY):
+                    return None
+            fh.seek(body)
+            if _body_is_empty(fh):
+                return None
+            rows = np.loadtxt(fh, dtype=_LANDMARK_ROW, delimiter=",", comments=None,
+                              usecols=(1, 2, 3), ndmin=1)
+            fh.seek(body)
+            ids = np.loadtxt(fh, dtype=object, delimiter=",", comments=None, usecols=0, ndmin=1)
+        except ValueError:  # a row numpy cannot parse, or bad UTF-8
+            return None
+    # specimens split where the raw id changes; the row loop strips ids, which
+    # merges no two of them when the stripped names are distinct (checked below)
+    starts = np.flatnonzero(np.concatenate(([True], ids[1:] != ids[:-1])))
+    k = len(ids) // len(starts)
+    if k < 3 or not np.array_equal(starts, np.arange(0, len(ids), k)):
+        return None  # a specimen of another landmark count, or under 3
+    index = rows["index"].reshape(-1, k)
+    # each specimen's indices step by 1; a last index below the first flags int64 wrap-around
+    if np.any(np.diff(index, axis=1) != 1) or np.any(index[:, -1] < index[:, 0]):
+        return None
+    names = [name.strip() for name in ids[starts].tolist()]
+    xy = rows["xy"].reshape(-1, k, 2)
+    if len(set(names)) < len(names) or not np.isfinite(xy).all():
+        return None  # a specimen in two blocks, or a coordinate not finite
+    return [LandmarkConfig(block, name) for block, name in zip(xy, names)]
 
 
 def _read_landmarks_csv(lines) -> list[LandmarkConfig]:

@@ -138,12 +138,15 @@ def _arcs(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     (flagged by the caller) gets 0."""
     theta = np.arccos(c)
     sin = np.subtract(1.0, c)
-    zero_arc = c > 0.0  # s where sin vanishes: 1 at c = 1, 0 at c = -1
     c += 1.0
     sin *= c
     np.sqrt(sin, out=sin)
-    np.copyto(c, zero_arc)
-    return theta, np.divide(theta, sin, out=c, where=sin > _ZERO_TOL)
+    flat = sin <= _ZERO_TOL
+    zero_arc = c[flat] > 1.0  # s where sin vanishes: 1 at c = 1, 0 at c = -1 (c holds 1 + c)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        np.divide(theta, sin, out=c)
+    c[flat] = zero_arc
+    return theta, c
 
 
 class _GramLevel:

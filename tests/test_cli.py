@@ -163,6 +163,55 @@ def test_written_dataset_is_read_back_once(tmp_path, monkeypatch, capsys, comman
     assert list(out.iterdir()) == []
 
 
+@pytest.mark.parametrize("row", ["20,1.0", "20,1,0,0,0,0"])
+def test_written_csv_with_a_ragged_row_fails(tmp_path, monkeypatch, capsys, row):
+    import psm.cli
+
+    write = psm.cli.write_dataset_csv
+
+    def ragged(points, path, meta):
+        write(points, path, meta)
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write(row + "\n")
+
+    monkeypatch.setattr(psm.cli, "write_dataset_csv", ragged)
+    out = tmp_path / "ragged"
+    assert run("generate", "--family", "sea_wave", "--n", "20", "--quiet",
+               "--out", str(out)) == 1
+    assert "sea_wave.csv: line 22: column count mismatch" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
+def test_well_formed_inputs_never_reach_the_row_loops(tmp_path, monkeypatch):
+    # numpy's reader takes the files psm writes and the landmark layout of
+    # the benchmark; the row loops only word errors
+    import psm.datagen
+    import psm.shape
+
+    def row_loop(*args):
+        raise AssertionError("a well-formed file reached a row loop")
+
+    monkeypatch.setattr(psm.datagen, "_read_coordinate_rows", row_loop)
+    monkeypatch.setattr(psm.shape, "_read_landmarks_csv", row_loop)
+    assert run("generate", "--family", "s_curve", "--n", "500", "--seed", "3", "--quiet",
+               "--out", str(tmp_path)) == 0
+    points, meta = read_dataset_csv(tmp_path / "s_curve.csv")
+    assert len(points) == 500 and meta["family"] == "s_curve"
+    # ids spec0000, ..., landmarks numbered from 0, coordinates written with repr
+    configs = digit3_configs(n=40, seed=9)
+    lines = ["specimen_id,landmark_index,x,y"]
+    for s, config in enumerate(configs):
+        lines += [f"spec{s:04d},{i},{float(x)!r},{float(y)!r}"
+                  for i, (x, y) in enumerate(config.landmarks)]
+    path = tmp_path / "digits.csv"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    read = psm.shape.read_landmarks(path)
+    assert [c.specimen_id for c in read] == [f"spec{s:04d}" for s in range(40)]
+    assert all(a.landmarks.tobytes() == b.landmarks.tobytes() for a, b in zip(read, configs))
+    assert run("shapes", str(path), "--quiet", "--out", str(tmp_path / "pre")) == 0
+    assert len(read_dataset_csv(tmp_path / "pre" / "preshapes.csv")[0]) == 40
+
+
 def test_quiet_fit_computes_no_net_lengths(tmp_path, monkeypatch, capsys):
     import psm.cli
 
@@ -423,6 +472,23 @@ class TestFit:
     def test_missing_input_file(self, tmp_path):
         assert run("fit", str(tmp_path / "ghost.csv"),
                    "--out", str(tmp_path)) == 2
+
+    @pytest.mark.parametrize("sidecar, kind", [("[1]", "list"), ('"x"', "str")])
+    def test_sidecar_that_is_no_object_is_named(self, tmp_path, s_curve_csv, capsys,
+                                                 sidecar, kind):
+        meta = s_curve_csv.with_name("s_curve.meta.json")
+        meta.write_text(sidecar + "\n", encoding="utf-8")
+        assert run("fit", str(s_curve_csv), "--out", str(tmp_path / "x")) == 1
+        assert capsys.readouterr().err == \
+            f"error: {meta}: the sidecar must hold a JSON object, not {kind}\n"
+
+    def test_unparsable_sidecar_is_named(self, tmp_path, s_curve_csv, capsys):
+        meta = s_curve_csv.with_name("s_curve.meta.json")
+        meta.write_text("{1: 2}\n", encoding="utf-8")
+        assert run("fit", str(s_curve_csv), "--out", str(tmp_path / "x")) == 1
+        assert capsys.readouterr().err == (
+            f"error: {meta}: Expecting property name enclosed in double quotes: "
+            "line 1 column 2 (char 1)\n")
 
     def test_shape_grid_written_for_preshape_input(self, tmp_path, preshapes_csv):
         out = tmp_path / "run"

@@ -289,6 +289,12 @@ class TestDatasetFiles:
         with pytest.raises(ValueError, match=r"blanks\.csv: line 6: expected 3 columns"):
             read_dataset_csv(path)
 
+    def test_leading_blank_line_is_a_bad_header(self, tmp_path):
+        path = tmp_path / "lead.csv"
+        path.write_text("\npoint_index,c0,c1\n0,1,0\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=r"lead\.csv: expected a point_index,c0,\.\.\. header"):
+            read_dataset_csv(path)
+
     def test_rejects_empty(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("point_index,c0,c1\n", encoding="utf-8")

@@ -4,13 +4,17 @@ derandomize=True draws the same examples on every run, so these tests are
 as deterministic as the rest of the suite.
 """
 
+import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
+from psm import datagen, shape
+from psm.datagen import meta_path_for
 from psm.fitting import FitConfig, fit_submanifold
 from psm.geometry import (
     FLAT,
@@ -163,3 +167,150 @@ def test_fit_is_rotation_equivariant(entries, reflect):
         assert len(mate.points) == len(net.points)
         np.testing.assert_allclose(points_matrix(mate.points), points_matrix(net.points) @ q.T,
                                    rtol=0.0, atol=1e-9)
+
+
+# -- file readers: numpy's parse against the row loops that word its errors --
+
+# tokens the row loops meet in the wild: non-finite values, a quoted number
+# (the csv module unquotes it, numpy does not), a padded one, and tokens that
+# float() or int() reject, or that numpy rejects and Python accepts (1_0)
+_ODD_TOKENS = ["nan", "inf", "-inf", "Infinity", "1e999", '"0.5"', " 0.5 ", "one", "1_0",
+               "1.0", "", " ", "1.0.0"]
+# rows the row loops skip or reject: empty, whitespace-only, blank fields
+_ODD_ROWS = ["", "", "", "   ", "\t", " , ", ",", ",,,"]
+# ids that numpy might read otherwise than the csv module after
+# str.splitlines: quoted, holding NUL, or a line break other than \n and \r
+_ODD_IDS = ['"d"', "e\x00", "f\x0c", "g\u2028", "h\x85"]
+
+
+def _number(draw, value: float) -> str:
+    return "%.17g" % value if draw(st.booleans()) else repr(value)
+
+
+def _spoil(draw, lines: list[str]) -> list[str]:
+    """lines with 0-2 of: an odd row inserted, a field of a data row swapped
+    for an odd token, dropped, doubled or quoted."""
+    for _ in range(draw(st.integers(0, 2))):
+        if len(lines) < 2:
+            break
+        at = draw(st.integers(1, len(lines) - 1))
+        fields = lines[at].split(",")
+        col = draw(st.integers(0, len(fields) - 1))
+        kind = draw(st.integers(0, 4))
+        if kind == 0:
+            lines.insert(at, draw(st.sampled_from(_ODD_ROWS)))
+            continue
+        if kind == 1:
+            fields[col] = draw(st.sampled_from(_ODD_TOKENS))
+        elif kind == 2:
+            del fields[col]
+        elif kind == 3:
+            fields.insert(col, fields[col])
+        else:
+            fields[col] = f'"{fields[col]}"'
+        lines[at] = ",".join(fields)
+    return lines
+
+
+def _text(draw, lines: list[str]) -> str:
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    return newline.join(_spoil(draw, lines)) + draw(st.sampled_from([newline, ""]))
+
+
+@st.composite
+def dataset_files(draw):
+    """(csv text, sidecar text or None) of 0-6 rows, unit vectors or not,
+    now and then each with a column too many."""
+    width = draw(st.integers(2, 4))
+    unit = draw(st.booleans())
+    extra = draw(st.sampled_from(["", "", "", ",0"]))  # one column too many in every row
+    lines = ["point_index," + ",".join(f"c{j}" for j in range(width))]
+    for i in range(draw(st.integers(0, 6))):
+        row = _vector(draw, width)
+        if unit:
+            assume(np.linalg.norm(row) > 0.1)
+            row = row / np.linalg.norm(row)
+        lines.append(",".join([str(i)] + [_number(draw, v) for v in row.tolist()]) + extra)
+    chart = draw(st.sampled_from([None, SPHERE, FLAT]))
+    sidecar = None if chart is None else json.dumps({"chart": chart})
+    return _text(draw, lines), sidecar
+
+
+@st.composite
+def landmark_files(draw):
+    """CSV-layout landmark text: 0-4 specimens of k landmarks, now and then
+    one short or long, empty lines between them, an extra column, ids that
+    repeat, carry spaces or are _ODD_IDS, first indices up to the int64
+    edge, and indices that are no int (1.0, 1_0, one)."""
+    k = draw(st.integers(3, 4))
+    extra = draw(st.sampled_from(["", "", "", ",9"]))
+    lines = ["specimen_id,landmark_index,x,y" + extra]
+    n = draw(st.sampled_from([0, 1, 2, 2, 3, 3, 4]))
+    ids = draw(st.lists(st.sampled_from(["a", " b", "c ", "spec0001"]), min_size=n, max_size=n,
+                        unique=draw(st.integers(0, 3)) > 0))
+    if ids and draw(st.integers(0, 3)) == 0:
+        ids[draw(st.integers(0, n - 1))] = draw(st.sampled_from(_ODD_IDS))
+    gap = draw(st.sampled_from([[], [], [], [""]]))  # an empty line before each specimen
+    for sid in ids:
+        lines += gap
+        first = draw(st.sampled_from([0] * 6 + [1, -1, 2**63 - 2]))
+        count = k + draw(st.sampled_from([0] * 10 + [-1, 1]))
+        for i in range(count):
+            index = str(first + i) if draw(st.integers(0, 79)) else \
+                draw(st.sampled_from(["1.0", "1_0", "one"]))
+            x, y = _vector(draw, 2).tolist()
+            lines.append(f"{sid},{index},{_number(draw, x)},{_number(draw, y)}{extra}")
+    return _text(draw, lines)
+
+
+def _outcome(read, path):
+    """read(path) as ("ok", result) or as the type and message it raised."""
+    try:
+        return "ok", read(path)
+    except Exception as exc:  # the row loops may raise any type; compare them
+        return type(exc), str(exc)
+
+
+def _row_loop_only(module, loader: str, read, path):
+    """_outcome of read(path) with module's numpy loader declining every file."""
+    with mock.patch.object(module, loader, lambda path: None):
+        return _outcome(read, path)
+
+
+FILES = settings(PROPERTY, max_examples=500,
+                 suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+@FILES
+@given(files=dataset_files())
+def test_dataset_reader_equals_its_row_loop(tmp_path, files):
+    text, sidecar = files
+    path = tmp_path / "d.csv"
+    path.write_text(text, encoding="utf-8", newline="")
+    meta = meta_path_for(path)
+    meta.unlink(missing_ok=True)
+    if sidecar is not None:
+        meta.write_text(sidecar, encoding="utf-8")
+    got = _outcome(datagen.read_dataset_csv, path)
+    want = _row_loop_only(datagen, "_load_coordinates", datagen.read_dataset_csv, path)
+    if got[0] == "ok" and want[0] == "ok":
+        (points, meta_got), (points_want, meta_want) = got[1], want[1]
+        assert points.coords.tobytes() == points_want.coords.tobytes()
+        assert points.coords.shape == points_want.coords.shape
+        assert (points.chart, meta_got) == (points_want.chart, meta_want)
+    else:
+        assert got == want
+
+
+@FILES
+@given(text=landmark_files())
+def test_landmark_reader_equals_its_row_loop(tmp_path, text):
+    path = tmp_path / "lm.csv"
+    path.write_text(text, encoding="utf-8", newline="")
+    got = _outcome(shape.read_landmarks, path)
+    want = _row_loop_only(shape, "_load_landmarks_csv", shape.read_landmarks, path)
+    if got[0] == "ok" and want[0] == "ok":
+        assert [(c.specimen_id, c.landmarks.tobytes()) for c in got[1]] == \
+               [(c.specimen_id, c.landmarks.tobytes()) for c in want[1]]
+    else:
+        assert got == want

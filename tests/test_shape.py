@@ -341,6 +341,9 @@ class TestReadLandmarksCsv:
         # blank lines count, quoted fields parse
         ('\na,1,0,0\n\n"a",2,1,0\na,3,0,1\nb,1,0,0\n', LandmarkFormatError,
          "line 7: specimen 'b' has only 1 landmarks (need >= 3)"),
+        # int64 steps from the largest index to the smallest by +1 (mod 2**64)
+        (f"a,{2**63 - 1},0,0\na,{-2**63},1,0\na,{1 - 2**63},0,1\n", LandmarkFormatError,
+         f"line 3: landmark_index jumps from {2**63 - 1} to {-2**63}"),
     ])
     def test_errors_name_the_first_line(self, tmp_path, body, error, message):
         with pytest.raises(error) as exc:

@@ -1,6 +1,7 @@
 """Means, kernel covariances, eigenframes, angle diagnostics."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from psm.tangent_stats import (
     KernelSpec,
     _GramData,
     _GramLevel,
+    _arcs,
     eigenframe,
     frechet_mean,
     frechet_variance,
@@ -299,6 +301,18 @@ class TestGramKernel:
             else:
                 assert one.s == batch.s == 1.0
             assert one.hull(back[i:i + 1])[0] == batch.hull(back)[i]
+
+    def test_arcs_at_a_zero_arc_and_an_antipode(self):
+        # sin vanishes at c = 1 and c = -1: s is written there as 1 and 0,
+        # and the divide by zero that came first warns of nothing
+        c = np.array([[1.0, -1.0, 0.5], [-1.0, 1.0, 0.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            theta, s = _arcs(c.copy())
+        np.testing.assert_array_equal(s[:, :2], [[1.0, 0.0], [0.0, 1.0]])
+        np.testing.assert_array_equal(theta, np.arccos(c))
+        assert s[0, 2] == np.arccos(0.5) / math.sqrt(0.5 * 1.5)
+        assert s[1, 2] == (np.pi / 2) / 1.0
 
 
 class TestEigenframe:
