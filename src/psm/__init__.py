@@ -51,22 +51,13 @@ from .tangent_stats import (
     frechet_variance,
     local_covariance,
 )
-from .shape import (
-    LandmarkConfig,
-    Preshape,
-    align_dataset,
-    align_rotation,
-    from_preshape,
-    read_landmarks,
-    to_preshape,
-)
+from .shape import align_dataset, from_preshape, read_landmarks
 from .fitting import (
     FitConfig,
     Net,
     StopReason,
     Submanifold,
     VariationScore,
-    fit_flow,
     fit_submanifold,
     net_length,
     seed_directions,

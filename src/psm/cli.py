@@ -113,7 +113,8 @@ _SETTINGS = {
     "k": _Setting(_FIT, int, fit_field="dim",
                   help="sub-manifold dimension (1 grows a two-net flow)"),
     "start": _Setting(_FIT, str, "mean", choices=("mean", "custom")),
-    "coords": _Setting(_FIT, str, help="comma-separated start coordinates for --start custom"),
+    "coords": _Setting(_FIT, str, help="comma-separated start coordinates for --start custom; "
+                       "write a negative first value as --coords=-1,0,0,0"),
     "grid_samples": _Setting(_FIT, int, 9, help="shape grid side length (odd), preshape data only"),
 }
 
@@ -218,7 +219,8 @@ def _start_point(merged: dict, points: PointArray) -> tuple[Point, str]:
 
 # -- output bookkeeping: compute first, write late, clean up on failure --
 
-# each written path -> the data rows a dataset must hold, or None
+# each output path -> the data rows a dataset must hold, or None; a path is
+# registered before its writer opens it, so a failure part-way removes it too
 _Written = dict[Path, int | None]
 
 
@@ -266,8 +268,8 @@ def _out_dir(merged: dict) -> Path:
 
 
 def _write_dataset(points: PointArray, path: Path, meta: dict, written: _Written) -> None:
-    write_dataset_csv(points, path, meta)
     written.update({path: len(points), meta_path_for(path): None})
+    write_dataset_csv(points, path, meta)
 
 
 def _cmd_generate(merged: dict, written: _Written) -> None:
@@ -294,16 +296,17 @@ def _cmd_generate(merged: dict, written: _Written) -> None:
 
 
 def _cmd_shapes(merged: dict, input_path: Path, written: _Written) -> None:
-    configs = read_landmarks(input_path)
-    aligned, mean = align_dataset(configs)
+    landmarks, ids = read_landmarks(input_path)
+    aligned, mean = align_dataset(landmarks, ids)
+    k = landmarks.shape[1]
     path = _out_dir(merged) / "preshapes.csv"
     meta = {
-        "kind": "preshape", "chart": SPHERE, "k": configs[0].k,
+        "kind": "preshape", "chart": SPHERE, "k": k,
         "n": len(aligned), "mean": [float(v) for v in mean.coords],
-        "specimen_ids": [c.specimen_id for c in configs],
+        "specimen_ids": ids,
     }
     _write_dataset(aligned, path, meta, written)
-    _say(merged, f"aligned {len(aligned)} configurations of {configs[0].k} landmarks -> {path}")
+    _say(merged, f"aligned {len(aligned)} configurations of {k} landmarks -> {path}")
 
 
 def _kernel_dict(kernel: KernelSpec) -> dict:
@@ -345,10 +348,10 @@ def _cmd_fit(merged: dict, input_path: Path, written: _Written,
     sub_path = out / "submanifold.csv"
     proj_path = out / "projected.csv"
     summary_path = out / "summary.json"
-    write_submanifold_csv(sub, sub_path)
     written[sub_path] = None
-    write_projected_csv(proj_path, proj, sub, pds, geodesics)
+    write_submanifold_csv(sub, sub_path)
     written[proj_path] = None
+    write_projected_csv(proj_path, proj, sub, pds, geodesics)
     summary = {
         "command": "compare-geodesic" if with_geodesics else "fit",
         "input": input_path.name,
@@ -365,14 +368,14 @@ def _cmd_fit(merged: dict, input_path: Path, written: _Written,
         summary["note"] = pds.note
     if geodesics is not None:
         summary["geodesic_levels"] = {str(k): len(v) for k, v in geodesics.items()}
+    written[summary_path] = None
     with open(summary_path, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    written[summary_path] = None
     if grid is not None:
         shapes_path = out / "shapes.json"
-        write_shapes_json(shapes_path, grid, merged["grid_samples"], start_kind)
         written[shapes_path] = None
+        write_shapes_json(shapes_path, grid, merged["grid_samples"], start_kind)
     for p in written:
         _say(merged, f"wrote {p}")
 

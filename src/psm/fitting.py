@@ -387,7 +387,8 @@ def _grow_chunk(start: np.ndarray, seeds: np.ndarray, data: _GramData,
 
 
 def fit_submanifold(data, start: Point, cfg: FitConfig) -> Submanifold:
-    """Grow a full fan of nets from the start point.
+    """Grow a full fan of nets from the start point; cfg.dim = 1 grows the
+    flow, two nets seeded at +/- epsilon * e1(start).
 
     The local covariance at the start must support cfg.dim directions
     (RankDeficientError otherwise).  Chunks of nets grow in lockstep, one
@@ -417,13 +418,6 @@ def fit_submanifold(data, start: Point, cfg: FitConfig) -> Submanifold:
     score = VariationScore(float(sum(per_net)), tuple(per_net), skipped)
     object.__setattr__(sub, "_fit_score", (xs, score))
     return sub
-
-
-def fit_flow(data, start: Point, cfg: FitConfig) -> Submanifold:
-    """One-dimensional variant: two nets seeded at +/- epsilon * e1(start)."""
-    if cfg.dim != 1:
-        raise ValueError("fit_flow requires a config with dim = 1")
-    return fit_submanifold(data, start, cfg)
 
 
 def net_length(net: Net) -> float:

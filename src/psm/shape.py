@@ -6,12 +6,13 @@ the Frobenius norm).  Coordinates are flattened landmark-major, i.e.
 (x1, y1, x2, y2, ...), giving a unit vector in R^{2k} whose even and odd
 strides each sum to zero.  Rotation is removed by aligning each preshape to
 a reference with the closed-form optimal angle of the complex inner product.
+A landmark dataset is one (N, k, 2) array, from the file to the (N, 2k)
+preshape matrix.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,58 +25,14 @@ from .errors import (
     NoConvergenceError,
     NotCenteredError,
 )
-from .geometry import SPHERE, Point, PointArray, _row_norms, geodesic_distance
+from .geometry import Point, PointArray, _row_norms, geodesic_distance
 from .tangent_stats import frechet_mean
 
-_CENTER_TOL = 1e-10
 _RECOVER_CENTER_TOL = 1e-6
 _SCALE_TOL = 1e-12
 _ORBIT_TOL = 1e-14
 _GPA_TOL = 1e-9
 _GPA_MAX_ITER = 100
-
-
-@dataclass(frozen=True, eq=False)
-class LandmarkConfig:
-    """k planar landmarks with an identifying label."""
-
-    landmarks: np.ndarray
-    specimen_id: str = ""
-
-    def __post_init__(self):
-        arr = np.array(self.landmarks, dtype=float)
-        if arr.ndim != 2 or arr.shape[1] != 2:
-            raise ValueError(f"landmarks must be a (k, 2) array, got shape {arr.shape}")
-        if arr.shape[0] < 3:
-            raise ValueError("at least 3 landmarks are required")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("landmark coordinates must be finite")
-        arr.setflags(write=False)
-        object.__setattr__(self, "landmarks", arr)
-
-    @property
-    def k(self) -> int:
-        return self.landmarks.shape[0]
-
-
-@dataclass(frozen=True, eq=False)
-class Preshape:
-    """A centered, unit-norm flattened configuration: a sphere Point in R^{2k}."""
-
-    point: Point
-
-    def __post_init__(self):
-        coords = self.point.coords
-        if self.point.chart != SPHERE:
-            raise ValueError("preshapes live on the sphere chart")
-        if coords.shape[0] % 2 != 0 or coords.shape[0] < 6:
-            raise ValueError("preshape coordinates must pair into >= 3 landmarks")
-        if _centroid_offset(coords) > _CENTER_TOL:
-            raise ValueError("preshape coordinates are not centered")
-
-    @property
-    def k(self) -> int:
-        return self.point.ambient_dim // 2
 
 
 def _centroid_offset(coords: np.ndarray) -> float:
@@ -84,8 +41,7 @@ def _centroid_offset(coords: np.ndarray) -> float:
 
 
 # -- row kernels on the (N, 2k) preshape matrix: each row is computed alone
-# (geometry's stacked-matmul rule), so to_preshape and align_rotation are
-# their one-row case --
+# (geometry's stacked-matmul rule), so a row does not depend on the others --
 
 def _preshape_rows(landmarks: np.ndarray, specimen_ids) -> np.ndarray:
     """Centered unit rows (N, 2k) of stacked (N, k, 2) landmarks; a collapsed
@@ -100,8 +56,10 @@ def _preshape_rows(landmarks: np.ndarray, specimen_ids) -> np.ndarray:
 
 
 def _align_rotations(rows: np.ndarray, base: np.ndarray) -> np.ndarray:
-    """Preshape rows (N, 2k) each rotated by the argument of sum_j conj(z_j) w_j,
-    with z_j = x_j + i y_j of the row and w_j of base."""
+    """The preshape rows (N, 2k), each rotated by the argument of
+    sum_j conj(z_j) w_j, with z_j = x_j + i y_j of the row and w_j of base:
+    the rotation that minimizes the row's geodesic distance to base.  A
+    vanishing inner product leaves the angle undefined (DegenerateOrbitError)."""
     z = rows.view(complex)
     inner = np.matmul(z.conj()[:, None, :], base.view(complex)[:, None])[:, 0, 0]
     if np.any(np.abs(inner) < _ORBIT_TOL):
@@ -109,42 +67,19 @@ def _align_rotations(rows: np.ndarray, base: np.ndarray) -> np.ndarray:
     return (np.exp(1j * np.angle(inner))[:, None] * z).view(float)
 
 
-def to_preshape(config: LandmarkConfig) -> Preshape:
-    """Remove translation and scale; flatten to a unit vector in R^{2k}.
-
-    Raises DegenerateConfigError when all landmarks coincide.
-    """
-    return Preshape(Point(_preshape_rows(config.landmarks[None], [config.specimen_id])[0]))
-
-
-def align_rotation(p: Preshape, base: Preshape) -> Preshape:
-    """Rotate p to maximize its inner product with base.
-
-    The optimal angle is the argument of the complex inner product
-    sum_j conj(p_j) base_j; the aligned preshape realizes the minimal
-    geodesic distance over the rotation orbit.  A vanishing inner product
-    (DegenerateOrbitError) leaves the angle undefined.
-    """
-    if p.k != base.k:
-        raise DimensionMismatchError("preshapes have different landmark counts")
-    return Preshape(Point(_align_rotations(p.point.coords[None], base.point.coords)[0]))
-
-
-def align_dataset(configs) -> tuple[PointArray, Point]:
-    """Generalized Procrustes alignment of a landmark dataset.
+def align_dataset(landmarks: np.ndarray, specimen_ids) -> tuple[PointArray, Point]:
+    """Generalized Procrustes alignment of an (N, k, 2) landmark array.
 
     The preshapes, one matrix row each, are rotated onto an evolving Frechet
-    mean (seeded from row 0) until it moves less than 1e-9, then once more:
-    row i is align_rotation(to_preshape(configs[i]), Preshape(mean)) exactly.
+    mean (seeded from row 0) until it moves less than 1e-9, then once more,
+    so each returned row has a real, non-negative complex inner product with
+    the returned mean.  specimen_ids name the rows in errors.
 
     Returns (aligned preshapes as one PointArray, mean point).
     """
-    seq = list(configs)
-    if len(seq) < 2:
+    if len(landmarks) < 2:
         raise ValueError("alignment needs at least two configurations")
-    if len({c.k for c in seq}) > 1:
-        raise DimensionMismatchError("configurations have different landmark counts")
-    pres = _preshape_rows(np.stack([c.landmarks for c in seq]), [c.specimen_id for c in seq])
+    pres = _preshape_rows(landmarks, specimen_ids)
     mean = Point(pres[0])
     for _ in range(_GPA_MAX_ITER):
         new_mean = frechet_mean(PointArray(_align_rotations(pres, mean.coords)))
@@ -155,8 +90,8 @@ def align_dataset(configs) -> tuple[PointArray, Point]:
     raise NoConvergenceError("Procrustes alignment did not stabilize in 100 rounds")
 
 
-def from_preshape(p: Point, k: int, specimen_id: str = "recovered") -> LandmarkConfig:
-    """Fold a preshape-sphere point back into a (k, 2) landmark configuration.
+def from_preshape(p: Point, k: int) -> np.ndarray:
+    """Fold a preshape-sphere point back into a read-only (k, 2) landmark array.
 
     Raises NotCenteredError when the even/odd coordinate sums exceed 1e-6,
     which signals a point that never came from a centered configuration.
@@ -166,7 +101,7 @@ def from_preshape(p: Point, k: int, specimen_id: str = "recovered") -> LandmarkC
     off = _centroid_offset(p.coords)
     if off > _RECOVER_CENTER_TOL:
         raise NotCenteredError(f"coordinates carry a centroid offset of {off!r}")
-    return LandmarkConfig(p.coords.reshape(k, 2), specimen_id)
+    return p.coords.reshape(k, 2)  # a view of the read-only coordinates
 
 
 # -- landmark file reading --
@@ -186,16 +121,19 @@ _ROW_LOOP_ONLY = '"\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029'
 _LANDMARK_ROW = np.dtype([("index", np.int64), ("xy", float, (2,))])
 
 
-def read_landmarks(path) -> list[LandmarkConfig]:
+def read_landmarks(path) -> tuple[np.ndarray, list[str]]:
     """Parse a landmark file in either accepted layout.
 
+    Returns (landmarks, ids): a C-contiguous float (N, k, 2) array of N
+    specimens of k >= 3 finite landmarks each, and the N specimen ids.
     numpy's C reader parses the CSV layout; a file it cannot parse, or whose
     rows fail a check, is read row by row, which also reads the block layout.
-    Layout errors raise LandmarkFormatError with a 1-based line number.
+    Layout errors raise LandmarkFormatError with a 1-based line number, a
+    coordinate that is not finite ValueError.
     """
-    configs = _load_landmarks_csv(path)
-    if configs is not None:
-        return configs
+    loaded = _load_landmarks_csv(path)
+    if loaded is not None:
+        return loaded
     with open(path, "r", encoding="utf-8", newline="") as fh:
         text = fh.read()
     lines = text.splitlines()
@@ -206,7 +144,7 @@ def read_landmarks(path) -> list[LandmarkConfig]:
     return _read_landmarks_blocks(lines)
 
 
-def _load_landmarks_csv(path) -> list[LandmarkConfig] | None:
+def _load_landmarks_csv(path) -> tuple[np.ndarray, list[str]] | None:
     """A CSV-layout file parsed by numpy's C reader in two column passes, ids
     and (landmark_index, x, y) rows, then checked as arrays; None when the file
     is in another layout, holds a _ROW_LOOP_ONLY character, or fails a parse
@@ -242,15 +180,16 @@ def _load_landmarks_csv(path) -> list[LandmarkConfig] | None:
     if np.any(np.diff(index, axis=1) != 1) or np.any(index[:, -1] < index[:, 0]):
         return None
     names = [name.strip() for name in ids[starts].tolist()]
-    xy = rows["xy"].reshape(-1, k, 2)
+    xy = np.ascontiguousarray(rows["xy"].reshape(-1, k, 2))
     if len(set(names)) < len(names) or not np.isfinite(xy).all():
         return None  # a specimen in two blocks, or a coordinate not finite
-    return [LandmarkConfig(block, name) for block, name in zip(xy, names)]
+    return xy, names
 
 
-def _read_landmarks_csv(lines) -> list[LandmarkConfig]:
+def _read_landmarks_csv(lines) -> tuple[np.ndarray, list[str]]:
     reader = csv.reader(lines)
-    configs: list[LandmarkConfig] = []
+    blocks: list[list[tuple[float, float]]] = []
+    ids: list[str] = []
     seen: set[str] = set()
     current: str | None = None
     rows: list[tuple[float, float]] = []
@@ -262,7 +201,8 @@ def _read_landmarks_csv(lines) -> list[LandmarkConfig]:
         if len(rows) < 3:
             raise LandmarkFormatError(
                 f"specimen {current!r} has only {len(rows)} landmarks (need >= 3)", line_no)
-        configs.append(LandmarkConfig(np.array(rows), current))
+        blocks.append(rows)
+        ids.append(current)
 
     header_seen = False
     for line_no, row in enumerate(reader, start=1):
@@ -294,11 +234,11 @@ def _read_landmarks_csv(lines) -> list[LandmarkConfig]:
         last_index = idx
         rows.append((x, y))
     flush(len(lines))
-    return _checked_configs(configs, "specimens")
+    return _checked_configs(blocks, ids, "specimens")
 
 
-def _read_landmarks_blocks(lines) -> list[LandmarkConfig]:
-    configs: list[LandmarkConfig] = []
+def _read_landmarks_blocks(lines) -> tuple[np.ndarray, list[str]]:
+    blocks: list[list[tuple[float, float]]] = []
     rows: list[tuple[float, float]] = []
     block_start = None
 
@@ -310,7 +250,7 @@ def _read_landmarks_blocks(lines) -> list[LandmarkConfig]:
             raise LandmarkFormatError(
                 f"block starting at line {block_start} has only {len(rows)} rows (need >= 3)",
                 line_no)
-        configs.append(LandmarkConfig(np.array(rows), str(len(configs) + 1)))
+        blocks.append(rows)
         rows = []
         block_start = None
 
@@ -331,13 +271,18 @@ def _read_landmarks_blocks(lines) -> list[LandmarkConfig]:
             block_start = line_no
         rows.append(pair)
     flush(len(lines))
-    return _checked_configs(configs, "blocks")
+    return _checked_configs(blocks, [str(i) for i in range(1, len(blocks) + 1)], "blocks")
 
 
-def _checked_configs(configs: list[LandmarkConfig], units: str) -> list[LandmarkConfig]:
-    if not configs:
+def _checked_configs(blocks: list, ids: list[str], units: str) -> tuple[np.ndarray, list[str]]:
+    """The row loops' blocks of (x, y) rows stacked into one (N, k, 2) array,
+    with their ids; every block already holds k >= 3 rows."""
+    if not blocks:
         raise LandmarkFormatError("no landmark rows found", 1)
-    counts = {c.k for c in configs}
+    counts = {len(block) for block in blocks}
     if len(counts) > 1:
         raise LandmarkFormatError(f"inconsistent landmark counts across {units}: {sorted(counts)}")
-    return configs
+    landmarks = np.array(blocks, dtype=float)
+    if not np.isfinite(landmarks).all():
+        raise ValueError("landmark coordinates must be finite")
+    return landmarks, ids

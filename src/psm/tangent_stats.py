@@ -368,23 +368,24 @@ def eigenframe(cov: np.ndarray, base: Point, k: int) -> EigenFrame:
 
 
 def frechet_mean(data, tol: float = 1e-10, max_iter: int = 200) -> Point:
-    """Intrinsic mean by fixed-point iteration p <- exp_p(mean log_p(x_i)).
+    """Intrinsic mean; on the flat chart, the arithmetic mean.
 
-    Starts from the normalized extrinsic average.  Converges when the
-    Riemannian gradient norm |mean log| drops to tol.  Data outside an open
-    hemisphere surfaces as HemisphereViolationError; exhausting max_iter
-    raises NoConvergenceError.
+    On the sphere, fixed-point iteration p <- exp_p(mean log_p(x_i)) from the
+    normalized extrinsic average, until the Riemannian gradient norm
+    |mean log| drops to tol.  Data outside an open hemisphere surfaces as
+    HemisphereViolationError; exhausting max_iter raises NoConvergenceError.
+    The flat chart's mean is that iteration's exact fixed point, which a
+    float gradient of data far from the origin cannot resolve to tol.
     """
     xs = points_matrix(data)
     chart = chart_of(data)
     if chart == FLAT:
-        center = xs.mean(axis=0)
-    else:
-        try:
-            center = project_to_sphere(xs.mean(axis=0)).coords
-        except ZeroVectorError as exc:
-            raise HemisphereViolationError(
-                "extrinsic average vanishes; data spans no open hemisphere") from exc
+        return Point(xs.mean(axis=0), FLAT)
+    try:
+        center = project_to_sphere(xs.mean(axis=0)).coords
+    except ZeroVectorError as exc:
+        raise HemisphereViolationError(
+            "extrinsic average vanishes; data spans no open hemisphere") from exc
     gram, unit = _GramData(xs, chart), KernelSpec()
     for _ in range(max_iter):
         lv = _GramLevel(center[None], gram, unit)

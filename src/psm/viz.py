@@ -19,7 +19,7 @@ from .datagen import _row_format
 from .errors import NotAShapeFitError
 from .fitting import Net, Submanifold
 from .geometry import Point, PointArray, Tangent, _exp_rows, _tangent_dim, points_matrix
-from .shape import LandmarkConfig, _centroid_offset, from_preshape
+from .shape import _centroid_offset, from_preshape
 from .tangent_stats import eigenframe, local_covariance
 
 _CENTER_TOL = 1e-6
@@ -163,7 +163,8 @@ def _resample_branch(net_points: PointArray, q: int) -> list[Point]:
 
 
 def shape_grid(sub: Submanifold, samples_per_direction: int = 9):
-    """Square grid of recovered shapes: PD1 row, PD2 column, PD3/PD4 diagonals.
+    """Square grid of recovered (k, 2) landmark arrays: PD1 row, PD2 column,
+    PD3/PD4 diagonals.
 
     The center cell is the start shape exactly; moving away from the center
     walks outward along the corresponding principal-direction branch.  Cells
@@ -183,64 +184,64 @@ def shape_grid(sub: Submanifold, samples_per_direction: int = 9):
     k = coords.shape[0] // 2
 
     c = m // 2
-    grid: list[list[LandmarkConfig | None]] = [[None] * m for _ in range(m)]
-    grid[c][c] = from_preshape(sub.start, k, "start")
+    grid: list[list[np.ndarray | None]] = [[None] * m for _ in range(m)]
+    grid[c][c] = from_preshape(sub.start, k)
     for name, (first, second) in _pd_pairs(sub).items():
         dr, dc = _GRID_AXES[name]
         for sign, net in ((-1, first), (1, second)):
             for i, point in enumerate(_resample_branch(net.points, c), start=1):
                 step = sign * i
-                grid[c + step * dr][c + step * dc] = from_preshape(point, k, f"{name}{step:+d}")
+                grid[c + step * dr][c + step * dc] = from_preshape(point, k)
     return grid
 
 
 def write_submanifold_csv(sub: Submanifold, path) -> None:
-    """Full-precision ambient coordinates of every net level."""
+    """Full-precision ambient coordinates of every net level, streamed to the
+    file row by row as write_dataset_csv's are."""
     dim = sub.start.ambient_dim
     header = "net_index,level," + ",".join(f"c{i}" for i in range(dim))
-    row_fmt = _row_format("%d,%d,", dim)
-    lines = [header]
-    for net in sub.nets:
-        for level, row in enumerate(net.points.coords):
-            lines.append(row_fmt % (net.direction_index, level, *row.tolist()))
+    row_fmt = _row_format("%d,%d,", dim) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(header + "\n")
+        for net in sub.nets:
+            fh.writelines(row_fmt % (net.direction_index, level, *row.tolist())
+                          for level, row in enumerate(net.points.coords))
 
 
 def write_projected_csv(path, proj: ProjectedSubmanifold, sub: Submanifold,
                         pds: PrincipalDirections | None = None,
                         geodesics: dict[int, PointArray] | None = None) -> None:
-    """Three-coordinate rows for nets, data, PD polylines and geodesics."""
-    lines = ["kind,net_index,level,p1,p2,p3"]
-    row_fmt = _row_format("%s,%d,%d,", 3)
-
-    def emit(kind, net_index, rows):
-        for level, row in enumerate(np.asarray(rows, dtype=float)):
-            lines.append(row_fmt % (kind, net_index, level, *row.tolist()))
-
-    for net, rows in zip(sub.nets, proj.nets):
-        emit("net", net.direction_index, rows)
-    emit("data", 0, proj.data)
-    if pds is not None:
-        for name, points in pds.as_dict().items():
-            emit(name, 0, proj.project(points))
-    if geodesics:
-        for idx in sorted(geodesics):
-            emit("geodesic", idx, proj.project(geodesics[idx]))
-    if pds is not None and (pds.pd3 is not None or pds.pd4 is not None):
-        lines.append("# pd3/pd4 label the fan diagonals, not third/fourth principal components")
+    """Three-coordinate rows for nets, data, PD polylines and geodesics, streamed
+    to the file as write_submanifold_csv's are."""
+    row_fmt = _row_format("%s,%d,%d,", 3) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("kind,net_index,level,p1,p2,p3\n")
+
+        def emit(kind, net_index, rows):
+            fh.writelines(row_fmt % (kind, net_index, level, *row.tolist())
+                          for level, row in enumerate(np.asarray(rows, dtype=float)))
+
+        for net, rows in zip(sub.nets, proj.nets):
+            emit("net", net.direction_index, rows)
+        emit("data", 0, proj.data)
+        if pds is not None:
+            for name, points in pds.as_dict().items():
+                emit(name, 0, proj.project(points))
+        if geodesics:
+            for idx in sorted(geodesics):
+                emit("geodesic", idx, proj.project(geodesics[idx]))
+        if pds is not None and (pds.pd3 is not None or pds.pd4 is not None):
+            fh.write("# pd3/pd4 label the fan diagonals, not third/fourth principal components\n")
 
 
 def write_shapes_json(path, grid, samples_per_direction: int, start_kind: str) -> None:
     """Nested grid of (k, 2) landmark arrays with fit metadata."""
     center = grid[len(grid) // 2][len(grid) // 2]
     payload = {
-        "k": int(center.k),
+        "k": center.shape[0],
         "samples_per_direction": int(samples_per_direction),
         "start_kind": start_kind,
-        "grid": [[None if cell is None else cell.landmarks.tolist() for cell in row]
+        "grid": [[None if cell is None else cell.tolist() for cell in row]
                  for row in grid],
     }
     with open(path, "w", encoding="utf-8", newline="\n") as fh:

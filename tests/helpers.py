@@ -5,7 +5,6 @@ from __future__ import annotations
 import numpy as np
 
 from psm.geometry import SPHERE, Point, Tangent, project_to_sphere
-from psm.shape import LandmarkConfig
 
 # A "3"-like outline traced by 13 landmarks; the synthetic digit dataset
 # jitters, rotates, scales and shifts it per specimen.
@@ -49,21 +48,14 @@ def similarity_transform(rng, landmarks: np.ndarray) -> np.ndarray:
 
 
 def digit3_configs(n: int = 30, seed: int = 42, jitter: float = 0.03):
+    """n jittered similarity images of DIGIT3_BASE as one (n, 13, 2) array,
+    and their ids spec00, spec01, ..."""
     rng = np.random.default_rng(seed)
-    configs = []
-    for s in range(n):
+    blocks = []
+    for _ in range(n):
         noisy = DIGIT3_BASE + rng.normal(0.0, jitter, DIGIT3_BASE.shape)
-        configs.append(LandmarkConfig(similarity_transform(rng, noisy), f"spec{s:02d}"))
-    return configs
-
-
-def leaf_configs(n: int = 12, seed: int = 5, jitter: float = 0.05):
-    rng = np.random.default_rng(seed)
-    configs = []
-    for s in range(n):
-        noisy = LEAF_BASE + rng.normal(0.0, jitter, LEAF_BASE.shape)
-        configs.append(LandmarkConfig(similarity_transform(rng, noisy), f"leaf{s:02d}"))
-    return configs
+        blocks.append(similarity_transform(rng, noisy))
+    return np.array(blocks), [f"spec{s:02d}" for s in range(n)]
 
 
 def great_circle_arc(n: int, seed: int, ambient: int = 4, half_angle: float = 1.2,

@@ -22,7 +22,6 @@ from psm.errors import DegenerateProjectionError
 from psm.fitting import (
     FitConfig,
     StopReason,
-    fit_flow,
     fit_submanifold,
     step_net,
     stop_check,
@@ -36,7 +35,7 @@ from psm.geometry import (
     log_map,
     points_matrix,
 )
-from psm.shape import LandmarkConfig, align_dataset, align_rotation, to_preshape
+from psm.shape import _align_rotations, _preshape_rows, align_dataset
 from psm.tangent_stats import KernelSpec, frechet_mean, frechet_variance
 from psm.viz import principal_directions
 
@@ -169,7 +168,7 @@ def test_criterion_03_net_growth_structure_on_bent_sheet(bent_sheet):
 
 def test_criterion_04_flow_recovers_great_circle():
     points, u1, u2 = great_circle_arc(100, seed=404)
-    sub = fit_flow(points, frechet_mean(points), FitConfig(dim=1))
+    sub = fit_submanifold(points, frechet_mean(points), FitConfig(dim=1))
     worst = 0.0
     for net in sub.nets:
         for p in net.points:
@@ -180,21 +179,26 @@ def test_criterion_04_flow_recovers_great_circle():
 
 def test_criterion_05_preshape_alignment_and_rank():
     rng = np.random.default_rng(1005)
-    base = LandmarkConfig(rng.standard_normal((13, 2)))
-    target = to_preshape(base)
-    worst = 0.0
-    for _ in range(50):
-        moved = LandmarkConfig(similarity_transform(rng, base.landmarks))
-        aligned = align_rotation(to_preshape(moved), target)
-        worst = max(worst, geodesic_distance(aligned.point, target.point))
-    aligned_pts, _ = align_dataset(digit3_configs(30, seed=42))
-    svals = np.linalg.svd(points_matrix(aligned_pts), compute_uv=False)
+    base = rng.standard_normal((13, 2))
+    moved = np.stack([similarity_transform(rng, base) for _ in range(50)])
+    target = _preshape_rows(base[None], ["base"])[0]
+    aligned = _align_rotations(_preshape_rows(moved, [str(i) for i in range(50)]), target)
+    worst = max(geodesic_distance(Point(row), Point(target)) for row in aligned)
+    aligned_pts, mean = align_dataset(*digit3_configs(30, seed=42))
+    rows = points_matrix(aligned_pts)
+    # sum_j conj(z_j) w_j of each aligned row z with the mean w: real and >= 0
+    inner = (rows.view(complex).conj() * mean.coords.view(complex)).sum(axis=1)
+    worst_imag = float(np.abs(inner.imag).max())
+    svals = np.linalg.svd(rows, compute_uv=False)
     k = 13
     rank_ratio = float(svals[2 * k - 3] / svals[0])
     _verdict(
         5,
-        worst <= 1e-8 and rank_ratio <= 1e-10,
+        worst <= 1e-8 and worst_imag <= 1e-14 and inner.real.min() >= 0.0
+        and rank_ratio <= 1e-10,
         f"alignment distance {worst:.2e} <= 1e-8, "
+        f"inner product with the mean: |imag| {worst_imag:.2e} <= 1e-14, "
+        f"real min {inner.real.min():.3f} >= 0, "
         f"sigma[2k-3]/sigma[0] {rank_ratio:.2e} <= 1e-10",
     )
 
@@ -256,8 +260,8 @@ def test_criterion_07_stop_reasons_on_three_point_arcs():
     cross = [Point(np.array(c), "flat")
              for c in ((0.06, 0.0), (-0.06, 0.0), (0.12, 0.0), (-0.12, 0.0),
                        (0.2, 0.08), (0.2, -0.08))]
-    flow = fit_flow(cross, Point(np.zeros(2), "flat"),
-                    FitConfig(dim=1, kernel=KernelSpec("uniform_ball", 0.1)))
+    flow = fit_submanifold(cross, Point(np.zeros(2), "flat"),
+                           FitConfig(dim=1, kernel=KernelSpec("uniform_ball", 0.1)))
     recorded = {net.stop_reason for net in flow.nets}
     _verdict(
         7,
@@ -342,9 +346,9 @@ def test_criterion_09_bent_sheet_beats_geodesic(bent_sheet):
 
 def test_criterion_10_cli_reruns_are_byte_identical(tmp_path):
     lm_lines = ["specimen_id,landmark_index,x,y"]
-    for config in digit3_configs(n=10, seed=5):
-        for i, (x, y) in enumerate(config.landmarks, start=1):
-            lm_lines.append(f"{config.specimen_id},{i},{float(x)!r},{float(y)!r}")
+    for block, sid in zip(*digit3_configs(n=10, seed=5)):
+        for i, (x, y) in enumerate(block, start=1):
+            lm_lines.append(f"{sid},{i},{float(x)!r},{float(y)!r}")
     landmarks = tmp_path / "digits.csv"
     landmarks.write_text("\n".join(lm_lines) + "\n", encoding="utf-8")
 

@@ -20,9 +20,9 @@ from helpers import DIGIT3_BASE, digit3_configs, read_csv_rows
 
 def write_digit_landmarks(path, n=12, seed=5):
     lines = ["specimen_id,landmark_index,x,y"]
-    for config in digit3_configs(n=n, seed=seed):
-        for i, (x, y) in enumerate(config.landmarks, start=1):
-            lines.append(f"{config.specimen_id},{i},{float(x)!r},{float(y)!r}")
+    for block, sid in zip(*digit3_configs(n=n, seed=seed)):
+        for i, (x, y) in enumerate(block, start=1):
+            lines.append(f"{sid},{i},{float(x)!r},{float(y)!r}")
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return path
 
@@ -198,18 +198,50 @@ def test_well_formed_inputs_never_reach_the_row_loops(tmp_path, monkeypatch):
     points, meta = read_dataset_csv(tmp_path / "s_curve.csv")
     assert len(points) == 500 and meta["family"] == "s_curve"
     # ids spec0000, ..., landmarks numbered from 0, coordinates written with repr
-    configs = digit3_configs(n=40, seed=9)
+    landmarks, _ = digit3_configs(n=40, seed=9)
     lines = ["specimen_id,landmark_index,x,y"]
-    for s, config in enumerate(configs):
+    for s, block in enumerate(landmarks):
         lines += [f"spec{s:04d},{i},{float(x)!r},{float(y)!r}"
-                  for i, (x, y) in enumerate(config.landmarks)]
+                  for i, (x, y) in enumerate(block)]
     path = tmp_path / "digits.csv"
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    read = psm.shape.read_landmarks(path)
-    assert [c.specimen_id for c in read] == [f"spec{s:04d}" for s in range(40)]
-    assert all(a.landmarks.tobytes() == b.landmarks.tobytes() for a, b in zip(read, configs))
+    read, ids = psm.shape.read_landmarks(path)
+    assert ids == [f"spec{s:04d}" for s in range(40)]
+    assert read.flags.c_contiguous and read.tobytes() == landmarks.tobytes()
     assert run("shapes", str(path), "--quiet", "--out", str(tmp_path / "pre")) == 0
     assert len(read_dataset_csv(tmp_path / "pre" / "preshapes.csv")[0]) == 40
+
+
+@pytest.mark.parametrize("writer, command", [
+    ("write_dataset_csv", "generate"),
+    ("write_dataset_csv", "shapes"),
+    ("write_submanifold_csv", "fit"),
+    ("write_projected_csv", "fit"),
+    ("write_shapes_json", "fit"),
+])
+def test_writer_failing_part_way_leaves_no_file(tmp_path, monkeypatch, capsys, writer, command):
+    # the writer has opened its path and written a row when it fails; the
+    # path was registered before, so the partial file is removed with the rest
+    import psm.cli
+
+    lm = write_digit_landmarks(tmp_path / "digits.csv")
+    pre = tmp_path / "pre"
+    assert run("shapes", str(lm), "--quiet", "--out", str(pre)) == 0
+    argv = {"generate": ["generate", "--family", "sea_wave", "--n", "20"],
+            "shapes": ["shapes", str(lm)],
+            "fit": ["fit", str(pre / "preshapes.csv"), "--directions", "8"]}[command]
+
+    def failing(*args):
+        path = next(a for a in args if isinstance(a, Path))
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("a,b\n1,2\n")
+            raise OSError("disk full")
+
+    monkeypatch.setattr(psm.cli, writer, failing)
+    out = tmp_path / "out"
+    assert run(*argv, "--quiet", "--out", str(out)) == 1
+    assert capsys.readouterr().err == "error: disk full\n"
+    assert list(out.iterdir()) == []
 
 
 def test_quiet_fit_computes_no_net_lengths(tmp_path, monkeypatch, capsys):
@@ -252,6 +284,14 @@ class TestShapes:
     def test_missing_input(self, tmp_path):
         assert run("shapes", str(tmp_path / "nope.csv"),
                    "--out", str(tmp_path)) == 2
+
+    def test_non_finite_block_coordinate_fails(self, tmp_path, capsys):
+        lm = tmp_path / "blocks.txt"
+        lm.write_text("0 0\n1 0\n0 1\n\n0 0\n1 nan\n0 1\n", encoding="utf-8")
+        out = tmp_path / "out"
+        assert run("shapes", str(lm), "--quiet", "--out", str(out)) == 1
+        assert capsys.readouterr().err == "error: landmark coordinates must be finite\n"
+        assert not out.exists()
 
 
 @pytest.fixture()
@@ -410,7 +450,7 @@ class TestFit:
         assert run("fit", str(request.getfixturevalue(dataset)), "--start", "custom",
                    f"--coords={coords}", "--out", str(out)) == 2
         assert f"usage error: --coords must be finite, got {coords!r}" in capsys.readouterr().err
-        assert not out.exists() or list(out.iterdir()) == []
+        assert not out.exists()
 
     def test_custom_start_of_wrong_width_is_usage_error(self, tmp_path, s_curve_csv, capsys):
         out = tmp_path / "x"
@@ -418,7 +458,7 @@ class TestFit:
                    "--coords", "1,0", "--out", str(out)) == 2
         assert ("usage error: --coords has 2 components but the data has 4"
                 in capsys.readouterr().err)
-        assert not out.exists() or list(out.iterdir()) == []
+        assert not out.exists()
 
     def test_cap_below_one_step_stops_every_net_at_its_seed(self, tmp_path, s_curve_csv,
                                                             capsys):
@@ -457,7 +497,7 @@ class TestFit:
         out = tmp_path / "x"
         assert run("fit", str(s_curve_csv), *argv, "--out", str(out)) == 2
         assert "usage error: max_net_length / epsilon" in capsys.readouterr().err
-        assert not out.exists() or list(out.iterdir()) == []
+        assert not out.exists()
 
     def test_negative_bandwidth_is_usage_error(self, tmp_path, s_curve_csv, capsys):
         assert run("fit", str(s_curve_csv), "--bandwidth", "-1",
@@ -552,6 +592,18 @@ class TestFit:
         assert code == 0
         summary = json.loads((out / "summary.json").read_text())
         assert len(summary["start"]) == 3
+
+    def test_far_shifted_flat_cloud_fits_from_its_mean(self, tmp_path):
+        # 1e8 from the origin the mean iteration's gradient cannot fall to its
+        # tolerance; the flat start is the arithmetic mean, bit for bit
+        rng = np.random.default_rng(123)
+        xs = rng.standard_normal((200, 3)) * [3.0, 2.0, 1.0] + 1e8
+        path = tmp_path / "shifted.csv"
+        write_dataset_csv(PointArray(xs, "flat"), path, {"chart": "flat"})
+        out = tmp_path / "run"
+        assert run("fit", str(path), "--bandwidth", "inf", "--quiet", "--out", str(out)) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["start"] == xs.mean(axis=0).tolist()
 
     @pytest.mark.parametrize("command", ["fit", "compare-geodesic"])
     @pytest.mark.parametrize("dataset", ["s2_csv", "flat2_csv"])

@@ -19,7 +19,6 @@ from psm.fitting import (
     Net,
     StopReason,
     Submanifold,
-    fit_flow,
     fit_submanifold,
     net_length,
     seed_directions,
@@ -306,7 +305,7 @@ class TestFitFlow:
         data = self.make_line_data()
         start = Point(np.zeros(2), FLAT)
         cfg = flat_cfg(epsilon=0.05, delta=0.5, dim=1, max_net_length=0.4)
-        sub = fit_flow(data, start, cfg)
+        sub = fit_submanifold(data, start, cfg)
         assert isinstance(sub, Submanifold)
         assert len(sub.nets) == 2
         for net in sub.nets:
@@ -317,7 +316,7 @@ class TestFitFlow:
         data = self.make_line_data()
         start = Point(np.zeros(2), FLAT)
         cfg = flat_cfg(epsilon=0.05, delta=0.5, dim=1, max_net_length=0.4)
-        sub = fit_flow(data, start, cfg)
+        sub = fit_submanifold(data, start, cfg)
         for net in sub.nets:
             for a, b in zip(net.points, net.points[1:]):
                 assert abs(geodesic_distance(a, b) - 0.05) <= 1e-9
@@ -326,7 +325,7 @@ class TestFitFlow:
         data = self.make_line_data()
         start = Point(np.zeros(2), FLAT)
         cfg = flat_cfg(epsilon=0.05, delta=0.5, dim=1, max_net_length=0.4)
-        sub = fit_flow(data, start, cfg)
+        sub = fit_submanifold(data, start, cfg)
         for net in sub.nets:
             pts = net.points
             assert len(pts) >= 3
@@ -339,7 +338,7 @@ class TestFitFlow:
         data = self.make_line_data()
         start = Point(np.zeros(2), FLAT)
         cfg = flat_cfg(epsilon=0.05, delta=0.5, dim=1, max_net_length=0.18)
-        sub = fit_flow(data, start, cfg)
+        sub = fit_submanifold(data, start, cfg)
         for net in sub.nets:
             assert net.stop_reason is StopReason.LENGTH_EXCEEDED
             total = net_length(net)
@@ -350,15 +349,9 @@ class TestFitFlow:
         data = flat_points(0.05 * rng.standard_normal((40, 2)))
         start = Point(np.zeros(2), FLAT)
         cfg = flat_cfg(epsilon=0.02, delta=0.5, dim=1, max_net_length=5.0)
-        sub = fit_flow(data, start, cfg)
+        sub = fit_submanifold(data, start, cfg)
         for net in sub.nets:
             assert net.stop_reason is StopReason.CONVEX_HULL_EXIT
-
-    def test_rejects_dim_two(self):
-        data = self.make_line_data()
-        start = Point(np.zeros(2), FLAT)
-        with pytest.raises(ValueError):
-            fit_flow(data, start, flat_cfg(dim=2))
 
     def test_circle_flow_stays_on_sphere(self):
         rng = np.random.default_rng(96)
@@ -366,7 +359,7 @@ class TestFitFlow:
         data = [Point(np.array([math.cos(a), math.sin(a)])) for a in angles]
         start = Point(np.array([1.0, 0.0]))
         cfg = flat_cfg(epsilon=0.05, delta=0.5, dim=1, max_net_length=0.5)
-        sub = fit_flow(data, start, cfg)
+        sub = fit_submanifold(data, start, cfg)
         for net in sub.nets:
             for p in net.points:
                 assert abs(np.linalg.norm(p.coords) - 1.0) <= 1e-12
@@ -668,7 +661,7 @@ class TestVariationScore:
         data = flat_points(xs)
         start = Point(xs.mean(axis=0), FLAT)
         cfg = flat_cfg(epsilon=0.05, delta=3.0, dim=1, max_net_length=0.3)
-        sub = fit_flow(data, start, cfg)
+        sub = fit_submanifold(data, start, cfg)
         score = variation_score(sub, data)
         assert len(score.per_net) == 2
         assert score.total == pytest.approx(sum(score.per_net), rel=1e-12)
@@ -682,10 +675,10 @@ class TestVariationScore:
         data, _ = generate(GenSpec("sea_wave", 200, 1))
         start = frechet_mean(data)
         cfg = FitConfig(dim=1)
-        net1 = next(n for n in fit_flow(data, start, cfg).nets if n.direction_index == 1)
+        net1 = next(n for n in fit_submanifold(data, start, cfg).nets if n.direction_index == 1)
         tip = net1.points[3]
         data = list(data) + [Point(-tip.coords)]
-        sub = fit_flow(data, start, cfg)
+        sub = fit_submanifold(data, start, cfg)
         net1 = next(n for n in sub.nets if n.direction_index == 1)
         assert net1.stop_reason is StopReason.ANTIPODAL_GUARD
         assert len(net1.points) == 4

@@ -310,7 +310,9 @@ def test_landmark_reader_equals_its_row_loop(tmp_path, text):
     got = _outcome(shape.read_landmarks, path)
     want = _row_loop_only(shape, "_load_landmarks_csv", shape.read_landmarks, path)
     if got[0] == "ok" and want[0] == "ok":
-        assert [(c.specimen_id, c.landmarks.tobytes()) for c in got[1]] == \
-               [(c.specimen_id, c.landmarks.tobytes()) for c in want[1]]
+        (landmarks, ids), (landmarks_want, ids_want) = got[1], want[1]
+        assert ids == ids_want
+        assert landmarks.shape == landmarks_want.shape
+        assert landmarks.tobytes() == landmarks_want.tobytes()
     else:
         assert got == want

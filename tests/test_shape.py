@@ -14,13 +14,11 @@ from psm.errors import (
 )
 from psm.geometry import SPHERE, Point, PointArray, geodesic_distance, points_matrix
 from psm.shape import (
-    LandmarkConfig,
-    Preshape,
+    _align_rotations,
+    _preshape_rows,
     align_dataset,
-    align_rotation,
     from_preshape,
     read_landmarks,
-    to_preshape,
 )
 
 from helpers import DIGIT3_BASE, LEAF_BASE, digit3_configs, similarity_transform
@@ -31,136 +29,138 @@ def rotate(landmarks, theta):
     return landmarks @ np.array([[c, s], [-s, c]])
 
 
+def preshape(landmarks):
+    """The preshape row of one (k, 2) configuration."""
+    return _preshape_rows(np.asarray(landmarks, dtype=float)[None], ["one"])[0]
+
+
+def complex_inner(rows, base):
+    """sum_j conj(z_j) w_j of each preshape row z with base w (a row or a matrix)."""
+    return (rows.view(complex).conj() * base.view(complex)).sum(axis=-1)
+
+
 class TestLandmarkConfig:
-    def test_shape_validation(self):
-        with pytest.raises(ValueError):
-            LandmarkConfig(np.zeros((3, 3)))
-        with pytest.raises(ValueError):
-            LandmarkConfig(np.zeros((2, 2)))
+    """The (N, k, 2) array read_landmarks returns holds only planar
+    configurations of k >= 3 finite landmarks."""
 
-    def test_nonfinite_rejected(self):
-        bad = np.array([[0.0, 0.0], [1.0, np.nan], [0.0, 1.0]])
-        with pytest.raises(ValueError):
-            LandmarkConfig(bad)
+    def write(self, tmp_path, text):
+        path = tmp_path / "lm.txt"
+        path.write_text(text, encoding="utf-8")
+        return path
 
-    def test_k_property(self):
-        assert LandmarkConfig(LEAF_BASE).k == 4
+    def test_shape_validation(self, tmp_path):
+        # two landmarks, or three coordinates a landmark, in either layout
+        for text in ("0 0\n1 0\n", "0 0 0\n1 0 0\n0 1 0\n",
+                     "specimen_id,landmark_index,x,y\na,1,0,0\na,2,1,0\n"):
+            with pytest.raises(LandmarkFormatError):
+                read_landmarks(self.write(tmp_path, text))
+
+    def test_nonfinite_rejected(self, tmp_path):
+        for text in ("0 0\n1 nan\n0 1\n", "0 0\n1 0\n0 1\n\n0 0\n1 0\n-inf 1\n",
+                     "specimen_id,landmark_index,x,y\na,1,0,0\na,2,1,0\na,3,0,inf\n"):
+            with pytest.raises(ValueError, match="^landmark coordinates must be finite$"):
+                read_landmarks(self.write(tmp_path, text))
+
+    def test_k_property(self, tmp_path):
+        blocks = "\n\n".join("\n".join(f"{x} {y}" for x, y in LEAF_BASE + i)
+                             for i in range(3))
+        csv_text = "specimen_id,landmark_index,x,y\n" + "".join(
+            f"s{i},{j},{x},{y}\n" for i in range(3) for j, (x, y) in enumerate(LEAF_BASE + i))
+        for text, ids in ((blocks, ["1", "2", "3"]), (csv_text, ["s0", "s1", "s2"])):
+            landmarks, read_ids = read_landmarks(self.write(tmp_path, text))
+            assert landmarks.shape == (3, 4, 2) and landmarks.dtype == np.float64
+            assert landmarks.flags.c_contiguous
+            assert read_ids == ids
+            np.testing.assert_array_equal(landmarks, LEAF_BASE + np.arange(3.0)[:, None, None])
 
 
 class TestToPreshape:
     def test_unit_norm_and_centered(self):
-        p = to_preshape(LandmarkConfig(LEAF_BASE, "leaf"))
-        coords = p.point.coords
+        rows = _preshape_rows(LEAF_BASE[None], ["leaf"])
+        assert rows.shape == (1, 8)
+        coords = rows[0]
         assert abs(np.linalg.norm(coords) - 1.0) <= 1e-12
         assert abs(coords[0::2].sum()) <= 1e-12
         assert abs(coords[1::2].sum()) <= 1e-12
-        assert p.k == 4
 
     def test_interleaving_order(self):
         # isoceles triangle with known centered/scaled coordinates
         tri = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]])
-        p = to_preshape(LandmarkConfig(tri))
+        p = preshape(tri)
         centered = tri - tri.mean(axis=0)
         expected = (centered / np.linalg.norm(centered)).ravel()
-        np.testing.assert_allclose(p.point.coords, expected, rtol=0.0, atol=1e-15)
+        np.testing.assert_allclose(p, expected, rtol=0.0, atol=1e-15)
         # x of landmark 2 sits at stride position 2
-        assert p.point.coords[2] == pytest.approx(expected[2])
+        assert p[2] == pytest.approx(expected[2])
 
     def test_translation_invariance(self):
-        a = to_preshape(LandmarkConfig(DIGIT3_BASE))
-        b = to_preshape(LandmarkConfig(DIGIT3_BASE + np.array([13.0, -4.5])))
-        np.testing.assert_allclose(a.point.coords, b.point.coords,
-                                   rtol=0.0, atol=1e-12)
+        rows = _preshape_rows(np.stack([DIGIT3_BASE, DIGIT3_BASE + np.array([13.0, -4.5])]),
+                              ["a", "b"])
+        np.testing.assert_allclose(rows[0], rows[1], rtol=0.0, atol=1e-12)
 
     def test_scale_invariance(self):
-        a = to_preshape(LandmarkConfig(DIGIT3_BASE))
-        b = to_preshape(LandmarkConfig(DIGIT3_BASE * 77.0))
-        np.testing.assert_allclose(a.point.coords, b.point.coords,
-                                   rtol=0.0, atol=1e-12)
+        rows = _preshape_rows(np.stack([DIGIT3_BASE, DIGIT3_BASE * 77.0]), ["a", "b"])
+        np.testing.assert_allclose(rows[0], rows[1], rtol=0.0, atol=1e-12)
 
     def test_collapsed_configuration(self):
-        with pytest.raises(DegenerateConfigError):
-            to_preshape(LandmarkConfig(np.ones((5, 2))))
-
-
-class TestPreshapeClass:
-    def test_rejects_uncentered(self):
-        v = np.ones(6) / math.sqrt(6.0)
-        with pytest.raises(ValueError):
-            Preshape(Point(v, SPHERE))
-
-    def test_rejects_odd_pairing(self):
-        # 4 coords pair into only 2 landmarks
-        v = np.array([1.0, -1.0, -1.0, 1.0]) / 2.0
-        with pytest.raises(ValueError):
-            Preshape(Point(v, SPHERE))
+        landmarks = np.stack([DIGIT3_BASE[:5], np.ones((5, 2))])
+        with pytest.raises(DegenerateConfigError, match="'point'"):
+            _preshape_rows(landmarks, ["fine", "point"])
 
 
 class TestAlignRotation:
     def test_undoes_known_rotation(self):
-        base = to_preshape(LandmarkConfig(DIGIT3_BASE))
-        rotated = to_preshape(LandmarkConfig(rotate(DIGIT3_BASE, 0.9)))
-        aligned = align_rotation(rotated, base)
-        np.testing.assert_allclose(aligned.point.coords, base.point.coords,
-                                   rtol=0.0, atol=1e-12)
+        base = preshape(DIGIT3_BASE)
+        aligned = _align_rotations(preshape(rotate(DIGIT3_BASE, 0.9))[None], base)[0]
+        np.testing.assert_allclose(aligned, base, rtol=0.0, atol=1e-12)
 
     def test_minimizes_over_orbit(self):
         rng = np.random.default_rng(80)
-        base = to_preshape(LandmarkConfig(DIGIT3_BASE))
-        other = to_preshape(LandmarkConfig(DIGIT3_BASE + 0.2 * rng.standard_normal(DIGIT3_BASE.shape)))
-        aligned = align_rotation(other, base)
-        best = geodesic_distance(aligned.point, base.point)
+        base = Point(preshape(DIGIT3_BASE))
+        other = preshape(DIGIT3_BASE + 0.2 * rng.standard_normal(DIGIT3_BASE.shape))
+        aligned = _align_rotations(other[None], base.coords)
+        inner = complex_inner(aligned, base.coords)[0]
+        assert inner.real > 0.0 and abs(inner.imag) <= 1e-14
+        best = geodesic_distance(Point(aligned[0]), base)
         for theta in np.linspace(0.0, 2.0 * math.pi, 720, endpoint=False):
-            cand = to_preshape(LandmarkConfig(rotate(
-                other.point.coords.reshape(-1, 2), theta)))
-            assert best <= geodesic_distance(cand.point, base.point) + 1e-12
+            cand = Point(preshape(rotate(other.reshape(-1, 2), theta)))
+            assert best <= geodesic_distance(cand, base) + 1e-12
 
     def test_idempotent_once_aligned(self):
-        base = to_preshape(LandmarkConfig(DIGIT3_BASE))
-        rotated = to_preshape(LandmarkConfig(rotate(DIGIT3_BASE, -1.3)))
-        once = align_rotation(rotated, base)
-        twice = align_rotation(once, base)
-        np.testing.assert_allclose(once.point.coords, twice.point.coords,
-                                   rtol=0.0, atol=1e-14)
-
-    def test_landmark_count_mismatch(self):
-        a = to_preshape(LandmarkConfig(DIGIT3_BASE))
-        b = to_preshape(LandmarkConfig(LEAF_BASE))
-        with pytest.raises(DimensionMismatchError):
-            align_rotation(a, b)
+        base = preshape(DIGIT3_BASE)
+        once = _align_rotations(preshape(rotate(DIGIT3_BASE, -1.3))[None], base)
+        twice = _align_rotations(once, base)
+        np.testing.assert_allclose(once, twice, rtol=0.0, atol=1e-14)
 
     def test_orthogonal_orbit(self):
         # z and w with vanishing complex inner product: vdot cancels exactly
         z = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
         w = np.array([[1.0, 0.0], [1.0, 0.0], [-1.0, 0.0], [-1.0, 0.0]])
-        pz = to_preshape(LandmarkConfig(z))
-        pw = to_preshape(LandmarkConfig(w))
         with pytest.raises(DegenerateOrbitError):
-            align_rotation(pz, pw)
+            _align_rotations(preshape(z)[None], preshape(w))
 
 
 class TestAlignDataset:
     def test_similarity_orbit_collapses(self):
         # all inputs are similarity images of one configuration
         rng = np.random.default_rng(81)
-        configs = [LandmarkConfig(DIGIT3_BASE, "orig")]
-        configs += [LandmarkConfig(similarity_transform(rng, DIGIT3_BASE), str(i))
-                    for i in range(20)]
-        aligned, mean = align_dataset(configs)
+        landmarks = np.stack([DIGIT3_BASE] + [similarity_transform(rng, DIGIT3_BASE)
+                                              for _ in range(20)])
+        aligned, mean = align_dataset(landmarks, ["orig"] + [str(i) for i in range(20)])
         mat = points_matrix(aligned)
         spread = np.abs(mat - mat[0]).max()
         assert spread <= 1e-8
         assert geodesic_distance(mean, aligned[0]) <= 1e-8
 
     def test_mean_is_frechet_stationary(self):
-        aligned, mean = align_dataset(digit3_configs(n=15, seed=9))
+        aligned, mean = align_dataset(*digit3_configs(n=15, seed=9))
         from psm.geometry import log_map
         grad = np.mean([log_map(mean, p).vec for p in aligned], axis=0)
         assert np.linalg.norm(grad) <= 1e-8
 
     def test_aligned_rank_bound(self):
         # rotation + centering + scale remove 2k - (2k-3) = 3 dimensions
-        aligned, mean = align_dataset(digit3_configs(n=30, seed=42))
+        aligned, mean = align_dataset(*digit3_configs(n=30, seed=42))
         mat = points_matrix(aligned)
         sv = np.linalg.svd(mat - mat.mean(axis=0), compute_uv=False)
         k = DIGIT3_BASE.shape[0]
@@ -168,54 +168,59 @@ class TestAlignDataset:
 
     def test_needs_two_configs(self):
         with pytest.raises(ValueError):
-            align_dataset([LandmarkConfig(DIGIT3_BASE)])
-
-    def test_mixed_counts_rejected(self):
-        with pytest.raises(DimensionMismatchError):
-            align_dataset([LandmarkConfig(DIGIT3_BASE), LandmarkConfig(LEAF_BASE)])
+            align_dataset(DIGIT3_BASE[None], ["one"])
 
     def test_rows_match_the_single_pair_reference(self):
-        configs = digit3_configs(n=25, seed=3)
-        aligned, mean = align_dataset(configs)
+        # each row is a rotation of its own preshape whose complex inner
+        # product with the returned mean is real and non-negative: the
+        # rotation that brings it closest to the mean
+        landmarks, ids = digit3_configs(n=25, seed=3)
+        aligned, mean = align_dataset(landmarks, ids)
         assert isinstance(aligned, PointArray) and len(aligned) == 25
-        target = Preshape(mean)
-        for row, config in zip(points_matrix(aligned), configs):
-            reference = align_rotation(to_preshape(config), target).point.coords
-            assert np.array_equal(row, reference)
+        rows = points_matrix(aligned)
+        inner = complex_inner(rows, mean.coords)
+        assert np.all(inner.real > 0.0)
+        assert np.all(np.abs(inner.imag) <= 1e-14)
+        own = complex_inner(rows, _preshape_rows(landmarks, ids))
+        np.testing.assert_allclose(np.abs(own), 1.0, rtol=0.0, atol=1e-12)
+        # a row does not depend on the others: one specimen aligned alone
+        # onto the mean gives the same bits
+        for i, row in enumerate(rows):
+            alone = _align_rotations(_preshape_rows(landmarks[i:i + 1], ids[i:i + 1]), mean.coords)
+            assert np.array_equal(row, alone[0])
 
     def test_collapsed_specimen_is_named(self):
-        configs = digit3_configs(n=9, seed=4)
-        configs[4] = LandmarkConfig(np.full(DIGIT3_BASE.shape, 2.5), "flat-one")
+        landmarks, ids = digit3_configs(n=9, seed=4)
+        landmarks[4] = 2.5
+        ids[4] = "flat-one"
         with pytest.raises(DegenerateConfigError, match="'flat-one'"):
-            align_dataset(configs)
+            align_dataset(landmarks, ids)
 
     def test_builds_no_per_specimen_objects(self, monkeypatch):
-        built = {Point: 0, Preshape: 0}
-        for cls in built:
-            def counted(self, cls=cls, post_init=cls.__post_init__):
-                built[cls] += 1
-                post_init(self)
-            monkeypatch.setattr(cls, "__post_init__", counted)
+        built = [0]
+
+        def counted(self, post_init=Point.__post_init__):
+            built[0] += 1
+            post_init(self)
+
+        monkeypatch.setattr(Point, "__post_init__", counted)
         per_size = []
         for n in (12, 120):
-            built.update({Point: 0, Preshape: 0})
-            align_dataset(digit3_configs(n=n, seed=1))
-            per_size.append(dict(built))
+            built[0] = 0
+            align_dataset(*digit3_configs(n=n, seed=1))
+            per_size.append(built[0])
         # both sizes take the same number of Procrustes rounds at this seed,
         # so the Point count (a few per round) must not depend on n
-        assert per_size[0][Preshape] == per_size[1][Preshape] == 0
-        assert per_size[0][Point] == per_size[1][Point] < 12
+        assert per_size[0] == per_size[1] < 12
 
 
 class TestFromPreshape:
     def test_round_trip(self):
-        config = LandmarkConfig(DIGIT3_BASE, "d3")
-        p = to_preshape(config)
-        back = from_preshape(p.point, config.k, "again")
-        redo = to_preshape(back)
-        np.testing.assert_allclose(redo.point.coords, p.point.coords,
-                                   rtol=0.0, atol=1e-12)
-        assert back.specimen_id == "again"
+        p = preshape(DIGIT3_BASE)
+        back = from_preshape(Point(p), DIGIT3_BASE.shape[0])
+        assert back.shape == DIGIT3_BASE.shape and not back.flags.writeable
+        assert back.tobytes() == p.tobytes()
+        np.testing.assert_allclose(preshape(back), p, rtol=0.0, atol=1e-12)
 
     def test_rejects_uncentered_point(self):
         v = np.zeros(8)
@@ -224,21 +229,19 @@ class TestFromPreshape:
             from_preshape(Point(v, SPHERE), 4)
 
     def test_centering_tolerances(self):
-        # Preshape demands a centroid offset <= 1e-10, from_preshape <= 1e-6
-        base = to_preshape(LandmarkConfig(LEAF_BASE)).point.coords
+        # from_preshape accepts a centroid offset up to 1e-6
+        base = preshape(LEAF_BASE)
         for offset, recoverable in ((1e-8, True), (1e-5, False)):
             v = base + offset * np.eye(8)[0]
             p = Point(v / np.linalg.norm(v), SPHERE)
-            with pytest.raises(ValueError, match="not centered"):
-                Preshape(p)
             if recoverable:
-                assert from_preshape(p, 4).k == 4
+                assert from_preshape(p, 4).shape == (4, 2)
             else:
                 with pytest.raises(NotCenteredError):
                     from_preshape(p, 4)
 
     def test_dimension_check(self):
-        p = to_preshape(LandmarkConfig(LEAF_BASE)).point
+        p = Point(preshape(LEAF_BASE))
         with pytest.raises(DimensionMismatchError):
             from_preshape(p, 5)
 
@@ -254,9 +257,9 @@ class TestReadLandmarksCsv:
         for sid in ("a", "b"):
             for i, (x, y) in enumerate(LEAF_BASE, start=1):
                 text += f"{sid},{i},{x},{y}\n"
-        configs = read_landmarks(self.write(tmp_path, text))
-        assert [c.specimen_id for c in configs] == ["a", "b"]
-        np.testing.assert_allclose(configs[0].landmarks, LEAF_BASE, atol=0.0)
+        landmarks, ids = read_landmarks(self.write(tmp_path, text))
+        assert ids == ["a", "b"]
+        np.testing.assert_allclose(landmarks[0], LEAF_BASE, atol=0.0)
 
     def test_noncontiguous_specimen(self, tmp_path):
         text = ("specimen_id,landmark_index,x,y\n"
@@ -304,19 +307,20 @@ class TestReadLandmarksCsv:
 
     def test_digit_file_parses_bit_for_bit(self, tmp_path):
         lines = ["specimen_id,landmark_index,x,y"]
-        for config in digit3_configs(n=200, seed=11):
-            for i, (x, y) in enumerate(config.landmarks):
-                lines.append(f"{config.specimen_id},{i},{float(x)!r},{float(y)!r}")
-        configs = read_landmarks(self.write(tmp_path, "\n".join(lines) + "\n"))
+        for block, sid in zip(*digit3_configs(n=200, seed=11)):
+            for i, (x, y) in enumerate(block):
+                lines.append(f"{sid},{i},{float(x)!r},{float(y)!r}")
+        landmarks, ids = read_landmarks(self.write(tmp_path, "\n".join(lines) + "\n"))
         rows = [line.split(",") for line in lines[1:]]
-        assert [c.specimen_id for c in configs] == list(dict.fromkeys(r[0] for r in rows))
+        assert ids == list(dict.fromkeys(r[0] for r in rows))
         parsed = np.array([[float(r[2]), float(r[3])] for r in rows])
         np.testing.assert_array_equal(
-            np.concatenate([c.landmarks for c in configs]).view(np.uint64), parsed.view(np.uint64))
+            landmarks.reshape(-1, 2).view(np.uint64), parsed.view(np.uint64))
 
     # Each message and line is the one that reading row by row meets first.
-    # A specimen's landmark count and values are checked when the next
-    # specimen starts, before that row's own checks, or after the last row.
+    # A specimen's landmark count is checked when the next specimen starts,
+    # before that row's own checks, or after the last row; the coordinates
+    # are checked finite once every row is read.
     @pytest.mark.parametrize("body, error, message", [
         ("a,1,0,0\na,2,1\na,3,0,1\n", LandmarkFormatError, "line 3: expected 4 columns, got 3"),
         ("a,1,0,0\na,x,1,0\n", LandmarkFormatError,
@@ -325,8 +329,11 @@ class TestReadLandmarksCsv:
          "line 4: specimen 'a' has only 2 landmarks (need >= 3)"),
         ("a,1,0,0\na,2,1,0\na,3,0,1\nb,1,0,0\nb,2,1,0\n", LandmarkFormatError,
          "line 6: specimen 'b' has only 2 landmarks (need >= 3)"),
-        ("a,1,0,0\na,2,nan,0\na,3,0,1\nb,1,0,0\n", ValueError,
+        ("a,1,0,0\na,2,nan,0\na,3,0,1\nb,1,0,0\nb,2,1,0\nb,3,0,1\n", ValueError,
          "landmark coordinates must be finite"),
+        # a coordinate that is not finite, then a short specimen
+        ("a,1,inf,0\na,2,1,0\na,3,0,1\nb,1,0,0\n", LandmarkFormatError,
+         "line 5: specimen 'b' has only 1 landmarks (need >= 3)"),
         ("a,1,0,0\na,2,1,0\na,4,0,1\nb,1,0,0\nb,2,1,0\nb,3,0,1\n", LandmarkFormatError,
          "line 4: landmark_index jumps from 2 to 4"),
         # a short specimen before an unparsable row
@@ -359,9 +366,9 @@ class TestReadLandmarksBlocks:
             lines += [f"{x} {y}" for x, y in block]
             lines.append("")
         path.write_text("\n".join(lines), encoding="utf-8")
-        configs = read_landmarks(path)
-        assert [c.specimen_id for c in configs] == ["1", "2"]
-        np.testing.assert_allclose(configs[1].landmarks, LEAF_BASE + 1.0, atol=0.0)
+        landmarks, ids = read_landmarks(path)
+        assert ids == ["1", "2"]
+        np.testing.assert_allclose(landmarks[1], LEAF_BASE + 1.0, atol=0.0)
 
     def test_wrong_field_count(self, tmp_path):
         path = tmp_path / "bad.txt"

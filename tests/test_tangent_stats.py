@@ -116,6 +116,13 @@ class TestFrechetMean:
         pts = [Point(np.array([0.0, 0.0]), FLAT), Point(np.array([2.0, 4.0]), FLAT)]
         out = frechet_mean(pts)
         np.testing.assert_allclose(out.coords, [1.0, 2.0], rtol=0.0, atol=1e-15)
+        # far from the origin a float gradient cannot fall to tol; the
+        # arithmetic mean is the exact fixed point and comes back bit for bit
+        rng = np.random.default_rng(64)
+        xs = rng.standard_normal((200, 3)) * [3.0, 2.0, 1.0] + 1e8
+        out = frechet_mean(PointArray(xs, FLAT))
+        assert out.chart == FLAT
+        assert out.coords.tobytes() == xs.mean(axis=0).tobytes()
 
     def test_hemisphere_violation(self):
         x = Point(np.array([1.0, 0.0, 0.0]))

@@ -8,9 +8,9 @@ import pytest
 
 from psm.datagen import GenSpec, generate
 from psm.errors import NotAShapeFitError
-from psm.fitting import FitConfig, Net, StopReason, Submanifold, fit_flow, fit_submanifold
+from psm.fitting import FitConfig, Net, StopReason, Submanifold, fit_submanifold
 from psm.geometry import FLAT, Point, PointArray, Tangent, exp_map, log_map
-from psm.shape import LandmarkConfig, to_preshape
+from psm.shape import _preshape_rows
 from psm.tangent_stats import (
     GAUSSIAN,
     EigenFrame,
@@ -63,7 +63,7 @@ def synthetic_submanifold(num_directions=8, levels=3, epsilon=0.05, dim=2,
 def preshape_submanifold(num_directions=8, levels=4, epsilon=0.05, dim=2,
                          seed=110):
     """Fan of geodesic nets on the preshape sphere of the digit-3 template."""
-    start = to_preshape(LandmarkConfig(DIGIT3_BASE)).point
+    start = Point(_preshape_rows(DIGIT3_BASE[None], ["digit3"])[0])
     n = start.ambient_dim
     k = n // 2
     # tangent directions with vanishing stride sums keep every net point a preshape
@@ -148,14 +148,14 @@ class TestPrincipalDirections:
 
 
 class TestPairingOnFits:
-    @pytest.mark.parametrize("fit, dim, num_directions, names", [
-        (fit_flow, 1, 4, ["pd1"]),
-        (fit_submanifold, 2, 16, ["pd1", "pd2", "pd3", "pd4"]),
+    @pytest.mark.parametrize("dim, num_directions, names", [
+        (1, 4, ["pd1"]),
+        (2, 16, ["pd1", "pd2", "pd3", "pd4"]),
     ])
-    def test_paired_seeds_are_opposite(self, fit, dim, num_directions, names):
+    def test_paired_seeds_are_opposite(self, dim, num_directions, names):
         data, _ = generate(GenSpec("sea_wave", 200, 1))
         start = frechet_mean(data)
-        sub = fit(data, start, FitConfig(dim=dim, num_directions=num_directions))
+        sub = fit_submanifold(data, start, FitConfig(dim=dim, num_directions=num_directions))
         pairs = _pd_pairs(sub)
         assert list(pairs) == names
         for first, second in pairs.values():
@@ -244,22 +244,28 @@ class TestShapeGrid:
         filled = {(r, c) for r in range(5) for c in range(5)
                   if grid[r][c] is not None}
         assert len(filled) == 17
-        c = 2
-        assert grid[c][c].specimen_id == "start"
-        np.testing.assert_allclose(
-            to_preshape(grid[c][c]).point.coords, sub.start.coords, atol=1e-12)
+        c, k = 2, DIGIT3_BASE.shape[0]
+        pairs = _pd_pairs(sub)
+
+        def branch(name, side, level):
+            """The (k, 2) shape at a level of a PD's first (side 0) or second net."""
+            return pairs[name][side].points.coords[level].reshape(k, 2)
+
+        assert grid[c][c].shape == (k, 2) and not grid[c][c].flags.writeable
+        assert grid[c][c].tobytes() == sub.start.coords.tobytes()
+        # 4 levels, 2 picks per side: the cells hold levels 2 and 4
         # row: pd1, first-listed branch on the left
-        assert grid[c][c - 1].specimen_id == "pd1-1"
-        assert grid[c][c + 2].specimen_id == "pd1+2"
+        np.testing.assert_array_equal(grid[c][c - 1], branch("pd1", 0, 2))
+        np.testing.assert_array_equal(grid[c][c + 2], branch("pd1", 1, 4))
         # column: pd2, first branch above
-        assert grid[c - 1][c].specimen_id == "pd2-1"
-        assert grid[c + 2][c].specimen_id == "pd2+2"
+        np.testing.assert_array_equal(grid[c - 1][c], branch("pd2", 0, 2))
+        np.testing.assert_array_equal(grid[c + 2][c], branch("pd2", 1, 4))
         # main diagonal: pd3, first branch top-left
-        assert grid[c - 1][c - 1].specimen_id == "pd3-1"
-        assert grid[c + 1][c + 1].specimen_id == "pd3+1"
+        np.testing.assert_array_equal(grid[c - 1][c - 1], branch("pd3", 0, 2))
+        np.testing.assert_array_equal(grid[c + 1][c + 1], branch("pd3", 1, 2))
         # anti-diagonal: pd4, first branch top-right
-        assert grid[c - 1][c + 1].specimen_id == "pd4-1"
-        assert grid[c + 1][c - 1].specimen_id == "pd4+1"
+        np.testing.assert_array_equal(grid[c - 1][c + 1], branch("pd4", 0, 2))
+        np.testing.assert_array_equal(grid[c + 1][c - 1], branch("pd4", 1, 2))
 
     def test_resampling_snaps_to_levels(self):
         # 4 levels, 2 picks per side: targets at half and full arc -> levels 2, 4
@@ -270,13 +276,13 @@ class TestShapeGrid:
         first = next(n for n in sub.nets if n.direction_index == d // 2)
         second = next(n for n in sub.nets if n.direction_index == d)
         np.testing.assert_allclose(
-            to_preshape(grid[c][c - 1]).point.coords, first.points[2].coords,
+            grid[c][c - 1].ravel(), first.points[2].coords,
             rtol=0.0, atol=1e-12)
         np.testing.assert_allclose(
-            to_preshape(grid[c][c - 2]).point.coords, first.points[4].coords,
+            grid[c][c - 2].ravel(), first.points[4].coords,
             rtol=0.0, atol=1e-12)
         np.testing.assert_allclose(
-            to_preshape(grid[c][c + 2]).point.coords, second.points[4].coords,
+            grid[c][c + 2].ravel(), second.points[4].coords,
             rtol=0.0, atol=1e-12)
 
     def test_resampling_ties_go_to_the_lower_level(self):
@@ -432,5 +438,5 @@ class TestWriteShapesJson:
         # diagonals claim the corners; (0, 1) sits off every principal line
         assert payload["grid"][0][1] is None
         center = payload["grid"][2][2]
-        np.testing.assert_allclose(np.array(center), grid[2][2].landmarks,
+        np.testing.assert_allclose(np.array(center), grid[2][2],
                                    rtol=0.0, atol=0.0)
