@@ -20,7 +20,7 @@ from numbers import Real
 import numpy as np
 
 from .errors import InfeasibleShiftError
-from .geometry import SPHERE, PointArray, _row_norms, points_matrix
+from .geometry import _CHARTS, SPHERE, PointArray, _row_norms, points_matrix
 
 GENERATOR_ID = "numpy.random.PCG64"
 
@@ -325,6 +325,9 @@ def read_dataset_csv(path) -> tuple[PointArray, dict]:
         if fault:
             row, reason = fault
             raise ValueError(f"{path}: line {line_nos[row]}: {reason}")
+    if chart not in _CHARTS:
+        raise ValueError(f"unknown chart {chart!r}")
     if chart == SPHERE:
         xs = xs / _row_norms(xs)[:, None]
-    return PointArray(xs, chart), meta
+    # the rows are checked and renormalized: PointArray's pass would copy them again
+    return PointArray._trusted(xs, chart), meta

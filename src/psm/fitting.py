@@ -22,21 +22,24 @@ of the chunk's net points with the data, not from a tensor of logs: it
 gives every net point's kernel weights, its distance to the nearest data
 row, its hull test, and one raw covariance and tangent mean, which feed
 the stop check of the point, its variation-score term (the demeaned
-covariance) and the step from it.  The chunk size keeps each of the
-level's stacked arrays within _LEVEL_ARRAY_BYTES: the kernel's (nets, n)
-arrays, one float row per net, and the (nets, m, m) covariance arrays,
-one m x m matrix per net.  The kernel holds the centred data once,
-column-major, and one (m, n) weighted copy of it, reused net by net, so on
-data with n >= m^2 the data's width does not shrink the chunk.
-Every stacked product runs the same BLAS kernel per net as the per-point
-reference path (step_net, stop_check), which is the kernel's one-row case,
-so a net's points, stop reason and score do not depend on which nets share
-its chunk.
+covariance) and the step from it.  One stacked eigen-solve per level
+(_Level.frames) gives the score frames of every point and the step frames
+of the nets that step.  The chunk size keeps each of the level's stacked
+arrays within _LEVEL_ARRAY_BYTES: the kernel's (nets, n) arrays, one float
+row per net, and the (nets, m, m) covariance arrays, one m x m matrix per
+net.  The kernel holds the centred data once, column-major, and weights
+(m, n) copies of it for as many nets per product as fit the same budget,
+so on data with n >= m^2 the data's width does not shrink the chunk.
+Every stacked product and solve runs the same BLAS or LAPACK kernel per
+net as the per-point reference path (step_net, stop_check), which is the
+kernel's one-row case, so a net's points, stop reason and score do not
+depend on which nets share its chunk or its product.
 
 The fit works on coordinate matrices only: the data (a PointArray's coords
-pass through points_matrix uncopied), the seeds, and each net's path, which
-is stored as one PointArray.  It builds no Point; step_net and stop_check,
-the single-point reference path, take and return Points.
+pass through points_matrix uncopied), the seeds, and each level's points,
+kept as one array with the ids of their nets and split into one PointArray
+per net when the chunk is done.  It builds no Point; step_net and
+stop_check, the single-point reference path, take and return Points.
 """
 
 from __future__ import annotations
@@ -60,15 +63,16 @@ from .geometry import (
     points_matrix,
 )
 from .tangent_stats import (
+    _LEVEL_ARRAY_BYTES,
     EigenFrame,
     KernelSpec,
     _cov_at,
     _demeaned,
+    _frame_at,
     _GramData,
     _GramLevel,
     _top_frame_at,
     _top_frame_coords,
-    eigenframe,
 )
 
 _PROJ_TOL = 1e-12
@@ -254,13 +258,6 @@ def _past_cap(net_len: float, cfg: FitConfig) -> bool:
 # Failures are per-net masks, applied in the order in which the per-point
 # reference path (step_net, stop_check) raises and checks them.
 
-# Budget of each stacked array of one level, which holds per net one float64
-# row of n (weights, log scales, ...) or one m x m matrix (covariances, their
-# Gram terms); sets the chunk size.  320 KiB is the smallest multiple of
-# 64 KiB at which two nets over 20,000 rows (160 KB a row) share a chunk;
-# BENCH_columns.json holds the RSS probe behind it.
-_LEVEL_ARRAY_BYTES = 320 * 1024
-
 # A net's stop code indexes this tuple; 0 means it is still growing.
 _REASONS = (None, StopReason.CONVEX_HULL_EXIT, StopReason.EMPTY_NEIGHBORHOOD,
             StopReason.LENGTH_EXCEEDED, StopReason.DEGENERATE_PROJECTION,
@@ -287,7 +284,7 @@ class _Level:
 
     def __init__(self, cur: np.ndarray, prev: np.ndarray, data: _GramData,
                  kernel: KernelSpec):
-        self.cur = cur
+        self.cur, self.chart = cur, data.chart
         self.gram = _GramLevel(cur, data, kernel)
         self.cov = self.gram.covariance()
         self.mean = self.gram.mean()
@@ -296,17 +293,27 @@ class _Level:
         self.back, self.back_antipodal = _log_rows(cur, prev, data.chart)
         self.empty = self.gram.total <= 0.0
 
+    def frames(self, k: int, step: np.ndarray):
+        """Top-k frames from one eigen-solve: of every point's demeaned
+        covariance (the score's) and of the raw covariances of the points
+        step (the step's).  Returns (score, step) as (rows, values, ranked)."""
+        num = len(self.cur)
+        cov = np.concatenate((_demeaned(self.cov, self.mean), self.cov[step]))
+        base = np.concatenate((self.cur, self.cur[step]))
+        rows, vals, _, ranked = _top_frame_coords(cov, base, self.chart, k)
+        return (rows[:num], vals[:num], ranked[:num]), (rows[num:], vals[num:], ranked[num:])
 
-def _score_terms(lv: _Level, chart: str, cfg: FitConfig, base_w: float, level: int):
-    """Variation-score terms of one level's net points; returns (terms, scored).
+
+def _score_terms(lv: _Level, frames, cfg: FitConfig, base_w: float, level: int):
+    """Variation-score terms of one level's net points, from their score
+    frames; returns (terms, scored).
 
     A point antipodal to a data point or to its predecessor, or whose
     demeaned covariance is empty or rank-deficient, is not scored and its
     term is 0.
     """
     k = cfg.dim
-    cov = _demeaned(lv.cov, lv.mean)
-    rows, vals, _, ranked = _top_frame_coords(cov, lv.cur, chart, k)
+    rows, vals, ranked = frames
     scored = ~(lv.gram.antipodal | lv.back_antipodal | lv.empty) & ranked
     unit = lv.back / _row_norms(lv.back)[:, None]
     cos_a = _row_norms(np.matmul(rows, unit[:, :, None])[:, :, 0])
@@ -322,22 +329,23 @@ def _score_weight(cfg: FitConfig, num_nets: int) -> float:
     return sphere_area / num_nets * cfg.epsilon ** k
 
 
-def _step_rows(lv: _Level, sel, chart: str, cfg: FitConfig):
-    """Steps from the net points lv.cur[sel], whose neighbourhoods carry weight.
+def _step_rows(lv: _Level, step: np.ndarray, frames, cfg: FitConfig):
+    """Steps from the net points lv.cur[step], whose neighbourhoods carry
+    weight, along their step frames.
 
     Returns (candidates, stop codes): a net whose step fails gets its stop
     code, the others 0 and one candidate row each, in order.
     """
-    cur, back = lv.cur[sel], lv.back[sel]
+    cur, back = lv.cur[step], lv.back[step]
     code = np.zeros(len(cur), dtype=np.int8)
-    rows, _, _, ranked = _top_frame_coords(lv.cov[sel], cur, chart, cfg.dim)
+    rows, _, ranked = frames
     _stop(code, ~ranked, StopReason.DEGENERATE_PROJECTION)
     u = np.matmul(rows.transpose(0, 2, 1), np.matmul(rows, back[:, :, None]))[:, :, 0]
     nu = _row_norms(u)
     _stop(code, nu < _PROJ_TOL, StopReason.DEGENERATE_PROJECTION)
     go = code == 0
     r = (cfg.epsilon / nu[go])[:, None] * u[go]
-    cand, _ = _exp_rows(cur[go], -r, chart)  # |r| = epsilon < pi/8: never cut
+    cand, _ = _exp_rows(cur[go], -r, lv.chart)  # |r| = epsilon < pi/8: never cut
     return cand, code
 
 
@@ -346,17 +354,18 @@ def _grow_chunk(start: np.ndarray, seeds: np.ndarray, data: _GramData,
     """Grow the nets from seeds (B, m) in lockstep.
 
     Returns (paths, stop codes, score sums) with one entry per net, and the
-    number of net points left out of the score; a path is the list of its
-    point coordinates.
+    number of net points left out of the score; a path is the (levels + 1, m)
+    matrix of its point coordinates, the start first.
     """
-    num, chart = len(seeds), data.chart
-    paths = [[start, seed] for seed in seeds]
+    num = len(seeds)
     codes = np.zeros(num, dtype=np.int8)
     acc = np.zeros(num)
     skipped = 0
     live = np.arange(num)
     prev = np.broadcast_to(start, seeds.shape)
     cur = seeds
+    # each level's points as one array, with the ids of their nets
+    ids, points = [live, live], [prev, cur]
     level = 1
     while live.size:
         lv = _Level(cur, prev, data, cfg.kernel)
@@ -368,21 +377,26 @@ def _grow_chunk(start: np.ndarray, seeds: np.ndarray, data: _GramData,
         _stop(code, gram.nearest > cfg.delta, StopReason.EMPTY_NEIGHBORHOOD)
         # the candidate ends a path of level epsilon-steps; _past_cap adds the last
         _stop(code, _past_cap((level - 1) * cfg.epsilon, cfg), StopReason.LENGTH_EXCEEDED)
-        terms, scored = _score_terms(lv, chart, cfg, base_w, level)
-        acc[live] += terms
-        skipped += int((~scored).sum())
         # the step from cur, in the order the reference path raises
         _stop(code, lv.empty, StopReason.EMPTY_NEIGHBORHOOD)
         step = np.flatnonzero(code == 0)
-        cand, code[step] = _step_rows(lv, step, chart, cfg)
+        score_frames, step_frames = lv.frames(cfg.dim, step)
+        terms, scored = _score_terms(lv, score_frames, cfg, base_w, level)
+        acc[live] += terms
+        skipped += int((~scored).sum())
+        cand, code[step] = _step_rows(lv, step, step_frames, cfg)
         codes[live] = code
         go = code == 0
         live = live[go]
-        for net, point in zip(live.tolist(), cand):
-            paths[net].append(point)
+        ids.append(live)
+        points.append(cand)
         prev = cur[go]
         cur = cand
         level += 1
+    # split the levels per net once: a stable sort by net keeps level order
+    net_ids = np.concatenate(ids)
+    bounds = np.cumsum(np.bincount(net_ids))[:-1]
+    paths = np.split(np.concatenate(points)[np.argsort(net_ids, kind="stable")], bounds)
     return paths, codes, acc, skipped
 
 
@@ -402,7 +416,7 @@ def fit_submanifold(data, start: Point, cfg: FitConfig) -> Submanifold:
         raise ValueError("data and start point have different ambient dimensions")
     chart = start.chart
     gram = _GramData(xs, chart)
-    frame = eigenframe(_cov_at(start.coords, gram, cfg.kernel), start, cfg.dim)
+    frame = _frame_at(start, gram, cfg.kernel, cfg.dim)
     seeds = seed_directions(start, frame, cfg).coords
     base_w = _score_weight(cfg, len(seeds))
     nets, per_net, skipped = [], [], 0
@@ -458,7 +472,8 @@ def _score_nets(sub: Submanifold, xs: np.ndarray) -> VariationScore:
             cur = np.stack([paths[j][level] for j in live])
             prev = np.stack([paths[j][level - 1] for j in live])
             lv = _Level(cur, prev, gram, cfg.kernel)
-            terms, scored = _score_terms(lv, chart, cfg, base_w, level)
+            frames, _ = lv.frames(cfg.dim, np.arange(0))
+            terms, scored = _score_terms(lv, frames, cfg, base_w, level)
             per_net[[chunk[j] for j in live]] += terms
             skipped += int((~scored).sum())
             level += 1

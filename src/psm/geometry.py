@@ -77,6 +77,18 @@ class PointArray(Sequence):
     def __post_init__(self):
         object.__setattr__(self, "coords", _checked_coords(self.coords, self.chart, 2))
 
+    @classmethod
+    def _trusted(cls, coords: np.ndarray, chart: str) -> PointArray:
+        """A PointArray of a float (n >= 1, m >= 2) matrix on a known chart
+        whose rows the caller has already checked as __post_init__ would
+        (finite; unit norm within _UNIT_TOL on the sphere), taken without a
+        copy and made read-only."""
+        points = object.__new__(cls)
+        coords.setflags(write=False)
+        object.__setattr__(points, "coords", coords)
+        object.__setattr__(points, "chart", chart)
+        return points
+
     def __len__(self) -> int:
         return self.coords.shape[0]
 

@@ -112,24 +112,43 @@ class EigenFrame:
 # the expanded products the size of the data's spread and of |t|, not 1.
 # Y' is stored once, column-major, as Y'^T (m, n), so every product runs
 # along rows of length n: x^T Y'^T as (B, 1, m) @ (m, n), Y'^T a as
-# (m, n) @ (B, n, 1), and Y'^T diag(a) Y' as (m, n) @ (n, m) through one
-# reused (m, n) weighted copy, one base row at a time.  Each product is
-# stacked per base row, so a row's statistics do not depend on the rows
-# stacked with it (geometry's stacked-matmul rule), and a single center is
-# the one-row case.
+# (m, n) @ (B, n, 1), and Y'^T diag(a) Y' as (b, m, n) @ (n, m) through
+# one reused (b, m, n) weighted stack, b base rows per call, where b
+# (_GramData.batch) keeps that stack within _LEVEL_ARRAY_BYTES.  Each
+# product is stacked per base row, so a row's statistics do not depend on
+# the rows stacked with it (geometry's stacked-matmul rule), and a single
+# center is the one-row case.
+
+# Budget of each stacked array of one level, which holds per base row one
+# float64 row of n (weights, log scales, ...), one m x m matrix (covariances,
+# their Gram terms) or one (m, n) weighted copy of the data; the fit's chunk
+# size and the covariance's sub-batch follow from it.  320 KiB is the
+# smallest multiple of 64 KiB at which two nets over 20,000 rows (160 KB a
+# row) share a chunk; BENCH_columns.json holds the RSS probe behind it.
+_LEVEL_ARRAY_BYTES = 320 * 1024
 
 class _GramData:
     """A data matrix xs (n, m) on chart as the Gram kernel reads it: the rows
     centred at the first row, origin, stored once as yt (m, n), C-contiguous;
-    ys (n, m) is its transposed view, not a copy."""
+    ys (n, m) is its transposed view, not a copy.  batch is the number of
+    base rows whose (m, n) weighted copies of yt fit in _LEVEL_ARRAY_BYTES
+    (at least 1)."""
 
     def __init__(self, xs: np.ndarray, chart: str):
         self.chart = chart
         self.origin = xs[0].copy()
         self.yt = np.subtract(xs.T, self.origin[:, None], order="C")
         self.ys = self.yt.T
+        self.batch = max(1, _LEVEL_ARRAY_BYTES // self.yt.nbytes)
         if chart == FLAT:
-            self.sq = np.einsum("ij,ij->j", self.yt, self.yt)
+            # the kernel's products sum squared distances from the first row
+            with np.errstate(over="ignore", invalid="ignore"):
+                self.sq = np.einsum("ij,ij->j", self.yt, self.yt)
+                if not np.isfinite(self.sq.sum()):
+                    spread = float(np.abs(self.yt).max())
+                    raise ValueError(
+                        f"the data spread {spread:.3g} from their first row is too wide: "
+                        "the kernel's squared distances overflow float64; rescale the data")
 
 
 def _arcs(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -142,6 +161,9 @@ def _arcs(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     sin *= c
     np.sqrt(sin, out=sin)
     flat = sin <= _ZERO_TOL
+    if not flat.any():
+        np.divide(theta, sin, out=c)
+        return theta, c
     zero_arc = c[flat] > 1.0  # s where sin vanishes: 1 at c = 1, 0 at c = -1 (c holds 1 + c)
     with np.errstate(divide="ignore", invalid="ignore"):
         np.divide(theta, sin, out=c)
@@ -222,11 +244,14 @@ class _GramLevel:
         t = self.t
         gt = g[:, :, None] * t[:, None, :]
         tt = t[:, :, None] * t[:, None, :]
-        # Y'^T diag(a) Y' one base row at a time, through one weighted copy
+        # Y'^T diag(a) Y' for data.batch base rows a call, through one weighted stack
         yay = np.empty_like(gt)
-        weighted = np.empty_like(yt)
-        for row, ai in zip(yay, a):
-            np.matmul(np.multiply(yt, ai, out=weighted), self.data.ys, out=row)
+        batch = self.data.batch
+        weighted = np.empty((min(batch, len(a)),) + yt.shape)
+        for lo in range(0, len(a), batch):
+            ai = a[lo:lo + batch, None, :]
+            np.matmul(np.multiply(yt, ai, out=weighted[:len(ai)]), self.data.ys,
+                      out=yay[lo:lo + batch])
         cov = yay + gt + gt.transpose(0, 2, 1) + a.sum(axis=-1)[:, None, None] * tt
         if self.data.chart == SPHERE:
             x = self.x
@@ -311,14 +336,14 @@ def _top_frame_coords(cov: np.ndarray, base: np.ndarray, chart: str, k: int):
     sign-invariant, and eigenframe() fixes it.
     """
     vals, vecs = np.linalg.eigh(cov)
-    order = np.argsort(vals, axis=-1)[:, ::-1]
-    vals = np.take_along_axis(vals, order, axis=-1)
+    # eigh's eigenvalues ascend; reversed, in a contiguous copy as are the rows
+    vals = np.ascontiguousarray(vals[:, ::-1])
     ranked = vals[:, k - 1] > _RANK_TOL
     degenerate = vals[:, k - 1] - vals[:, k] <= _TIE_TOL if vals.shape[1] > k \
         else np.zeros(len(vals), dtype=bool)
     # Each eigenvector as one contiguous row, as eigh lays out its columns: a
     # strided dot product below would sum in another order.
-    rows = np.take_along_axis(vecs.transpose(0, 2, 1), order[:, :k, None], axis=1)
+    rows = np.ascontiguousarray(vecs.transpose(0, 2, 1)[:, ::-1][:, :k])
     if chart == SPHERE:
         # the kernel's covariances annihilate the base up to rounding
         rows = rows - np.matmul(rows[:, :, None, :], base[:, None, :, None])[:, :, :, 0] \
@@ -341,6 +366,20 @@ def _top_frame_at(cov: np.ndarray, base: np.ndarray, chart: str, k: int):
                 f"requested {k} directions but eigenvalue {k} is {float(vals[0, k - 1])!r}")
         raise RankDeficientError("eigenvector nearly normal to the tangent space")
     return rows[0], vals[0], bool(degenerate[0])
+
+
+def _frame_at(center: Point, data: _GramData, kernel: KernelSpec, k: int) -> EigenFrame:
+    """eigenframe of the raw kernel covariance at center: the fit's seeding
+    frame and the projection basis.  When it cannot carry k directions the
+    RankDeficientError names the kernel and the data rows it weights there."""
+    try:
+        return eigenframe(_cov_at(center.coords, data, kernel), center, k)
+    except RankDeficientError as exc:
+        weighted = int(np.count_nonzero(_GramLevel(center.coords[None], data, kernel).w))
+        raise RankDeficientError(
+            f"{exc} at the start: the {kernel.kind} kernel of bandwidth "
+            f"{kernel.bandwidth!r} gives weight to {weighted} of {data.yt.shape[1]} "
+            "data rows there; a larger --bandwidth lets more rows carry weight") from None
 
 
 def eigenframe(cov: np.ndarray, base: Point, k: int) -> EigenFrame:

@@ -16,11 +16,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .datagen import _row_format
-from .errors import NotAShapeFitError
+from .errors import DimensionMismatchError, NotAShapeFitError
 from .fitting import Net, Submanifold
 from .geometry import Point, PointArray, Tangent, _exp_rows, _tangent_dim, points_matrix
 from .shape import _centroid_offset, from_preshape
-from .tangent_stats import eigenframe, local_covariance
+from .tangent_stats import _frame_at, _GramData
 
 _CENTER_TOL = 1e-6
 _PD_NAMES = ("pd1", "pd2", "pd3", "pd4")
@@ -141,8 +141,11 @@ def project_submanifold(sub: Submanifold, data) -> ProjectedSubmanifold:
     surfaces when fewer than min(3, d) directions carry variance.
     """
     start = sub.start
-    cov = local_covariance(start, data, sub.config.kernel)
-    basis = eigenframe(cov, start, min(3, _tangent_dim(start.chart, start.ambient_dim))).vectors
+    xs = points_matrix(data)
+    if xs.shape[1] != start.ambient_dim:
+        raise DimensionMismatchError("data and start point have different ambient dimensions")
+    k = min(3, _tangent_dim(start.chart, start.ambient_dim))
+    basis = _frame_at(start, _GramData(xs, start.chart), sub.config.kernel, k).vectors
     proj = ProjectedSubmanifold((), np.zeros((0, 3)), basis, start)
     nets = tuple(proj.project(net.points) for net in sub.nets)
     return ProjectedSubmanifold(nets, proj.project(data), basis, start)

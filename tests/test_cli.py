@@ -4,6 +4,7 @@ import ast
 import json
 import math
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -604,6 +605,49 @@ class TestFit:
         assert run("fit", str(path), "--bandwidth", "inf", "--quiet", "--out", str(out)) == 0
         summary = json.loads((out / "summary.json").read_text())
         assert summary["start"] == xs.mean(axis=0).tolist()
+
+    @staticmethod
+    def flat_cloud(tmp_path, seed, scale=1.0):
+        """A flat 200-row cloud with standard deviations (3, 2, 1) * scale:
+        (its dataset path, its rows)."""
+        xs = np.random.default_rng(seed).standard_normal((200, 3)) * [3.0, 2.0, 1.0] * scale
+        path = tmp_path / "cloud.csv"
+        write_dataset_csv(PointArray(xs, "flat"), path, {"chart": "flat"})
+        return path, xs
+
+    @pytest.mark.parametrize("seed, k, weighted", [
+        # the seeding frame fails: the default ball of 0.4 holds one row there
+        (1, 2, 1),
+        # the fit finishes, and the projection basis lacks a third direction
+        (7, 3, 2),
+    ])
+    def test_rank_deficient_start_names_the_kernel(self, tmp_path, capsys, seed, k, weighted):
+        path, _ = self.flat_cloud(tmp_path, seed)
+        out = tmp_path / "run"
+        assert run("fit", str(path), "--quiet", "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: requested {k} directions but eigenvalue {k} is ")
+        assert err.endswith(
+            f" at the start: the uniform_ball kernel of bandwidth 0.4 gives weight to "
+            f"{weighted} of 200 data rows there; a larger --bandwidth lets more rows "
+            "carry weight\n")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("scale", [1e153, 1e154])
+    def test_overflowing_flat_spread_fails_with_one_line(self, tmp_path, capsys, scale):
+        # the kernel squares distances from the first row, which overflow;
+        # the read names the spread, before any numpy warning
+        path, xs = self.flat_cloud(tmp_path, 1, scale)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run("fit", str(path), "--bandwidth", "inf", "--quiet",
+                       "--out", str(tmp_path / "run"))
+        assert code == 1
+        spread = np.abs(xs[1:] - xs[0]).max()
+        assert capsys.readouterr().err == (
+            f"error: the data spread {spread:.3g} from their first row is too wide: "
+            "the kernel's squared distances overflow float64; rescale the data\n")
 
     @pytest.mark.parametrize("command", ["fit", "compare-geodesic"])
     @pytest.mark.parametrize("dataset", ["s2_csv", "flat2_csv"])

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from psm import datagen, geometry
 from psm.datagen import (
     GENERATOR_ID,
     RECIPES,
@@ -17,7 +18,9 @@ from psm.datagen import (
     write_dataset_csv,
 )
 from psm.errors import InfeasibleShiftError
-from psm.geometry import FLAT, SPHERE, Point, points_matrix, project_to_sphere
+from psm.geometry import FLAT, SPHERE, Point, PointArray, points_matrix, project_to_sphere
+
+checked = geometry._checked_coords
 
 
 def make(family, n, seed, **params):
@@ -253,6 +256,47 @@ class TestDatasetFiles:
         path = tmp_path / "nan.csv"
         path.write_text("point_index,c0,c1\n0,one,0\n", encoding="utf-8")
         with pytest.raises(ValueError, match="line 2"):
+            read_dataset_csv(path)
+
+    @pytest.mark.parametrize("layout", ["numpy", "row loop"])
+    def test_read_matrix_meets_the_point_checks(self, tmp_path, monkeypatch, layout):
+        # The reader hands its checked, renormalized matrix to PointArray
+        # without the copy and row-norm pass of geometry._checked_coords;
+        # its rows must still meet that pass's bound.  Rows off the sphere
+        # by up to 1e-7 are accepted and cleaned; a quoted value takes the
+        # file through the row loop.
+        rng = np.random.default_rng(41)
+        xs = rng.standard_normal((300, 4))
+        xs /= np.linalg.norm(xs, axis=1, keepdims=True)
+        xs *= 1.0 + rng.uniform(-1e-7, 1e-7, (300, 1))
+        lines = ["point_index,c0,c1,c2,c3"] + [
+            f"{i}," + ",".join(repr(float(v)) for v in row) for i, row in enumerate(xs)]
+        if layout == "row loop":
+            lines[5] = '"4"' + lines[5][1:]
+        path = tmp_path / "near.csv"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        loops = []
+        row_loop = datagen._read_coordinate_rows
+        monkeypatch.setattr(datagen, "_read_coordinate_rows",
+                            lambda path: loops.append(path) or row_loop(path))
+        checks = []
+        monkeypatch.setattr(geometry, "_checked_coords",
+                            lambda *args: checks.append(args) or checked(*args))
+        points, _ = read_dataset_csv(path)
+        assert len(loops) == (layout == "row loop") and checks == []
+        coords = points.coords
+        assert coords.shape == (300, 4) and coords.dtype == np.float64
+        assert not coords.flags.writeable
+        assert np.max(np.abs(np.linalg.norm(coords, axis=1) - 1.0)) <= geometry._UNIT_TOL
+        # PointArray itself still checks every other caller's rows
+        with pytest.raises(ValueError, match="unit norm"):
+            PointArray(xs)
+        assert len(checks) == 1
+
+    def test_unknown_sidecar_chart_is_refused(self, tmp_path):
+        path = tmp_path / "d.csv"
+        write_dataset_csv(make("s_curve", 5, 0), path, {"chart": "torus"})
+        with pytest.raises(ValueError, match="unknown chart 'torus'"):
             read_dataset_csv(path)
 
     def test_rejects_off_sphere_rows(self, tmp_path):

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from psm.fitting import (
     Net,
     StopReason,
     Submanifold,
+    _score_nets,
     fit_submanifold,
     net_length,
     seed_directions,
@@ -37,7 +39,13 @@ from psm.geometry import (
     log_map,
     points_matrix,
 )
-from psm.tangent_stats import KernelSpec, eigenframe, frechet_mean, local_covariance
+from psm.tangent_stats import (
+    KernelSpec,
+    _GramData,
+    eigenframe,
+    frechet_mean,
+    local_covariance,
+)
 
 from helpers import random_sphere_point, random_tangent
 
@@ -506,6 +514,30 @@ class TestFitSubmanifold:
         levels = sum(max(len(sub.nets[i].points) - 1 for i in chunk) for chunk in chunks)
         assert len(bases) == 1 + levels
 
+    def test_one_eigen_solve_per_level_of_each_chunk(self, monkeypatch):
+        # a level's score frames and step frames come from one stacked eigh,
+        # and so do a rescored level's score frames
+        solves = []
+        eigh = np.linalg.eigh
+
+        def counted(cov):
+            solves.append(len(cov))
+            return eigh(cov)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        sub, data, _, chunks = self.count_log_bases(monkeypatch, nets_per_chunk=3)
+        assert [len(chunk) for chunk in chunks] == [3, 3, 2]
+        levels = sum(max(len(sub.nets[i].points) - 1 for i in chunk) for chunk in chunks)
+        # the seeding frame, then one solve per level
+        assert len(solves) == 1 + levels
+        points = sum(len(net.points) - 1 for net in sub.nets)
+        # every point's score frame, and a step frame for each point that steps
+        steps = sum(len(net.points) - 2 for net in sub.nets)
+        assert sum(solves) == 1 + points + steps
+        solves.clear()
+        _score_nets(sub, points_matrix(data))
+        assert len(solves) == levels and sum(solves) == points
+
     @pytest.mark.parametrize("layout", [SPHERE, FLAT, "wide"])
     def test_results_do_not_depend_on_chunking(self, monkeypatch, layout):
         # Each net grown in a chunk of its own equals the same net grown
@@ -552,6 +584,38 @@ class TestFitSubmanifold:
         # 100 preshapes of 200 landmarks: each net's 400 x 400 covariance
         # arrays (1.28 MB) exceed the budget, so every net grows alone
         assert fitting._chunks(180, np.zeros((100, 400))) == [range(i, i + 1) for i in range(180)]
+
+    @pytest.mark.parametrize("shape, batch", [
+        ((200, 3), 68), ((20000, 4), 1), ((3000, 26), 1), ((100, 400), 1)])
+    def test_covariance_sub_batch_follows_the_weighted_copy(self, shape, batch):
+        # the sheet, wide_flow and procrustes shapes and a wide one: the
+        # covariance weights data.batch (m, n) copies of the data per call
+        assert _GramData(np.zeros(shape), SPHERE).batch == batch
+
+    def test_weighted_stack_never_exceeds_the_budget(self):
+        # a stack of more than one copy stays within the level budget, and
+        # one more copy would pass it
+        for n in (1, 7, 60, 200, 640, 1000, 5000):
+            for m in (2, 3, 4, 26, 40):
+                size = 8 * m * n
+                batch = _GramData(np.zeros((n, m)), SPHERE).batch
+                assert batch == 1 or batch * size <= tangent_stats._LEVEL_ARRAY_BYTES
+                assert (batch + 1) * size > tangent_stats._LEVEL_ARRAY_BYTES
+        # and the covariance of a full sheet chunk allocates no more than its
+        # (nets, n) weights, one stack of batch copies and (loosely) 32 arrays
+        # of (nets, m, m); 180 copies at once would pass that by 0.6 MB
+        data, _ = generate(GenSpec("sea_wave", 200, 1))
+        xs = points_matrix(data)
+        bases = xs[:180]
+        lv = tangent_stats._GramLevel(bases, _GramData(xs, SPHERE), KernelSpec("gaussian", 0.4))
+        lv.b  # the cached (nets, n) weights of the mean, made before the count
+        tracemalloc.start()
+        try:
+            lv.covariance()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * 180 * (200 + 32 * 3 * 3) + tangent_stats._LEVEL_ARRAY_BYTES
 
     def test_stored_score_matches_level_batched_driver(self, monkeypatch):
         data, _ = generate(GenSpec("sea_wave", 200, 1))

@@ -1,6 +1,7 @@
 """Means, kernel covariances, eigenframes, angle diagnostics."""
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -27,6 +28,7 @@ from psm.tangent_stats import (
     GAUSSIAN,
     UNIFORM_BALL,
     KernelSpec,
+    _cov_at,
     _GramData,
     _GramLevel,
     _arcs,
@@ -320,6 +322,73 @@ class TestGramKernel:
         np.testing.assert_array_equal(theta, np.arccos(c))
         assert s[0, 2] == np.arccos(0.5) / math.sqrt(0.5 * 1.5)
         assert s[1, 2] == (np.pi / 2) / 1.0
+
+    @staticmethod
+    def masked_arcs(c):
+        """_arcs with the gather and scatter of the zero-sin entries always run."""
+        theta = np.arccos(c)
+        sin = np.subtract(1.0, c)
+        c += 1.0
+        sin *= c
+        np.sqrt(sin, out=sin)
+        flat = sin <= 1e-14
+        zero_arc = c[flat] > 1.0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            np.divide(theta, sin, out=c)
+        c[flat] = zero_arc
+        return theta, c
+
+    @pytest.mark.parametrize("ends", [False, True])
+    def test_arcs_equal_their_masked_form(self, ends):
+        # with no zero arc _arcs skips the masked gather and scatter; with
+        # c = 1 and c = -1 present it runs them: the bits are the same
+        rng = np.random.default_rng(84)
+        c = rng.uniform(-1.0, 1.0, (6, 40))
+        c[2, :4] = [1.0 - 1e-12, -1.0 + 1e-12, 1.0 - 2.0 ** -52, -1.0 + 2.0 ** -52]
+        if ends:
+            c[1, 3], c[4, 7], c[5, 0] = 1.0, -1.0, 1.0
+        theta, s = _arcs(c.copy())
+        ref_theta, ref_s = self.masked_arcs(c.copy())
+        assert theta.tobytes() == ref_theta.tobytes()
+        assert s.tobytes() == ref_s.tobytes()
+        assert np.isfinite(s).all() and (s[c == 1.0] == 1.0).all() and (s[c == -1.0] == 0.0).all()
+
+    @pytest.mark.parametrize("kernel", [KernelSpec(GAUSSIAN, 0.4), KernelSpec(UNIFORM_BALL, 0.6)])
+    @pytest.mark.parametrize("chart, n, m, batch", [
+        (SPHERE, 200, 3, 68), (FLAT, 200, 3, 68), (SPHERE, 3000, 26, 1)])
+    def test_stacked_covariance_equals_each_row_alone(self, kernel, chart, n, m, batch):
+        # data.batch base rows share one stacked product; a stack of two full
+        # sub-batches and a ragged third (three of one row at the wide shape)
+        # gives each row the bits of the one-row _cov_at
+        rng = np.random.default_rng(85)
+        xs = rng.standard_normal((n, m)) * np.linspace(0.3, 0.1, m)
+        if chart == SPHERE:
+            xs[:, 0] += 1.0
+            xs /= np.linalg.norm(xs, axis=1, keepdims=True)
+        data = _GramData(xs, chart)
+        assert data.batch == batch
+        num = 2 * batch + 5 if batch > 1 else 3
+        bases = xs[:num] + rng.standard_normal((num, m)) * 0.02
+        if chart == SPHERE:
+            bases /= np.linalg.norm(bases, axis=1, keepdims=True)
+        cov = _GramLevel(bases, data, kernel).covariance()
+        for i in range(num):
+            assert cov[i].tobytes() == _cov_at(bases[i], data, kernel).tobytes()
+
+    def test_flat_spread_whose_squares_overflow_is_rejected(self):
+        # the kernel sums squared distances from the first row; a spread whose
+        # sum overflows is refused when the data are taken, with no warning
+        xs = np.random.default_rng(86).standard_normal((200, 3)) * [3.0, 2.0, 1.0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.isfinite(_GramData(xs * 1e151, FLAT).sq.sum())
+            for scale in (1e153, 1e154):
+                spread = np.abs(xs[1:] - xs[0]).max() * scale
+                with pytest.raises(ValueError, match=re.escape(
+                        f"the data spread {spread:.3g} from their first row is too wide")):
+                    _GramData(xs * scale, FLAT)
+            # unit sphere rows cannot overflow, and the sphere chart takes no sum
+            assert not hasattr(_GramData(xs / np.linalg.norm(xs, axis=1)[:, None], SPHERE), "sq")
 
 
 class TestEigenframe:
