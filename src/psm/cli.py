@@ -49,6 +49,11 @@ class UsageError(Exception):
     """Bad flags, config keys, or parameter combinations; exits with code 2."""
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # one usage error line, as main prints every other
+        raise UsageError(message)
+
+
 def _shift_value(text: str):
     return text if text == "auto" else float(text)
 
@@ -90,11 +95,11 @@ _ALL = tuple(_COMMANDS)
 _GENERATE = ("generate",)
 _FIT = ("fit", "compare-geodesic")
 _SETTINGS = {
-    "seed": _Setting(_ALL, int, 0),
     "out": _Setting(_ALL, str, ".", metavar="DIR",
                     help="output directory (default: current directory)"),
     "quiet": _Setting(_ALL, _bool_value, False, action="store_true"),
     "family": _Setting(_GENERATE, str, choices=tuple(RECIPES)),
+    "seed": _Setting(_GENERATE, int, 0),
     "n": _Setting(_GENERATE, int, 200),
     "noise_level": _Setting(_GENERATE, float, help="sea_wave: isotropic noise scale"),
     "noise_scale_u": _Setting(_GENERATE, float, help="s_curve: multiplier of the 32*U noise term"),
@@ -112,15 +117,15 @@ _SETTINGS = {
     "max_length": _Setting(_FIT, float, fit_field="max_net_length"),
     "k": _Setting(_FIT, int, fit_field="dim",
                   help="sub-manifold dimension (1 grows a two-net flow)"),
-    "start": _Setting(_FIT, str, "mean", choices=("mean", "custom")),
-    "coords": _Setting(_FIT, str, help="comma-separated start coordinates for --start custom; "
-                       "write a negative first value as --coords=-1,0,0,0"),
+    "start": _Setting(_FIT, str, "mean",
+                      help="'mean' or the start's comma-separated coordinates; "
+                      "write a negative first value as --start=-1,0,0,0"),
     "grid_samples": _Setting(_FIT, int, 9, help="shape grid side length (odd), preshape data only"),
 }
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="psm",
         description="Fit principal sub-manifolds to data on embedded spheres.")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -188,33 +193,25 @@ def _fit_config(merged: dict) -> FitConfig:
         raise UsageError(str(exc)) from None
 
 
-def _parse_coords(text: str) -> np.ndarray:
+def _start_point(text: str, points: PointArray) -> tuple[Point, str]:
+    if text == "mean":
+        return frechet_mean(points), "mean"
     try:
-        values = [float(part) for part in text.split(",")]
+        coords = np.array([float(part) for part in text.split(",")])
     except ValueError:
-        raise UsageError(f"--coords must be a comma-separated float list, got {text!r}") from None
-    if not all(map(math.isfinite, values)):
-        raise UsageError(f"--coords must be finite, got {text!r}")
-    if len(values) < 2:
-        raise UsageError("--coords needs at least two components")
-    return np.array(values)
-
-
-def _start_point(merged: dict, points: PointArray) -> tuple[Point, str]:
-    if merged["start"] == "custom":
-        if merged["coords"] is None:
-            raise UsageError("--start custom requires --coords")
-        coords = _parse_coords(merged["coords"])
-        if len(coords) != points.coords.shape[1]:
-            raise UsageError(f"--coords has {len(coords)} components but the data has "
-                             f"{points.coords.shape[1]} coordinate columns")
-        if points.chart == SPHERE:
-            norm = float(np.linalg.norm(coords))
-            if abs(norm - 1.0) > 1e-6:
-                raise UsageError(f"custom start must be a unit vector (norm {norm!r})")
-            return project_to_sphere(coords), "custom"
-        return Point(coords, FLAT), "custom"
-    return frechet_mean(points), "mean"
+        raise UsageError("--start must be mean or a comma-separated float list, "
+                         f"got {text!r}") from None
+    if not np.isfinite(coords).all():
+        raise UsageError(f"--start must be finite, got {text!r}")
+    if len(coords) != points.coords.shape[1]:
+        raise UsageError(f"--start has {len(coords)} components but the data has "
+                         f"{points.coords.shape[1]} coordinate columns")
+    if points.chart == SPHERE:
+        norm = float(np.linalg.norm(coords))
+        if abs(norm - 1.0) > 1e-6:
+            raise UsageError(f"custom start must be a unit vector (norm {norm!r})")
+        return project_to_sphere(coords), "custom"
+    return Point(coords, FLAT), "custom"
 
 
 # -- output bookkeeping: compute first, write late, clean up on failure --
@@ -325,7 +322,7 @@ def _cmd_fit(merged: dict, input_path: Path, written: _Written,
                          f"({width} coordinate columns on the {points.chart} chart)")
     if merged["grid_samples"] < 3 or merged["grid_samples"] % 2 == 0:
         raise UsageError("--grid-samples must be an odd number >= 3")
-    start, start_kind = _start_point(merged, points)
+    start, start_kind = _start_point(merged["start"], points)
 
     sub = fit_submanifold(points, start, cfg)
     pds = principal_directions(sub)
@@ -375,24 +372,21 @@ def _cmd_fit(merged: dict, input_path: Path, written: _Written,
     if grid is not None:
         shapes_path = out / "shapes.json"
         written[shapes_path] = None
-        write_shapes_json(shapes_path, grid, merged["grid_samples"], start_kind)
+        write_shapes_json(shapes_path, grid, start_kind)
     for p in written:
         _say(merged, f"wrote {p}")
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    flag_values = vars(args).copy()
-    command = flag_values.pop("command")
-    input_arg = flag_values.pop("input", None)
-    config_path = flag_values.pop("config", None)
-
     written: _Written = {}
     try:
+        try:
+            flag_values = vars(_build_parser().parse_args(argv)).copy()
+        except SystemExit as exc:  # --help has printed
+            return int(exc.code or 0)
+        command = flag_values.pop("command")
+        input_arg = flag_values.pop("input", None)
+        config_path = flag_values.pop("config", None)
         file_values = _read_config_file(config_path) if config_path else {}
         merged = _merge_settings(command, flag_values, file_values)
         input_path = None

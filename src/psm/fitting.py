@@ -24,12 +24,12 @@ row, its hull test, and one raw covariance and tangent mean, which feed
 the stop check of the point, its variation-score term (the demeaned
 covariance) and the step from it.  One stacked eigen-solve per level
 (_Level.frames) gives the score frames of every point and the step frames
-of the nets that step.  The chunk size keeps each of the level's stacked
-arrays within _LEVEL_ARRAY_BYTES: the kernel's (nets, n) arrays, one float
-row per net, and the (nets, m, m) covariance arrays, one m x m matrix per
-net.  The kernel holds the centred data once, column-major, and weights
-(m, n) copies of it for as many nets per product as fit the same budget,
-so on data with n >= m^2 the data's width does not shrink the chunk.
+of the nets that step.  The chunk size (_GramData.chunk) keeps each of the
+level's stacked arrays within the level budget: the kernel's (nets, n)
+arrays, one float row per net, and the (nets, m, m) covariances.  The
+kernel holds the centred data once, column-major, and weights (m, n)
+copies of it for as many nets per product as fit the same budget, so on
+data with n >= m^2 the data's width does not shrink the chunk.
 Every stacked product and solve runs the same BLAS or LAPACK kernel per
 net as the per-point reference path (step_net, stop_check), which is the
 kernel's one-row case, so a net's points, stop reason and score do not
@@ -59,11 +59,10 @@ from .geometry import (
     _exp_rows,
     _log_coords,
     _log_rows,
+    _matrix_at,
     _row_norms,
-    points_matrix,
 )
 from .tangent_stats import (
-    _LEVEL_ARRAY_BYTES,
     EigenFrame,
     KernelSpec,
     _cov_at,
@@ -199,12 +198,12 @@ def step_net(a_prev: Point, a_cur: Point, data, cfg: FitConfig) -> Point:
     Degeneracies surface as exceptions (EmptyNeighborhoodError when nothing
     carries kernel weight, DegenerateProjectionError when the backward
     direction leaves the frame span); the fitting loop records the same
-    cases as stop reasons.
+    cases as stop reasons.  A step that rounds onto a_cur raises ValueError.
     """
     if np.array_equal(a_prev.coords, a_cur.coords):
         raise ValueError("previous and current points must differ")
     cur, chart = a_cur.coords, a_cur.chart
-    cov = _cov_at(cur, _GramData(points_matrix(data), chart), cfg.kernel)
+    cov = _cov_at(cur, _GramData(_matrix_at(data, a_cur), chart), cfg.kernel)
     rows, _, _ = _top_frame_at(cov, cur, chart, cfg.dim)
     v = _log_coords(cur, a_prev.coords, chart)
     u = rows.T @ (rows @ v)
@@ -213,7 +212,9 @@ def step_net(a_prev: Point, a_cur: Point, data, cfg: FitConfig) -> Point:
         raise DegenerateProjectionError(
             "backward direction is orthogonal to the local frame span")
     r = (cfg.epsilon / nu) * u
-    return Point(_exp_coords(cur, -r, chart), chart)
+    nxt = _exp_coords(cur, -r, chart)
+    _check_moved(cur[None], _row_norms(_log_rows(nxt[None], cur[None], chart)[0]), cfg.epsilon)
+    return Point(nxt, chart)
 
 
 def stop_check(a_next: Point, a_cur: Point, data, cfg: FitConfig,
@@ -227,7 +228,7 @@ def stop_check(a_next: Point, a_cur: Point, data, cfg: FitConfig,
     report the antipodal_guard reason.
     """
     chart = a_cur.chart
-    lv = _GramLevel(a_next.coords[None], _GramData(points_matrix(data), chart), cfg.kernel)
+    lv = _GramLevel(a_next.coords[None], _GramData(_matrix_at(data, a_cur), chart), cfg.kernel)
     back, back_antipodal = _log_rows(a_next.coords[None], a_cur.coords[None], chart)
     if lv.antipodal[0] or back_antipodal[0]:
         return StopReason.ANTIPODAL_GUARD
@@ -265,11 +266,19 @@ _REASONS = (None, StopReason.CONVEX_HULL_EXIT, StopReason.EMPTY_NEIGHBORHOOD,
 _CODE = {reason: code for code, reason in enumerate(_REASONS)}
 
 
-def _chunks(num_nets: int, xs: np.ndarray) -> list[range]:
-    """Consecutive runs of nets whose stacked level arrays, (nets, n) and
-    (nets, m, m), each fit in _LEVEL_ARRAY_BYTES."""
-    size = max(1, _LEVEL_ARRAY_BYTES // (8 * max(len(xs), xs.shape[1] ** 2)))
-    return [range(lo, min(lo + size, num_nets)) for lo in range(0, num_nets, size)]
+def _chunks(num_nets: int, data: _GramData) -> list[range]:
+    """Consecutive runs of data.chunk nets, which grow in lockstep."""
+    return [range(lo, min(lo + data.chunk, num_nets)) for lo in range(0, num_nets, data.chunk)]
+
+
+def _check_moved(base: np.ndarray, back_norm: np.ndarray, epsilon: float) -> None:
+    """Raise ValueError if a log back from an epsilon step to its row of base
+    has norm 0: the step rounded onto that row, voiding its stops and score."""
+    if not back_norm.all():
+        size = float(np.abs(base[np.argmin(back_norm)]).max())
+        raise ValueError(
+            f"an epsilon step of {epsilon!r} rounds onto its base point, whose largest "
+            f"|coordinate| is {size:.3g}; rescale or recentre the data, or raise epsilon")
 
 
 def _stop(code: np.ndarray, mask: np.ndarray, reason: StopReason) -> None:
@@ -291,6 +300,7 @@ class _Level:
         # log_cur(prev): the stop check's and the score's backward direction,
         # and the vector the step projects
         self.back, self.back_antipodal = _log_rows(cur, prev, data.chart)
+        self.back_norm = _row_norms(self.back)
         self.empty = self.gram.total <= 0.0
 
     def frames(self, k: int, step: np.ndarray):
@@ -308,14 +318,15 @@ def _score_terms(lv: _Level, frames, cfg: FitConfig, base_w: float, level: int):
     """Variation-score terms of one level's net points, from their score
     frames; returns (terms, scored).
 
-    A point antipodal to a data point or to its predecessor, or whose
-    demeaned covariance is empty or rank-deficient, is not scored and its
-    term is 0.
+    A point antipodal to a data point or to its predecessor, equal to its
+    predecessor, or whose demeaned covariance is empty or rank-deficient, is
+    not scored and its term is 0.
     """
     k = cfg.dim
     rows, vals, ranked = frames
-    scored = ~(lv.gram.antipodal | lv.back_antipodal | lv.empty) & ranked
-    unit = lv.back / _row_norms(lv.back)[:, None]
+    still = lv.back_norm == 0.0
+    scored = ~(lv.gram.antipodal | lv.back_antipodal | lv.empty | still) & ranked
+    unit = lv.back / np.where(still, 1.0, lv.back_norm)[:, None]
     cos_a = _row_norms(np.matmul(rows, unit[:, :, None])[:, :, 0])
     cos_a = np.where(cos_a < 1.0, cos_a, 1.0)
     terms = cos_a * vals.sum(axis=-1) * base_w * (level - 0.5) ** (k - 1)
@@ -369,6 +380,7 @@ def _grow_chunk(start: np.ndarray, seeds: np.ndarray, data: _GramData,
     level = 1
     while live.size:
         lv = _Level(cur, prev, data, cfg.kernel)
+        _check_moved(prev, lv.back_norm, cfg.epsilon)
         gram = lv.gram
         code = np.zeros(live.size, dtype=np.int8)
         # stop check of the candidate that just arrived (at level 1, the seed)
@@ -405,22 +417,21 @@ def fit_submanifold(data, start: Point, cfg: FitConfig) -> Submanifold:
     flow, two nets seeded at +/- epsilon * e1(start).
 
     The local covariance at the start must support cfg.dim directions
-    (RankDeficientError otherwise).  Chunks of nets grow in lockstep, one
-    level at a time.  A net's points do not depend on which nets share its
-    chunk, so results are bit-identical across runs and chunk sizes.  The
-    fit also scores its own nets from the same logs; variation_score
-    returns that score for this fit's data.
+    (RankDeficientError otherwise), and a step that rounds onto its base
+    point, as one can far from a flat chart's origin, raises ValueError.
+    Chunks of nets grow in lockstep, one level at a time.  A net's points do
+    not depend on which nets share its chunk, so results are bit-identical
+    across runs and chunk sizes.  The fit also scores its own nets from the
+    same logs; variation_score returns that score for this fit's data.
     """
-    xs = points_matrix(data)
-    if xs.shape[1] != start.ambient_dim:
-        raise ValueError("data and start point have different ambient dimensions")
+    xs = _matrix_at(data, start)
     chart = start.chart
     gram = _GramData(xs, chart)
     frame = _frame_at(start, gram, cfg.kernel, cfg.dim)
     seeds = seed_directions(start, frame, cfg).coords
     base_w = _score_weight(cfg, len(seeds))
     nets, per_net, skipped = [], [], 0
-    for chunk in _chunks(len(seeds), xs):
+    for chunk in _chunks(len(seeds), gram):
         paths, codes, acc, skips = _grow_chunk(
             start.coords, seeds[chunk.start:chunk.stop], gram, cfg, base_w)
         for index, path, code in zip(chunk, paths, codes.tolist()):
@@ -462,7 +473,7 @@ def _score_nets(sub: Submanifold, xs: np.ndarray) -> VariationScore:
     base_w = _score_weight(cfg, len(nets))
     per_net = np.zeros(len(nets))
     skipped = 0
-    for chunk in _chunks(len(nets), xs):
+    for chunk in _chunks(len(nets), gram):
         paths = [nets[i].points.coords for i in chunk]
         level = 1
         while True:
@@ -493,15 +504,15 @@ def variation_score(sub: Submanifold, data) -> VariationScore:
     Eigenvalues and frames here come from the *demeaned* kernel covariance
     (classical local PCA), so on a flat chart with an unbounded kernel the
     integrand reduces exactly to the stationary global PCA spectrum.  A
-    point antipodal to a data point, or whose demeaned covariance is empty
-    or rank-deficient, contributes 0 and is counted in skipped.
+    point antipodal to a data point, equal to its predecessor, or whose
+    demeaned covariance is empty or rank-deficient, contributes 0 (skipped).
 
     fit_submanifold scores its nets while growing them; that score is
     returned when data is bit for bit the data of the fit.  Any other
     Submanifold (dataclasses.replace drops the stored score) or data is
     scored level by level through the same kernel, with equal results.
     """
-    xs = points_matrix(data)
+    xs = _matrix_at(data, sub.start)
     if sub._fit_score is not None:
         fit_xs, score = sub._fit_score
         if np.array_equal(fit_xs.view(np.uint64), xs.view(np.uint64)):

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AntipodalPairError, CutLocusError, ZeroVectorError
+from .errors import AntipodalPairError, CutLocusError, DimensionMismatchError, ZeroVectorError
 
 SPHERE = "sphere"
 FLAT = "flat"
@@ -251,20 +251,12 @@ def exp_map(x: Point, v: Tangent) -> Point:
 
 def log_map(x: Point, y: Point) -> Tangent:
     """Inverse of exp_map: the tangent at x pointing to y with |log| = d(x, y)."""
-    if x.chart != y.chart:
-        raise ValueError("points live on different charts")
-    if x.ambient_dim != y.ambient_dim:
-        raise ValueError("points live in different ambient spaces")
-    return Tangent(x, _log_coords(x.coords, y.coords, x.chart))
+    return Tangent(x, _log_coords(x.coords, _matrix_at((y,), x)[0], x.chart))
 
 
 def geodesic_distance(x: Point, y: Point) -> float:
     """Arc-length distance on the sphere, Euclidean distance on a flat chart."""
-    if x.chart != y.chart:
-        raise ValueError("points live on different charts")
-    if x.ambient_dim != y.ambient_dim:
-        raise ValueError("points live in different ambient spaces")
-    return float(_distance_rows(x.coords[None], y.coords[None], x.chart)[0])
+    return float(_distance_rows(x.coords[None], _matrix_at((y,), x), x.chart)[0])
 
 
 def chart_of(data) -> str:
@@ -289,3 +281,14 @@ def points_matrix(data) -> np.ndarray:
         if p.chart != chart or p.ambient_dim != dim:
             raise ValueError("points must share one chart and ambient dimension")
     return np.stack([p.coords for p in seq])
+
+
+def _matrix_at(data, base: Point) -> np.ndarray:
+    """points_matrix(data) of points on base's chart and of its width (else
+    DimensionMismatchError): the one check of every operation on both."""
+    xs, chart = points_matrix(data), chart_of(data)
+    if chart != base.chart or xs.shape[1] != base.ambient_dim:
+        raise DimensionMismatchError(
+            f"points of {xs.shape[1]} coordinates on the {chart} chart and one of "
+            f"{base.ambient_dim} on the {base.chart} chart live in different spaces")
+    return xs

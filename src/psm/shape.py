@@ -90,18 +90,21 @@ def align_dataset(landmarks: np.ndarray, specimen_ids) -> tuple[PointArray, Poin
     raise NoConvergenceError("Procrustes alignment did not stabilize in 100 rounds")
 
 
-def from_preshape(p: Point, k: int) -> np.ndarray:
-    """Fold a preshape-sphere point back into a read-only (k, 2) landmark array.
+def from_preshape(p: Point) -> np.ndarray:
+    """Fold a preshape-sphere point of 2k coordinates, k >= 3, back into a
+    read-only (k, 2) landmark array.
 
-    Raises NotCenteredError when the even/odd coordinate sums exceed 1e-6,
-    which signals a point that never came from a centered configuration.
+    Raises DimensionMismatchError for an odd or smaller width, and
+    NotCenteredError when the even/odd coordinate sums exceed 1e-6, which
+    signals a point that never came from a centered configuration.
     """
-    if p.ambient_dim != 2 * k:
-        raise DimensionMismatchError(f"expected {2 * k} coordinates, got {p.ambient_dim}")
+    if p.ambient_dim % 2 or p.ambient_dim < 6:
+        raise DimensionMismatchError(
+            f"{p.ambient_dim} coordinates do not pair into 3 or more landmarks")
     off = _centroid_offset(p.coords)
     if off > _RECOVER_CENTER_TOL:
         raise NotCenteredError(f"coordinates carry a centroid offset of {off!r}")
-    return p.coords.reshape(k, 2)  # a view of the read-only coordinates
+    return p.coords.reshape(-1, 2)  # a view of the read-only coordinates
 
 
 # -- landmark file reading --

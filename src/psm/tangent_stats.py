@@ -32,6 +32,7 @@ from .geometry import (
     Tangent,
     _distance_rows,
     _exp_coords,
+    _matrix_at,
     _row_dots,
     _tangent_dim,
     chart_of,
@@ -46,6 +47,8 @@ _RANK_TOL = 1e-12
 _TIE_TOL = 1e-12
 _SIGN_TOL = 1e-12
 _ZERO_TOL = 1e-14
+_MEAN_TOL = 1e-10  # Riemannian gradient norm at which frechet_mean stops
+_MEAN_MAX_ITER = 200
 
 
 @dataclass(frozen=True)
@@ -132,7 +135,8 @@ class _GramData:
     centred at the first row, origin, stored once as yt (m, n), C-contiguous;
     ys (n, m) is its transposed view, not a copy.  batch is the number of
     base rows whose (m, n) weighted copies of yt fit in _LEVEL_ARRAY_BYTES
-    (at least 1)."""
+    (at least 1), and chunk the number of nets the fit grows together, whose
+    (nets, n) kernel rows and (nets, m, m) covariances each fit it."""
 
     def __init__(self, xs: np.ndarray, chart: str):
         self.chart = chart
@@ -140,6 +144,7 @@ class _GramData:
         self.yt = np.subtract(xs.T, self.origin[:, None], order="C")
         self.ys = self.yt.T
         self.batch = max(1, _LEVEL_ARRAY_BYTES // self.yt.nbytes)
+        self.chunk = max(1, _LEVEL_ARRAY_BYTES // (8 * max(xs.shape[0], xs.shape[1] ** 2)))
         if chart == FLAT:
             # the kernel's products sum squared distances from the first row
             with np.errstate(over="ignore", invalid="ignore"):
@@ -290,32 +295,17 @@ def _cov_at(center: np.ndarray, data: _GramData, kernel: KernelSpec,
 
 def local_covariance(center: Point, data, kernel: KernelSpec, *,
                      demean: bool = False) -> np.ndarray:
-    """Kernel-weighted second moment of log images at the center point.
+    """Kernel-weighted second moment of the data's log images at center.
 
-    Parameters
-    ----------
-    center : Point
-        Base point at which logs are taken.
-    data : sequence of Point
-        Sample points on the same chart.
-    kernel : KernelSpec
-        Weighting profile; weights are functions of geodesic distance, i.e.
-        of |log_center(x_i)|.
-    demean : bool
-        When True the weighted tangent mean is subtracted before forming
-        outer products.  The fitting algorithm uses the raw moment (False);
-        the demeaned form is the classical local PCA used by the variation
-        diagnostic.
-
-    Returns
-    -------
-    (d+1, d+1) symmetric ndarray.  On the sphere chart the matrix annihilates
-    the center point up to rounding.  Raises EmptyNeighborhoodError when no point carries
-    weight.
+    The kernel weighs each point by its geodesic distance |log_center(x_i)|.
+    The fit uses this raw moment; demean=True subtracts the weighted tangent
+    mean first, the classical local PCA of the variation diagnostic.  Returns
+    a symmetric (m, m) matrix for m coordinates, which on the sphere
+    annihilates the center up to rounding.  Raises EmptyNeighborhoodError
+    when no point carries weight, and DimensionMismatchError for data off the
+    center's chart or width.
     """
-    xs = points_matrix(data)
-    if xs.shape[1] != center.ambient_dim:
-        raise DimensionMismatchError("data and center have different ambient dimensions")
+    xs = _matrix_at(data, center)
     return _cov_at(center.coords, _GramData(xs, center.chart), kernel, demean)
 
 
@@ -406,15 +396,15 @@ def eigenframe(cov: np.ndarray, base: Point, k: int) -> EigenFrame:
     return EigenFrame(base, vectors, vals, degenerate)
 
 
-def frechet_mean(data, tol: float = 1e-10, max_iter: int = 200) -> Point:
+def frechet_mean(data) -> Point:
     """Intrinsic mean; on the flat chart, the arithmetic mean.
 
     On the sphere, fixed-point iteration p <- exp_p(mean log_p(x_i)) from the
     normalized extrinsic average, until the Riemannian gradient norm
-    |mean log| drops to tol.  Data outside an open hemisphere surfaces as
-    HemisphereViolationError; exhausting max_iter raises NoConvergenceError.
-    The flat chart's mean is that iteration's exact fixed point, which a
-    float gradient of data far from the origin cannot resolve to tol.
+    |mean log| drops to _MEAN_TOL.  Data outside an open hemisphere surfaces
+    as HemisphereViolationError; _MEAN_MAX_ITER steps without it raise
+    NoConvergenceError.  The flat chart's mean is that iteration's exact
+    fixed point, which a float gradient far from the origin cannot resolve.
     """
     xs = points_matrix(data)
     chart = chart_of(data)
@@ -426,21 +416,19 @@ def frechet_mean(data, tol: float = 1e-10, max_iter: int = 200) -> Point:
         raise HemisphereViolationError(
             "extrinsic average vanishes; data spans no open hemisphere") from exc
     gram, unit = _GramData(xs, chart), KernelSpec()
-    for _ in range(max_iter):
+    for _ in range(_MEAN_MAX_ITER):
         lv = _GramLevel(center[None], gram, unit)
         if lv.antipodal[0]:
             raise HemisphereViolationError("mean iterate became antipodal to a data point")
         grad = lv.mean()[0]
-        if float(np.linalg.norm(grad)) <= tol:
+        if float(np.linalg.norm(grad)) <= _MEAN_TOL:
             return Point(center, chart)
         center = _exp_coords(center, grad, chart)
-    raise NoConvergenceError(f"Frechet mean did not converge in {max_iter} iterations")
+    raise NoConvergenceError(f"Frechet mean did not converge in {_MEAN_MAX_ITER} iterations")
 
 
 def frechet_variance(center: Point, data) -> float:
     """Mean squared geodesic distance from the center to the data."""
-    xs = points_matrix(data)
-    if xs.shape[1] != center.ambient_dim:
-        raise DimensionMismatchError("data and center have different ambient dimensions")
+    xs = _matrix_at(data, center)
     dists = _distance_rows(np.broadcast_to(center.coords, xs.shape), xs, center.chart)
     return float(np.mean(dists ** 2))

@@ -16,13 +16,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .datagen import _row_format
-from .errors import DimensionMismatchError, NotAShapeFitError
+from .errors import DimensionMismatchError, NotAShapeFitError, NotCenteredError
 from .fitting import Net, Submanifold
-from .geometry import Point, PointArray, Tangent, _exp_rows, _tangent_dim, points_matrix
-from .shape import _centroid_offset, from_preshape
+from .geometry import Point, PointArray, Tangent, _exp_rows, _matrix_at, _tangent_dim, points_matrix
+from .shape import from_preshape
 from .tangent_stats import _frame_at, _GramData
 
-_CENTER_TOL = 1e-6
 _PD_NAMES = ("pd1", "pd2", "pd3", "pd4")
 # (row, column) step of each PD's shape-grid cells away from the center
 _GRID_AXES = {"pd1": (0, 1), "pd2": (1, 0), "pd3": (1, 1), "pd4": (1, -1)}
@@ -141,9 +140,7 @@ def project_submanifold(sub: Submanifold, data) -> ProjectedSubmanifold:
     surfaces when fewer than min(3, d) directions carry variance.
     """
     start = sub.start
-    xs = points_matrix(data)
-    if xs.shape[1] != start.ambient_dim:
-        raise DimensionMismatchError("data and start point have different ambient dimensions")
+    xs = _matrix_at(data, start)
     k = min(3, _tangent_dim(start.chart, start.ambient_dim))
     basis = _frame_at(start, _GramData(xs, start.chart), sub.config.kernel, k).vectors
     proj = ProjectedSubmanifold((), np.zeros((0, 3)), basis, start)
@@ -165,7 +162,7 @@ def _resample_branch(net_points: PointArray, q: int) -> list[Point]:
     return [net_points[max(1, (2 * steps * i + q - 1) // (2 * q))] for i in range(1, q + 1)]
 
 
-def shape_grid(sub: Submanifold, samples_per_direction: int = 9):
+def shape_grid(sub: Submanifold, samples_per_direction: int):
     """Square grid of recovered (k, 2) landmark arrays: PD1 row, PD2 column,
     PD3/PD4 diagonals.
 
@@ -178,23 +175,19 @@ def shape_grid(sub: Submanifold, samples_per_direction: int = 9):
     m = samples_per_direction
     if m < 3 or m % 2 == 0:
         raise ValueError("samples_per_direction must be an odd number >= 3")
-    coords = sub.start.coords
-    if coords.shape[0] % 2 != 0 or coords.shape[0] < 6:
-        raise NotAShapeFitError("start point does not pair into planar landmarks")
-    off = _centroid_offset(coords)
-    if off > _CENTER_TOL:
-        raise NotAShapeFitError(f"start point carries a centroid offset of {off!r}")
-    k = coords.shape[0] // 2
-
+    try:
+        center = from_preshape(sub.start)
+    except (DimensionMismatchError, NotCenteredError) as exc:
+        raise NotAShapeFitError(f"the start is no preshape: {exc}") from None
     c = m // 2
     grid: list[list[np.ndarray | None]] = [[None] * m for _ in range(m)]
-    grid[c][c] = from_preshape(sub.start, k)
+    grid[c][c] = center
     for name, (first, second) in _pd_pairs(sub).items():
         dr, dc = _GRID_AXES[name]
         for sign, net in ((-1, first), (1, second)):
             for i, point in enumerate(_resample_branch(net.points, c), start=1):
                 step = sign * i
-                grid[c + step * dr][c + step * dc] = from_preshape(point, k)
+                grid[c + step * dr][c + step * dc] = from_preshape(point)
     return grid
 
 
@@ -237,12 +230,12 @@ def write_projected_csv(path, proj: ProjectedSubmanifold, sub: Submanifold,
             fh.write("# pd3/pd4 label the fan diagonals, not third/fourth principal components\n")
 
 
-def write_shapes_json(path, grid, samples_per_direction: int, start_kind: str) -> None:
-    """Nested grid of (k, 2) landmark arrays with fit metadata."""
+def write_shapes_json(path, grid, start_kind: str) -> None:
+    """Nested square grid of (k, 2) landmark arrays, its side and fit metadata."""
     center = grid[len(grid) // 2][len(grid) // 2]
     payload = {
         "k": center.shape[0],
-        "samples_per_direction": int(samples_per_direction),
+        "samples_per_direction": len(grid),
         "start_kind": start_kind,
         "grid": [[None if cell is None else cell.tolist() for cell in row]
                  for row in grid],

@@ -348,7 +348,7 @@ def flat2_csv(tmp_path):
 
 
 _GREAT_CIRCLE_FLOW = ("--k", "1", "--max-length", "4", "--kernel", "gaussian",
-                      "--bandwidth", "0.3", "--start", "custom", "--coords=1,0,0,0")
+                      "--bandwidth", "0.3", "--start=1,0,0,0")
 
 
 class TestFit:
@@ -425,21 +425,23 @@ class TestFit:
         coords = ",".join(repr(float(v)) for v in points[10].coords)
         out = tmp_path / "run"
         # the = form keeps argparse from reading a leading minus as a flag
-        assert run("fit", str(s_curve_csv), "--directions", "8",
-                   "--start", "custom", f"--coords={coords}",
+        assert run("fit", str(s_curve_csv), "--directions", "8", f"--start={coords}",
                    "--out", str(out)) == 0
         summary = json.loads((out / "summary.json").read_text())
         assert summary["start_kind"] == "custom"
         np.testing.assert_allclose(summary["start"], points[10].coords,
                                    rtol=0.0, atol=1e-12)
 
-    def test_custom_start_needs_coords(self, tmp_path, s_curve_csv):
+    def test_custom_start_needs_coords(self, tmp_path, s_curve_csv, capsys):
+        # "custom" is no start: --start takes the coordinates themselves
         assert run("fit", str(s_curve_csv), "--start", "custom",
                    "--out", str(tmp_path / "x")) == 2
+        assert capsys.readouterr().err == ("usage error: --start must be mean or a "
+                                           "comma-separated float list, got 'custom'\n")
 
     def test_custom_start_must_be_unit(self, tmp_path, s_curve_csv):
-        assert run("fit", str(s_curve_csv), "--start", "custom",
-                   "--coords", "2,0,0,0", "--out", str(tmp_path / "x")) == 2
+        assert run("fit", str(s_curve_csv), "--start", "2,0,0,0",
+                   "--out", str(tmp_path / "x")) == 2
 
     @pytest.mark.parametrize("dataset, coords", [
         ("s_curve_csv", "nan,0,0,1"), ("s_curve_csv", "inf,0,0,1"),
@@ -448,16 +450,15 @@ class TestFit:
     def test_non_finite_coords_are_usage_error(self, tmp_path, request, capsys,
                                                dataset, coords):
         out = tmp_path / "x"
-        assert run("fit", str(request.getfixturevalue(dataset)), "--start", "custom",
-                   f"--coords={coords}", "--out", str(out)) == 2
-        assert f"usage error: --coords must be finite, got {coords!r}" in capsys.readouterr().err
+        assert run("fit", str(request.getfixturevalue(dataset)), f"--start={coords}",
+                   "--out", str(out)) == 2
+        assert f"usage error: --start must be finite, got {coords!r}" in capsys.readouterr().err
         assert not out.exists()
 
     def test_custom_start_of_wrong_width_is_usage_error(self, tmp_path, s_curve_csv, capsys):
         out = tmp_path / "x"
-        assert run("fit", str(s_curve_csv), "--start", "custom",
-                   "--coords", "1,0", "--out", str(out)) == 2
-        assert ("usage error: --coords has 2 components but the data has 4"
+        assert run("fit", str(s_curve_csv), "--start", "1,0", "--out", str(out)) == 2
+        assert ("usage error: --start has 2 components but the data has 4"
                 in capsys.readouterr().err)
         assert not out.exists()
 
@@ -649,6 +650,24 @@ class TestFit:
             f"error: the data spread {spread:.3g} from their first row is too wide: "
             "the kernel's squared distances overflow float64; rescale the data\n")
 
+    @pytest.mark.parametrize("scale, shift, epsilon", [(1e16, 0.0, 0.02), (1.0, 1e14, 0.005)])
+    def test_step_that_rounds_away_fails_with_one_line(self, tmp_path, capsys, scale, shift,
+                                                       epsilon):
+        # far from the origin an epsilon step rounds onto its own base point
+        path, xs = self.flat_cloud(tmp_path, 1, scale)
+        write_dataset_csv(PointArray(xs + shift, "flat"), path, {"chart": "flat"})
+        out = tmp_path / "run"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run("fit", str(path), "--bandwidth", "inf", "--epsilon", str(epsilon),
+                       "--quiet", "--out", str(out))
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: an epsilon step of {epsilon!r} rounds onto its base "
+                              "point, whose largest |coordinate| is ")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["fit", "compare-geodesic"])
     @pytest.mark.parametrize("dataset", ["s2_csv", "flat2_csv"])
     def test_two_dimensional_tangent_space_projects_p3_zero(self, tmp_path, request,
@@ -795,6 +814,20 @@ class TestConfigFile:
                    "--out", str(tmp_path / "out")) == 2
         assert "n" in capsys.readouterr().err
 
+    def test_start_coordinates_from_a_file(self, tmp_path, s_curve_csv):
+        points, _ = read_dataset_csv(s_curve_csv)
+        coords = ",".join(repr(float(v)) for v in points[10].coords)
+        cfg = tmp_path / "run.conf"
+        cfg.write_text(f"start = {coords}\n", encoding="utf-8")
+        by_flag, by_file = tmp_path / "flag", tmp_path / "file"
+        assert run("fit", str(s_curve_csv), "--directions", "8", f"--start={coords}",
+                   "--quiet", "--out", str(by_flag)) == 0
+        assert run("fit", str(s_curve_csv), "--directions", "8", "--config", str(cfg),
+                   "--quiet", "--out", str(by_file)) == 0
+        for name in ("submanifold.csv", "projected.csv", "summary.json"):
+            assert (by_flag / name).read_bytes() == (by_file / name).read_bytes()
+        assert json.loads((by_file / "summary.json").read_text())["start_kind"] == "custom"
+
 
 class TestTopLevel:
     def test_help_exits_zero(self, capsys):
@@ -807,18 +840,30 @@ class TestTopLevel:
     def test_unknown_command(self):
         assert run("transmogrify") == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["fit", "--seed", "1"], ["compare-geodesic", "--seed", "1"], ["shapes", "--seed", "1"],
+        ["fit", "--coords=0,0,0,1"]])
+    def test_removed_settings_are_usage_errors(self, tmp_path, s_curve_csv, capsys, argv):
+        # nothing in a fit or an alignment is random, and --start takes the
+        # coordinates itself
+        out = tmp_path / "run"
+        assert run(argv[0], str(s_curve_csv), *argv[1:], "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err == f"usage error: unrecognized arguments: {' '.join(argv[1:])}\n"
+        assert not out.exists()
+
 
 # Every setting each command takes, with a sample text that differs from
 # its default; `quiet` has no text (flag `--quiet`, config `quiet = yes`).
-_COMMON_SAMPLES = {"seed": "3", "out": "elsewhere", "quiet": None}
+_COMMON_SAMPLES = {"out": "elsewhere", "quiet": None}
 _FIT_SAMPLES = {
     **_COMMON_SAMPLES, "epsilon": "0.03", "delta": "0.25", "bandwidth": "0.3",
     "kernel": "gaussian", "directions": "12", "max_length": "0.8", "k": "1",
-    "start": "custom", "coords": "0,0,1", "grid_samples": "7",
+    "start": "0,0,1", "grid_samples": "7",
 }
 SETTING_SAMPLES = {
     "generate": {
-        **_COMMON_SAMPLES, "family": "ellipsoid", "n": "50", "noise_level": "0.1",
+        **_COMMON_SAMPLES, "seed": "3", "family": "ellipsoid", "n": "50", "noise_level": "0.1",
         "noise_scale_u": "0.5", "a": "3", "b": "2", "c": "0.5", "mode": "surface",
         "shift": "1.5",
     },
@@ -861,6 +906,42 @@ def test_flags_and_config_files_agree_on_every_setting(command, capsys):
         _build_parser().parse_args([command, "--help"])
     flags = set(re.findall(r"--[a-z-]+", capsys.readouterr().out))
     assert flags == {"--help", "--config"} | {_flag_argv(k, None)[0] for k in samples}
+
+
+def _run_outputs(tmp_path, name, command, argv):
+    """(exit code, {file name: bytes}) of one quiet run into tmp_path / name."""
+    out = tmp_path / name
+    code = run(command, *argv, "--quiet", "--out", str(out))
+    return code, {p.name: p.read_bytes() for p in sorted(out.glob("*"))}
+
+
+@pytest.mark.parametrize("command", sorted(SETTING_SAMPLES))
+def test_every_setting_changes_the_result(command, tmp_path, preshapes_csv):
+    """A command takes no value it does not read: each setting's sample,
+    other than the output directory and quiet, changes the exit code or the
+    bytes written.  The fits read preshapes, so that --grid-samples counts,
+    and start from a data row."""
+    samples = {k: v for k, v in SETTING_SAMPLES[command].items() if k not in ("out", "quiet")}
+    if command == "generate":
+        # a family parameter is read by its own family
+        owner = {key: family for family, (_, params) in RECIPES.items() for key in params}
+        base = {key: ["--family", owner.get(key, "sea_wave")] for key in samples}
+    else:
+        # shapes reads the landmarks next to the fixture's preshapes
+        source = preshapes_csv if command != "shapes" else preshapes_csv.parents[1] / "digits.csv"
+        base = dict.fromkeys(samples, [str(source)])
+        if "start" in samples:
+            points, _ = read_dataset_csv(preshapes_csv)
+            samples["start"] = ",".join(repr(float(v)) for v in points[3].coords)
+    baselines = {}
+    for key, text in samples.items():
+        argv = base[key]
+        if tuple(argv) not in baselines:
+            baselines[tuple(argv)] = _run_outputs(tmp_path, f"base{len(baselines)}", command, argv)
+        baseline = baselines[tuple(argv)]
+        assert baseline[0] == 0, key
+        flag = "--" + key.replace("_", "-")
+        assert _run_outputs(tmp_path, key, command, [*argv, f"{flag}={text}"]) != baseline, key
 
 
 def test_bench_runner_names_exist():

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -12,6 +13,7 @@ from psm.datagen import GenSpec, generate
 from psm.errors import (
     AntipodalPairError,
     DegenerateProjectionError,
+    DimensionMismatchError,
     EmptyNeighborhoodError,
     RankDeficientError,
 )
@@ -38,14 +40,17 @@ from psm.geometry import (
     geodesic_distance,
     log_map,
     points_matrix,
+    project_to_sphere,
 )
 from psm.tangent_stats import (
     KernelSpec,
     _GramData,
     eigenframe,
     frechet_mean,
+    frechet_variance,
     local_covariance,
 )
+from psm.viz import project_submanifold
 
 from helpers import random_sphere_point, random_tangent
 
@@ -219,6 +224,18 @@ class TestStepNet:
         data = flat_points([[0.1, 0.0], [-0.1, 0.0], [0.0, 0.1]])
         with pytest.raises(ValueError):
             step_net(p, p, data, flat_cfg())
+
+    def test_step_that_rounds_onto_its_point_is_rejected(self):
+        # 1e16 from the origin the spacing of floats is 2: an epsilon step
+        # of 0.02 leaves the point as it was
+        rng = np.random.default_rng(94)
+        data = flat_points(rng.standard_normal((50, 3)) * [3.0, 2.0, 1.0] * 1e16)
+        cur = Point(np.full(3, 1e16), FLAT)
+        prev = Point(np.array([1e16 + 4e14, 1e16, 1e16]), FLAT)
+        cfg = flat_cfg(epsilon=0.02, kernel=KernelSpec())
+        with pytest.raises(ValueError, match=r"epsilon step of 0\.02 rounds onto its base "
+                           r"point, whose largest \|coordinate\| is 1e\+16"):
+            step_net(prev, cur, data, cfg)
 
     def test_degenerate_projection(self):
         # local span is the e1-e2 plane; backward direction along e3 projects to zero
@@ -487,13 +504,13 @@ class TestFitSubmanifold:
         start, data = self.sphere_cluster()
         xs = points_matrix(data)
         if nets_per_chunk is not None:
-            monkeypatch.setattr(fitting, "_LEVEL_ARRAY_BYTES", nets_per_chunk * 8 * len(xs))
+            monkeypatch.setattr(tangent_stats, "_LEVEL_ARRAY_BYTES", nets_per_chunk * 8 * len(xs))
         cfg = FitConfig(epsilon=0.05, delta=0.4, kernel=KernelSpec(),
                         num_directions=8, max_net_length=0.6)
         bases = []
         spy_gram_passes(monkeypatch, bases)
         sub = fit_submanifold(data, start, cfg)
-        return sub, data, bases, fitting._chunks(len(sub.nets), xs)
+        return sub, data, bases, fitting._chunks(len(sub.nets), _GramData(xs, SPHERE))
 
     def test_one_log_pass_per_net_point(self, monkeypatch):
         sub, data, bases, chunks = self.count_log_bases(monkeypatch)
@@ -560,9 +577,9 @@ class TestFitSubmanifold:
         start = frechet_mean(data)
         cfg = FitConfig(num_directions=16)
         fan = fit_submanifold(data, start, cfg)
-        assert len(fitting._chunks(16, points_matrix(data))) == 1
-        monkeypatch.setattr(fitting, "_LEVEL_ARRAY_BYTES", 1)
-        assert len(fitting._chunks(16, points_matrix(data))) == 16
+        assert len(fitting._chunks(16, _GramData(points_matrix(data), start.chart))) == 1
+        monkeypatch.setattr(tangent_stats, "_LEVEL_ARRAY_BYTES", 1)
+        assert len(fitting._chunks(16, _GramData(points_matrix(data), start.chart))) == 16
         alone = fit_submanifold(data, start, cfg)
         assert len({net.stop_reason for net in fan.nets}) > 1
         for a, b in zip(fan.nets, alone.nets):
@@ -575,15 +592,16 @@ class TestFitSubmanifold:
         # the procrustes shape: 3000 preshapes of 13 landmarks, 26 coordinates;
         # a net's kernel row of 3000 outweighs its 26 x 26 covariance, so the
         # width does not change the chunks
-        chunks = fitting._chunks(180, np.zeros((3000, 26)))
+        chunks = fitting._chunks(180, _GramData(np.zeros((3000, 26)), SPHERE))
         assert len(chunks) == 14 and all(len(chunk) == 13 for chunk in chunks[:-1])
         assert len(chunks[-1]) == 11
-        assert fitting._chunks(180, np.zeros((3000, 3))) == chunks
+        assert fitting._chunks(180, _GramData(np.zeros((3000, 3)), SPHERE)) == chunks
         # the wide_flow shape: the two nets of a flow over 20,000 rows share one
-        assert fitting._chunks(2, np.zeros((20000, 4))) == [range(0, 2)]
+        assert fitting._chunks(2, _GramData(np.zeros((20000, 4)), SPHERE)) == [range(0, 2)]
         # 100 preshapes of 200 landmarks: each net's 400 x 400 covariance
         # arrays (1.28 MB) exceed the budget, so every net grows alone
-        assert fitting._chunks(180, np.zeros((100, 400))) == [range(i, i + 1) for i in range(180)]
+        wide = _GramData(np.zeros((100, 400)), SPHERE)
+        assert fitting._chunks(180, wide) == [range(i, i + 1) for i in range(180)]
 
     @pytest.mark.parametrize("shape, batch", [
         ((200, 3), 68), ((20000, 4), 1), ((3000, 26), 1), ((100, 400), 1)])
@@ -648,8 +666,49 @@ class TestFitSubmanifold:
     def test_ambient_mismatch(self):
         data = flat_points([[0.1, 0.0], [-0.1, 0.0], [0.0, 0.1]])
         start = Point(np.zeros(3), FLAT)
-        with pytest.raises(ValueError):
+        with pytest.raises(DimensionMismatchError):
             fit_submanifold(data, start, flat_cfg())
+
+    @pytest.mark.parametrize("mismatch", ["width", "chart"])
+    @pytest.mark.parametrize("entry", [
+        "fit_submanifold", "step_net", "stop_check", "local_covariance",
+        "frechet_variance", "project_submanifold", "variation_score"])
+    def test_data_must_share_the_base_point_space(self, entry, mismatch):
+        # 30 flat rows against a flat base of another width, or against a
+        # sphere base of the same width: each entry names the mismatch
+        rng = np.random.default_rng(97)
+        if mismatch == "width":
+            data = PointArray(rng.standard_normal((30, 2)), FLAT)
+            base, near = Point(np.zeros(3), FLAT), Point(np.array([0.01, 0.0, 0.0]), FLAT)
+        else:
+            data = PointArray(rng.standard_normal((30, 3)), FLAT)
+            base, near = Point(np.array([0.0, 0.0, 1.0])), project_to_sphere([0.01, 0.0, 1.0])
+        cfg = flat_cfg()
+        sub = Submanifold(base, (), None, cfg)
+        calls = {
+            "fit_submanifold": lambda: fit_submanifold(data, base, cfg),
+            "step_net": lambda: step_net(near, base, data, cfg),
+            "stop_check": lambda: stop_check(near, base, data, cfg, 0.0),
+            "local_covariance": lambda: local_covariance(base, data, cfg.kernel),
+            "frechet_variance": lambda: frechet_variance(base, data),
+            "project_submanifold": lambda: project_submanifold(sub, data),
+            "variation_score": lambda: variation_score(sub, data),
+        }
+        with pytest.raises(DimensionMismatchError, match="different spaces"):
+            calls[entry]()
+
+    @pytest.mark.parametrize("scale, shift, epsilon", [(1e16, 0.0, 0.02), (1.0, 1e14, 0.005)])
+    def test_seeds_that_round_onto_the_start_are_rejected(self, scale, shift, epsilon):
+        # far from the origin every seed rounds onto the start, whose void
+        # backward directions would pass the hull test and void the score
+        xs = np.random.default_rng(2).standard_normal((200, 3)) * [3.0, 2.0, 1.0] * scale + shift
+        data = PointArray(xs, FLAT)
+        start = Point(xs.mean(axis=0), FLAT)
+        cfg = flat_cfg(epsilon=epsilon, kernel=KernelSpec(), num_directions=16)
+        size = f"{np.abs(start.coords).max():.3g}"
+        with pytest.raises(ValueError, match=f"epsilon step of {epsilon!r} rounds onto its "
+                           f"base point, whose largest \\|coordinate\\| is {re.escape(size)};"):
+            fit_submanifold(data, start, cfg)
 
     def test_stop_levels_do_not_depend_on_an_offset(self):
         # The length rule counts epsilon-steps, so shifting a flat cloud far
@@ -730,6 +789,23 @@ class TestVariationScore:
         assert len(score.per_net) == 2
         assert score.total == pytest.approx(sum(score.per_net), rel=1e-12)
         assert score.total > 0.0
+
+    def test_repeated_net_point_is_skipped(self):
+        # a hand-built net that repeats a point has no backward direction
+        # there: the point is left unscored, with no division by zero
+        rng = np.random.default_rng(101)
+        xs = rng.standard_normal((50, 2))
+        data = PointArray(xs, FLAT)
+        cfg = flat_cfg(epsilon=0.05, delta=3.0, dim=1, max_net_length=0.3)
+        sub = fit_submanifold(data, Point(xs.mean(axis=0), FLAT), cfg)
+        first = sub.nets[0]
+        path = first.points.coords
+        repeated = Net(1, PointArray(np.concatenate([path[:3], path[2:]]), FLAT),
+                       first.stop_reason)
+        score = variation_score(dataclasses.replace(sub, nets=(repeated,) + sub.nets[1:]), data)
+        fitted = variation_score(sub, data)
+        assert score.skipped == fitted.skipped + 1
+        assert score.per_net == fitted.per_net
 
     def test_antipodal_guard_point_is_skipped(self):
         # A data point antipodal to net 1's level-3 point stops that net there

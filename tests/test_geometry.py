@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from psm.errors import AntipodalPairError, CutLocusError, ZeroVectorError
+from psm.errors import AntipodalPairError, CutLocusError, DimensionMismatchError, ZeroVectorError
 from psm.geometry import (
     FLAT,
     SPHERE,
@@ -172,9 +172,10 @@ class TestLogMap:
 
     def test_chart_mismatch(self):
         x = Point(np.array([1.0, 0.0]))
-        y = Point(np.array([1.0, 0.0]), FLAT)
-        with pytest.raises(ValueError):
-            log_map(x, y)
+        for y in (Point(np.array([1.0, 0.0]), FLAT), Point(np.array([1.0, 0.0, 0.0]))):
+            for op in (log_map, geodesic_distance):
+                with pytest.raises(DimensionMismatchError, match="different spaces"):
+                    op(x, y)
 
     def test_flat_chart_is_subtraction(self):
         x = Point(np.array([1.0, 2.0]), FLAT)

@@ -4,8 +4,12 @@ derandomize=True draws the same examples on every run, so these tests are
 as deterministic as the rest of the suite.
 """
 
+import contextlib
+import io
 import json
 import math
+import shutil
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -14,6 +18,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from psm import datagen, shape
+from psm.cli import main
 from psm.datagen import meta_path_for
 from psm.fitting import FitConfig, fit_submanifold
 from psm.geometry import (
@@ -316,3 +321,58 @@ def test_landmark_reader_equals_its_row_loop(tmp_path, text):
         assert landmarks.tobytes() == landmarks_want.tobytes()
     else:
         assert got == want
+
+
+# -- the command line's contract: exit 0 with a finite score, or 1/2 with one line --
+
+@st.composite
+def fit_runs(draw):
+    """(points, fit flags): 3-60 rows of 2-5 columns on either chart, a
+    Gaussian cloud scaled and shifted up to 1e16 (then normalized on the
+    sphere), and the flags of a fit from the mean or from one data row."""
+    chart = draw(st.sampled_from([SPHERE, FLAT]))
+    rows, width = draw(st.integers(3, 60)), draw(st.integers(2, 5))
+    scale = draw(st.sampled_from([1e-3, 0.1, 1.0, 10.0]))
+    shift = draw(st.sampled_from([0.0, 1.0, 1e6, 1e12, 1e14, 1e16]))
+    xs = np.random.default_rng(draw(st.integers(0, 2**16))).standard_normal((rows, width))
+    xs = xs * scale + shift
+    if chart == SPHERE:
+        xs = xs / np.linalg.norm(xs, axis=1, keepdims=True)
+    flags = ["--k", str(draw(st.integers(1, 4))),
+             "--directions", str(draw(st.sampled_from([4, 8, 12]))),
+             "--epsilon", str(draw(st.sampled_from([0.005, 0.02, 0.1]))),
+             "--kernel", draw(st.sampled_from(["uniform", "gaussian"])),
+             "--bandwidth", draw(st.sampled_from(["0.1", "0.4", "2", "inf"]))]
+    start = draw(st.none() | st.integers(0, rows - 1))
+    if start is not None:
+        flags.append("--start=" + ",".join(repr(v) for v in xs[start].tolist()))
+    return PointArray(xs, chart), flags
+
+
+CLI_RUNS = settings(PROPERTY, max_examples=150,
+                    suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+@CLI_RUNS
+@given(case=fit_runs())
+def test_cli_fit_exits_cleanly(tmp_path, case):
+    points, flags = case
+    data, out = tmp_path / "data.csv", tmp_path / "run"
+    shutil.rmtree(out, ignore_errors=True)
+    datagen.write_dataset_csv(points, data, {"chart": points.chart})
+    err = io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stderr(err):
+        warnings.simplefilter("error")
+        code = main(["fit", str(data), *flags, "--quiet", "--out", str(out)])
+    lines = err.getvalue().splitlines()
+    written = sorted(p.name for p in out.glob("*"))
+    if code == 0:
+        assert lines == []
+        assert written == ["projected.csv", "submanifold.csv", "summary.json"]
+        summary = json.loads((out / "summary.json").read_text())
+        assert math.isfinite(summary["variation_score"]["total"])
+    else:
+        assert code in (1, 2)
+        assert len(lines) == 1
+        assert lines[0].startswith("error: " if code == 1 else "usage error: ")
+        assert written == []

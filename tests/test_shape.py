@@ -217,7 +217,7 @@ class TestAlignDataset:
 class TestFromPreshape:
     def test_round_trip(self):
         p = preshape(DIGIT3_BASE)
-        back = from_preshape(Point(p), DIGIT3_BASE.shape[0])
+        back = from_preshape(Point(p))
         assert back.shape == DIGIT3_BASE.shape and not back.flags.writeable
         assert back.tobytes() == p.tobytes()
         np.testing.assert_allclose(preshape(back), p, rtol=0.0, atol=1e-12)
@@ -226,7 +226,7 @@ class TestFromPreshape:
         v = np.zeros(8)
         v[0] = 1.0  # x-sums to 1: not a centered configuration
         with pytest.raises(NotCenteredError):
-            from_preshape(Point(v, SPHERE), 4)
+            from_preshape(Point(v, SPHERE))
 
     def test_centering_tolerances(self):
         # from_preshape accepts a centroid offset up to 1e-6
@@ -235,15 +235,16 @@ class TestFromPreshape:
             v = base + offset * np.eye(8)[0]
             p = Point(v / np.linalg.norm(v), SPHERE)
             if recoverable:
-                assert from_preshape(p, 4).shape == (4, 2)
+                assert from_preshape(p).shape == (4, 2)
             else:
                 with pytest.raises(NotCenteredError):
-                    from_preshape(p, 4)
+                    from_preshape(p)
 
     def test_dimension_check(self):
-        p = Point(preshape(LEAF_BASE))
-        with pytest.raises(DimensionMismatchError):
-            from_preshape(p, 5)
+        # an odd number of coordinates does not pair into (x, y) landmarks
+        p = Point(np.array([0.6, 0.0, -0.8]))
+        with pytest.raises(DimensionMismatchError, match="3 coordinates"):
+            from_preshape(p)
 
 
 class TestReadLandmarksCsv:

@@ -7,6 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
+from psm import tangent_stats
 from psm.errors import (
     EmptyNeighborhoodError,
     HemisphereViolationError,
@@ -103,7 +104,7 @@ class TestFrechetMean:
     def test_gradient_below_tol(self):
         rng = np.random.default_rng(61)
         data = cluster_on_sphere(rng, 5, 30, 0.5)
-        mean = frechet_mean(data, tol=1e-10)
+        mean = frechet_mean(data)
         grad = np.mean([log_map(mean, x).vec for x in data], axis=0)
         assert np.linalg.norm(grad) <= 1e-10
 
@@ -132,11 +133,13 @@ class TestFrechetMean:
         with pytest.raises(HemisphereViolationError):
             frechet_mean([x, y])
 
-    def test_no_convergence(self):
+    def test_no_convergence(self, monkeypatch):
         rng = np.random.default_rng(63)
         data = cluster_on_sphere(rng, 4, 10, 1.0)
-        with pytest.raises(NoConvergenceError):
-            frechet_mean(data, tol=0.0, max_iter=1)
+        monkeypatch.setattr(tangent_stats, "_MEAN_TOL", 0.0)
+        monkeypatch.setattr(tangent_stats, "_MEAN_MAX_ITER", 1)
+        with pytest.raises(NoConvergenceError, match="in 1 iterations"):
+            frechet_mean(data)
 
 
 class TestFrechetVariance:

@@ -429,7 +429,7 @@ class TestWriteShapesJson:
         sub = preshape_submanifold(levels=4)
         grid = shape_grid(sub, 5)
         path = tmp_path / "shapes.json"
-        write_shapes_json(path, grid, 5, "mean")
+        write_shapes_json(path, grid, "mean")
         payload = json.loads(path.read_text(encoding="utf-8"))
         assert payload["k"] == DIGIT3_BASE.shape[0]
         assert payload["samples_per_direction"] == 5
