@@ -66,8 +66,6 @@ from .fitting import (
     variation_score,
 )
 from .viz import (
-    PrincipalDirections,
-    ProjectedSubmanifold,
     principal_directions,
     principal_geodesics,
     project_submanifold,

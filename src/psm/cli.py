@@ -325,10 +325,10 @@ def _cmd_fit(merged: dict, input_path: Path, written: _Written,
     start, start_kind = _start_point(merged["start"], points)
 
     sub = fit_submanifold(points, start, cfg)
-    pds = principal_directions(sub)
-    proj = project_submanifold(sub, points)
-    score = variation_score(sub, points)
+    pds, note = principal_directions(sub)
     geodesics = principal_geodesics(sub) if with_geodesics else None
+    proj = project_submanifold(sub, points, pds, geodesics)
+    score = variation_score(sub, points)
     is_shape_data = meta.get("kind") == "preshape"
     grid = shape_grid(sub, merged["grid_samples"]) if is_shape_data else None
 
@@ -348,7 +348,7 @@ def _cmd_fit(merged: dict, input_path: Path, written: _Written,
     written[sub_path] = None
     write_submanifold_csv(sub, sub_path)
     written[proj_path] = None
-    write_projected_csv(proj_path, proj, sub, pds, geodesics)
+    write_projected_csv(proj_path, proj)
     summary = {
         "command": "compare-geodesic" if with_geodesics else "fit",
         "input": input_path.name,
@@ -361,8 +361,8 @@ def _cmd_fit(merged: dict, input_path: Path, written: _Written,
         "variation_score": {"total": score.total, "per_net": list(score.per_net),
                             "skipped": score.skipped},
     }
-    if pds.note:
-        summary["note"] = pds.note
+    if note:
+        summary["note"] = note
     if geodesics is not None:
         summary["geodesic_levels"] = {str(k): len(v) for k, v in geodesics.items()}
     written[summary_path] = None

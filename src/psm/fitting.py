@@ -76,6 +76,7 @@ from .tangent_stats import (
 
 _PROJ_TOL = 1e-12
 _LENGTH_RTOL = 1e-9  # relative slack of the length rule; see _past_cap
+_STEP_RTOL = 1e-3  # relative error of a measured epsilon step; see _check_moved
 
 
 class StopReason(Enum):
@@ -186,7 +187,7 @@ def seed_directions(start: Point, frame: EigenFrame, cfg: FitConfig) -> PointArr
     if frame.k < 1:
         raise ValueError("frame must hold at least one direction")
     dirs = _frame_directions(frame.k, cfg.num_directions)
-    vecs = cfg.epsilon * np.matmul(dirs[:, None, :], frame.basis())[:, 0]
+    vecs = cfg.epsilon * np.matmul(dirs[:, None, :], frame.basis)[:, 0]
     starts = np.broadcast_to(start.coords, vecs.shape)
     seeds, _ = _exp_rows(starts, vecs, start.chart)  # |vecs| = epsilon < pi/8: never cut
     return PointArray(seeds, start.chart)
@@ -198,7 +199,8 @@ def step_net(a_prev: Point, a_cur: Point, data, cfg: FitConfig) -> Point:
     Degeneracies surface as exceptions (EmptyNeighborhoodError when nothing
     carries kernel weight, DegenerateProjectionError when the backward
     direction leaves the frame span); the fitting loop records the same
-    cases as stop reasons.  A step that rounds onto a_cur raises ValueError.
+    cases as stop reasons.  A step whose measured length is not epsilon
+    (see _check_moved) raises ValueError.
     """
     if np.array_equal(a_prev.coords, a_cur.coords):
         raise ValueError("previous and current points must differ")
@@ -273,12 +275,22 @@ def _chunks(num_nets: int, data: _GramData) -> list[range]:
 
 def _check_moved(base: np.ndarray, back_norm: np.ndarray, epsilon: float) -> None:
     """Raise ValueError if a log back from an epsilon step to its row of base
-    has norm 0: the step rounded onto that row, voiding its stops and score."""
-    if not back_norm.all():
-        size = float(np.abs(base[np.argmin(back_norm)]).max())
+    is off epsilon by more than _STEP_RTOL of it.
+
+    Far from a flat chart's origin a step rounds, in part or onto the row
+    itself; the length rule counts it as epsilon all the same, and the stop
+    checks and the score read its rounded direction.  A flat cloud 1e8 from
+    the origin measures its 0.02 steps within 6e-7 of epsilon; 1e12 away,
+    they are off by up to 3e-3.
+    """
+    off = np.abs(back_norm - epsilon)
+    if np.any(off > _STEP_RTOL * epsilon):
+        worst = int(np.argmax(off))
+        size = float(np.abs(base[worst]).max())
         raise ValueError(
-            f"an epsilon step of {epsilon!r} rounds onto its base point, whose largest "
-            f"|coordinate| is {size:.3g}; rescale or recentre the data, or raise epsilon")
+            f"an epsilon step of {epsilon!r} measures {float(back_norm[worst]):.3g} after "
+            f"rounding, from a point whose largest |coordinate| is {size:.3g}; rescale or "
+            "recentre the data, or raise epsilon")
 
 
 def _stop(code: np.ndarray, mask: np.ndarray, reason: StopReason) -> None:
@@ -417,8 +429,8 @@ def fit_submanifold(data, start: Point, cfg: FitConfig) -> Submanifold:
     flow, two nets seeded at +/- epsilon * e1(start).
 
     The local covariance at the start must support cfg.dim directions
-    (RankDeficientError otherwise), and a step that rounds onto its base
-    point, as one can far from a flat chart's origin, raises ValueError.
+    (RankDeficientError otherwise), and a step that rounds off epsilon, as
+    one can far from a flat chart's origin, raises ValueError (_check_moved).
     Chunks of nets grow in lockstep, one level at a time.  A net's points do
     not depend on which nets share its chunk, so results are bit-identical
     across runs and chunk sizes.  The fit also scores its own nets from the

@@ -29,7 +29,6 @@ from .geometry import (
     FLAT,
     SPHERE,
     Point,
-    Tangent,
     _distance_rows,
     _exp_coords,
     _matrix_at,
@@ -70,34 +69,35 @@ class KernelSpec:
             return np.ones_like(dists)
         if self.kind == UNIFORM_BALL:
             return (dists <= self.bandwidth).astype(float)
-        # exp(-(d / h)^2 / 2) in one new buffer; dists is left as it is
-        w = np.divide(dists, self.bandwidth, out=np.empty_like(dists))
-        np.square(w, out=w)
-        w *= -0.5
-        return np.exp(w, out=w)
+        # exp(-(d / h)^2 / 2) in one new buffer; dists is left as it is.  A tiny
+        # h overflows d / h or its square to inf, whose weight exp(-inf) = 0
+        # is the exact limit.
+        with np.errstate(over="ignore"):
+            w = np.divide(dists, self.bandwidth, out=np.empty_like(dists))
+            np.square(w, out=w)
+            w *= -0.5
+            return np.exp(w, out=w)
 
 
 @dataclass(frozen=True, eq=False)
 class EigenFrame:
-    """Top-k eigenvectors of a tangent covariance, eigenvalues nonincreasing."""
+    """Top-k eigenvectors of a tangent covariance at base, one row of basis
+    (k, m) each, eigenvalues nonincreasing; both arrays are read-only."""
 
     base: Point
-    vectors: tuple[Tangent, ...]
+    basis: np.ndarray
     eigenvalues: np.ndarray
     degenerate: bool = False
 
     def __post_init__(self):
-        vals = np.array(self.eigenvalues, dtype=float)
-        vals.setflags(write=False)
-        object.__setattr__(self, "eigenvalues", vals)
+        for name in ("basis", "eigenvalues"):
+            arr = np.array(getattr(self, name), dtype=float)
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
     @property
     def k(self) -> int:
-        return len(self.vectors)
-
-    def basis(self) -> np.ndarray:
-        """The frame as a (k, d+1) row matrix."""
-        return np.stack([t.vec for t in self.vectors])
+        return len(self.basis)
 
 
 # -- the Gram-form kernel --
@@ -373,7 +373,7 @@ def _frame_at(center: Point, data: _GramData, kernel: KernelSpec, k: int) -> Eig
 
 
 def eigenframe(cov: np.ndarray, base: Point, k: int) -> EigenFrame:
-    """Top-k eigenpairs of a symmetric covariance as tangents at base.
+    """Top-k eigenpairs of a symmetric covariance at base, the vectors as rows.
 
     Eigenvalues come out nonincreasing; each eigenvector has its first
     nonzero coordinate made positive so repeated runs are bit-identical.
@@ -392,8 +392,7 @@ def eigenframe(cov: np.ndarray, base: Point, k: int) -> EigenFrame:
     if not 1 <= k <= dim:
         raise ValueError(f"k must be between 1 and the tangent dimension {dim}")
     rows, vals, degenerate = _top_frame_at(cov, base.coords, base.chart, k)
-    vectors = tuple(Tangent(base, _fix_sign(row)) for row in rows)
-    return EigenFrame(base, vectors, vals, degenerate)
+    return EigenFrame(base, [_fix_sign(row) for row in rows], vals, degenerate)
 
 
 def frechet_mean(data) -> Point:

@@ -11,35 +11,18 @@ decimal separators and enough digits to round-trip float64 exactly.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 
 import numpy as np
 
 from .datagen import _row_format
 from .errors import DimensionMismatchError, NotAShapeFitError, NotCenteredError
 from .fitting import Net, Submanifold
-from .geometry import Point, PointArray, Tangent, _exp_rows, _matrix_at, _tangent_dim, points_matrix
+from .geometry import Point, PointArray, _exp_rows, _matrix_at, _tangent_dim
 from .shape import from_preshape
 from .tangent_stats import _frame_at, _GramData
 
-_PD_NAMES = ("pd1", "pd2", "pd3", "pd4")
 # (row, column) step of each PD's shape-grid cells away from the center
 _GRID_AXES = {"pd1": (0, 1), "pd2": (1, 0), "pd3": (1, 1), "pd4": (1, -1)}
-
-
-@dataclass(frozen=True, eq=False)
-class PrincipalDirections:
-    """The four join polylines, one PointArray each; None when the fan cannot host it."""
-
-    pd1: PointArray | None
-    pd2: PointArray | None
-    pd3: PointArray | None
-    pd4: PointArray | None
-    note: str | None = None
-
-    def as_dict(self) -> dict[str, PointArray]:
-        return {name: getattr(self, name) for name in _PD_NAMES
-                if getattr(self, name) is not None}
 
 
 def _pd_pairs(sub: Submanifold) -> dict[str, tuple[Net, Net]]:
@@ -69,8 +52,10 @@ def _join(first: Net, second: Net, start: Point) -> PointArray:
                                       second.points.coords[1:]]), start.chart)
 
 
-def principal_directions(sub: Submanifold) -> PrincipalDirections:
-    """Join the opposite nets of _pd_pairs into PD polylines; the note says why any is None."""
+def principal_directions(sub: Submanifold) -> tuple[dict[str, PointArray], str | None]:
+    """Join the opposite nets of _pd_pairs into PD polylines, pd1 to pd4 as
+    _pd_pairs defines them; returns (polylines, note), the note saying why
+    any PD is missing, or None."""
     pairs = _pd_pairs(sub)
     if not pairs:
         note = (f"k = {sub.config.dim}: the fan has no opposite nets; "
@@ -84,7 +69,7 @@ def principal_directions(sub: Submanifold) -> PrincipalDirections:
         note = None
     polylines = {name: _join(first, second, sub.start)
                  for name, (first, second) in pairs.items()}
-    return PrincipalDirections(*(polylines.get(name) for name in _PD_NAMES), note=note)
+    return polylines, note
 
 
 def principal_geodesics(sub: Submanifold) -> dict[int, PointArray]:
@@ -95,7 +80,7 @@ def principal_geodesics(sub: Submanifold) -> dict[int, PointArray]:
     each.  A curve longer than pi wraps past the antipode; those points stay.
     """
     pairs = _pd_pairs(sub)
-    basis = sub.frame_at_start.basis()
+    basis = sub.frame_at_start.basis
     eps = sub.config.epsilon
     start, chart = sub.start.coords, sub.start.chart
     curves: dict[int, PointArray] = {}
@@ -111,41 +96,34 @@ def principal_geodesics(sub: Submanifold) -> dict[int, PointArray]:
     return curves
 
 
-@dataclass(frozen=True, eq=False)
-class ProjectedSubmanifold:
-    """Nets, data and any extra curves expressed in top-3 eigen coordinates."""
+def project_submanifold(sub: Submanifold, data, pds: dict[str, PointArray] | None = None,
+                        geodesics: dict[int, PointArray] | None = None
+                        ) -> list[tuple[str, int, np.ndarray]]:
+    """Project nets, data, PD polylines and geodesics onto the top min(3, d)
+    eigenvectors at the start: the blocks of projected.csv in file order,
+    each (kind, index, rows (len, 3)), geodesics by index.
 
-    nets: tuple[np.ndarray, ...]
-    data: np.ndarray
-    basis: tuple[Tangent, ...]  # at most 3
-    start: Point
-
-    def project(self, points) -> np.ndarray:
-        """Map points to (len, 3): inner products of (p - start) with the basis,
-        0 in the columns past the basis."""
-        out = np.zeros((len(points), 3))
-        if len(points):
-            mat = np.stack([t.vec for t in self.basis])
-            out[:, :len(self.basis)] = (points_matrix(points) - self.start.coords) @ mat.T
-        return out
-
-
-def project_submanifold(sub: Submanifold, data) -> ProjectedSubmanifold:
-    """Project nets and data onto the top min(3, d) eigenvectors at the start.
-
-    d is the tangent dimension: m - 1 on the sphere in R^m (2 on S^2), m on
-    a flat chart of m columns; a p3 (and p2) column with no eigenvector is
-    all zero.  The basis comes from the local covariance at the start under
-    the fit's kernel; the start itself maps to the origin.  RankDeficientError
-    surfaces when fewer than min(3, d) directions carry variance.
+    A row is the inner products of (p - start) with the basis, so the start
+    maps to the origin.  d is the tangent dimension: m - 1 on the sphere in
+    R^m (2 on S^2), m on a flat chart of m columns; a p3 (and p2) column with
+    no eigenvector is all zero.  The basis comes from the local covariance at
+    the start under the fit's kernel.  RankDeficientError surfaces when fewer
+    than min(3, d) directions carry variance.
     """
     start = sub.start
     xs = _matrix_at(data, start)
     k = min(3, _tangent_dim(start.chart, start.ambient_dim))
-    basis = _frame_at(start, _GramData(xs, start.chart), sub.config.kernel, k).vectors
-    proj = ProjectedSubmanifold((), np.zeros((0, 3)), basis, start)
-    nets = tuple(proj.project(net.points) for net in sub.nets)
-    return ProjectedSubmanifold(nets, proj.project(data), basis, start)
+    basis = _frame_at(start, _GramData(xs, start.chart), sub.config.kernel, k).basis
+    blocks = [("net", net.direction_index, net.points.coords) for net in sub.nets]
+    blocks.append(("data", 0, xs))
+    blocks += [(name, 0, points.coords) for name, points in (pds or {}).items()]
+    blocks += [("geodesic", idx, curve.coords) for idx, curve in sorted((geodesics or {}).items())]
+    projected = []
+    for kind, index, rows in blocks:
+        out = np.zeros((len(rows), 3))
+        out[:, :k] = (rows - start.coords) @ basis.T
+        projected.append((kind, index, out))
+    return projected
 
 
 def _resample_branch(net_points: PointArray, q: int) -> list[Point]:
@@ -204,29 +182,16 @@ def write_submanifold_csv(sub: Submanifold, path) -> None:
                           for level, row in enumerate(net.points.coords))
 
 
-def write_projected_csv(path, proj: ProjectedSubmanifold, sub: Submanifold,
-                        pds: PrincipalDirections | None = None,
-                        geodesics: dict[int, PointArray] | None = None) -> None:
-    """Three-coordinate rows for nets, data, PD polylines and geodesics, streamed
-    to the file as write_submanifold_csv's are."""
+def write_projected_csv(path, blocks) -> None:
+    """The (kind, index, rows) blocks of project_submanifold as three-coordinate
+    rows, streamed to the file as write_submanifold_csv's are."""
     row_fmt = _row_format("%s,%d,%d,", 3) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("kind,net_index,level,p1,p2,p3\n")
-
-        def emit(kind, net_index, rows):
-            fh.writelines(row_fmt % (kind, net_index, level, *row.tolist())
-                          for level, row in enumerate(np.asarray(rows, dtype=float)))
-
-        for net, rows in zip(sub.nets, proj.nets):
-            emit("net", net.direction_index, rows)
-        emit("data", 0, proj.data)
-        if pds is not None:
-            for name, points in pds.as_dict().items():
-                emit(name, 0, proj.project(points))
-        if geodesics:
-            for idx in sorted(geodesics):
-                emit("geodesic", idx, proj.project(geodesics[idx]))
-        if pds is not None and (pds.pd3 is not None or pds.pd4 is not None):
+        for kind, index, rows in blocks:
+            fh.writelines(row_fmt % (kind, index, level, *row.tolist())
+                          for level, row in enumerate(rows))
+        if any(kind in ("pd3", "pd4") for kind, _, _ in blocks):
             fh.write("# pd3/pd4 label the fan diagonals, not third/fourth principal components\n")
 
 

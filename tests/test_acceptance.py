@@ -122,7 +122,7 @@ def test_criterion_02_flat_fit_recovers_principal_plane(flat_gaussian_fit):
             worst_plane = max(
                 worst_plane, float(np.linalg.norm(d - basis @ (basis.T @ d))))
     worst_line = 0.0
-    for p in principal_directions(f["sub"]).pd1:
+    for p in principal_directions(f["sub"])[0]["pd1"]:
         d = p.coords - f["mean"].coords
         worst_line = max(worst_line, float(np.linalg.norm(d - top * (top @ d))))
     _verdict(
@@ -318,13 +318,13 @@ def test_criterion_09_bent_sheet_beats_geodesic(bent_sheet):
     start = Point(np.array([0.0, 0.0, 1.0, math.sqrt(shift - 1.0)]) / math.sqrt(shift))
     cfg = FitConfig(kernel=KernelSpec("uniform_ball", 0.15))
     sub = fit_submanifold(points, start, cfg)
-    pd1 = principal_directions(sub).pd1
+    pd1 = principal_directions(sub)[0]["pd1"]
 
     back_net = next(n for n in sub.nets
                     if n.direction_index == cfg.num_directions // 2)
     at_start = len(back_net.points) - 1
     assert np.array_equal(pd1[at_start].coords, start.coords)
-    direction = sub.frame_at_start.vectors[0].vec
+    direction = sub.frame_at_start.basis[0]
     geodesic = [exp_map(start, Tangent(start, (j - at_start) * cfg.epsilon * direction))
                 for j in range(len(pd1))]
 

@@ -663,9 +663,25 @@ class TestFit:
                        "--quiet", "--out", str(out))
         assert code == 1
         err = capsys.readouterr().err
-        assert err.startswith(f"error: an epsilon step of {epsilon!r} rounds onto its base "
-                              "point, whose largest |coordinate| is ")
+        assert err.startswith(f"error: an epsilon step of {epsilon!r} measures 0 after "
+                              "rounding, from a point whose largest |coordinate| is ")
         assert err.count("\n") == 1
+        assert not out.exists()
+
+    def test_step_that_partly_rounds_fails_with_one_line(self, tmp_path, capsys):
+        # 5e13 from the origin the 0.02 steps measure 0.0175 to 0.0234
+        path, xs = self.flat_cloud(tmp_path, 2)
+        write_dataset_csv(PointArray(xs + 5e13, "flat"), path, {"chart": "flat"})
+        out = tmp_path / "run"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run("fit", str(path), "--bandwidth", "inf", "--epsilon", "0.02",
+                       "--directions", "16", "--quiet", "--out", str(out))
+        assert code == 1
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"error: an epsilon step of 0\.02 measures 0\.0[12]\d* after "
+                            r"rounding, from a point whose largest \|coordinate\| is 5e\+13; "
+                            r"rescale or recentre the data, or raise epsilon\n", err)
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["fit", "compare-geodesic"])
@@ -709,6 +725,21 @@ class TestFit:
                    "--bandwidth", "inf", "--out", str(out))
         assert code == 1
         assert not (out / "summary.json").exists()
+
+    @pytest.mark.parametrize("bandwidth", ["1e-160", "1e-310"])
+    def test_tiny_gaussian_bandwidth_fails_with_one_line(self, tmp_path, capsys, s_curve_csv,
+                                                          bandwidth):
+        # the Gaussian profile overflows to weight 0 on every data row, and no
+        # numpy warning comes before the error
+        out = tmp_path / "run"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run("fit", str(s_curve_csv), "--kernel", "gaussian", "--bandwidth",
+                       bandwidth, "--quiet", "--out", str(out))
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: no data carries kernel weight within bandwidth {float(bandwidth)!r}\n")
+        assert not out.exists()
 
 
 class TestCompareGeodesic:

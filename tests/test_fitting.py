@@ -22,6 +22,7 @@ from psm.fitting import (
     Net,
     StopReason,
     Submanifold,
+    _STEP_RTOL,
     _score_nets,
     fit_submanifold,
     net_length,
@@ -233,8 +234,8 @@ class TestStepNet:
         cur = Point(np.full(3, 1e16), FLAT)
         prev = Point(np.array([1e16 + 4e14, 1e16, 1e16]), FLAT)
         cfg = flat_cfg(epsilon=0.02, kernel=KernelSpec())
-        with pytest.raises(ValueError, match=r"epsilon step of 0\.02 rounds onto its base "
-                           r"point, whose largest \|coordinate\| is 1e\+16"):
+        with pytest.raises(ValueError, match=r"epsilon step of 0\.02 measures 0 after rounding, "
+                           r"from a point whose largest \|coordinate\| is 1e\+16"):
             step_net(prev, cur, data, cfg)
 
     def test_degenerate_projection(self):
@@ -263,7 +264,7 @@ class TestStepNet:
         cov = local_covariance(cur, data, cfg.kernel)
         frame = eigenframe(cov, cur, 2)
         v = log_map(cur, prev).vec
-        basis = frame.basis()
+        basis = frame.basis
         u = basis.T @ (basis @ v)
         u_flip = (-basis).T @ ((-basis) @ v)
         np.testing.assert_array_equal(u, u_flip)
@@ -706,9 +707,24 @@ class TestFitSubmanifold:
         start = Point(xs.mean(axis=0), FLAT)
         cfg = flat_cfg(epsilon=epsilon, kernel=KernelSpec(), num_directions=16)
         size = f"{np.abs(start.coords).max():.3g}"
-        with pytest.raises(ValueError, match=f"epsilon step of {epsilon!r} rounds onto its "
-                           f"base point, whose largest \\|coordinate\\| is {re.escape(size)};"):
+        with pytest.raises(ValueError, match=f"epsilon step of {epsilon!r} measures 0 after "
+                           "rounding, from a point whose largest \\|coordinate\\| is "
+                           f"{re.escape(size)};"):
             fit_submanifold(data, start, cfg)
+
+    def test_steps_that_partly_round_are_rejected(self):
+        # 5e13 from the origin the spacing of floats is 0.0078: the seeds'
+        # 0.02 steps measure 0.0175 to 0.0234, and the length rule would
+        # count each as 0.02
+        xs = np.random.default_rng(2).standard_normal((200, 3)) * [3.0, 2.0, 1.0] + 5e13
+        start = Point(xs.mean(axis=0), FLAT)
+        cfg = flat_cfg(epsilon=0.02, kernel=KernelSpec(), num_directions=16)
+        with pytest.raises(ValueError, match=r"epsilon step of 0\.02 measures (\S+) after "
+                           r"rounding, from a point whose largest \|coordinate\| is 5e\+13;"
+                           ) as info:
+            fit_submanifold(PointArray(xs, FLAT), start, cfg)
+        measured = float(re.search(r"measures (\S+) after", str(info.value)).group(1))
+        assert abs(measured - 0.02) > _STEP_RTOL * 0.02
 
     def test_stop_levels_do_not_depend_on_an_offset(self):
         # The length rule counts epsilon-steps, so shifting a flat cloud far

@@ -35,6 +35,7 @@ from psm.geometry import (
     tangent_project,
 )
 from psm.tangent_stats import GAUSSIAN, UNIFORM_BALL, KernelSpec, local_covariance
+from psm.viz import principal_directions, project_submanifold
 
 PROPERTY = settings(derandomize=True, max_examples=100, deadline=None)
 CHARTS = pytest.mark.parametrize("chart", [SPHERE, FLAT])
@@ -152,7 +153,14 @@ def _fit_cloud_from(rows: np.ndarray, start: np.ndarray):
     return fit_submanifold(PointArray(rows, FLAT), Point(start, FLAT), _CLOUD_CFG)
 
 
+def _data_block(sub, rows: np.ndarray) -> np.ndarray:
+    blocks = project_submanifold(sub, PointArray(rows, FLAT))
+    return next(block for kind, _, block in blocks if kind == "data")
+
+
 _CLOUD_FIT_FROM_START = _fit_cloud_from(_CLOUD, _START)
+_CLOUD_PDS = principal_directions(_CLOUD_FIT_FROM_START)[0]
+_CLOUD_DATA_BLOCK = _data_block(_CLOUD_FIT_FROM_START, _CLOUD)
 
 
 @PROPERTY
@@ -162,9 +170,10 @@ def test_fit_is_rotation_equivariant(entries, reflect):
     if reflect:
         q = -q
     ref = _CLOUD_FIT_FROM_START
-    fit = _fit_cloud_from(_CLOUD @ q.T, q @ _START)
-    rotated_frame = ref.frame_at_start.basis() @ q.T
-    flips = np.sign(np.sum(fit.frame_at_start.basis() * rotated_frame, axis=1))
+    rows = _CLOUD @ q.T
+    fit = _fit_cloud_from(rows, q @ _START)
+    rotated_frame = ref.frame_at_start.basis @ q.T
+    flips = np.sign(np.sum(fit.frame_at_start.basis * rotated_frame, axis=1))
     offset, sign = _RELABEL[tuple(int(f) for f in flips)]
     for net in ref.nets:
         mate = fit.nets[(offset + sign * net.direction_index - 1) % _D]
@@ -172,6 +181,16 @@ def test_fit_is_rotation_equivariant(entries, reflect):
         assert len(mate.points) == len(net.points)
         np.testing.assert_allclose(points_matrix(mate.points), points_matrix(net.points) @ q.T,
                                    rtol=0.0, atol=1e-9)
+    # the exports: the relabelling maps PD1's net pair (D/2, D) onto itself,
+    # reversed when e1 flips, and PD2's (D/4, 3D/4) reversed when e2 flips;
+    # the projection basis maps to its rotation up to one sign per vector
+    pds, _ = principal_directions(fit)
+    for name, flip in (("pd1", flips[0]), ("pd2", flips[1])):
+        got = pds[name].coords[::-1] if flip < 0 else pds[name].coords
+        np.testing.assert_allclose(got, _CLOUD_PDS[name].coords @ q.T, rtol=0.0, atol=1e-9)
+    got = _data_block(fit, rows)
+    column_signs = np.where(np.sum(got * _CLOUD_DATA_BLOCK, axis=0) < 0.0, -1.0, 1.0)
+    np.testing.assert_allclose(got, _CLOUD_DATA_BLOCK * column_signs, rtol=0.0, atol=1e-9)
 
 
 # -- file readers: numpy's parse against the row loops that word its errors --
@@ -327,22 +346,24 @@ def test_landmark_reader_equals_its_row_loop(tmp_path, text):
 
 @st.composite
 def fit_runs(draw):
-    """(points, fit flags): 3-60 rows of 2-5 columns on either chart, a
-    Gaussian cloud scaled and shifted up to 1e16 (then normalized on the
-    sphere), and the flags of a fit from the mean or from one data row."""
+    """(points, command and flags): 3-60 rows of 2-5 columns on either chart,
+    a Gaussian cloud scaled and shifted up to 1e16 (then normalized on the
+    sphere), and fit or compare-geodesic with the flags of a fit from the
+    mean or from one data row."""
     chart = draw(st.sampled_from([SPHERE, FLAT]))
     rows, width = draw(st.integers(3, 60)), draw(st.integers(2, 5))
     scale = draw(st.sampled_from([1e-3, 0.1, 1.0, 10.0]))
-    shift = draw(st.sampled_from([0.0, 1.0, 1e6, 1e12, 1e14, 1e16]))
+    shift = draw(st.sampled_from([0.0, 1.0, 1e6, 1e12, 5e12, 1e14, 1e16]))
     xs = np.random.default_rng(draw(st.integers(0, 2**16))).standard_normal((rows, width))
     xs = xs * scale + shift
     if chart == SPHERE:
         xs = xs / np.linalg.norm(xs, axis=1, keepdims=True)
-    flags = ["--k", str(draw(st.integers(1, 4))),
+    flags = [draw(st.sampled_from(["fit", "compare-geodesic"])),
+             "--k", str(draw(st.integers(1, 4))),
              "--directions", str(draw(st.sampled_from([4, 8, 12]))),
              "--epsilon", str(draw(st.sampled_from([0.005, 0.02, 0.1]))),
              "--kernel", draw(st.sampled_from(["uniform", "gaussian"])),
-             "--bandwidth", draw(st.sampled_from(["0.1", "0.4", "2", "inf"]))]
+             "--bandwidth", draw(st.sampled_from(["0.1", "0.4", "2", "inf", "1e-160"]))]
     start = draw(st.none() | st.integers(0, rows - 1))
     if start is not None:
         flags.append("--start=" + ",".join(repr(v) for v in xs[start].tolist()))
@@ -356,14 +377,14 @@ CLI_RUNS = settings(PROPERTY, max_examples=150,
 @CLI_RUNS
 @given(case=fit_runs())
 def test_cli_fit_exits_cleanly(tmp_path, case):
-    points, flags = case
+    points, (command, *flags) = case
     data, out = tmp_path / "data.csv", tmp_path / "run"
     shutil.rmtree(out, ignore_errors=True)
     datagen.write_dataset_csv(points, data, {"chart": points.chart})
     err = io.StringIO()
     with warnings.catch_warnings(), contextlib.redirect_stderr(err):
         warnings.simplefilter("error")
-        code = main(["fit", str(data), *flags, "--quiet", "--out", str(out)])
+        code = main([command, str(data), *flags, "--quiet", "--out", str(out)])
     lines = err.getvalue().splitlines()
     written = sorted(p.name for p in out.glob("*"))
     if code == 0:

@@ -71,6 +71,14 @@ class TestKernelSpec:
         np.testing.assert_allclose(spec.weights([0.0, 1.0, 3.0]), expected,
                                    rtol=0.0, atol=1e-15)
 
+    @pytest.mark.parametrize("bandwidth", [1e-310, 1e-160])
+    def test_gaussian_weights_of_a_tiny_bandwidth_underflow_quietly(self, bandwidth):
+        # d / h (1e-310) or its square (1e-160) overflows to inf: weight 0, no warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            weights = KernelSpec(GAUSSIAN, bandwidth).weights([0.0, 0.5])
+        np.testing.assert_array_equal(weights, [1.0, 0.0])
+
 
 class TestFrechetMean:
     def test_all_points_equal(self):
@@ -399,15 +407,15 @@ class TestEigenframe:
         base = Point(np.zeros(4), FLAT)
         frame = eigenframe(np.diag([3.0, 2.0, 1.0, 0.0]), base, 2)
         np.testing.assert_array_equal(frame.eigenvalues, [3.0, 2.0])
-        np.testing.assert_allclose(frame.vectors[0].vec, [1, 0, 0, 0], atol=1e-12)
-        np.testing.assert_allclose(frame.vectors[1].vec, [0, 1, 0, 0], atol=1e-12)
+        np.testing.assert_allclose(frame.basis[0], [1, 0, 0, 0], atol=1e-12)
+        np.testing.assert_allclose(frame.basis[1], [0, 1, 0, 0], atol=1e-12)
 
     def test_rank_one(self):
         base = Point(np.zeros(3), FLAT)
         v = np.array([2.0, -1.0, 2.0])
         frame = eigenframe(np.outer(v, v), base, 1)
         assert frame.eigenvalues[0] == pytest.approx(9.0, abs=1e-12)
-        np.testing.assert_allclose(frame.vectors[0].vec, v / 3.0, atol=1e-12)
+        np.testing.assert_allclose(frame.basis[0], v / 3.0, atol=1e-12)
 
     def test_spectral_reconstruction(self):
         rng = np.random.default_rng(70)
@@ -415,8 +423,8 @@ class TestEigenframe:
         raw = rng.standard_normal((4, 4))
         spd = raw @ raw.T + 0.1 * np.eye(4)
         frame = eigenframe(spd, base, 4)
-        rebuilt = sum(lam * np.outer(t.vec, t.vec)
-                      for lam, t in zip(frame.eigenvalues, frame.vectors))
+        rebuilt = sum(lam * np.outer(row, row)
+                      for lam, row in zip(frame.eigenvalues, frame.basis))
         np.testing.assert_allclose(rebuilt, spd, rtol=0.0, atol=1e-8)
 
     def test_eigen_residuals(self):
@@ -425,9 +433,9 @@ class TestEigenframe:
         raw = rng.standard_normal((5, 5))
         spd = raw @ raw.T + 0.1 * np.eye(5)
         frame = eigenframe(spd, base, 3)
-        for lam, t in zip(frame.eigenvalues, frame.vectors):
-            assert np.linalg.norm(spd @ t.vec - lam * t.vec) <= 1e-8
-            rayleigh = float(t.vec @ spd @ t.vec)
+        for lam, row in zip(frame.eigenvalues, frame.basis):
+            assert np.linalg.norm(spd @ row - lam * row) <= 1e-8
+            rayleigh = float(row @ spd @ row)
             assert abs(rayleigh - lam) <= 1e-8
 
     def test_sphere_chart_vectors_are_tangent(self):
@@ -437,9 +445,10 @@ class TestEigenframe:
                 for _ in range(10)]
         cov = local_covariance(a, data, KernelSpec())
         frame = eigenframe(cov, a, 2)
-        for t in frame.vectors:
-            assert abs(t.vec @ a.coords) <= 1e-10
-        gram = frame.basis() @ frame.basis().T
+        assert frame.basis.shape == (2, 4) and not frame.basis.flags.writeable
+        for row in frame.basis:
+            assert abs(row @ a.coords) <= 1e-10
+        gram = frame.basis @ frame.basis.T
         np.testing.assert_allclose(gram, np.eye(2), rtol=0.0, atol=1e-9)
 
     def test_rank_deficient(self):
@@ -459,7 +468,7 @@ class TestEigenframe:
         v = np.array([-1.0, 1.0]) / math.sqrt(2.0)
         frame = eigenframe(np.outer(v, v), base, 1)
         # first nonzero component forced positive
-        assert frame.vectors[0].vec[0] > 0
+        assert frame.basis[0][0] > 0
 
     def test_k_bounded_by_tangent_dimension(self):
         # S^2 in R^3 has 2 tangent directions; a flat chart of 2 columns has 2

@@ -20,8 +20,6 @@ from psm.tangent_stats import (
     local_covariance,
 )
 from psm.viz import (
-    PrincipalDirections,
-    ProjectedSubmanifold,
     _pd_pairs,
     _resample_branch,
     principal_directions,
@@ -42,10 +40,8 @@ def synthetic_submanifold(num_directions=8, levels=3, epsilon=0.05, dim=2,
     start = Point(np.zeros(ambient), FLAT)
     e1 = np.eye(ambient)[0]
     e2 = np.eye(ambient)[1]
-    frame = EigenFrame(start, (Tangent(start, e1), Tangent(start, e2)),
-                       np.array([2.0, 1.0])[:dim])
+    frame = EigenFrame(start, np.stack([e1, e2])[:dim], np.array([2.0, 1.0])[:dim])
     if dim == 1:
-        frame = EigenFrame(start, (Tangent(start, e1),), np.array([2.0]))
         dirs = {1: e1, 2: -e1}
     else:
         dirs = {l: math.cos(2 * math.pi * l / num_directions) * e1
@@ -79,10 +75,8 @@ def preshape_submanifold(num_directions=8, levels=4, epsilon=0.05, dim=2,
             v = v - (v @ w) * w
         basis.append(v / np.linalg.norm(v))
     u, w = basis
-    frame = EigenFrame(start, (Tangent(start, u), Tangent(start, w)),
-                       np.array([2.0, 1.0])[:dim])
+    frame = EigenFrame(start, np.stack([u, w])[:dim], np.array([2.0, 1.0])[:dim])
     if dim == 1:
-        frame = EigenFrame(start, (Tangent(start, u),), np.array([2.0]))
         dirs = {1: u, 2: -u}
     else:
         dirs = {l: math.cos(2 * math.pi * l / num_directions) * u
@@ -102,7 +96,8 @@ def preshape_submanifold(num_directions=8, levels=4, epsilon=0.05, dim=2,
 class TestPrincipalDirections:
     def test_pairing_indices(self):
         sub = synthetic_submanifold(num_directions=8, levels=3)
-        pds = principal_directions(sub)
+        pds, note = principal_directions(sub)
+        assert list(pds) == ["pd1", "pd2", "pd3", "pd4"]
         by_index = {n.direction_index: n for n in sub.nets}
 
         def expect(first, second):
@@ -112,39 +107,38 @@ class TestPrincipalDirections:
 
         for name, (first, second) in (("pd1", (4, 8)), ("pd2", (2, 6)),
                                       ("pd3", (1, 5)), ("pd4", (3, 7))):
-            polyline = getattr(pds, name)
+            polyline = pds[name]
             assert isinstance(polyline, PointArray) and polyline.chart == FLAT
             np.testing.assert_array_equal(polyline.coords, expect(first, second))
-        assert pds.note is None
+        assert note is None
 
     def test_polyline_through_start_once(self):
         sub = synthetic_submanifold(num_directions=8, levels=3)
-        pds = principal_directions(sub)
-        hits = [p for p in pds.pd1 if np.array_equal(p.coords, sub.start.coords)]
+        pd1 = principal_directions(sub)[0]["pd1"]
+        hits = [p for p in pd1 if np.array_equal(p.coords, sub.start.coords)]
         assert len(hits) == 1
-        assert len(pds.pd1) == 3 + 1 + 3
+        assert len(pd1) == 3 + 1 + 3
 
     def test_not_divisible_by_eight(self):
         sub = synthetic_submanifold(num_directions=4, levels=2)
-        pds = principal_directions(sub)
-        assert pds.pd1 is not None and pds.pd2 is not None
-        assert pds.pd3 is None and pds.pd4 is None
-        assert "8" in pds.note
+        pds, note = principal_directions(sub)
+        assert list(pds) == ["pd1", "pd2"]
+        assert "8" in note
 
     def test_flow_only_pd1(self):
         sub = synthetic_submanifold(dim=1, levels=3)
-        pds = principal_directions(sub)
+        pds, note = principal_directions(sub)
         by_index = {n.direction_index: n for n in sub.nets}
         want = (list(reversed(by_index[2].points[1:])) + [sub.start]
                 + list(by_index[1].points[1:]))
-        np.testing.assert_array_equal(pds.pd1.coords, np.stack([p.coords for p in want]))
-        assert pds.pd2 is None and pds.pd3 is None and pds.pd4 is None
-        assert "flow" in pds.note
+        np.testing.assert_array_equal(pds["pd1"].coords, np.stack([p.coords for p in want]))
+        assert list(pds) == ["pd1"]
+        assert "flow" in note
 
-    def test_as_dict_skips_missing(self):
+    def test_dict_holds_only_defined_pds(self):
         sub = synthetic_submanifold(num_directions=4, levels=2)
-        d = principal_directions(sub).as_dict()
-        assert sorted(d) == ["pd1", "pd2"]
+        pds, _ = principal_directions(sub)
+        assert sorted(pds) == ["pd1", "pd2"] == sorted(_pd_pairs(sub))
 
 
 class TestPairingOnFits:
@@ -163,7 +157,7 @@ class TestPairingOnFits:
                                        -log_map(start, second.points[1]).vec,
                                        rtol=0.0, atol=1e-12)
         # each geodesic leaves the join along its PD's second-listed net
-        pds = principal_directions(sub).as_dict()
+        pds, _ = principal_directions(sub)
         geodesics = principal_geodesics(sub)
         assert sorted(geodesics) == [int(name[2]) for name in names[:2]]
         for key, curve in geodesics.items():
@@ -184,10 +178,9 @@ class TestPairingOnFits:
                         max_net_length=0.2, dim=3)
         sub = fit_submanifold(data, start, cfg)
         assert len(sub.nets) == 8
-        pds = principal_directions(sub)
-        assert (pds.pd1, pds.pd2, pds.pd3, pds.pd4) == (None, None, None, None)
-        assert pds.as_dict() == {}
-        assert "no opposite nets" in pds.note
+        pds, note = principal_directions(sub)
+        assert pds == {}
+        assert "no opposite nets" in note
         assert principal_geodesics(sub) == {}
 
 
@@ -201,39 +194,54 @@ class TestProjectSubmanifold:
                         num_directions=4, max_net_length=0.3)
         return fit_submanifold(data, start, cfg), data
 
+    @staticmethod
+    def rows_of(blocks, kind):
+        return [rows for block_kind, _, rows in blocks if block_kind == kind]
+
     def test_start_maps_to_origin(self):
         sub, data = self.fit_small()
-        proj = project_submanifold(sub, data)
-        np.testing.assert_allclose(proj.project([sub.start]), np.zeros((1, 3)),
+        pds, _ = principal_directions(sub)
+        blocks = project_submanifold(sub, data, pds)
+        # the start is PD1's row at the join, after the reversed first branch
+        join = len(_pd_pairs(sub)["pd1"][0].points) - 1
+        np.testing.assert_allclose(self.rows_of(blocks, "pd1")[0][join], np.zeros(3),
                                    rtol=0.0, atol=1e-15)
-        for rows in proj.nets:
+        for rows in self.rows_of(blocks, "net"):
             np.testing.assert_allclose(rows[0], np.zeros(3), rtol=0.0, atol=1e-15)
 
     def test_basis_vectors_hit_standard_axes(self):
         sub, data = self.fit_small()
-        proj = project_submanifold(sub, data)
-        for i, t in enumerate(proj.basis):
-            shifted = Point(sub.start.coords + t.vec, FLAT)
-            np.testing.assert_allclose(proj.project([shifted])[0], np.eye(3)[i],
-                                       rtol=0.0, atol=1e-10)
+        basis = eigenframe(local_covariance(sub.start, data, sub.config.kernel),
+                           sub.start, 3).basis
+        shifted = {i: PointArray((sub.start.coords + basis[i])[None], FLAT) for i in range(3)}
+        blocks = project_submanifold(sub, data, geodesics=shifted)
+        for i, rows in enumerate(self.rows_of(blocks, "geodesic")):
+            np.testing.assert_allclose(rows[0], np.eye(3)[i], rtol=0.0, atol=1e-10)
 
     def test_shapes(self):
         sub, data = self.fit_small()
-        proj = project_submanifold(sub, data)
-        assert proj.data.shape == (80, 3)
-        assert len(proj.nets) == 4
-        for net, rows in zip(sub.nets, proj.nets):
+        pds, _ = principal_directions(sub)
+        blocks = project_submanifold(sub, data, pds)
+        assert [(kind, index) for kind, index, _ in blocks] == (
+            [("net", net.direction_index) for net in sub.nets]
+            + [("data", 0), ("pd1", 0), ("pd2", 0)])
+        (data_rows,) = self.rows_of(blocks, "data")
+        assert data_rows.shape == (80, 3)
+        assert len(self.rows_of(blocks, "net")) == 4
+        for net, rows in zip(sub.nets, self.rows_of(blocks, "net")):
             assert rows.shape == (len(net.points), 3)
-        assert proj.project([]).shape == (0, 3)
+        for name, points in pds.items():
+            assert self.rows_of(blocks, name)[0].shape == (len(points), 3)
 
     def test_default_kernel_is_fit_kernel(self):
         sub, data = self.fit_small(kernel=KernelSpec(GAUSSIAN, 0.5))
-        basis = [t.vec for t in project_submanifold(sub, data).basis]
+        (rows,) = self.rows_of(project_submanifold(sub, data), "data")
+        centred = np.stack([p.coords for p in data]) - sub.start.coords
         frame = eigenframe(local_covariance(sub.start, data, sub.config.kernel), sub.start, 3)
-        np.testing.assert_array_equal(basis, [t.vec for t in frame.vectors])
+        np.testing.assert_array_equal(rows, centred @ frame.basis.T)
         # the uniform ball would give another basis
         ball = eigenframe(local_covariance(sub.start, data, KernelSpec()), sub.start, 3)
-        assert not np.allclose(basis, [t.vec for t in ball.vectors])
+        assert not np.allclose(rows, centred @ ball.basis.T)
 
 
 class TestShapeGrid:
@@ -362,14 +370,13 @@ class TestWriteProjectedCsv:
         sub = synthetic_submanifold(num_directions=num_directions, levels=2)
         rng = np.random.default_rng(112)
         data = [Point(r, FLAT) for r in rng.standard_normal((10, 4))]
-        proj = project_submanifold(sub, data)
-        return sub, data, proj
+        pds, _ = principal_directions(sub)
+        return sub, data, pds
 
     def test_kinds_and_counts(self, tmp_path):
-        sub, data, proj = self.build()
-        pds = principal_directions(sub)
+        sub, data, pds = self.build()
         path = tmp_path / "projected.csv"
-        write_projected_csv(path, proj, sub, pds)
+        write_projected_csv(path, project_submanifold(sub, data, pds))
         header, rows = read_csv_rows(path)
         assert header == ["kind", "net_index", "level", "p1", "p2", "p3"]
         kinds = {r[0] for r in rows}
@@ -377,51 +384,46 @@ class TestWriteProjectedCsv:
         assert sum(1 for r in rows if r[0] == "data") == 10
         assert sum(1 for r in rows if r[0] == "net") == sum(
             len(n.points) for n in sub.nets)
-        assert sum(1 for r in rows if r[0] == "pd1") == len(pds.pd1)
+        assert sum(1 for r in rows if r[0] == "pd1") == len(pds["pd1"])
 
     def test_diagonal_disclaimer_comment(self, tmp_path):
-        sub, data, proj = self.build()
-        pds = principal_directions(sub)
+        sub, data, pds = self.build()
         path = tmp_path / "projected.csv"
-        write_projected_csv(path, proj, sub, pds)
+        write_projected_csv(path, project_submanifold(sub, data, pds))
         lines = path.read_text(encoding="utf-8").splitlines()
         assert lines[-1].startswith("#")
         assert "pd3/pd4" in lines[-1]
 
     def test_no_comment_without_diagonals(self, tmp_path):
-        sub, data, proj = self.build(num_directions=4)
-        pds = principal_directions(sub)
+        sub, data, pds = self.build(num_directions=4)
         path = tmp_path / "projected.csv"
-        write_projected_csv(path, proj, sub, pds)
+        write_projected_csv(path, project_submanifold(sub, data, pds))
         lines = path.read_text(encoding="utf-8").splitlines()
         assert not any(ln.startswith("#") for ln in lines)
 
     def test_geodesic_rows_sorted(self, tmp_path):
-        sub, data, proj = self.build()
-        curve = [Point(np.array([t, 0.0, 0.0, 0.0]), FLAT)
-                 for t in (-0.1, 0.0, 0.1)]
+        sub, data, _ = self.build()
+        curve = PointArray([[t, 0.0, 0.0, 0.0] for t in (-0.1, 0.0, 0.1)], FLAT)
         path = tmp_path / "projected.csv"
-        write_projected_csv(path, proj, sub, geodesics={2: curve, 1: curve})
+        write_projected_csv(path, project_submanifold(sub, data, geodesics={2: curve, 1: curve}))
         header, rows = read_csv_rows(path)
         geo = [r for r in rows if r[0] == "geodesic"]
         assert [r[1] for r in geo] == ["1", "1", "1", "2", "2", "2"]
 
     def test_header_only_when_empty(self, tmp_path):
-        start = Point(np.zeros(4), FLAT)
-        basis = tuple(Tangent(start, np.eye(4)[i]) for i in range(3))
-        proj = ProjectedSubmanifold((), np.zeros((0, 3)), basis, start)
-        sub = Submanifold(start, (), EigenFrame(start, basis, np.ones(3)), FitConfig())
         path = tmp_path / "projected.csv"
-        write_projected_csv(path, proj, sub)
+        write_projected_csv(path, [])
         assert path.read_text(encoding="utf-8") == "kind,net_index,level,p1,p2,p3\n"
 
     def test_float_round_trip(self, tmp_path):
-        sub, data, proj = self.build()
+        sub, data, _ = self.build()
+        blocks = project_submanifold(sub, data)
         path = tmp_path / "projected.csv"
-        write_projected_csv(path, proj, sub)
+        write_projected_csv(path, blocks)
         header, rows = read_csv_rows(path)
         got = np.array([[float(v) for v in r[3:]] for r in rows if r[0] == "data"])
-        np.testing.assert_array_equal(got, proj.data)
+        np.testing.assert_array_equal(got, next(rows for kind, _, rows in blocks
+                                                if kind == "data"))
 
 
 class TestWriteShapesJson:
