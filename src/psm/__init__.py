@@ -33,13 +33,11 @@ from .geometry import (
     SPHERE,
     Point,
     PointArray,
-    Tangent,
     exp_map,
     geodesic_distance,
     log_map,
     points_matrix,
     project_to_sphere,
-    tangent_project,
 )
 from .tangent_stats import (
     GAUSSIAN,

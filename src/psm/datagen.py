@@ -198,7 +198,7 @@ def _row_format(lead: str, width: int) -> str:
     return lead + ",".join(["%.17g"] * width)
 
 
-def write_dataset_csv(points, path, meta: dict | None = None) -> None:
+def write_dataset_csv(points: PointArray, path, meta: dict | None = None) -> None:
     """Write points as point_index,c0,... rows plus a metadata sidecar.
 
     Rows are streamed to the file: no list of every row's text and no joined

@@ -35,8 +35,8 @@ net as the per-point reference path (step_net, stop_check), which is the
 kernel's one-row case, so a net's points, stop reason and score do not
 depend on which nets share its chunk or its product.
 
-The fit works on coordinate matrices only: the data (a PointArray's coords
-pass through points_matrix uncopied), the seeds, and each level's points,
+The fit works on coordinate matrices only: the data (a PointArray, whose
+read-only coords it reads uncopied), the seeds, and each level's points,
 kept as one array with the ids of their nets and split into one PointArray
 per net when the chunk is done.  It builds no Point; step_net and
 stop_check, the single-point reference path, take and return Points.
@@ -59,8 +59,8 @@ from .geometry import (
     _exp_rows,
     _log_coords,
     _log_rows,
-    _matrix_at,
     _row_norms,
+    points_matrix,
 )
 from .tangent_stats import (
     EigenFrame,
@@ -193,7 +193,7 @@ def seed_directions(start: Point, frame: EigenFrame, cfg: FitConfig) -> PointArr
     return PointArray(seeds, start.chart)
 
 
-def step_net(a_prev: Point, a_cur: Point, data, cfg: FitConfig) -> Point:
+def step_net(a_prev: Point, a_cur: Point, data: PointArray, cfg: FitConfig) -> Point:
     """One growth step: refresh the local frame at a_cur and advance epsilon.
 
     Degeneracies surface as exceptions (EmptyNeighborhoodError when nothing
@@ -205,7 +205,7 @@ def step_net(a_prev: Point, a_cur: Point, data, cfg: FitConfig) -> Point:
     if np.array_equal(a_prev.coords, a_cur.coords):
         raise ValueError("previous and current points must differ")
     cur, chart = a_cur.coords, a_cur.chart
-    cov = _cov_at(cur, _GramData(_matrix_at(data, a_cur), chart), cfg.kernel)
+    cov = _cov_at(cur, _GramData(points_matrix(data, a_cur), chart), cfg.kernel)
     rows, _, _ = _top_frame_at(cov, cur, chart, cfg.dim)
     v = _log_coords(cur, a_prev.coords, chart)
     u = rows.T @ (rows @ v)
@@ -219,7 +219,7 @@ def step_net(a_prev: Point, a_cur: Point, data, cfg: FitConfig) -> Point:
     return Point(nxt, chart)
 
 
-def stop_check(a_next: Point, a_cur: Point, data, cfg: FitConfig,
+def stop_check(a_next: Point, a_cur: Point, data: PointArray, cfg: FitConfig,
                net_len: float) -> StopReason | None:
     """First stop rule firing at a candidate point, or None.
 
@@ -230,7 +230,7 @@ def stop_check(a_next: Point, a_cur: Point, data, cfg: FitConfig,
     report the antipodal_guard reason.
     """
     chart = a_cur.chart
-    lv = _GramLevel(a_next.coords[None], _GramData(_matrix_at(data, a_cur), chart), cfg.kernel)
+    lv = _GramLevel(a_next.coords[None], _GramData(points_matrix(data, a_cur), chart), cfg.kernel)
     back, back_antipodal = _log_rows(a_next.coords[None], a_cur.coords[None], chart)
     if lv.antipodal[0] or back_antipodal[0]:
         return StopReason.ANTIPODAL_GUARD
@@ -424,7 +424,7 @@ def _grow_chunk(start: np.ndarray, seeds: np.ndarray, data: _GramData,
     return paths, codes, acc, skipped
 
 
-def fit_submanifold(data, start: Point, cfg: FitConfig) -> Submanifold:
+def fit_submanifold(data: PointArray, start: Point, cfg: FitConfig) -> Submanifold:
     """Grow a full fan of nets from the start point; cfg.dim = 1 grows the
     flow, two nets seeded at +/- epsilon * e1(start).
 
@@ -436,7 +436,7 @@ def fit_submanifold(data, start: Point, cfg: FitConfig) -> Submanifold:
     across runs and chunk sizes.  The fit also scores its own nets from the
     same logs; variation_score returns that score for this fit's data.
     """
-    xs = _matrix_at(data, start)
+    xs = points_matrix(data, start)
     chart = start.chart
     gram = _GramData(xs, chart)
     frame = _frame_at(start, gram, cfg.kernel, cfg.dim)
@@ -451,7 +451,6 @@ def fit_submanifold(data, start: Point, cfg: FitConfig) -> Submanifold:
         per_net += acc.tolist()
         skipped += skips
     sub = Submanifold(start, tuple(nets), frame, cfg)
-    xs.setflags(write=False)
     score = VariationScore(float(sum(per_net)), tuple(per_net), skipped)
     object.__setattr__(sub, "_fit_score", (xs, score))
     return sub
@@ -504,7 +503,7 @@ def _score_nets(sub: Submanifold, xs: np.ndarray) -> VariationScore:
     return VariationScore(float(sum(per_net)), tuple(per_net), skipped)
 
 
-def variation_score(sub: Submanifold, data) -> VariationScore:
+def variation_score(sub: Submanifold, data: PointArray) -> VariationScore:
     """Quadrature of cos(angle) * sum of top-k local eigenvalues over the nets.
 
     Every net point B at level i >= 1 contributes
@@ -524,7 +523,7 @@ def variation_score(sub: Submanifold, data) -> VariationScore:
     Submanifold (dataclasses.replace drops the stored score) or data is
     scored level by level through the same kernel, with equal results.
     """
-    xs = _matrix_at(data, sub.start)
+    xs = points_matrix(data, sub.start)
     if sub._fit_score is not None:
         fit_xs, score = sub._fit_score
         if np.array_equal(fit_xs.view(np.uint64), xs.view(np.uint64)):

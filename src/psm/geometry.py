@@ -1,9 +1,9 @@
 """Geometric primitives on the embedded unit sphere S^d and on flat charts.
 
-Sphere points are unit vectors in R^{d+1}; tangent vectors at x live in the
-hyperplane orthogonal to x.  The flat chart treats R^{d+1} itself as the
-manifold, so exp and log reduce to vector addition and subtraction.  All
-closed forms are the standard great-circle ones:
+Sphere points are unit vectors in R^{d+1}; tangent vectors at x are plain
+(d+1,) arrays in the hyperplane orthogonal to x.  The flat chart treats
+R^{d+1} itself as the manifold, so exp and log reduce to vector addition
+and subtraction.  All closed forms are the standard great-circle ones:
 
     exp_x(v) = cos(|v|) x + sin(|v|) v/|v|
     log_x(y) = theta * u / |u|,  u = y - <x,y> x,  theta = atan2(|u|, <x,y>)
@@ -96,31 +96,6 @@ class PointArray(Sequence):
         if isinstance(index, slice):
             return PointArray(self.coords[index], self.chart)
         return Point(self.coords[index], self.chart)
-
-
-@dataclass(frozen=True, eq=False)
-class Tangent:
-    """A tangent vector attached to a base point."""
-
-    base: Point
-    vec: np.ndarray
-
-    def __post_init__(self):
-        vec = np.array(self.vec, dtype=float)
-        if vec.shape != self.base.coords.shape:
-            raise ValueError("tangent vector and base point dimensions differ")
-        if not np.all(np.isfinite(vec)):
-            raise ValueError("tangent components must be finite")
-        if self.base.chart == SPHERE:
-            inner = abs(float(vec @ self.base.coords))
-            if inner > _TANGENT_TOL:
-                raise ValueError(f"tangent not orthogonal to base point: <x,v> = {inner!r}")
-        vec.setflags(write=False)
-        object.__setattr__(self, "vec", vec)
-
-    @property
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.vec))
 
 
 # -- coordinate-level core, shared by the public wrappers and the fitting loop --
@@ -226,69 +201,54 @@ def project_to_sphere(v) -> Point:
     return Point(arr / n, SPHERE)
 
 
-def tangent_project(x: Point, w) -> Tangent:
-    """Project an ambient vector into the tangent space at x.
+def exp_map(x: Point, v) -> Point:
+    """Follow the geodesic from x with initial velocity v, an (m,) array
+    tangent at x, for unit time.
 
-    On the sphere this removes the radial component; on a flat chart it is
-    the identity.
+    The result is renormalized onto the sphere.  v must be finite and, on the
+    sphere, orthogonal to x within _TANGENT_TOL (ValueError otherwise).  Steps
+    of length >= pi (up to a small tolerance) raise CutLocusError.
     """
-    arr = np.array(w, dtype=float)
+    vec = np.asarray(v, dtype=float)
+    if vec.shape != x.coords.shape:
+        raise ValueError("tangent vector and base point dimensions differ")
+    if not np.all(np.isfinite(vec)):
+        raise ValueError("tangent components must be finite")
     if x.chart == SPHERE:
-        arr = arr - (arr @ x.coords) * x.coords
-    return Tangent(x, arr)
+        inner = abs(float(vec @ x.coords))
+        if inner > _TANGENT_TOL:
+            raise ValueError(f"tangent not orthogonal to base point: <x,v> = {inner!r}")
+    return Point(_exp_coords(x.coords, vec, x.chart), x.chart)
 
 
-def exp_map(x: Point, v: Tangent) -> Point:
-    """Follow the geodesic from x with initial velocity v for unit time.
-
-    The result is renormalized onto the sphere.  Steps of length >= pi (up
-    to a small tolerance) raise CutLocusError.
-    """
-    if v.base is not x and not np.array_equal(v.base.coords, x.coords):
-        raise ValueError("tangent vector is based at a different point")
-    return Point(_exp_coords(x.coords, v.vec, x.chart), x.chart)
-
-
-def log_map(x: Point, y: Point) -> Tangent:
-    """Inverse of exp_map: the tangent at x pointing to y with |log| = d(x, y)."""
-    return Tangent(x, _log_coords(x.coords, _matrix_at((y,), x)[0], x.chart))
+def log_map(x: Point, y: Point) -> np.ndarray:
+    """Inverse of exp_map: the (m,) tangent at x pointing to y with |log| = d(x, y)."""
+    _check_space(y.chart, y.ambient_dim, x)
+    return _log_coords(x.coords, y.coords, x.chart)
 
 
 def geodesic_distance(x: Point, y: Point) -> float:
     """Arc-length distance on the sphere, Euclidean distance on a flat chart."""
-    return float(_distance_rows(x.coords[None], _matrix_at((y,), x), x.chart)[0])
+    _check_space(y.chart, y.ambient_dim, x)
+    return float(_distance_rows(x.coords[None], y.coords[None], x.chart)[0])
 
 
-def chart_of(data) -> str:
-    """The chart of a homogeneous point set: a PointArray's own, else its first Point's."""
-    return data.chart if isinstance(data, PointArray) else data[0].chart
+def points_matrix(data: PointArray, base: Point | None = None) -> np.ndarray:
+    """The read-only (n, m) coordinate matrix of a point set, without a copy:
+    the one check of every operation on one.  data must be a PointArray
+    (TypeError otherwise) and, given a base point, on its chart and of its
+    width (DimensionMismatchError otherwise)."""
+    if not isinstance(data, PointArray):
+        raise TypeError(f"a point set must be a PointArray, not {type(data).__name__}")
+    if base is not None:
+        _check_space(data.chart, data.coords.shape[1], base)
+    return data.coords
 
 
-def points_matrix(data) -> np.ndarray:
-    """The (n, d+1) coordinate matrix of a homogeneous point set.
-
-    A PointArray's read-only coords pass through without a copy; any other
-    sequence of Points is stacked into a new matrix.
-    """
-    if isinstance(data, PointArray):
-        return data.coords
-    seq = list(data)
-    if not seq:
-        raise ValueError("empty point list")
-    chart = seq[0].chart
-    dim = seq[0].ambient_dim
-    for p in seq:
-        if p.chart != chart or p.ambient_dim != dim:
-            raise ValueError("points must share one chart and ambient dimension")
-    return np.stack([p.coords for p in seq])
-
-
-def _matrix_at(data, base: Point) -> np.ndarray:
-    """points_matrix(data) of points on base's chart and of its width (else
-    DimensionMismatchError): the one check of every operation on both."""
-    xs, chart = points_matrix(data), chart_of(data)
-    if chart != base.chart or xs.shape[1] != base.ambient_dim:
+def _check_space(chart: str, width: int, base: Point) -> None:
+    """DimensionMismatchError unless points of width coordinates on chart
+    share base's chart and width."""
+    if chart != base.chart or width != base.ambient_dim:
         raise DimensionMismatchError(
-            f"points of {xs.shape[1]} coordinates on the {chart} chart and one of "
+            f"points of {width} coordinates on the {chart} chart and one of "
             f"{base.ambient_dim} on the {base.chart} chart live in different spaces")
-    return xs

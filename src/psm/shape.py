@@ -44,11 +44,20 @@ def _centroid_offset(coords: np.ndarray) -> float:
 # (geometry's stacked-matmul rule), so a row does not depend on the others --
 
 def _preshape_rows(landmarks: np.ndarray, specimen_ids) -> np.ndarray:
-    """Centered unit rows (N, 2k) of stacked (N, k, 2) landmarks; a collapsed
-    specimen raises DegenerateConfigError naming it."""
-    flat = (landmarks - landmarks.mean(axis=1, keepdims=True)).reshape(len(landmarks), -1)
+    """Centered unit rows (N, 2k) of stacked (N, k, 2) landmarks; a specimen
+    whose centred size is at most _SCALE_TOL times its largest |coordinate|
+    collapses and raises DegenerateConfigError naming it.
+
+    Each configuration is first scaled by the power of two of its largest
+    |coordinate|, which is exact and leaves its preshape's bits as they are:
+    a configuration of any finite scale then sizes without overflow or
+    underflow, and that coordinate becomes the frexp mantissa in [0.5, 1).
+    """
+    sizes, exps = np.frexp(np.abs(landmarks).max(axis=(1, 2)))
+    scaled = np.ldexp(landmarks, -exps[:, None, None])
+    flat = (scaled - scaled.mean(axis=1, keepdims=True)).reshape(len(landmarks), -1)
     scales = _row_norms(flat)
-    collapsed = np.flatnonzero(scales < _SCALE_TOL)
+    collapsed = np.flatnonzero(scales <= _SCALE_TOL * sizes)
     if collapsed.size:
         raise DegenerateConfigError(
             f"configuration {specimen_ids[collapsed[0]]!r} collapses to a point")

@@ -29,12 +29,12 @@ from .geometry import (
     FLAT,
     SPHERE,
     Point,
+    PointArray,
     _distance_rows,
     _exp_coords,
-    _matrix_at,
     _row_dots,
+    _row_norms,
     _tangent_dim,
-    chart_of,
     points_matrix,
     project_to_sphere,
 )
@@ -45,6 +45,7 @@ GAUSSIAN = "gaussian"
 _RANK_TOL = 1e-12
 _TIE_TOL = 1e-12
 _SIGN_TOL = 1e-12
+_NORMAL_TOL = 1e-8  # a sphere eigenvector shorter than this off the base is normal
 _ZERO_TOL = 1e-14
 _MEAN_TOL = 1e-10  # Riemannian gradient norm at which frechet_mean stops
 _MEAN_MAX_ITER = 200
@@ -293,7 +294,7 @@ def _cov_at(center: np.ndarray, data: _GramData, kernel: KernelSpec,
     return (_demeaned(cov, lv.mean()) if demean else cov)[0]
 
 
-def local_covariance(center: Point, data, kernel: KernelSpec, *,
+def local_covariance(center: Point, data: PointArray, kernel: KernelSpec, *,
                      demean: bool = False) -> np.ndarray:
     """Kernel-weighted second moment of the data's log images at center.
 
@@ -305,7 +306,7 @@ def local_covariance(center: Point, data, kernel: KernelSpec, *,
     when no point carries weight, and DimensionMismatchError for data off the
     center's chart or width.
     """
-    xs = _matrix_at(data, center)
+    xs = points_matrix(data, center)
     return _cov_at(center.coords, _GramData(xs, center.chart), kernel, demean)
 
 
@@ -339,8 +340,8 @@ def _top_frame_coords(cov: np.ndarray, base: np.ndarray, chart: str, k: int):
         rows = rows - np.matmul(rows[:, :, None, :], base[:, None, :, None])[:, :, :, 0] \
             * base[:, None, :]
         n = np.sqrt(np.matmul(rows[:, :, None, :], rows[:, :, :, None]))[:, :, 0]
-        ranked &= np.all(n >= 1e-8, axis=(1, 2))
-        rows = rows / np.where(n < 1e-8, 1.0, n)
+        ranked &= np.all(n >= _NORMAL_TOL, axis=(1, 2))
+        rows = rows / np.where(n < _NORMAL_TOL, 1.0, n)
     return rows, vals[:, :k], degenerate, ranked
 
 
@@ -372,6 +373,20 @@ def _frame_at(center: Point, data: _GramData, kernel: KernelSpec, k: int) -> Eig
             "data rows there; a larger --bandwidth lets more rows carry weight") from None
 
 
+def _ranked_basis_at(center: Point, data: _GramData, kernel: KernelSpec, k: int) -> np.ndarray:
+    """The leading rows (r, m), r <= k, of eigenframe's basis of the raw kernel
+    covariance at center whose directions rank: eigenvalue above _RANK_TOL
+    and, on the sphere, not normal to the tangent space.  The rows are
+    eigenframe's bit for bit, from one eigen-solve; where eigenvalue r + 1
+    does not rank, eigenframe(..., k) would raise RankDeficientError."""
+    cov = _cov_at(center.coords, data, kernel)
+    rows, vals, _, _ = _top_frame_coords(cov[None], center.coords[None], center.chart, k)
+    # a sphere row left unnormalized by _top_frame_coords keeps its norm below _NORMAL_TOL
+    ranks = (vals[0] > _RANK_TOL) & (_row_norms(rows[0]) >= _NORMAL_TOL)
+    basis = rows[0, :int(np.cumprod(ranks).sum())]
+    return np.array([_fix_sign(row) for row in basis]).reshape(basis.shape)
+
+
 def eigenframe(cov: np.ndarray, base: Point, k: int) -> EigenFrame:
     """Top-k eigenpairs of a symmetric covariance at base, the vectors as rows.
 
@@ -395,7 +410,7 @@ def eigenframe(cov: np.ndarray, base: Point, k: int) -> EigenFrame:
     return EigenFrame(base, [_fix_sign(row) for row in rows], vals, degenerate)
 
 
-def frechet_mean(data) -> Point:
+def frechet_mean(data: PointArray) -> Point:
     """Intrinsic mean; on the flat chart, the arithmetic mean.
 
     On the sphere, fixed-point iteration p <- exp_p(mean log_p(x_i)) from the
@@ -405,8 +420,7 @@ def frechet_mean(data) -> Point:
     NoConvergenceError.  The flat chart's mean is that iteration's exact
     fixed point, which a float gradient far from the origin cannot resolve.
     """
-    xs = points_matrix(data)
-    chart = chart_of(data)
+    xs, chart = points_matrix(data), data.chart
     if chart == FLAT:
         return Point(xs.mean(axis=0), FLAT)
     try:
@@ -426,8 +440,8 @@ def frechet_mean(data) -> Point:
     raise NoConvergenceError(f"Frechet mean did not converge in {_MEAN_MAX_ITER} iterations")
 
 
-def frechet_variance(center: Point, data) -> float:
+def frechet_variance(center: Point, data: PointArray) -> float:
     """Mean squared geodesic distance from the center to the data."""
-    xs = _matrix_at(data, center)
+    xs = points_matrix(data, center)
     dists = _distance_rows(np.broadcast_to(center.coords, xs.shape), xs, center.chart)
     return float(np.mean(dists ** 2))

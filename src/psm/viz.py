@@ -2,10 +2,11 @@
 
 Two schemes: an orthographic projection of everything onto the top-3
 eigenvectors at the start point (synthetic data; fewer where the tangent
-space is smaller, with zero columns for the rest), and a square grid of
-recovered landmark shapes sampled along the principal-direction polylines
-(preshape data).  The writers emit UTF-8, LF-terminated files with '.'
-decimal separators and enough digits to round-trip float64 exactly.
+space is smaller or the data carry variance along fewer directions there,
+with zero columns for the rest), and a square grid of recovered landmark
+shapes sampled along the principal-direction polylines (preshape data).
+The writers emit UTF-8, LF-terminated files with '.' decimal separators and
+enough digits to round-trip float64 exactly.
 """
 
 from __future__ import annotations
@@ -17,9 +18,9 @@ import numpy as np
 from .datagen import _row_format
 from .errors import DimensionMismatchError, NotAShapeFitError, NotCenteredError
 from .fitting import Net, Submanifold
-from .geometry import Point, PointArray, _exp_rows, _matrix_at, _tangent_dim
+from .geometry import Point, PointArray, _exp_rows, _tangent_dim, points_matrix
 from .shape import from_preshape
-from .tangent_stats import _frame_at, _GramData
+from .tangent_stats import _GramData, _ranked_basis_at
 
 # (row, column) step of each PD's shape-grid cells away from the center
 _GRID_AXES = {"pd1": (0, 1), "pd2": (1, 0), "pd3": (1, 1), "pd4": (1, -1)}
@@ -96,24 +97,25 @@ def principal_geodesics(sub: Submanifold) -> dict[int, PointArray]:
     return curves
 
 
-def project_submanifold(sub: Submanifold, data, pds: dict[str, PointArray] | None = None,
+def project_submanifold(sub: Submanifold, data: PointArray,
+                        pds: dict[str, PointArray] | None = None,
                         geodesics: dict[int, PointArray] | None = None
                         ) -> list[tuple[str, int, np.ndarray]]:
-    """Project nets, data, PD polylines and geodesics onto the top min(3, d)
-    eigenvectors at the start: the blocks of projected.csv in file order,
-    each (kind, index, rows (len, 3)), geodesics by index.
+    """Project nets, data, PD polylines and geodesics onto the top eigenvectors
+    at the start, up to 3: the blocks of projected.csv in file order, each
+    (kind, index, rows (len, 3)), geodesics by index.
 
     A row is the inner products of (p - start) with the basis, so the start
-    maps to the origin.  d is the tangent dimension: m - 1 on the sphere in
-    R^m (2 on S^2), m on a flat chart of m columns; a p3 (and p2) column with
-    no eigenvector is all zero.  The basis comes from the local covariance at
-    the start under the fit's kernel.  RankDeficientError surfaces when fewer
-    than min(3, d) directions carry variance.
+    maps to the origin.  The basis comes from the local covariance at the
+    start under the fit's kernel and holds its leading directions that
+    carry variance, at most min(3, d) of them for the tangent dimension d:
+    m - 1 on the sphere in R^m (2 on S^2), m on a flat chart of m columns.
+    A p3 (and p2) column with no such eigenvector is all zero.
     """
     start = sub.start
-    xs = _matrix_at(data, start)
+    xs = points_matrix(data, start)
     k = min(3, _tangent_dim(start.chart, start.ambient_dim))
-    basis = _frame_at(start, _GramData(xs, start.chart), sub.config.kernel, k).basis
+    basis = _ranked_basis_at(start, _GramData(xs, start.chart), sub.config.kernel, k)
     blocks = [("net", net.direction_index, net.points.coords) for net in sub.nets]
     blocks.append(("data", 0, xs))
     blocks += [(name, 0, points.coords) for name, points in (pds or {}).items()]
@@ -121,7 +123,7 @@ def project_submanifold(sub: Submanifold, data, pds: dict[str, PointArray] | Non
     projected = []
     for kind, index, rows in blocks:
         out = np.zeros((len(rows), 3))
-        out[:, :k] = (rows - start.coords) @ basis.T
+        out[:, :len(basis)] = (rows - start.coords) @ basis.T
         projected.append((kind, index, out))
     return projected
 

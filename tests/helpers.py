@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from psm.geometry import SPHERE, Point, Tangent, project_to_sphere
+from psm.geometry import SPHERE, Point, PointArray, project_to_sphere
 
 # A "3"-like outline traced by 13 landmarks; the synthetic digit dataset
 # jitters, rotates, scales and shifts it per specimen.
@@ -21,11 +21,17 @@ def random_sphere_point(rng, dim_ambient: int) -> Point:
     return project_to_sphere(rng.standard_normal(dim_ambient))
 
 
-def random_tangent(rng, x: Point, norm: float) -> Tangent:
+def random_tangent(rng, x: Point, norm: float) -> np.ndarray:
     raw = rng.standard_normal(x.ambient_dim)
     vec = raw - (raw @ x.coords) * x.coords
     n = np.linalg.norm(vec)
-    return Tangent(x, (norm / n) * vec)
+    return (norm / n) * vec
+
+
+def stacked(points) -> PointArray:
+    """Points of one chart as one PointArray, in order."""
+    points = list(points)
+    return PointArray(np.stack([p.coords for p in points]), points[0].chart)
 
 
 def tangent_basis(x: Point) -> np.ndarray:
@@ -59,7 +65,7 @@ def digit3_configs(n: int = 30, seed: int = 42, jitter: float = 0.03):
 
 
 def great_circle_arc(n: int, seed: int, ambient: int = 4, half_angle: float = 1.2,
-                     noise: float = 1e-3) -> tuple[list[Point], np.ndarray, np.ndarray]:
+                     noise: float = 1e-3) -> tuple[PointArray, np.ndarray, np.ndarray]:
     """Noisy points along the e1-e2 great circle; returns (points, u1, u2)."""
     rng = np.random.default_rng(seed)
     u1 = np.zeros(ambient); u1[0] = 1.0
@@ -70,7 +76,7 @@ def great_circle_arc(n: int, seed: int, ambient: int = 4, half_angle: float = 1.
         p = np.cos(ang) * u1 + np.sin(ang) * u2
         p = p + noise * rng.standard_normal(ambient)
         pts.append(project_to_sphere(p))
-    return pts, u1, u2
+    return stacked(pts), u1, u2
 
 
 def read_csv_rows(path) -> tuple[list[str], list[list[str]]]:

@@ -29,7 +29,6 @@ from psm.fitting import (
 from psm.geometry import (
     Point,
     PointArray,
-    Tangent,
     exp_map,
     geodesic_distance,
     log_map,
@@ -45,6 +44,7 @@ from helpers import (
     random_sphere_point,
     random_tangent,
     similarity_transform,
+    stacked,
     tangent_basis,
 )
 
@@ -62,7 +62,7 @@ def flat_gaussian_fit():
     # the flat chart with an infinite bandwidth (every point always counts).
     rng = np.random.default_rng(1002)
     matrix = rng.standard_normal((200, 4)) * np.array([2.0, 1.2, 0.6, 0.3])
-    data = [Point(row, "flat") for row in matrix]
+    data = PointArray(matrix, "flat")
     mean = frechet_mean(data)
     cfg = FitConfig(kernel=KernelSpec("uniform_ball", math.inf))
     t0 = time.perf_counter()
@@ -100,8 +100,8 @@ def test_criterion_01_exp_log_round_trip():
         v = random_tangent(rng, x, rng.uniform(0.0, math.pi - 0.1))
         y = exp_map(x, v)
         back = log_map(x, y)
-        worst_rt = max(worst_rt, float(np.linalg.norm(back.vec - v.vec)))
-        worst_dist = max(worst_dist, abs(geodesic_distance(x, y) - v.norm))
+        worst_rt = max(worst_rt, float(np.linalg.norm(back - v)))
+        worst_dist = max(worst_dist, abs(geodesic_distance(x, y) - np.linalg.norm(v)))
     elapsed = time.perf_counter() - t0
     _verdict(
         1,
@@ -153,9 +153,9 @@ def test_criterion_03_net_growth_structure_on_bent_sheet(bent_sheet):
             # Re-verify the exit condition at the recorded final point: the
             # step back toward the net and every data point lie on the same
             # side of the tangent space.
-            back = log_map(net.points[-1], net.points[-2]).vec
+            back = log_map(net.points[-1], net.points[-2])
             for x in points:
-                min_inner = min(min_inner, float(back @ log_map(net.points[-1], x).vec))
+                min_inner = min(min_inner, float(back @ log_map(net.points[-1], x)))
     _verdict(
         3,
         worst_unit <= 1e-12 and worst_step <= 1e-8 and all_reasons
@@ -206,17 +206,17 @@ def test_criterion_05_preshape_alignment_and_rank():
 def test_criterion_06_frechet_mean_optimality():
     rng = np.random.default_rng(1006)
     center = random_sphere_point(rng, 4)
-    cap = [exp_map(center, random_tangent(rng, center, rng.uniform(0.0, 0.5)))
-           for _ in range(30)]
+    cap = stacked(exp_map(center, random_tangent(rng, center, rng.uniform(0.0, 0.5)))
+                  for _ in range(30))
     mean = frechet_mean(cap)
-    grad = float(np.linalg.norm(np.mean([log_map(mean, p).vec for p in cap], axis=0)))
+    grad = float(np.linalg.norm(np.mean([log_map(mean, p) for p in cap], axis=0)))
     base_var = frechet_variance(mean, cap)
     basis = tangent_basis(mean)
     beaten = 0
     for off in itertools.product((-1e-3, 0.0, 1e-3), repeat=3):
         if off == (0.0, 0.0, 0.0):
             continue
-        rival = exp_map(mean, Tangent(mean, np.array(off) @ basis))
+        rival = exp_map(mean, np.array(off) @ basis)
         beaten += frechet_variance(rival, cap) > base_var
     _verdict(
         6,
@@ -227,8 +227,7 @@ def test_criterion_06_frechet_mean_optimality():
 
 def test_criterion_07_stop_reasons_on_three_point_arcs():
     def arc(thetas):
-        return [Point(np.array([math.cos(t), math.sin(t), 0.0]), "sphere")
-                for t in thetas]
+        return PointArray([[math.cos(t), math.sin(t), 0.0] for t in thetas], "sphere")
 
     # Candidate one step past the end of a short arc: every data point sits
     # on the inner side.
@@ -245,8 +244,7 @@ def test_criterion_07_stop_reasons_on_three_point_arcs():
                         arc([-0.1, 0.05, 0.15]),
                         FitConfig(max_net_length=0.04), 0.04)
     # Backward direction orthogonal to the local frame span.
-    flat3 = [Point(np.array(c), "flat")
-             for c in ((0.2, 0.0, 0.0), (-0.2, 0.0, 0.0), (0.0, 0.1, 0.0))]
+    flat3 = PointArray([(0.2, 0.0, 0.0), (-0.2, 0.0, 0.0), (0.0, 0.1, 0.0)], "flat")
     try:
         step_net(Point(np.array([0.0, 0.0, 0.01]), "flat"),
                  Point(np.zeros(3), "flat"), flat3,
@@ -257,9 +255,8 @@ def test_criterion_07_stop_reasons_on_three_point_arcs():
     # End to end: an axis arm that bends into an orthogonal pair makes one
     # net of a flow fit record the degenerate projection, the other exits
     # the hull.
-    cross = [Point(np.array(c), "flat")
-             for c in ((0.06, 0.0), (-0.06, 0.0), (0.12, 0.0), (-0.12, 0.0),
-                       (0.2, 0.08), (0.2, -0.08))]
+    cross = PointArray([(0.06, 0.0), (-0.06, 0.0), (0.12, 0.0), (-0.12, 0.0),
+                        (0.2, 0.08), (0.2, -0.08)], "flat")
     flow = fit_submanifold(cross, Point(np.zeros(2), "flat"),
                            FitConfig(dim=1, kernel=KernelSpec("uniform_ball", 0.1)))
     recorded = {net.stop_reason for net in flow.nets}
@@ -325,7 +322,7 @@ def test_criterion_09_bent_sheet_beats_geodesic(bent_sheet):
     at_start = len(back_net.points) - 1
     assert np.array_equal(pd1[at_start].coords, start.coords)
     direction = sub.frame_at_start.basis[0]
-    geodesic = [exp_map(start, Tangent(start, (j - at_start) * cfg.epsilon * direction))
+    geodesic = [exp_map(start, (j - at_start) * cfg.epsilon * direction)
                 for j in range(len(pd1))]
 
     max_dev = max(geodesic_distance(p, g) for p, g in zip(pd1, geodesic))

@@ -16,13 +16,13 @@ from psm.cli import _build_parser, _merge_settings, main
 from psm.geometry import PointArray, points_matrix
 from psm.datagen import RECIPES, read_dataset_csv, write_dataset_csv
 
-from helpers import DIGIT3_BASE, digit3_configs, read_csv_rows
+from helpers import DIGIT3_BASE, digit3_configs, read_csv_rows, similarity_transform
 
 
-def write_digit_landmarks(path, n=12, seed=5):
+def write_digit_landmarks(path, n=12, seed=5, scale=1.0):
     lines = ["specimen_id,landmark_index,x,y"]
     for block, sid in zip(*digit3_configs(n=n, seed=seed)):
-        for i, (x, y) in enumerate(block, start=1):
+        for i, (x, y) in enumerate(block * scale, start=1):
             lines.append(f"{sid},{i},{float(x)!r},{float(y)!r}")
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return path
@@ -281,6 +281,23 @@ class TestShapes:
         code = run("shapes", str(lm), "--out", str(tmp_path / "out"))
         assert code == 1
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("scale", [1e-200, 1e200])
+    def test_any_scale_aligns_without_warning(self, tmp_path, capsys, scale):
+        # a preshape does not depend on scale: sizing the landmarks neither
+        # overflows nor underflows, and no configuration collapses
+        ref, out = tmp_path / "ref", tmp_path / "out"
+        assert run("shapes", str(write_digit_landmarks(tmp_path / "a.csv")),
+                   "--quiet", "--out", str(ref)) == 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run("shapes", str(write_digit_landmarks(tmp_path / "b.csv", scale=scale)),
+                       "--quiet", "--out", str(out))
+        assert code == 0
+        assert capsys.readouterr().err == ""
+        got, _ = read_dataset_csv(out / "preshapes.csv")
+        want, _ = read_dataset_csv(ref / "preshapes.csv")
+        np.testing.assert_allclose(got.coords, want.coords, rtol=0.0, atol=1e-12)
 
     def test_missing_input(self, tmp_path):
         assert run("shapes", str(tmp_path / "nope.csv"),
@@ -619,13 +636,13 @@ class TestFit:
     @pytest.mark.parametrize("seed, k, weighted", [
         # the seeding frame fails: the default ball of 0.4 holds one row there
         (1, 2, 1),
-        # the fit finishes, and the projection basis lacks a third direction
+        # a k = 3 seeding frame fails: the ball holds two rows there
         (7, 3, 2),
     ])
     def test_rank_deficient_start_names_the_kernel(self, tmp_path, capsys, seed, k, weighted):
         path, _ = self.flat_cloud(tmp_path, seed)
         out = tmp_path / "run"
-        assert run("fit", str(path), "--quiet", "--out", str(out)) == 1
+        assert run("fit", str(path), "--k", str(k), "--quiet", "--out", str(out)) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: requested {k} directions but eigenvalue {k} is ")
         assert err.endswith(
@@ -699,6 +716,39 @@ class TestFit:
         assert {r[0] for r in rows} >= {"net", "data", "pd1", "pd2"}
         assert np.all(p[:, 2] == 0.0) and np.any(p[:, 1] != 0.0)
         assert not any(r[5].startswith("-") for r in rows)
+
+    @pytest.mark.parametrize("case", ["plane", "great_circle", "triangles"])
+    def test_data_spanning_under_three_directions_project_p3_zero(self, tmp_path, case):
+        # The fit finishes, and the projection takes only the directions
+        # whose eigenvalues rank at the start: a plane in R^3, a great circle
+        # of S^3 fitted as a flow, and the 2-d shape space of triangles each
+        # leave p3 all zero rather than failing the finished fit
+        rng = np.random.default_rng(130)
+        path, flags = tmp_path / f"{case}.csv", ["--bandwidth", "inf"]
+        if case == "plane":
+            xs = rng.standard_normal((200, 3)) * [3.0, 2.0, 0.0]
+            write_dataset_csv(PointArray(xs, "flat"), path, {"chart": "flat"})
+        elif case == "great_circle":
+            t = rng.uniform(0.0, 2.0 * math.pi, 300)
+            rows = np.column_stack([np.cos(t), np.sin(t), np.zeros(300), np.zeros(300)])
+            write_dataset_csv(PointArray(rows), path)
+            flags = ["--k", "1", *flags]
+        else:
+            base = np.array([[0.0, 1.0], [-0.87, -0.5], [0.87, -0.5]])
+            lines = ["specimen_id,landmark_index,x,y"]
+            for s in range(300):
+                tri = similarity_transform(rng, base + rng.normal(0.0, 0.1, base.shape))
+                lines += [f"t{s},{i},{float(x)!r},{float(y)!r}" for i, (x, y) in enumerate(tri)]
+            landmarks = tmp_path / "triangles_landmarks.csv"
+            landmarks.write_text("\n".join(lines) + "\n", encoding="utf-8")
+            assert run("shapes", str(landmarks), "--quiet", "--out", str(tmp_path / "pre")) == 0
+            path, flags = tmp_path / "pre" / "preshapes.csv", []
+        out = tmp_path / "run"
+        assert run("fit", str(path), *flags, "--directions", "8", "--quiet",
+                   "--out", str(out)) == 0
+        _, rows = read_csv_rows(out / "projected.csv")
+        p = np.array([[float(v) for v in r[3:]] for r in rows])
+        assert np.all(p[:, 2] == 0.0) and np.any(p[:, 0] != 0.0)
 
     @pytest.mark.parametrize("dataset, k, dim, width", [
         ("s2_csv", 3, 2, 3), ("flat2_csv", 3, 2, 2), ("s_curve_csv", 4, 3, 4)])

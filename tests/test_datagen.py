@@ -18,7 +18,7 @@ from psm.datagen import (
     write_dataset_csv,
 )
 from psm.errors import InfeasibleShiftError
-from psm.geometry import FLAT, SPHERE, Point, PointArray, points_matrix, project_to_sphere
+from psm.geometry import FLAT, SPHERE, PointArray, points_matrix, project_to_sphere
 
 checked = geometry._checked_coords
 
@@ -218,7 +218,7 @@ class TestDatasetFiles:
 
     def test_round_trip_flat(self, tmp_path):
         rng = np.random.default_rng(40)
-        pts = [Point(r, FLAT) for r in rng.standard_normal((10, 3)) * 5.0]
+        pts = PointArray(rng.standard_normal((10, 3)) * 5.0, FLAT)
         path = tmp_path / "cloud.csv"
         write_dataset_csv(pts, path, {"chart": FLAT})
         back, _ = read_dataset_csv(path)

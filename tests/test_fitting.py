@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from psm import fitting, tangent_stats
-from psm.datagen import GenSpec, generate
+from psm.datagen import GenSpec, generate, write_dataset_csv
 from psm.errors import (
     AntipodalPairError,
     DegenerateProjectionError,
@@ -36,7 +36,6 @@ from psm.geometry import (
     SPHERE,
     Point,
     PointArray,
-    Tangent,
     exp_map,
     geodesic_distance,
     log_map,
@@ -53,11 +52,11 @@ from psm.tangent_stats import (
 )
 from psm.viz import project_submanifold
 
-from helpers import random_sphere_point, random_tangent
+from helpers import random_sphere_point, random_tangent, stacked
 
 
 def flat_points(rows):
-    return [Point(np.asarray(r, dtype=float), FLAT) for r in rows]
+    return PointArray(np.asarray(rows, dtype=float), FLAT)
 
 
 def spy_gram_passes(monkeypatch, bases):
@@ -164,8 +163,8 @@ class TestSeedDirections:
     def test_sphere_seeds_at_epsilon(self):
         rng = np.random.default_rng(90)
         start = random_sphere_point(rng, 4)
-        data = [exp_map(start, random_tangent(rng, start, rng.uniform(0.05, 0.4)))
-                for _ in range(30)]
+        data = stacked(exp_map(start, random_tangent(rng, start, rng.uniform(0.05, 0.4)))
+                       for _ in range(30))
         cov = local_covariance(start, data, KernelSpec())
         frame = eigenframe(cov, start, 2)
         cfg = flat_cfg(epsilon=0.05, num_directions=16)
@@ -198,8 +197,8 @@ class TestStepNet:
     def test_step_length_is_epsilon(self):
         rng = np.random.default_rng(91)
         start = random_sphere_point(rng, 4)
-        data = [exp_map(start, random_tangent(rng, start, rng.uniform(0.05, 0.5)))
-                for _ in range(40)]
+        data = stacked(exp_map(start, random_tangent(rng, start, rng.uniform(0.05, 0.5)))
+                       for _ in range(40))
         cfg = FitConfig(epsilon=0.03, delta=0.2, kernel=KernelSpec(),
                         num_directions=8)
         prev = start
@@ -216,8 +215,8 @@ class TestStepNet:
         prev = Point(np.zeros(3), FLAT)
         cur = Point(np.array([0.01, 0.0, 0.0]), FLAT)
         nxt = step_net(prev, cur, data, cfg)
-        fwd = log_map(cur, nxt).vec
-        back = log_map(cur, prev).vec
+        fwd = log_map(cur, nxt)
+        back = log_map(cur, prev)
         assert float(fwd @ back) < 0.0
 
     def test_identical_points_rejected(self):
@@ -263,13 +262,13 @@ class TestStepNet:
         cfg = flat_cfg()
         cov = local_covariance(cur, data, cfg.kernel)
         frame = eigenframe(cov, cur, 2)
-        v = log_map(cur, prev).vec
+        v = log_map(cur, prev)
         basis = frame.basis
         u = basis.T @ (basis @ v)
         u_flip = (-basis).T @ ((-basis) @ v)
         np.testing.assert_array_equal(u, u_flip)
         nxt = step_net(prev, cur, data, cfg)
-        want = exp_map(cur, Tangent(cur, -cfg.epsilon * u / np.linalg.norm(u)))
+        want = exp_map(cur, -cfg.epsilon * u / np.linalg.norm(u))
         np.testing.assert_allclose(nxt.coords, want.coords, rtol=0.0, atol=1e-12)
 
 
@@ -314,8 +313,8 @@ class TestStopCheck:
 
     def test_antipodal_guard(self):
         nxt = Point(np.array([1.0, 0.0, 0.0]))
-        cur = exp_map(nxt, Tangent(nxt, np.array([0.0, 0.01, 0.0])))
-        data = [Point(np.array([-1.0, 0.0, 0.0])), cur]
+        cur = exp_map(nxt, np.array([0.0, 0.01, 0.0]))
+        data = stacked([Point(np.array([-1.0, 0.0, 0.0])), cur])
         reason = stop_check(nxt, cur, data, flat_cfg(), net_len=0.0)
         assert reason is StopReason.ANTIPODAL_GUARD
 
@@ -356,8 +355,8 @@ class TestFitFlow:
             pts = net.points
             assert len(pts) >= 3
             for i in range(1, len(pts) - 1):
-                fwd = log_map(pts[i], pts[i + 1]).vec
-                back = log_map(pts[i], pts[i - 1]).vec
+                fwd = log_map(pts[i], pts[i + 1])
+                back = log_map(pts[i], pts[i - 1])
                 assert float(fwd @ back) < 0.0
 
     def test_length_rule_window(self):
@@ -382,7 +381,7 @@ class TestFitFlow:
     def test_circle_flow_stays_on_sphere(self):
         rng = np.random.default_rng(96)
         angles = rng.uniform(-1.0, 1.0, 50)
-        data = [Point(np.array([math.cos(a), math.sin(a)])) for a in angles]
+        data = PointArray([[math.cos(a), math.sin(a)] for a in angles])
         start = Point(np.array([1.0, 0.0]))
         cfg = flat_cfg(epsilon=0.05, delta=0.5, dim=1, max_net_length=0.5)
         sub = fit_submanifold(data, start, cfg)
@@ -395,8 +394,8 @@ class TestFitSubmanifold:
     def sphere_cluster(self, seed=97, n=50):
         rng = np.random.default_rng(seed)
         start = random_sphere_point(rng, 4)
-        data = [exp_map(start, random_tangent(rng, start, rng.uniform(0.0, 0.35)))
-                for _ in range(n)]
+        data = stacked(exp_map(start, random_tangent(rng, start, rng.uniform(0.0, 0.35)))
+                       for _ in range(n))
         return start, data
 
     def test_fan_of_nets(self):
@@ -448,7 +447,7 @@ class TestFitSubmanifold:
                 net_len += geodesic_distance(pts[-1], cand)
                 pts.append(cand)
             assert reason is net.stop_reason
-            assert np.array_equal(points_matrix(pts), points_matrix(net.points))
+            assert np.array_equal(stacked(pts).coords, net.points.coords)
 
     @pytest.mark.parametrize("layout, reason", [
         ("edge", StopReason.CONVEX_HULL_EXIT),
@@ -567,14 +566,14 @@ class TestFitSubmanifold:
             center = random_sphere_point(rng, 24)
             raw = rng.standard_normal((60, 24)) * np.linspace(0.1, 0.01, 24)
             vecs = raw - np.outer(raw @ center.coords, center.coords)
-            data = PointArray(np.stack([exp_map(center, Tangent(center, v)).coords
+            data = PointArray(np.stack([exp_map(center, v).coords
                                         for v in vecs]))
         else:
             data, _ = generate(GenSpec("sea_wave", 200, 1))
         if layout == FLAT:
             # the sheet's log images at its Frechet mean: a planar flat cloud
             mean = frechet_mean(data)
-            data = flat_points([log_map(mean, p).vec for p in data])
+            data = flat_points([log_map(mean, p) for p in data])
         start = frechet_mean(data)
         cfg = FitConfig(num_directions=16)
         fan = fit_submanifold(data, start, cfg)
@@ -670,20 +669,24 @@ class TestFitSubmanifold:
         with pytest.raises(DimensionMismatchError):
             fit_submanifold(data, start, flat_cfg())
 
-    @pytest.mark.parametrize("mismatch", ["width", "chart"])
+    @pytest.mark.parametrize("mismatch", ["width", "chart", "list"])
     @pytest.mark.parametrize("entry", [
         "fit_submanifold", "step_net", "stop_check", "local_covariance",
         "frechet_variance", "project_submanifold", "variation_score"])
     def test_data_must_share_the_base_point_space(self, entry, mismatch):
         # 30 flat rows against a flat base of another width, or against a
-        # sphere base of the same width: each entry names the mismatch
+        # sphere base of the same width: each entry names the mismatch.  The
+        # same rows as a list of Points, in the base's space, are no point set.
         rng = np.random.default_rng(97)
         if mismatch == "width":
             data = PointArray(rng.standard_normal((30, 2)), FLAT)
             base, near = Point(np.zeros(3), FLAT), Point(np.array([0.01, 0.0, 0.0]), FLAT)
-        else:
+        elif mismatch == "chart":
             data = PointArray(rng.standard_normal((30, 3)), FLAT)
             base, near = Point(np.array([0.0, 0.0, 1.0])), project_to_sphere([0.01, 0.0, 1.0])
+        else:
+            data = list(PointArray(rng.standard_normal((30, 3)), FLAT))
+            base, near = Point(np.zeros(3), FLAT), Point(np.array([0.01, 0.0, 0.0]), FLAT)
         cfg = flat_cfg()
         sub = Submanifold(base, (), None, cfg)
         calls = {
@@ -695,8 +698,23 @@ class TestFitSubmanifold:
             "project_submanifold": lambda: project_submanifold(sub, data),
             "variation_score": lambda: variation_score(sub, data),
         }
-        with pytest.raises(DimensionMismatchError, match="different spaces"):
+        if mismatch == "list":
+            with pytest.raises(TypeError, match="^a point set must be a PointArray, not list$"):
+                calls[entry]()
+        else:
+            with pytest.raises(DimensionMismatchError, match="different spaces"):
+                calls[entry]()
+
+    @pytest.mark.parametrize("entry", ["frechet_mean", "write_dataset_csv"])
+    def test_point_sets_without_a_base_must_be_point_arrays(self, tmp_path, entry):
+        data = list(PointArray(np.random.default_rng(97).standard_normal((30, 3)), FLAT))
+        calls = {
+            "frechet_mean": lambda: frechet_mean(data),
+            "write_dataset_csv": lambda: write_dataset_csv(data, tmp_path / "d.csv"),
+        }
+        with pytest.raises(TypeError, match="^a point set must be a PointArray, not list$"):
             calls[entry]()
+        assert not (tmp_path / "d.csv").exists()
 
     @pytest.mark.parametrize("scale, shift, epsilon", [(1e16, 0.0, 0.02), (1.0, 1e14, 0.005)])
     def test_seeds_that_round_onto_the_start_are_rejected(self, scale, shift, epsilon):
@@ -833,7 +851,7 @@ class TestVariationScore:
         cfg = FitConfig(dim=1)
         net1 = next(n for n in fit_submanifold(data, start, cfg).nets if n.direction_index == 1)
         tip = net1.points[3]
-        data = list(data) + [Point(-tip.coords)]
+        data = PointArray(np.concatenate([data.coords, -tip.coords[None]]))
         sub = fit_submanifold(data, start, cfg)
         net1 = next(n for n in sub.nets if n.direction_index == 1)
         assert net1.stop_reason is StopReason.ANTIPODAL_GUARD

@@ -20,22 +20,23 @@ from hypothesis import strategies as st
 from psm import datagen, shape
 from psm.cli import main
 from psm.datagen import meta_path_for
+from psm.errors import PsmError
 from psm.fitting import FitConfig, fit_submanifold
 from psm.geometry import (
     FLAT,
     SPHERE,
     Point,
     PointArray,
-    Tangent,
     exp_map,
     geodesic_distance,
     log_map,
     points_matrix,
     project_to_sphere,
-    tangent_project,
 )
-from psm.tangent_stats import GAUSSIAN, UNIFORM_BALL, KernelSpec, local_covariance
+from psm.tangent_stats import GAUSSIAN, UNIFORM_BALL, KernelSpec, frechet_mean, local_covariance
 from psm.viz import principal_directions, project_submanifold
+
+from helpers import stacked
 
 PROPERTY = settings(derandomize=True, max_examples=100, deadline=None)
 CHARTS = pytest.mark.parametrize("chart", [SPHERE, FLAT])
@@ -80,10 +81,12 @@ def test_log_of_exp_returns_the_vector(chart, data, length):
     # plus 1e-12 relative: the log takes its angle as atan2(|u|, <x, y>),
     # which keeps the digits of a short arc that arccos(<x, y>) loses.
     x, direction = data.draw(point_sets(chart, 2))
-    vec = tangent_project(x, direction.coords).vec
+    vec = direction.coords
+    if chart == SPHERE:
+        vec = vec - (vec @ x.coords) * x.coords  # the part tangent at x
     assume(np.linalg.norm(vec) > 0.1)
     v = length * vec / np.linalg.norm(vec)
-    back = log_map(x, exp_map(x, Tangent(x, v))).vec
+    back = log_map(x, exp_map(x, v))
     assert np.linalg.norm(back - v) <= 2e-15 + 1e-12 * length
 
 
@@ -109,7 +112,7 @@ def test_local_covariance_annihilates_its_base_point(data, kernel, demean):
     center, *points = data.draw(point_sets(SPHERE, 6, min_dim=3))
     assume(all(float(center.coords @ p.coords) > -0.99 for p in points))
     assume(any(geodesic_distance(center, p) <= 2.0 for p in points))
-    cov = local_covariance(center, points, kernel, demean=demean)
+    cov = local_covariance(center, stacked(points), kernel, demean=demean)
     np.testing.assert_allclose(cov @ center.coords, 0.0, rtol=0.0, atol=1e-12)
 
 
@@ -120,7 +123,7 @@ _CLOUD_CFG = FitConfig(epsilon=0.05, delta=0.5, kernel=KernelSpec(GAUSSIAN, 0.5)
 
 
 def _fit_cloud(rows: np.ndarray):
-    return fit_submanifold([Point(r, FLAT) for r in rows], Point(np.zeros(3), FLAT),
+    return fit_submanifold(PointArray(rows, FLAT), Point(np.zeros(3), FLAT),
                            _CLOUD_CFG)
 
 
@@ -346,28 +349,56 @@ def test_landmark_reader_equals_its_row_loop(tmp_path, text):
 
 @st.composite
 def fit_runs(draw):
-    """(points, command and flags): 3-60 rows of 2-5 columns on either chart,
-    a Gaussian cloud scaled and shifted up to 1e16 (then normalized on the
-    sphere), and fit or compare-geodesic with the flags of a fit from the
-    mean or from one data row."""
+    """(points, command and flags, values): 3-60 rows of 2-5 columns on
+    either chart, a Gaussian cloud scaled and shifted up to 1e16, one column
+    maybe zeroed (then normalized on the sphere), and fit or
+    compare-geodesic with the flags of a fit from the mean or from one data
+    row; values holds the same settings for an in-process fit."""
     chart = draw(st.sampled_from([SPHERE, FLAT]))
     rows, width = draw(st.integers(3, 60)), draw(st.integers(2, 5))
     scale = draw(st.sampled_from([1e-3, 0.1, 1.0, 10.0]))
     shift = draw(st.sampled_from([0.0, 1.0, 1e6, 1e12, 5e12, 1e14, 1e16]))
     xs = np.random.default_rng(draw(st.integers(0, 2**16))).standard_normal((rows, width))
     xs = xs * scale + shift
+    zero = draw(st.none() | st.integers(0, width - 1))
+    if zero is not None:
+        xs[:, zero] = 0.0
     if chart == SPHERE:
         xs = xs / np.linalg.norm(xs, axis=1, keepdims=True)
-    flags = [draw(st.sampled_from(["fit", "compare-geodesic"])),
-             "--k", str(draw(st.integers(1, 4))),
-             "--directions", str(draw(st.sampled_from([4, 8, 12]))),
-             "--epsilon", str(draw(st.sampled_from([0.005, 0.02, 0.1]))),
-             "--kernel", draw(st.sampled_from(["uniform", "gaussian"])),
-             "--bandwidth", draw(st.sampled_from(["0.1", "0.4", "2", "inf", "1e-160"]))]
-    start = draw(st.none() | st.integers(0, rows - 1))
-    if start is not None:
-        flags.append("--start=" + ",".join(repr(v) for v in xs[start].tolist()))
-    return PointArray(xs, chart), flags
+    values = {"command": draw(st.sampled_from(["fit", "compare-geodesic"])),
+              "k": draw(st.integers(1, 4)),
+              "directions": draw(st.sampled_from([4, 8, 12])),
+              "epsilon": draw(st.sampled_from([0.005, 0.02, 0.1])),
+              "kernel": draw(st.sampled_from(["uniform", "gaussian"])),
+              "bandwidth": draw(st.sampled_from(["0.1", "0.4", "2", "inf", "1e-160"])),
+              "start": draw(st.none() | st.integers(0, rows - 1))}
+    flags = [values["command"]]
+    for key in ("k", "directions", "epsilon", "kernel", "bandwidth"):
+        flags += [f"--{key}", str(values[key])]
+    if values["start"] is not None:
+        flags.append("--start=" + ",".join(repr(v) for v in xs[values["start"]].tolist()))
+    return PointArray(xs, chart), flags, values
+
+
+def _fit_raises(points: PointArray, values: dict) -> bool:
+    """Whether the library itself refuses a run's fit: its start (the
+    Frechet mean, or the chosen data row) or fit_submanifold raises."""
+    kernel = KernelSpec(UNIFORM_BALL if values["kernel"] == "uniform" else GAUSSIAN,
+                        float(values["bandwidth"]))
+    try:
+        cfg = FitConfig(epsilon=values["epsilon"], kernel=kernel,
+                        num_directions=values["directions"], dim=values["k"])
+        row = values["start"]
+        if row is None:
+            start = frechet_mean(points)
+        elif points.chart == SPHERE:
+            start = project_to_sphere(points.coords[row])
+        else:
+            start = Point(points.coords[row], FLAT)
+        fit_submanifold(points, start, cfg)
+    except (PsmError, ValueError):
+        return True
+    return False
 
 
 CLI_RUNS = settings(PROPERTY, max_examples=150,
@@ -377,7 +408,10 @@ CLI_RUNS = settings(PROPERTY, max_examples=150,
 @CLI_RUNS
 @given(case=fit_runs())
 def test_cli_fit_exits_cleanly(tmp_path, case):
-    points, (command, *flags) = case
+    # Exit 0 with every export, 2 for a usage error, or 1 only where the
+    # library's own fit of the same data refuses it: no export or diagnostic
+    # may fail a fit that has finished.
+    points, (command, *flags), values = case
     data, out = tmp_path / "data.csv", tmp_path / "run"
     shutil.rmtree(out, ignore_errors=True)
     datagen.write_dataset_csv(points, data, {"chart": points.chart})
@@ -385,6 +419,7 @@ def test_cli_fit_exits_cleanly(tmp_path, case):
     with warnings.catch_warnings(), contextlib.redirect_stderr(err):
         warnings.simplefilter("error")
         code = main([command, str(data), *flags, "--quiet", "--out", str(out)])
+        refused = code == 1 and _fit_raises(datagen.read_dataset_csv(data)[0], values)
     lines = err.getvalue().splitlines()
     written = sorted(p.name for p in out.glob("*"))
     if code == 0:
@@ -393,7 +428,7 @@ def test_cli_fit_exits_cleanly(tmp_path, case):
         summary = json.loads((out / "summary.json").read_text())
         assert math.isfinite(summary["variation_score"]["total"])
     else:
-        assert code in (1, 2)
+        assert code == 2 or refused, lines
         assert len(lines) == 1
         assert lines[0].startswith("error: " if code == 1 else "usage error: ")
         assert written == []

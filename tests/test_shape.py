@@ -99,8 +99,13 @@ class TestToPreshape:
         np.testing.assert_allclose(rows[0], rows[1], rtol=0.0, atol=1e-12)
 
     def test_scale_invariance(self):
-        rows = _preshape_rows(np.stack([DIGIT3_BASE, DIGIT3_BASE * 77.0]), ["a", "b"])
-        np.testing.assert_allclose(rows[0], rows[1], rtol=0.0, atol=1e-12)
+        # scaled far past float64's square-root range the sizing neither
+        # overflows nor underflows
+        scales = [77.0, 1e-200, 1e200]
+        rows = _preshape_rows(np.stack([DIGIT3_BASE] + [DIGIT3_BASE * s for s in scales]),
+                              ["a", "b", "c", "d"])
+        for row in rows[1:]:
+            np.testing.assert_allclose(row, rows[0], rtol=0.0, atol=1e-12)
 
     def test_collapsed_configuration(self):
         landmarks = np.stack([DIGIT3_BASE[:5], np.ones((5, 2))])
@@ -155,7 +160,7 @@ class TestAlignDataset:
     def test_mean_is_frechet_stationary(self):
         aligned, mean = align_dataset(*digit3_configs(n=15, seed=9))
         from psm.geometry import log_map
-        grad = np.mean([log_map(mean, p).vec for p in aligned], axis=0)
+        grad = np.mean([log_map(mean, p) for p in aligned], axis=0)
         assert np.linalg.norm(grad) <= 1e-8
 
     def test_aligned_rank_bound(self):

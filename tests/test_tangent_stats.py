@@ -19,7 +19,6 @@ from psm.geometry import (
     SPHERE,
     Point,
     PointArray,
-    Tangent,
     exp_map,
     geodesic_distance,
     log_map,
@@ -39,13 +38,13 @@ from psm.tangent_stats import (
     local_covariance,
 )
 
-from helpers import random_sphere_point, random_tangent, tangent_basis
+from helpers import random_sphere_point, random_tangent, stacked, tangent_basis
 
 
 def cluster_on_sphere(rng, ambient, n, spread):
     base = random_sphere_point(rng, ambient)
-    return [exp_map(base, random_tangent(rng, base, rng.uniform(0.0, spread)))
-            for _ in range(n)]
+    return stacked(exp_map(base, random_tangent(rng, base, rng.uniform(0.0, spread)))
+                   for _ in range(n))
 
 
 class TestKernelSpec:
@@ -83,13 +82,13 @@ class TestKernelSpec:
 class TestFrechetMean:
     def test_all_points_equal(self):
         p = Point(np.array([0.0, 0.0, 1.0]))
-        out = frechet_mean([p, p, p])
+        out = frechet_mean(stacked([p, p, p]))
         assert geodesic_distance(out, p) <= 1e-12
 
     def test_two_point_midpoint(self):
         x = Point(np.array([1.0, 0.0, 0.0]))
         y = Point(np.array([0.0, 1.0, 0.0]))
-        m = frechet_mean([x, y])
+        m = frechet_mean(stacked([x, y]))
         assert abs(geodesic_distance(m, x) - geodesic_distance(m, y)) <= 1e-9
         assert geodesic_distance(m, x) == pytest.approx(math.pi / 4.0, abs=1e-9)
 
@@ -106,25 +105,25 @@ class TestFrechetMean:
                     if dx == dy == dz == 0.0:
                         continue
                     step = dx * basis[0] + dy * basis[1] + dz * basis[2]
-                    other = exp_map(mean, Tangent(mean, step))
+                    other = exp_map(mean, step)
                     assert best < frechet_variance(other, data)
 
     def test_gradient_below_tol(self):
         rng = np.random.default_rng(61)
         data = cluster_on_sphere(rng, 5, 30, 0.5)
         mean = frechet_mean(data)
-        grad = np.mean([log_map(mean, x).vec for x in data], axis=0)
+        grad = np.mean([log_map(mean, x) for x in data], axis=0)
         assert np.linalg.norm(grad) <= 1e-10
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(62)
         data = cluster_on_sphere(rng, 4, 15, 0.3)
         m1 = frechet_mean(data)
-        m2 = frechet_mean(list(reversed(data)))
+        m2 = frechet_mean(data[::-1])
         assert geodesic_distance(m1, m2) <= 1e-9
 
     def test_flat_chart_is_arithmetic_mean(self):
-        pts = [Point(np.array([0.0, 0.0]), FLAT), Point(np.array([2.0, 4.0]), FLAT)]
+        pts = PointArray([[0.0, 0.0], [2.0, 4.0]], FLAT)
         out = frechet_mean(pts)
         np.testing.assert_allclose(out.coords, [1.0, 2.0], rtol=0.0, atol=1e-15)
         # far from the origin a float gradient cannot fall to tol; the
@@ -139,7 +138,7 @@ class TestFrechetMean:
         x = Point(np.array([1.0, 0.0, 0.0]))
         y = Point(np.array([-1.0, 0.0, 0.0]))
         with pytest.raises(HemisphereViolationError):
-            frechet_mean([x, y])
+            frechet_mean(stacked([x, y]))
 
     def test_no_convergence(self, monkeypatch):
         rng = np.random.default_rng(63)
@@ -153,13 +152,13 @@ class TestFrechetMean:
 class TestFrechetVariance:
     def test_single_point(self):
         p = Point(np.array([1.0, 0.0]))
-        assert frechet_variance(p, [p]) == 0.0
+        assert frechet_variance(p, stacked([p])) == 0.0
 
     def test_quarter_circle_pair(self):
         p = Point(np.array([1.0, 0.0]))
         q = Point(np.array([0.0, 1.0]))
         expected = 0.5 * (math.pi / 2.0) ** 2
-        assert frechet_variance(p, [p, q]) == pytest.approx(expected, abs=1e-14)
+        assert frechet_variance(p, stacked([p, q])) == pytest.approx(expected, abs=1e-14)
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(64)
@@ -172,23 +171,23 @@ class TestFrechetVariance:
 class TestLocalCovariance:
     def test_single_centered_point(self):
         a = Point(np.array([1.0, 0.0, 0.0]))
-        cov = local_covariance(a, [a], KernelSpec())
+        cov = local_covariance(a, stacked([a]), KernelSpec())
         np.testing.assert_array_equal(cov, np.zeros((3, 3)))
 
     def test_symmetric_pair_gives_outer_product(self):
         a = Point(np.array([1.0, 0.0, 0.0]))
         v = np.array([0.0, 0.3, 0.1])
-        plus = exp_map(a, Tangent(a, v))
-        minus = exp_map(a, Tangent(a, -v))
-        cov = local_covariance(a, [plus, minus], KernelSpec())
+        plus = exp_map(a, v)
+        minus = exp_map(a, -v)
+        cov = local_covariance(a, stacked([plus, minus]), KernelSpec())
         np.testing.assert_allclose(cov, np.outer(v, v), rtol=0.0, atol=1e-12)
 
     def test_matches_brute_force_unweighted(self):
         rng = np.random.default_rng(65)
         a = random_sphere_point(rng, 4)
-        data = [exp_map(a, random_tangent(rng, a, rng.uniform(0.1, 0.8)))
-                for _ in range(15)]
-        logs = np.stack([log_map(a, x).vec for x in data])
+        data = stacked(exp_map(a, random_tangent(rng, a, rng.uniform(0.1, 0.8)))
+                       for _ in range(15))
+        logs = np.stack([log_map(a, x) for x in data])
         direct = logs.T @ logs / len(data)
         cov = local_covariance(a, data, KernelSpec())
         np.testing.assert_allclose(cov, direct, rtol=0.0, atol=1e-12)
@@ -196,15 +195,15 @@ class TestLocalCovariance:
     def test_annihilates_base(self):
         rng = np.random.default_rng(66)
         a = random_sphere_point(rng, 5)
-        data = [exp_map(a, random_tangent(rng, a, 0.5)) for _ in range(10)]
+        data = stacked(exp_map(a, random_tangent(rng, a, 0.5)) for _ in range(10))
         cov = local_covariance(a, data, KernelSpec(GAUSSIAN, 0.7))
         assert np.linalg.norm(cov @ a.coords) <= 1e-10
 
     def test_ball_covering_all_matches_infinite(self):
         rng = np.random.default_rng(67)
         a = random_sphere_point(rng, 4)
-        data = [exp_map(a, random_tangent(rng, a, rng.uniform(0.0, 0.5)))
-                for _ in range(12)]
+        data = stacked(exp_map(a, random_tangent(rng, a, rng.uniform(0.0, 0.5)))
+                       for _ in range(12))
         wide = local_covariance(a, data, KernelSpec(UNIFORM_BALL, 0.5 + 1e-9))
         infinite = local_covariance(a, data, KernelSpec(UNIFORM_BALL, math.inf))
         np.testing.assert_array_equal(wide, infinite)
@@ -213,15 +212,15 @@ class TestLocalCovariance:
         a = Point(np.array([1.0, 0.0, 0.0]))
         far = Point(np.array([0.0, 1.0, 0.0]))
         with pytest.raises(EmptyNeighborhoodError):
-            local_covariance(a, [far], KernelSpec(UNIFORM_BALL, 1e-3))
+            local_covariance(a, stacked([far]), KernelSpec(UNIFORM_BALL, 1e-3))
 
     def test_gaussian_weighting_matches_direct(self):
         rng = np.random.default_rng(68)
         a = random_sphere_point(rng, 4)
-        data = [exp_map(a, random_tangent(rng, a, rng.uniform(0.1, 1.0)))
-                for _ in range(9)]
+        data = stacked(exp_map(a, random_tangent(rng, a, rng.uniform(0.1, 1.0)))
+                       for _ in range(9))
         h = 0.4
-        logs = np.stack([log_map(a, x).vec for x in data])
+        logs = np.stack([log_map(a, x) for x in data])
         dists = np.array([geodesic_distance(a, x) for x in data])
         w = np.exp(-0.5 * (dists / h) ** 2)
         direct = (logs * w[:, None]).T @ logs / w.sum()
@@ -231,7 +230,7 @@ class TestLocalCovariance:
     def test_demeaned_flat_equals_centered_covariance(self):
         rng = np.random.default_rng(69)
         xs = rng.standard_normal((20, 3))
-        data = [Point(row, FLAT) for row in xs]
+        data = PointArray(xs, FLAT)
         center = Point(np.zeros(3), FLAT)
         cov = local_covariance(center, data, KernelSpec(), demean=True)
         centered = xs - xs.mean(axis=0)
@@ -250,7 +249,7 @@ class TestGramKernel:
 
     @staticmethod
     def explicit(data, base, kernel):
-        vecs = np.stack([log_map(base, y).vec for y in data])
+        vecs = np.stack([log_map(base, y) for y in data])
         dists = np.array([geodesic_distance(base, y) for y in data])
         w = kernel.weights(dists)
         total = w.sum()
@@ -441,8 +440,8 @@ class TestEigenframe:
     def test_sphere_chart_vectors_are_tangent(self):
         rng = np.random.default_rng(72)
         a = random_sphere_point(rng, 4)
-        data = [exp_map(a, random_tangent(rng, a, rng.uniform(0.1, 0.6)))
-                for _ in range(10)]
+        data = stacked(exp_map(a, random_tangent(rng, a, rng.uniform(0.1, 0.6)))
+                       for _ in range(10))
         cov = local_covariance(a, data, KernelSpec())
         frame = eigenframe(cov, a, 2)
         assert frame.basis.shape == (2, 4) and not frame.basis.flags.writeable

@@ -9,7 +9,7 @@ import pytest
 from psm.datagen import GenSpec, generate
 from psm.errors import NotAShapeFitError
 from psm.fitting import FitConfig, Net, StopReason, Submanifold, fit_submanifold
-from psm.geometry import FLAT, Point, PointArray, Tangent, exp_map, log_map
+from psm.geometry import FLAT, Point, PointArray, exp_map, log_map
 from psm.shape import _preshape_rows
 from psm.tangent_stats import (
     GAUSSIAN,
@@ -88,7 +88,7 @@ def preshape_submanifold(num_directions=8, levels=4, epsilon=0.05, dim=2,
     for l, d in dirs.items():
         pts = [start]
         for i in range(1, levels + 1):
-            pts.append(exp_map(start, Tangent(start, i * epsilon * d)))
+            pts.append(exp_map(start, i * epsilon * d))
         nets.append(Net(l, PointArray([p.coords for p in pts]), StopReason.LENGTH_EXCEEDED))
     return Submanifold(start, tuple(nets), frame, cfg)
 
@@ -153,8 +153,8 @@ class TestPairingOnFits:
         pairs = _pd_pairs(sub)
         assert list(pairs) == names
         for first, second in pairs.values():
-            np.testing.assert_allclose(log_map(start, first.points[1]).vec,
-                                       -log_map(start, second.points[1]).vec,
+            np.testing.assert_allclose(log_map(start, first.points[1]),
+                                       -log_map(start, second.points[1]),
                                        rtol=0.0, atol=1e-12)
         # each geodesic leaves the join along its PD's second-listed net
         pds, _ = principal_directions(sub)
@@ -165,14 +165,14 @@ class TestPairingOnFits:
             assert len(curve) == len(pds[f"pd{key}"])
             join = len(first.points) - 1
             np.testing.assert_array_equal(curve[join].coords, start.coords)
-            np.testing.assert_allclose(log_map(start, curve[join + 1]).vec,
-                                       log_map(start, second.points[1]).vec,
+            np.testing.assert_allclose(log_map(start, curve[join + 1]),
+                                       log_map(start, second.points[1]),
                                        rtol=0.0, atol=1e-12)
 
     def test_k3_fan_exports_no_directions(self):
         rng = np.random.default_rng(113)
         xs = rng.standard_normal((60, 4)) * [2.0, 1.5, 1.0, 0.1]
-        data = [Point(r, FLAT) for r in xs]
+        data = PointArray(xs, FLAT)
         start = Point(xs.mean(axis=0), FLAT)
         cfg = FitConfig(epsilon=0.05, delta=3.0, kernel=KernelSpec(), num_directions=8,
                         max_net_length=0.2, dim=3)
@@ -188,7 +188,7 @@ class TestProjectSubmanifold:
     def fit_small(self, seed=111, kernel=KernelSpec()):
         rng = np.random.default_rng(seed)
         xs = rng.standard_normal((80, 4)) * [2.0, 1.0, 0.5, 0.1]
-        data = [Point(r, FLAT) for r in xs]
+        data = PointArray(xs, FLAT)
         start = Point(xs.mean(axis=0), FLAT)
         cfg = FitConfig(epsilon=0.05, delta=3.0, kernel=kernel,
                         num_directions=4, max_net_length=0.3)
@@ -369,7 +369,7 @@ class TestWriteProjectedCsv:
     def build(self, num_directions=8):
         sub = synthetic_submanifold(num_directions=num_directions, levels=2)
         rng = np.random.default_rng(112)
-        data = [Point(r, FLAT) for r in rng.standard_normal((10, 4))]
+        data = PointArray(rng.standard_normal((10, 4)), FLAT)
         pds, _ = principal_directions(sub)
         return sub, data, pds
 
