@@ -22,6 +22,7 @@ import numpy as np
 from .datagen import (
     RECIPES,
     GenSpec,
+    _write_json,
     generate,
     meta_path_for,
     read_dataset_csv,
@@ -366,9 +367,7 @@ def _cmd_fit(merged: dict, input_path: Path, written: _Written,
     if geodesics is not None:
         summary["geodesic_levels"] = {str(k): len(v) for k, v in geodesics.items()}
     written[summary_path] = None
-    with open(summary_path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(summary_path, summary, sort_keys=True)
     if grid is not None:
         shapes_path = out / "shapes.json"
         written[shapes_path] = None

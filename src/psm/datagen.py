@@ -179,7 +179,7 @@ def generate(spec: GenSpec) -> tuple[PointArray, dict]:
     return points, {"generator": GENERATOR_ID, "resolved_shift": resolved, "params": params}
 
 
-# -- dataset files: CSV of coordinates plus a JSON sidecar with the recipe --
+# -- files: the one CSV and one JSON writer; datasets, a CSV plus a JSON sidecar --
 
 def meta_path_for(path):
     from pathlib import Path
@@ -188,32 +188,40 @@ def meta_path_for(path):
     return p.with_name(p.stem + ".meta.json")
 
 
-def _row_format(lead: str, width: int) -> str:
-    """%-format of one CSV row: the lead fields, then width coordinates at
-    full precision (%.17g, the digits of format(x, ".17g")).
+def _write_csv(path, header: str, lead: str, width: int, blocks, trailer: str = "") -> None:
+    """Write the header line, one line per row of each (key, rows) block of
+    blocks, then trailer: the %-format lead filled with the key's fields and
+    the row's index in its block, then the row's width coordinates.
 
-    Writers fill it from one matrix row at a time (row.tolist()): a whole
-    matrix's tolist() would hold every row as a list of floats at once.
+    Every CSV file psm writes goes through here: UTF-8 with LF line ends,
+    and each coordinate at %.17g, the digits that round-trip float64
+    exactly.  Rows are streamed, one row.tolist() at a time: no list of
+    every row's text or floats is held.
     """
-    return lead + ",".join(["%.17g"] * width)
+    row_fmt = lead + ",".join(["%.17g"] * width) + "\n"
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(header + "\n")
+        for key, rows in blocks:
+            fh.writelines(row_fmt % (*key, index, *row.tolist())
+                          for index, row in enumerate(rows))
+        fh.write(trailer)
+
+
+def _write_json(path, payload, sort_keys: bool) -> None:
+    """Write payload as JSON indented by 2, with a final newline (UTF-8, LF);
+    every JSON file psm writes goes through here."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=sort_keys)
+        fh.write("\n")
 
 
 def write_dataset_csv(points: PointArray, path, meta: dict | None = None) -> None:
-    """Write points as point_index,c0,... rows plus a metadata sidecar.
-
-    Rows are streamed to the file: no list of every row's text and no joined
-    copy of it are held.
-    """
+    """Write points as point_index,c0,... rows plus a metadata sidecar."""
     xs = points_matrix(points)
     header = "point_index," + ",".join(f"c{i}" for i in range(xs.shape[1]))
-    row_fmt = _row_format("%d,", xs.shape[1]) + "\n"
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(header + "\n")
-        fh.writelines(row_fmt % (idx, *row.tolist()) for idx, row in enumerate(xs))
+    _write_csv(path, header, "%d,", xs.shape[1], [((), xs)])
     if meta is not None:
-        with open(meta_path_for(path), "w", encoding="utf-8", newline="\n") as fh:
-            json.dump(meta, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(meta_path_for(path), meta, sort_keys=True)
 
 
 def _read_sidecar(path) -> dict:

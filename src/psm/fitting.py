@@ -33,7 +33,10 @@ data with n >= m^2 the data's width does not shrink the chunk.
 Every stacked product and solve runs the same BLAS or LAPACK kernel per
 net as the per-point reference path (step_net, stop_check), which is the
 kernel's one-row case, so a net's points, stop reason and score do not
-depend on which nets share its chunk or its product.
+depend on which nets share its chunk or its product.  step_net takes its
+frame from eigenframe of local_covariance, the public one-point path:
+eigenframe only negates rows, which leaves the step's projection bit for
+bit the fit's.
 
 The fit works on coordinate matrices only: the data (a PointArray, whose
 read-only coords it reads uncopied), the seeds, and each level's points,
@@ -65,13 +68,13 @@ from .geometry import (
 from .tangent_stats import (
     EigenFrame,
     KernelSpec,
-    _cov_at,
     _demeaned,
     _frame_at,
     _GramData,
     _GramLevel,
-    _top_frame_at,
     _top_frame_coords,
+    eigenframe,
+    local_covariance,
 )
 
 _PROJ_TOL = 1e-12
@@ -199,14 +202,14 @@ def step_net(a_prev: Point, a_cur: Point, data: PointArray, cfg: FitConfig) -> P
     Degeneracies surface as exceptions (EmptyNeighborhoodError when nothing
     carries kernel weight, DegenerateProjectionError when the backward
     direction leaves the frame span); the fitting loop records the same
-    cases as stop reasons.  A step whose measured length is not epsilon
-    (see _check_moved) raises ValueError.
+    cases as stop reasons.  A cfg.dim above the tangent dimension (see
+    eigenframe) and a step whose measured length is not epsilon (see
+    _check_moved) raise ValueError.
     """
     if np.array_equal(a_prev.coords, a_cur.coords):
         raise ValueError("previous and current points must differ")
     cur, chart = a_cur.coords, a_cur.chart
-    cov = _cov_at(cur, _GramData(points_matrix(data, a_cur), chart), cfg.kernel)
-    rows, _, _ = _top_frame_at(cov, cur, chart, cfg.dim)
+    rows = eigenframe(local_covariance(a_cur, data, cfg.kernel), a_cur, cfg.dim).basis
     v = _log_coords(cur, a_prev.coords, chart)
     u = rows.T @ (rows @ v)
     nu = float(np.linalg.norm(u))

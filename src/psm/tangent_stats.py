@@ -26,6 +26,7 @@ from .errors import (
 )
 from .geometry import (
     _ANTIPODAL_TOL,
+    _ZERO_TOL,
     FLAT,
     SPHERE,
     Point,
@@ -46,7 +47,6 @@ _RANK_TOL = 1e-12
 _TIE_TOL = 1e-12
 _SIGN_TOL = 1e-12
 _NORMAL_TOL = 1e-8  # a sphere eigenvector shorter than this off the base is normal
-_ZERO_TOL = 1e-14
 _MEAN_TOL = 1e-10  # Riemannian gradient norm at which frechet_mean stops
 _MEAN_MAX_ITER = 200
 
@@ -345,31 +345,25 @@ def _top_frame_coords(cov: np.ndarray, base: np.ndarray, chart: str, k: int):
     return rows, vals[:, :k], degenerate, ranked
 
 
-def _top_frame_at(cov: np.ndarray, base: np.ndarray, chart: str, k: int):
-    """_top_frame_coords for one covariance; returns (rows, values, degenerate).
-
-    Raises RankDeficientError for a covariance that cannot carry k directions.
-    """
-    rows, vals, degenerate, ranked = _top_frame_coords(cov[None], base[None], chart, k)
-    if not ranked[0]:
-        if vals[0, k - 1] <= _RANK_TOL:
-            raise RankDeficientError(
-                f"requested {k} directions but eigenvalue {k} is {float(vals[0, k - 1])!r}")
-        raise RankDeficientError("eigenvector nearly normal to the tangent space")
-    return rows[0], vals[0], bool(degenerate[0])
-
-
 def _frame_at(center: Point, data: _GramData, kernel: KernelSpec, k: int) -> EigenFrame:
     """eigenframe of the raw kernel covariance at center: the fit's seeding
     frame and the projection basis.  When it cannot carry k directions the
-    RankDeficientError names the kernel and the data rows it weights there."""
+    RankDeficientError names the kernel and the data rows it weights there,
+    or, when every row weighted alike cannot carry them either, says so."""
     try:
         return eigenframe(_cov_at(center.coords, data, kernel), center, k)
     except RankDeficientError as exc:
+        n = data.yt.shape[1]
+        try:
+            eigenframe(_cov_at(center.coords, data, KernelSpec()), center, k)
+        except RankDeficientError:
+            raise RankDeficientError(
+                f"{exc} at the start: the {n} data rows span fewer than {k} directions "
+                "there, whatever the bandwidth") from None
         weighted = int(np.count_nonzero(_GramLevel(center.coords[None], data, kernel).w))
         raise RankDeficientError(
             f"{exc} at the start: the {kernel.kind} kernel of bandwidth "
-            f"{kernel.bandwidth!r} gives weight to {weighted} of {data.yt.shape[1]} "
+            f"{kernel.bandwidth!r} gives weight to {weighted} of {n} "
             "data rows there; a larger --bandwidth lets more rows carry weight") from None
 
 
@@ -406,8 +400,13 @@ def eigenframe(cov: np.ndarray, base: Point, k: int) -> EigenFrame:
     dim = _tangent_dim(base.chart, base.ambient_dim)
     if not 1 <= k <= dim:
         raise ValueError(f"k must be between 1 and the tangent dimension {dim}")
-    rows, vals, degenerate = _top_frame_at(cov, base.coords, base.chart, k)
-    return EigenFrame(base, [_fix_sign(row) for row in rows], vals, degenerate)
+    rows, vals, degenerate, ranked = _top_frame_coords(cov[None], base.coords[None], base.chart, k)
+    if not ranked[0]:
+        if vals[0, k - 1] <= _RANK_TOL:
+            raise RankDeficientError(
+                f"requested {k} directions but eigenvalue {k} is {float(vals[0, k - 1])!r}")
+        raise RankDeficientError("eigenvector nearly normal to the tangent space")
+    return EigenFrame(base, [_fix_sign(row) for row in rows[0]], vals[0], bool(degenerate[0]))
 
 
 def frechet_mean(data: PointArray) -> Point:

@@ -5,17 +5,13 @@ eigenvectors at the start point (synthetic data; fewer where the tangent
 space is smaller or the data carry variance along fewer directions there,
 with zero columns for the rest), and a square grid of recovered landmark
 shapes sampled along the principal-direction polylines (preshape data).
-The writers emit UTF-8, LF-terminated files with '.' decimal separators and
-enough digits to round-trip float64 exactly.
 """
 
 from __future__ import annotations
 
-import json
-
 import numpy as np
 
-from .datagen import _row_format
+from .datagen import _write_csv, _write_json
 from .errors import DimensionMismatchError, NotAShapeFitError, NotCenteredError
 from .fitting import Net, Submanifold
 from .geometry import Point, PointArray, _exp_rows, _tangent_dim, points_matrix
@@ -172,29 +168,20 @@ def shape_grid(sub: Submanifold, samples_per_direction: int):
 
 
 def write_submanifold_csv(sub: Submanifold, path) -> None:
-    """Full-precision ambient coordinates of every net level, streamed to the
-    file row by row as write_dataset_csv's are."""
+    """Full-precision ambient coordinates of every net level, one row each."""
     dim = sub.start.ambient_dim
     header = "net_index,level," + ",".join(f"c{i}" for i in range(dim))
-    row_fmt = _row_format("%d,%d,", dim) + "\n"
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(header + "\n")
-        for net in sub.nets:
-            fh.writelines(row_fmt % (net.direction_index, level, *row.tolist())
-                          for level, row in enumerate(net.points.coords))
+    _write_csv(path, header, "%d,%d,", dim,
+               (((net.direction_index,), net.points.coords) for net in sub.nets))
 
 
 def write_projected_csv(path, blocks) -> None:
     """The (kind, index, rows) blocks of project_submanifold as three-coordinate
-    rows, streamed to the file as write_submanifold_csv's are."""
-    row_fmt = _row_format("%s,%d,%d,", 3) + "\n"
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("kind,net_index,level,p1,p2,p3\n")
-        for kind, index, rows in blocks:
-            fh.writelines(row_fmt % (kind, index, level, *row.tolist())
-                          for level, row in enumerate(rows))
-        if any(kind in ("pd3", "pd4") for kind, _, _ in blocks):
-            fh.write("# pd3/pd4 label the fan diagonals, not third/fourth principal components\n")
+    rows, with a closing comment when a pd3 or pd4 block is present."""
+    _write_csv(path, "kind,net_index,level,p1,p2,p3", "%s,%d,%d,", 3,
+               (((kind, index), rows) for kind, index, rows in blocks),
+               "# pd3/pd4 label the fan diagonals, not third/fourth principal components\n"
+               if any(kind in ("pd3", "pd4") for kind, _, _ in blocks) else "")
 
 
 def write_shapes_json(path, grid, start_kind: str) -> None:
@@ -207,6 +194,4 @@ def write_shapes_json(path, grid, start_kind: str) -> None:
         "grid": [[None if cell is None else cell.tolist() for cell in row]
                  for row in grid],
     }
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+    _write_json(path, payload, sort_keys=False)

@@ -245,6 +245,46 @@ def test_writer_failing_part_way_leaves_no_file(tmp_path, monkeypatch, capsys, w
     assert list(out.iterdir()) == []
 
 
+def test_every_output_goes_through_the_one_csv_and_json_writer(tmp_path, monkeypatch):
+    # each file a command registers for clean-up and read-back is written by
+    # datagen's _write_csv or _write_json, wherever the name is bound
+    import psm.datagen
+    import psm.viz
+
+    through = []
+    for name in ("_write_csv", "_write_json"):
+        writer = getattr(psm.datagen, name)
+
+        def recording(path, *args, writer=writer, **kwargs):
+            through.append(Path(path))
+            return writer(path, *args, **kwargs)
+
+        for module in (psm.datagen, psm.viz, psm.cli):
+            if getattr(module, name, None) is writer:
+                monkeypatch.setattr(module, name, recording)
+    registered = []
+    validate = psm.cli._validate_written
+    monkeypatch.setattr(psm.cli, "_validate_written",
+                        lambda written: registered.extend(written) or validate(written))
+    lm = write_digit_landmarks(tmp_path / "digits.csv")
+    runs = {
+        "gen": (["generate", "--family", "sea_wave", "--n", "40"],
+                ["sea_wave.csv", "sea_wave.meta.json"]),
+        "pre": (["shapes", str(lm)], ["preshapes.csv", "preshapes.meta.json"]),
+        "fit": (["fit", str(tmp_path / "pre" / "preshapes.csv"), "--directions", "8"],
+                ["projected.csv", "shapes.json", "submanifold.csv", "summary.json"]),
+        "geo": (["compare-geodesic", str(tmp_path / "gen" / "sea_wave.csv"),
+                 "--directions", "8", "--bandwidth", "inf"],
+                ["projected.csv", "submanifold.csv", "summary.json"]),
+    }
+    for out, (argv, names) in runs.items():
+        through.clear()
+        registered.clear()
+        assert run(*argv, "--quiet", "--out", str(tmp_path / out)) == 0
+        assert sorted(p.name for p in (tmp_path / out).iterdir()) == names
+        assert sorted(registered) == sorted(through) == sorted(tmp_path / out / n for n in names)
+
+
 def test_quiet_fit_computes_no_net_lengths(tmp_path, monkeypatch, capsys):
     import psm.cli
 
@@ -651,6 +691,48 @@ class TestFit:
             "carry weight\n")
         assert err.count("\n") == 1
         assert not out.exists()
+
+    @pytest.mark.parametrize("data, k, rows", [
+        # a flat plane in three columns
+        ("plane", 3, 200),
+        # preshapes of identical specimens, or of one collinear shape moved
+        # about the plane, sit at one point
+        ("identical", 2, 5),
+        ("identical", 2, 2),
+        ("collinear", 2, 3),
+    ])
+    def test_rank_deficient_data_give_no_bandwidth_advice(self, tmp_path, capsys, data, k,
+                                                          rows):
+        if data == "plane":
+            path = tmp_path / "plane.csv"
+            xs = np.random.default_rng(1).standard_normal((rows, 3)) * [3.0, 2.0, 0.0]
+            write_dataset_csv(PointArray(xs, "flat"), path, {"chart": "flat"})
+        else:
+            shape = np.array([[0.0, 1.0], [1.0, 0.0], [0.0, -1.0], [-0.5, 0.2]])
+            if data == "collinear":
+                shape = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [4.0, 0.0]])
+                blocks = [similarity_transform(np.random.default_rng(s), shape)
+                          for s in range(rows)]
+            else:
+                blocks = [shape] * rows
+            lines = ["specimen_id,landmark_index,x,y"]
+            for s, block in enumerate(blocks):
+                lines += [f"s{s},{i},{float(x)!r},{float(y)!r}" for i, (x, y) in enumerate(block)]
+            (tmp_path / "lm.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+            assert run("shapes", str(tmp_path / "lm.csv"), "--quiet",
+                       "--out", str(tmp_path / "pre")) == 0
+            path = tmp_path / "pre" / "preshapes.csv"
+        out = tmp_path / "run"
+        # no bandwidth helps, whether the kernel weights every row or some
+        for bandwidth in ("inf", "0.4"):
+            assert run("fit", str(path), "--k", str(k), "--bandwidth", bandwidth,
+                       "--quiet", "--out", str(out)) == 1
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: requested {k} directions but eigenvalue {k} is ")
+            assert err.endswith(f" at the start: the {rows} data rows span fewer than {k} "
+                                "directions there, whatever the bandwidth\n")
+            assert err.count("\n") == 1
+            assert not out.exists()
 
     @pytest.mark.parametrize("scale", [1e153, 1e154])
     def test_overflowing_flat_spread_fails_with_one_line(self, tmp_path, capsys, scale):

@@ -237,6 +237,19 @@ class TestStepNet:
                            r"from a point whose largest \|coordinate\| is 1e\+16"):
             step_net(prev, cur, data, cfg)
 
+    def test_k_above_tangent_dimension_is_eigenframes_error(self):
+        # three flat columns carry a 3-dimensional tangent space: the step
+        # refuses k = 4 with eigenframe's error, as the fit does
+        data = flat_points(np.random.default_rng(95).standard_normal((30, 3)))
+        cur = Point(np.zeros(3), FLAT)
+        prev = Point(np.array([0.01, 0.0, 0.0]), FLAT)
+        cfg = flat_cfg(dim=4)
+        for call in (lambda: step_net(prev, cur, data, cfg),
+                     lambda: fit_submanifold(data, cur, cfg)):
+            with pytest.raises(ValueError,
+                               match=r"^k must be between 1 and the tangent dimension 3$"):
+                call()
+
     def test_degenerate_projection(self):
         # local span is the e1-e2 plane; backward direction along e3 projects to zero
         data = flat_points([[0.2, 0, 0], [-0.2, 0, 0], [0, 0.1, 0], [0, -0.1, 0]])

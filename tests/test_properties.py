@@ -432,3 +432,79 @@ def test_cli_fit_exits_cleanly(tmp_path, case):
         assert len(lines) == 1
         assert lines[0].startswith("error: " if code == 1 else "usage error: ")
         assert written == []
+
+
+# -- psm shapes: exit 0 with centred unit preshapes, or 1 with one line --
+
+@st.composite
+def shape_runs(draw):
+    """Landmark-file text of 1-6 specimens of k = 3-6 landmarks: each a
+    rotated, scaled and moved image of one jittered base shape, a repeat of
+    an earlier specimen, or a collinear configuration; then every
+    coordinate scaled by 10^-200 to 10^200 and shifted."""
+    k, n = draw(st.integers(3, 6)), draw(st.sampled_from([3, 2, 4, 6, 1]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    base = rng.standard_normal((k, 2))
+    jitter = draw(st.sampled_from([0.0, 0.01, 0.3]))
+    specimens = []
+    for _ in range(n):
+        kind = draw(st.sampled_from(["image", "image", "repeat", "collinear"]))
+        if kind == "repeat" and specimens:
+            specimens.append(specimens[draw(st.integers(0, len(specimens) - 1))])
+            continue
+        block = np.outer(rng.standard_normal(k), rng.standard_normal(2)) \
+            if kind == "collinear" else base + jitter * rng.standard_normal((k, 2))
+        angle = rng.uniform(0.0, 2.0 * math.pi)
+        rot = np.array([[math.cos(angle), -math.sin(angle)], [math.sin(angle), math.cos(angle)]])
+        specimens.append(block @ rot.T * rng.uniform(0.5, 2.0) + rng.uniform(-3.0, 3.0, 2))
+    scale = 10.0 ** draw(st.integers(-200, 200))
+    # an absolute shift, or one relative to the scale
+    shift = draw(st.sampled_from([0.0, 1.0, 1e6])) * draw(st.sampled_from([1.0, scale]))
+    lines = ["specimen_id,landmark_index,x,y"]
+    for s, block in enumerate(specimens):
+        rows = (block * scale + shift).tolist()
+        lines += [f"s{s},{i},{x!r},{y!r}" for i, (x, y) in enumerate(rows)]
+    return "\n".join(lines) + "\n"
+
+
+def _align_raises(path) -> bool:
+    """Whether the library itself refuses to align the landmark file."""
+    try:
+        shape.align_dataset(*shape.read_landmarks(path))
+    except (PsmError, ValueError):
+        return True
+    return False
+
+
+@CLI_RUNS
+@given(text=shape_runs())
+def test_cli_shapes_exits_cleanly(tmp_path, text):
+    # Exit 0 with centred unit preshapes, or 1 with one error line only where
+    # the library's own alignment of the same file raises; never a
+    # traceback or a numpy warning.
+    path, out = tmp_path / "landmarks.csv", tmp_path / "pre"
+    shutil.rmtree(out, ignore_errors=True)
+    path.write_text(text, encoding="utf-8")
+    err = io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stderr(err):
+        warnings.simplefilter("error")
+        code = main(["shapes", str(path), "--quiet", "--out", str(out)])
+    lines = err.getvalue().splitlines()
+    written = sorted(p.name for p in out.glob("*"))
+    if code == 0:
+        assert lines == []
+        assert written == ["preshapes.csv", "preshapes.meta.json"]
+        xs = np.loadtxt(out / "preshapes.csv", delimiter=",", skiprows=1, ndmin=2)[:, 1:]
+        np.testing.assert_allclose(np.linalg.norm(xs, axis=1), 1.0, rtol=0.0, atol=1e-12)
+        # a centroid is known to the rounding of the largest |coordinate|:
+        # k eps of it, over the configuration's centred size
+        landmarks, _ = shape.read_landmarks(path)
+        unit = landmarks / np.abs(landmarks).max(axis=(1, 2))[:, None, None]
+        size = np.linalg.norm(unit - unit.mean(axis=1, keepdims=True), axis=(1, 2))
+        tol = 4 * landmarks.shape[1] * np.finfo(float).eps * (1.0 + 1.0 / size)
+        assert np.all(np.abs(xs[:, 0::2].sum(axis=1)) <= tol)
+        assert np.all(np.abs(xs[:, 1::2].sum(axis=1)) <= tol)
+    else:
+        assert code == 1 and _align_raises(path), lines
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert written == []

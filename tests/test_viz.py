@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -425,6 +426,21 @@ class TestWriteProjectedCsv:
         np.testing.assert_array_equal(got, next(rows for kind, _, rows in blocks
                                                 if kind == "data"))
 
+
+    def test_rows_are_streamed(self, tmp_path):
+        # a 20,000-row data block, as on wide_flow: no list of every row's
+        # text or floats is held, so the writer's peak stays far below the file
+        rows = np.random.default_rng(113).standard_normal((20_000, 3))
+        path = tmp_path / "projected.csv"
+        tracemalloc.start()
+        try:
+            write_projected_csv(path, [("data", 0, rows)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        size = path.stat().st_size
+        assert size > 1_000_000
+        assert peak < size / 20
 
 class TestWriteShapesJson:
     def test_payload(self, tmp_path):
