@@ -20,7 +20,7 @@ from numbers import Real
 import numpy as np
 
 from .errors import InfeasibleShiftError
-from .geometry import _CHARTS, SPHERE, PointArray, _row_norms, points_matrix
+from .geometry import SPHERE, PointArray, _row_norms, points_matrix
 
 GENERATOR_ID = "numpy.random.PCG64"
 
@@ -323,6 +323,8 @@ def read_dataset_csv(path) -> tuple[PointArray, dict]:
     exact renormalization of the whole matrix.  A file numpy cannot parse, or
     whose rows fail a check, is read again row by row, which accepts blank
     rows and csv quoting and words each error with the path and the line.
+    The cleaned matrix then passes PointArray's own check, as every point
+    set does.
     """
     meta = _read_sidecar(path)
     chart = meta.get("chart", SPHERE)
@@ -333,9 +335,6 @@ def read_dataset_csv(path) -> tuple[PointArray, dict]:
         if fault:
             row, reason = fault
             raise ValueError(f"{path}: line {line_nos[row]}: {reason}")
-    if chart not in _CHARTS:
-        raise ValueError(f"unknown chart {chart!r}")
     if chart == SPHERE:
         xs = xs / _row_norms(xs)[:, None]
-    # the rows are checked and renormalized: PointArray's pass would copy them again
-    return PointArray._trusted(xs, chart), meta
+    return PointArray(xs, chart), meta

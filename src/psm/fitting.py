@@ -33,10 +33,11 @@ data with n >= m^2 the data's width does not shrink the chunk.
 Every stacked product and solve runs the same BLAS or LAPACK kernel per
 net as the per-point reference path (step_net, stop_check), which is the
 kernel's one-row case, so a net's points, stop reason and score do not
-depend on which nets share its chunk or its product.  step_net takes its
-frame from eigenframe of local_covariance, the public one-point path:
-eigenframe only negates rows, which leaves the step's projection bit for
-bit the fit's.
+depend on which nets share its chunk or its product.  step_net runs on the
+public one-point functions: it steps with log_map and exp_map, the one-row
+case of the fit's _log_rows and _exp_rows, and takes its frame from
+eigenframe of local_covariance, which only negates rows of the fit's
+frame and so leaves the step's projection bit for bit the fit's.
 
 The fit works on coordinate matrices only: the data (a PointArray, whose
 read-only coords it reads uncopied), the seeds, and each level's points,
@@ -58,11 +59,11 @@ from .geometry import (
     Point,
     PointArray,
     _distance_rows,
-    _exp_coords,
     _exp_rows,
-    _log_coords,
     _log_rows,
     _row_norms,
+    exp_map,
+    log_map,
     points_matrix,
 )
 from .tangent_stats import (
@@ -204,22 +205,22 @@ def step_net(a_prev: Point, a_cur: Point, data: PointArray, cfg: FitConfig) -> P
     direction leaves the frame span); the fitting loop records the same
     cases as stop reasons.  A cfg.dim above the tangent dimension (see
     eigenframe) and a step whose measured length is not epsilon (see
-    _check_moved) raise ValueError.
+    _check_moved) raise ValueError, and a_prev or data off a_cur's chart or
+    width DimensionMismatchError.
     """
     if np.array_equal(a_prev.coords, a_cur.coords):
         raise ValueError("previous and current points must differ")
-    cur, chart = a_cur.coords, a_cur.chart
     rows = eigenframe(local_covariance(a_cur, data, cfg.kernel), a_cur, cfg.dim).basis
-    v = _log_coords(cur, a_prev.coords, chart)
+    v = log_map(a_cur, a_prev)
     u = rows.T @ (rows @ v)
     nu = float(np.linalg.norm(u))
     if nu < _PROJ_TOL:
         raise DegenerateProjectionError(
             "backward direction is orthogonal to the local frame span")
     r = (cfg.epsilon / nu) * u
-    nxt = _exp_coords(cur, -r, chart)
-    _check_moved(cur[None], _row_norms(_log_rows(nxt[None], cur[None], chart)[0]), cfg.epsilon)
-    return Point(nxt, chart)
+    nxt = exp_map(a_cur, -r)
+    _check_moved(a_cur.coords[None], _row_norms(log_map(nxt, a_cur)[None]), cfg.epsilon)
+    return nxt
 
 
 def stop_check(a_next: Point, a_cur: Point, data: PointArray, cfg: FitConfig,

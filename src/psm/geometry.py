@@ -77,18 +77,6 @@ class PointArray(Sequence):
     def __post_init__(self):
         object.__setattr__(self, "coords", _checked_coords(self.coords, self.chart, 2))
 
-    @classmethod
-    def _trusted(cls, coords: np.ndarray, chart: str) -> PointArray:
-        """A PointArray of a float (n >= 1, m >= 2) matrix on a known chart
-        whose rows the caller has already checked as __post_init__ would
-        (finite; unit norm within _UNIT_TOL on the sphere), taken without a
-        copy and made read-only."""
-        points = object.__new__(cls)
-        coords.setflags(write=False)
-        object.__setattr__(points, "coords", coords)
-        object.__setattr__(points, "chart", chart)
-        return points
-
     def __len__(self) -> int:
         return self.coords.shape[0]
 
@@ -170,21 +158,6 @@ def _distance_rows(xs: np.ndarray, ys: np.ndarray, chart: str) -> np.ndarray:
     return np.where(near, arc, math.pi - arc)
 
 
-def _exp_coords(x: np.ndarray, v: np.ndarray, chart: str) -> np.ndarray:
-    out, cut = _exp_rows(x[None], v[None], chart)
-    if cut[0]:
-        raise CutLocusError(
-            f"exp step of length {float(_row_norms(v[None])[0])!r} reaches the cut locus")
-    return out[0]
-
-
-def _log_coords(x: np.ndarray, y: np.ndarray, chart: str) -> np.ndarray:
-    vecs, antipodal = _log_rows(x[None], y[None], chart)
-    if antipodal[0]:
-        raise AntipodalPairError("log undefined for an antipodal pair")
-    return vecs[0]
-
-
 def _tangent_dim(chart: str, ambient_dim: int) -> int:
     """Dimension of the tangent spaces: ambient_dim - 1 on the sphere, ambient_dim flat."""
     return ambient_dim - 1 if chart == SPHERE else ambient_dim
@@ -218,13 +191,20 @@ def exp_map(x: Point, v) -> Point:
         inner = abs(float(vec @ x.coords))
         if inner > _TANGENT_TOL:
             raise ValueError(f"tangent not orthogonal to base point: <x,v> = {inner!r}")
-    return Point(_exp_coords(x.coords, vec, x.chart), x.chart)
+    out, cut = _exp_rows(x.coords[None], vec[None], x.chart)
+    if cut[0]:
+        raise CutLocusError(f"exp step of length {float(_row_norms(vec[None])[0])!r} "
+                            "reaches the cut locus")
+    return Point(out[0], x.chart)
 
 
 def log_map(x: Point, y: Point) -> np.ndarray:
     """Inverse of exp_map: the (m,) tangent at x pointing to y with |log| = d(x, y)."""
     _check_space(y.chart, y.ambient_dim, x)
-    return _log_coords(x.coords, y.coords, x.chart)
+    vecs, antipodal = _log_rows(x.coords[None], y.coords[None], x.chart)
+    if antipodal[0]:
+        raise AntipodalPairError("log undefined for an antipodal pair")
+    return vecs[0]
 
 
 def geodesic_distance(x: Point, y: Point) -> float:

@@ -32,10 +32,9 @@ from .geometry import (
     Point,
     PointArray,
     _distance_rows,
-    _exp_coords,
     _row_dots,
-    _row_norms,
     _tangent_dim,
+    exp_map,
     points_matrix,
     project_to_sphere,
 )
@@ -346,8 +345,8 @@ def _top_frame_coords(cov: np.ndarray, base: np.ndarray, chart: str, k: int):
 
 
 def _frame_at(center: Point, data: _GramData, kernel: KernelSpec, k: int) -> EigenFrame:
-    """eigenframe of the raw kernel covariance at center: the fit's seeding
-    frame and the projection basis.  When it cannot carry k directions the
+    """eigenframe of the raw kernel covariance at center, the fit's seeding
+    frame, from the fit's own _GramData.  When it cannot carry k directions the
     RankDeficientError names the kernel and the data rows it weights there,
     or, when every row weighted alike cannot carry them either, says so."""
     try:
@@ -365,20 +364,6 @@ def _frame_at(center: Point, data: _GramData, kernel: KernelSpec, k: int) -> Eig
             f"{exc} at the start: the {kernel.kind} kernel of bandwidth "
             f"{kernel.bandwidth!r} gives weight to {weighted} of {n} "
             "data rows there; a larger --bandwidth lets more rows carry weight") from None
-
-
-def _ranked_basis_at(center: Point, data: _GramData, kernel: KernelSpec, k: int) -> np.ndarray:
-    """The leading rows (r, m), r <= k, of eigenframe's basis of the raw kernel
-    covariance at center whose directions rank: eigenvalue above _RANK_TOL
-    and, on the sphere, not normal to the tangent space.  The rows are
-    eigenframe's bit for bit, from one eigen-solve; where eigenvalue r + 1
-    does not rank, eigenframe(..., k) would raise RankDeficientError."""
-    cov = _cov_at(center.coords, data, kernel)
-    rows, vals, _, _ = _top_frame_coords(cov[None], center.coords[None], center.chart, k)
-    # a sphere row left unnormalized by _top_frame_coords keeps its norm below _NORMAL_TOL
-    ranks = (vals[0] > _RANK_TOL) & (_row_norms(rows[0]) >= _NORMAL_TOL)
-    basis = rows[0, :int(np.cumprod(ranks).sum())]
-    return np.array([_fix_sign(row) for row in basis]).reshape(basis.shape)
 
 
 def eigenframe(cov: np.ndarray, base: Point, k: int) -> EigenFrame:
@@ -423,19 +408,19 @@ def frechet_mean(data: PointArray) -> Point:
     if chart == FLAT:
         return Point(xs.mean(axis=0), FLAT)
     try:
-        center = project_to_sphere(xs.mean(axis=0)).coords
+        center = project_to_sphere(xs.mean(axis=0))
     except ZeroVectorError as exc:
         raise HemisphereViolationError(
             "extrinsic average vanishes; data spans no open hemisphere") from exc
     gram, unit = _GramData(xs, chart), KernelSpec()
     for _ in range(_MEAN_MAX_ITER):
-        lv = _GramLevel(center[None], gram, unit)
+        lv = _GramLevel(center.coords[None], gram, unit)
         if lv.antipodal[0]:
             raise HemisphereViolationError("mean iterate became antipodal to a data point")
         grad = lv.mean()[0]
         if float(np.linalg.norm(grad)) <= _MEAN_TOL:
-            return Point(center, chart)
-        center = _exp_coords(center, grad, chart)
+            return center
+        center = exp_map(center, grad)
     raise NoConvergenceError(f"Frechet mean did not converge in {_MEAN_MAX_ITER} iterations")
 
 

@@ -12,11 +12,11 @@ from __future__ import annotations
 import numpy as np
 
 from .datagen import _write_csv, _write_json
-from .errors import DimensionMismatchError, NotAShapeFitError, NotCenteredError
+from .errors import DimensionMismatchError, NotAShapeFitError, NotCenteredError, RankDeficientError
 from .fitting import Net, Submanifold
 from .geometry import Point, PointArray, _exp_rows, _tangent_dim, points_matrix
 from .shape import from_preshape
-from .tangent_stats import _GramData, _ranked_basis_at
+from .tangent_stats import eigenframe, local_covariance
 
 # (row, column) step of each PD's shape-grid cells away from the center
 _GRID_AXES = {"pd1": (0, 1), "pd2": (1, 0), "pd3": (1, 1), "pd4": (1, -1)}
@@ -102,16 +102,22 @@ def project_submanifold(sub: Submanifold, data: PointArray,
     (kind, index, rows (len, 3)), geodesics by index.
 
     A row is the inner products of (p - start) with the basis, so the start
-    maps to the origin.  The basis comes from the local covariance at the
-    start under the fit's kernel and holds its leading directions that
-    carry variance, at most min(3, d) of them for the tangent dimension d:
-    m - 1 on the sphere in R^m (2 on S^2), m on a flat chart of m columns.
-    A p3 (and p2) column with no such eigenvector is all zero.
+    maps to the origin.  The basis is the largest eigenframe of the local
+    covariance at the start under the fit's kernel, of at most min(3, d)
+    directions for the tangent dimension d (m - 1 on the sphere in R^m, m on
+    a flat chart), that raises no RankDeficientError.  A p3 (and p2) column
+    with no such direction is all zero.
     """
     start = sub.start
     xs = points_matrix(data, start)
-    k = min(3, _tangent_dim(start.chart, start.ambient_dim))
-    basis = _ranked_basis_at(start, _GramData(xs, start.chart), sub.config.kernel, k)
+    cov = local_covariance(start, data, sub.config.kernel)
+    basis = np.zeros((0, start.ambient_dim))
+    for k in range(min(3, _tangent_dim(start.chart, start.ambient_dim)), 0, -1):
+        try:
+            basis = eigenframe(cov, start, k).basis
+            break
+        except RankDeficientError:
+            pass
     blocks = [("net", net.direction_index, net.points.coords) for net in sub.nets]
     blocks.append(("data", 0, xs))
     blocks += [(name, 0, points.coords) for name, points in (pds or {}).items()]

@@ -64,6 +64,15 @@ def digit3_configs(n: int = 30, seed: int = 42, jitter: float = 0.03):
     return np.array(blocks), [f"spec{s:02d}" for s in range(n)]
 
 
+def mirror_set(seed: int) -> np.ndarray:
+    """A random 4-landmark shape, its mirror image and a copy jittered by 0.05,
+    as one (3, 4, 2) array: a set whose Procrustes mean converges only
+    linearly, by about 0.9 a round."""
+    rng = np.random.default_rng(seed)
+    base = rng.standard_normal((4, 2))
+    return np.stack([base, base * [1, -1], base + rng.normal(0, 0.05, (4, 2))])
+
+
 def great_circle_arc(n: int, seed: int, ambient: int = 4, half_angle: float = 1.2,
                      noise: float = 1e-3) -> tuple[PointArray, np.ndarray, np.ndarray]:
     """Noisy points along the e1-e2 great circle; returns (points, u1, u2)."""

@@ -16,7 +16,7 @@ from psm.cli import _build_parser, _merge_settings, main
 from psm.geometry import PointArray, points_matrix
 from psm.datagen import RECIPES, read_dataset_csv, write_dataset_csv
 
-from helpers import DIGIT3_BASE, digit3_configs, read_csv_rows, similarity_transform
+from helpers import DIGIT3_BASE, digit3_configs, mirror_set, read_csv_rows, similarity_transform
 
 
 def write_digit_landmarks(path, n=12, seed=5, scale=1.0):
@@ -339,6 +339,17 @@ class TestShapes:
         want, _ = read_dataset_csv(ref / "preshapes.csv")
         np.testing.assert_allclose(got.coords, want.coords, rtol=0.0, atol=1e-12)
 
+    def test_slowly_converging_alignment_succeeds(self, tmp_path):
+        # a shape, its mirror image and a jittered copy: 377 Procrustes rounds
+        lines = ["specimen_id,landmark_index,x,y"] + [
+            f"s{s},{i},{float(x)!r},{float(y)!r}"
+            for s, block in enumerate(mirror_set(1029)) for i, (x, y) in enumerate(block, 1)]
+        lm = tmp_path / "mirror.csv"
+        lm.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert run("shapes", str(lm), "--quiet", "--out", str(tmp_path / "out")) == 0
+        points, meta = read_dataset_csv(tmp_path / "out" / "preshapes.csv")
+        assert len(points) == 3 and meta["specimen_ids"] == ["s0", "s1", "s2"]
+
     def test_missing_input(self, tmp_path):
         assert run("shapes", str(tmp_path / "nope.csv"),
                    "--out", str(tmp_path)) == 2
@@ -350,6 +361,58 @@ class TestShapes:
         assert run("shapes", str(lm), "--quiet", "--out", str(out)) == 1
         assert capsys.readouterr().err == "error: landmark coordinates must be finite\n"
         assert not out.exists()
+
+
+def _sphere_log(x, ys):
+    """log_x(y) of each row of ys on the unit sphere, in plain numpy."""
+    c = np.clip(ys @ x, -1.0, 1.0)
+    u = ys - c[:, None] * x
+    nu = np.linalg.norm(u, axis=1)
+    return (np.arctan2(nu, c) / nu)[:, None] * u
+
+
+def test_paper_shape_example_grows_along_its_deformation_modes(tmp_path):
+    # The paper's shape example: digit-3 outlines deformed along two fixed,
+    # centred, orthogonal modes (standard deviations 0.3 and 0.15, jitter
+    # 0.005), each then rotated, scaled and shifted.  Its nets grow well past
+    # the 9-cell grid, and the grid's PD1 row and PD2 column end along the
+    # first and second tangent principal components at the start.
+    rng = np.random.default_rng(2016)
+    raw = rng.standard_normal((2,) + DIGIT3_BASE.shape)
+    raw -= raw.mean(axis=1, keepdims=True)
+    modes = np.linalg.qr(raw.reshape(2, -1).T)[0].T.reshape(raw.shape)
+    lines = ["specimen_id,landmark_index,x,y"]
+    for s in range(600):
+        shape = (DIGIT3_BASE + rng.normal(0.0, 0.3) * modes[0] + rng.normal(0.0, 0.15) * modes[1]
+                 + rng.normal(0.0, 0.005, DIGIT3_BASE.shape))
+        lines += [f"s{s},{i},{float(x)!r},{float(y)!r}"
+                  for i, (x, y) in enumerate(similarity_transform(rng, shape), 1)]
+    landmarks = tmp_path / "modes.csv"
+    landmarks.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert run("shapes", str(landmarks), "--quiet", "--out", str(tmp_path / "pre")) == 0
+    preshapes = tmp_path / "pre" / "preshapes.csv"
+    assert run("fit", str(preshapes), "--bandwidth", "inf", "--epsilon", "0.005",
+               "--delta", "0.05", "--max-length", "0.25", "--directions", "16",
+               "--quiet", "--out", str(tmp_path / "fit")) == 0
+    _, rows = read_csv_rows(tmp_path / "fit" / "submanifold.csv")
+    levels = {}
+    for row in rows:
+        levels[row[0]] = max(levels.get(row[0], 0), int(row[1]))
+    assert len(levels) == 16 and min(levels.values()) >= 9
+    grid = json.loads((tmp_path / "fit" / "shapes.json").read_text())["grid"]
+    c = len(grid) // 2
+    pd1 = np.array(grid[c], dtype=float).reshape(len(grid), -1)
+    pd2 = np.array([line[c] for line in grid], dtype=float).reshape(len(grid), -1)
+    assert len(grid) == 9
+    assert len({r.tobytes() for r in pd1}) == len({r.tobytes() for r in pd2}) == 9
+    # e1, e2: the top eigenvectors of the second moment of the data's logs at the start
+    start = pd1[c]
+    _, rows = read_csv_rows(preshapes)
+    logs = _sphere_log(start, np.array([row[1:] for row in rows], dtype=float))
+    vecs = np.linalg.eigh(logs.T @ logs)[1]
+    for ends, axis in ((pd1[[0, -1]], vecs[:, -1]), (pd2[[0, -1]], vecs[:, -2])):
+        end_logs = _sphere_log(start, ends)
+        assert np.all(np.abs(end_logs @ axis) >= 0.99 * np.linalg.norm(end_logs, axis=1))
 
 
 @pytest.fixture()
@@ -1107,9 +1170,12 @@ def test_every_setting_changes_the_result(command, tmp_path, preshapes_csv):
         assert _run_outputs(tmp_path, key, command, [*argv, f"{flag}={text}"]) != baseline, key
 
 
-def test_bench_runner_names_exist():
+def test_bench_runner_names_exist(tmp_path, monkeypatch):
     """Every psm.cli name the bench runner traces, and every name it imports
-    from psm, still exists; read from bench/run.py without importing it."""
+    from psm, still exists; read from bench/run.py without importing it.
+    Each traced name is also called through psm.cli by one run each of
+    generate, shapes, fit on the preshapes and compare-geodesic, so a span
+    the runner times cannot silently read 0."""
     tree = ast.parse((Path(__file__).parents[1] / "bench" / "run.py").read_text())
     traced = next(node.value for node in ast.walk(tree) if isinstance(node, ast.Assign)
                   and any(getattr(t, "id", None) == "TRACED_CALLS" for t in node.targets))
@@ -1120,3 +1186,19 @@ def test_bench_runner_names_exist():
     assert names and imported
     assert [n for n in names if not hasattr(cli, n)] == []
     assert [n for n in imported if not hasattr(psm, n)] == []
+    called = set()
+
+    def traced_call(name, fn):
+        return lambda *args, **kwargs: called.add(name) or fn(*args, **kwargs)
+
+    for name in names:
+        monkeypatch.setattr(cli, name, traced_call(name, getattr(cli, name)))
+    lm = write_digit_landmarks(tmp_path / "digits.csv")
+    preshapes = tmp_path / "pre" / "preshapes.csv"
+    for argv in (["generate", "--family", "sea_wave", "--n", "30", "--out", str(tmp_path / "gen")],
+                 ["shapes", str(lm), "--out", str(tmp_path / "pre")],
+                 ["fit", str(preshapes), "--directions", "8", "--out", str(tmp_path / "fit")],
+                 ["compare-geodesic", str(preshapes), "--directions", "8",
+                  "--out", str(tmp_path / "cmp")]):
+        assert run(*argv, "--quiet") == 0
+    assert sorted(set(names) - called) == []

@@ -260,11 +260,10 @@ class TestDatasetFiles:
 
     @pytest.mark.parametrize("layout", ["numpy", "row loop"])
     def test_read_matrix_meets_the_point_checks(self, tmp_path, monkeypatch, layout):
-        # The reader hands its checked, renormalized matrix to PointArray
-        # without the copy and row-norm pass of geometry._checked_coords;
-        # its rows must still meet that pass's bound.  Rows off the sphere
-        # by up to 1e-7 are accepted and cleaned; a quoted value takes the
-        # file through the row loop.
+        # The reader's renormalized matrix passes geometry._checked_coords
+        # once, as every PointArray does, and meets that pass's bound.  Rows
+        # off the sphere by up to 1e-7 are accepted and cleaned; a quoted
+        # value takes the file through the row loop.
         rng = np.random.default_rng(41)
         xs = rng.standard_normal((300, 4))
         xs /= np.linalg.norm(xs, axis=1, keepdims=True)
@@ -283,15 +282,15 @@ class TestDatasetFiles:
         monkeypatch.setattr(geometry, "_checked_coords",
                             lambda *args: checks.append(args) or checked(*args))
         points, _ = read_dataset_csv(path)
-        assert len(loops) == (layout == "row loop") and checks == []
+        assert len(loops) == (layout == "row loop") and len(checks) == 1
         coords = points.coords
         assert coords.shape == (300, 4) and coords.dtype == np.float64
         assert not coords.flags.writeable
         assert np.max(np.abs(np.linalg.norm(coords, axis=1) - 1.0)) <= geometry._UNIT_TOL
-        # PointArray itself still checks every other caller's rows
+        # PointArray itself checks every other caller's rows
         with pytest.raises(ValueError, match="unit norm"):
             PointArray(xs)
-        assert len(checks) == 1
+        assert len(checks) == 2
 
     def test_unknown_sidecar_chart_is_refused(self, tmp_path):
         path = tmp_path / "d.csv"

@@ -718,6 +718,20 @@ class TestFitSubmanifold:
             with pytest.raises(DimensionMismatchError, match="different spaces"):
                 calls[entry]()
 
+    @pytest.mark.parametrize("previous", [
+        Point(np.array([0.0, 0.1, 0.0, 1.0]), FLAT),
+        Point(np.array([0.0, 0.1, 0.0, 0.0, 1.0]) / math.sqrt(1.01))],
+        ids=["flat chart", "wider sphere"])
+    def test_previous_point_must_share_the_current_point_space(self, previous):
+        # data around a sphere point of S^3, and a previous point on the flat
+        # chart of the same width, or on the sphere of a wider space
+        rng = np.random.default_rng(97)
+        cur = Point(np.array([0.0, 0.0, 0.0, 1.0]))
+        xs = cur.coords + 0.2 * rng.standard_normal((30, 4))
+        data = PointArray(xs / np.linalg.norm(xs, axis=1)[:, None])
+        with pytest.raises(DimensionMismatchError, match="different spaces"):
+            step_net(previous, cur, data, FitConfig(kernel=KernelSpec()))
+
     @pytest.mark.parametrize("entry", ["frechet_mean", "write_dataset_csv"])
     def test_point_sets_without_a_base_must_be_point_arrays(self, tmp_path, entry):
         data = list(PointArray(np.random.default_rng(97).standard_normal((30, 3)), FLAT))

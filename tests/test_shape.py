@@ -10,9 +10,11 @@ from psm.errors import (
     DegenerateOrbitError,
     DimensionMismatchError,
     LandmarkFormatError,
+    NoConvergenceError,
     NotCenteredError,
 )
 from psm.geometry import SPHERE, Point, PointArray, geodesic_distance, points_matrix
+from psm.tangent_stats import frechet_mean
 from psm.shape import (
     _align_rotations,
     _preshape_rows,
@@ -21,7 +23,7 @@ from psm.shape import (
     read_landmarks,
 )
 
-from helpers import DIGIT3_BASE, LEAF_BASE, digit3_configs, similarity_transform
+from helpers import DIGIT3_BASE, LEAF_BASE, digit3_configs, mirror_set, similarity_transform
 
 
 def rotate(landmarks, theta):
@@ -193,6 +195,21 @@ class TestAlignDataset:
         for i, row in enumerate(rows):
             alone = _align_rotations(_preshape_rows(landmarks[i:i + 1], ids[i:i + 1]), mean.coords)
             assert np.array_equal(row, alone[0])
+
+    @pytest.mark.parametrize("seed", [53, 1029])
+    def test_mirror_images_align(self, seed):
+        # a shape, its mirror image and a jittered copy: 139 and 377
+        # Procrustes rounds at these seeds
+        aligned, mean = align_dataset(mirror_set(seed), ["shape", "mirror", "jittered"])
+        inner = complex_inner(points_matrix(aligned), mean.coords)
+        assert np.all(inner.real > 0.0)
+        assert np.all(np.abs(inner.imag) <= 1e-14)
+        assert geodesic_distance(frechet_mean(aligned), mean) <= 1e-8
+
+    def test_no_convergence_names_the_cap(self, monkeypatch):
+        monkeypatch.setattr("psm.shape._GPA_MAX_ITER", 50)
+        with pytest.raises(NoConvergenceError, match="did not stabilize in 50 rounds$"):
+            align_dataset(mirror_set(53), ["shape", "mirror", "jittered"])
 
     def test_collapsed_specimen_is_named(self):
         landmarks, ids = digit3_configs(n=9, seed=4)
