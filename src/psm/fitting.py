@@ -146,9 +146,9 @@ class Submanifold:
     nets: tuple[Net, ...]
     frame_at_start: EigenFrame
     config: FitConfig
-    # (data matrix, VariationScore) of the fit that grew these nets; see
-    # variation_score.  dataclasses.replace leaves it unset.
-    _fit_score: tuple[np.ndarray, VariationScore] | None = field(
+    # (data, VariationScore) of the fit that grew these nets, data its own
+    # PointArray, matched by identity in variation_score; replace drops it.
+    _fit_score: tuple[PointArray, VariationScore] | None = field(
         default=None, init=False, repr=False)
 
 
@@ -265,10 +265,8 @@ def _past_cap(net_len: float, cfg: FitConfig) -> bool:
 # Failures are per-net masks, applied in the order in which the per-point
 # reference path (step_net, stop_check) raises and checks them.
 
-# A net's stop code indexes this tuple; 0 means it is still growing.
-_REASONS = (None, StopReason.CONVEX_HULL_EXIT, StopReason.EMPTY_NEIGHBORHOOD,
-            StopReason.LENGTH_EXCEEDED, StopReason.DEGENERATE_PROJECTION,
-            StopReason.ANTIPODAL_GUARD)
+# A net's stop code indexes this tuple (StopReason's declaration order); 0 is still growing.
+_REASONS = (None, *StopReason)
 _CODE = {reason: code for code, reason in enumerate(_REASONS)}
 
 
@@ -438,7 +436,7 @@ def fit_submanifold(data: PointArray, start: Point, cfg: FitConfig) -> Submanifo
     Chunks of nets grow in lockstep, one level at a time.  A net's points do
     not depend on which nets share its chunk, so results are bit-identical
     across runs and chunk sizes.  The fit also scores its own nets from the
-    same logs; variation_score returns that score for this fit's data.
+    same logs; variation_score returns that score for the PointArray given here.
     """
     xs = points_matrix(data, start)
     chart = start.chart
@@ -456,7 +454,7 @@ def fit_submanifold(data: PointArray, start: Point, cfg: FitConfig) -> Submanifo
         skipped += skips
     sub = Submanifold(start, tuple(nets), frame, cfg)
     score = VariationScore(float(sum(per_net)), tuple(per_net), skipped)
-    object.__setattr__(sub, "_fit_score", (xs, score))
+    object.__setattr__(sub, "_fit_score", (data, score))
     return sub
 
 
@@ -523,13 +521,11 @@ def variation_score(sub: Submanifold, data: PointArray) -> VariationScore:
     demeaned covariance is empty or rank-deficient, contributes 0 (skipped).
 
     fit_submanifold scores its nets while growing them; that score is
-    returned when data is bit for bit the data of the fit.  Any other
-    Submanifold (dataclasses.replace drops the stored score) or data is
-    scored level by level through the same kernel, with equal results.
+    returned when data is the fit's own PointArray, matched by identity.  Any
+    other Submanifold (dataclasses.replace drops the stored score) or data, an
+    equal copy too, is rescored level by level through the same kernel, to equal results.
     """
     xs = points_matrix(data, sub.start)
-    if sub._fit_score is not None:
-        fit_xs, score = sub._fit_score
-        if np.array_equal(fit_xs.view(np.uint64), xs.view(np.uint64)):
-            return score
+    if sub._fit_score is not None and sub._fit_score[0] is data:
+        return sub._fit_score[1]
     return _score_nets(sub, xs)

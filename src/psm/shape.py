@@ -52,10 +52,13 @@ def _preshape_rows(landmarks: np.ndarray, specimen_ids) -> np.ndarray:
     |coordinate|, which is exact and leaves its preshape's bits as they are:
     a configuration of any finite scale then sizes without overflow or
     underflow, and that coordinate becomes the frexp mantissa in [0.5, 1).
+    It is then centred twice: far from the origin the first pass leaves the
+    rounding of the shift in the centroid, and the second pass subtracts it.
     """
     sizes, exps = np.frexp(np.abs(landmarks).max(axis=(1, 2)))
     scaled = np.ldexp(landmarks, -exps[:, None, None])
-    flat = (scaled - scaled.mean(axis=1, keepdims=True)).reshape(len(landmarks), -1)
+    centred = scaled - scaled.mean(axis=1, keepdims=True)
+    flat = (centred - centred.mean(axis=1, keepdims=True)).reshape(len(landmarks), -1)
     scales = _row_norms(flat)
     collapsed = np.flatnonzero(scales <= _SCALE_TOL * sizes)
     if collapsed.size:
@@ -132,7 +135,7 @@ _CSV_HEADER = ["specimen_id", "landmark_index", "x", "y"]
 # csv module's quote and the line breaks of str.splitlines other than \n and \r.
 _ROW_LOOP_ONLY = '"\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029'
 
-_LANDMARK_ROW = np.dtype([("index", np.int64), ("xy", float, (2,))])
+_LANDMARK_ROW = np.dtype([("id", object), ("index", np.int64), ("xy", float, (2,))])
 
 
 def read_landmarks(path) -> tuple[np.ndarray, list[str]]:
@@ -159,10 +162,10 @@ def read_landmarks(path) -> tuple[np.ndarray, list[str]]:
 
 
 def _load_landmarks_csv(path) -> tuple[np.ndarray, list[str]] | None:
-    """A CSV-layout file parsed by numpy's C reader in two column passes, ids
-    and (landmark_index, x, y) rows, then checked as arrays; None when the file
-    is in another layout, holds a _ROW_LOOP_ONLY character, or fails a parse
-    or check, for the row loop to read it."""
+    """A CSV-layout file parsed by one np.loadtxt pass into (id, landmark_index,
+    x, y) rows, then checked as arrays; None when the file is in another
+    layout, holds a _ROW_LOOP_ONLY character, or fails a parse or check, for
+    the row loop to read it."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             while (line := fh.readline()) and not line.strip():
@@ -178,11 +181,10 @@ def _load_landmarks_csv(path) -> tuple[np.ndarray, list[str]] | None:
             if _body_is_empty(fh):
                 return None
             rows = np.loadtxt(fh, dtype=_LANDMARK_ROW, delimiter=",", comments=None,
-                              usecols=(1, 2, 3), ndmin=1)
-            fh.seek(body)
-            ids = np.loadtxt(fh, dtype=object, delimiter=",", comments=None, usecols=0, ndmin=1)
+                              usecols=(0, 1, 2, 3), ndmin=1)
         except ValueError:  # a row numpy cannot parse, or bad UTF-8
             return None
+    ids = rows["id"]
     # specimens split where the raw id changes; the row loop strips ids, which
     # merges no two of them when the stripped names are distinct (checked below)
     starts = np.flatnonzero(np.concatenate(([True], ids[1:] != ids[:-1])))

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -180,8 +179,9 @@ class _GramLevel:
     """Kernel statistics of the data's logs at stacked base points x (B, m).
 
     w and s (B, n) hold the kernel weights and the log scales
-    theta / sin(theta) (s is the scalar 1.0 on the flat chart), total (B,)
-    the weight sums and nearest (B,) the distance to the nearest data row;
+    theta / sin(theta) (s is the scalar 1.0 on the flat chart), b = w s
+    (B, n) the weights of the tangent mean, total (B,) the weight sums and
+    nearest (B,) the distance to the nearest data row;
     antipodal (B,) flags a base point with a data row within _ANTIPODAL_TOL
     of its antipode, whose statistics are meaningless.  On the sphere theta
     comes from <x, y>, and arccos loses about half the digits of a short
@@ -210,13 +210,9 @@ class _GramLevel:
             self.s = 1.0  # the flat log is y - x: no (B, n) array of ones
             self.antipodal = np.zeros(len(x), dtype=bool)
         self.w = kernel.weights(dists)
+        self.b = self.w * self.s
         self.nearest = dists.min(axis=-1)
         self.total = self.w.sum(axis=-1)
-
-    @cached_property
-    def b(self) -> np.ndarray:
-        """w s (B, n), the weights of the tangent mean."""
-        return self.w * self.s
 
     def _tangent(self, v: np.ndarray) -> np.ndarray:
         """P v for stacked rows v (B, m)."""
@@ -229,9 +225,8 @@ class _GramLevel:
 
     def mean(self) -> np.ndarray:
         """Kernel-weighted tangent means (B, m): [P Y'^T b + (sum b) t] / sum w, b = w s."""
-        b = self.b
-        h = np.matmul(self.data.yt, b[:, :, None])[:, :, 0]
-        mean = self._tangent(h) + b.sum(axis=-1)[:, None] * self.t
+        h = np.matmul(self.data.yt, self.b[:, :, None])[:, :, 0]
+        mean = self._tangent(h) + self.b.sum(axis=-1)[:, None] * self.t
         return mean / self._per_weight()[:, None]
 
     def covariance(self) -> np.ndarray:

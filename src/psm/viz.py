@@ -130,8 +130,8 @@ def project_submanifold(sub: Submanifold, data: PointArray,
     return projected
 
 
-def _resample_branch(net_points: PointArray, q: int) -> list[Point]:
-    """Pick q branch points at evenly spaced arc lengths from the start.
+def _resample_branch(net_points: PointArray, q: int) -> list[int]:
+    """The levels of q branch points at evenly spaced arc lengths from the start.
 
     Every step of a net is epsilon long, so the arc to level j is j epsilon
     and target i of q sits at level L i / q of a net with L steps.  Each
@@ -141,7 +141,15 @@ def _resample_branch(net_points: PointArray, q: int) -> list[Point]:
     """
     steps = len(net_points) - 1  # row 0 is the start itself
     # the nearest j to steps * i / q, a tie down: floor((2 steps i + q - 1) / 2q)
-    return [net_points[max(1, (2 * steps * i + q - 1) // (2 * q))] for i in range(1, q + 1)]
+    return [max(1, (2 * steps * i + q - 1) // (2 * q)) for i in range(1, q + 1)]
+
+
+def _shape_cell(point: Point, what: str) -> np.ndarray:
+    """from_preshape of a grid cell's point; NotAShapeFitError names what it is."""
+    try:
+        return from_preshape(point)
+    except (DimensionMismatchError, NotCenteredError) as exc:
+        raise NotAShapeFitError(f"{what} is no preshape: {exc}") from None
 
 
 def shape_grid(sub: Submanifold, samples_per_direction: int):
@@ -152,24 +160,21 @@ def shape_grid(sub: Submanifold, samples_per_direction: int):
     walks outward along the corresponding principal-direction branch.  Cells
     off those four lines stay None, as do those of every PD that _pd_pairs
     leaves out (all four for k >= 3).  Raises NotAShapeFitError when the
-    fit does not live on a preshape sphere.
+    start or a sampled net point is no preshape, naming the point.
     """
     m = samples_per_direction
     if m < 3 or m % 2 == 0:
         raise ValueError("samples_per_direction must be an odd number >= 3")
-    try:
-        center = from_preshape(sub.start)
-    except (DimensionMismatchError, NotCenteredError) as exc:
-        raise NotAShapeFitError(f"the start is no preshape: {exc}") from None
     c = m // 2
     grid: list[list[np.ndarray | None]] = [[None] * m for _ in range(m)]
-    grid[c][c] = center
+    grid[c][c] = _shape_cell(sub.start, "the start")
     for name, (first, second) in _pd_pairs(sub).items():
         dr, dc = _GRID_AXES[name]
         for sign, net in ((-1, first), (1, second)):
-            for i, point in enumerate(_resample_branch(net.points, c), start=1):
+            for i, level in enumerate(_resample_branch(net.points, c), start=1):
                 step = sign * i
-                grid[c + step * dr][c + step * dc] = from_preshape(point)
+                grid[c + step * dr][c + step * dc] = _shape_cell(
+                    net.points[level], f"{name} net {net.direction_index} at level {level}")
     return grid
 
 

@@ -350,6 +350,27 @@ class TestShapes:
         points, meta = read_dataset_csv(tmp_path / "out" / "preshapes.csv")
         assert len(points) == 3 and meta["specimen_ids"] == ["s0", "s1", "s2"]
 
+    def test_far_shifted_landmarks_fit(self, tmp_path):
+        # digit-3 outlines 1e10 from the origin: one centring pass leaves
+        # centroid offsets up to 1e-5 in the preshapes, which fit refuses
+        rng = np.random.default_rng(7)
+        lines = ["specimen_id,landmark_index,x,y"]
+        for s in range(40):
+            block = DIGIT3_BASE + rng.normal(0.0, 0.03, (13, 2)) + 1e10
+            lines += [f"s{s},{i},{float(x)!r},{float(y)!r}" for i, (x, y) in enumerate(block, 1)]
+        lm = tmp_path / "far.csv"
+        lm.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        pre = tmp_path / "pre"
+        assert run("shapes", str(lm), "--quiet", "--out", str(pre)) == 0
+        points, _ = read_dataset_csv(pre / "preshapes.csv")
+        rows = points.coords
+        offsets = np.maximum(np.abs(rows[:, 0::2].sum(axis=1)), np.abs(rows[:, 1::2].sum(axis=1)))
+        assert offsets.max() <= 1e-14
+        fit = tmp_path / "fit"
+        assert run("fit", str(pre / "preshapes.csv"), "--bandwidth", "inf", "--directions", "16",
+                   "--quiet", "--out", str(fit)) == 0
+        assert (fit / "shapes.json").is_file()
+
     def test_missing_input(self, tmp_path):
         assert run("shapes", str(tmp_path / "nope.csv"),
                    "--out", str(tmp_path)) == 2

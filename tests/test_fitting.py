@@ -639,7 +639,6 @@ class TestFitSubmanifold:
         xs = points_matrix(data)
         bases = xs[:180]
         lv = tangent_stats._GramLevel(bases, _GramData(xs, SPHERE), KernelSpec("gaussian", 0.4))
-        lv.b  # the cached (nets, n) weights of the mean, made before the count
         tracemalloc.start()
         try:
             lv.covariance()
@@ -666,7 +665,16 @@ class TestFitSubmanifold:
         assert calls
         assert fewer != stored
         assert fewer == variation_score(copy, data[:-1])
+        # an equal but distinct copy of the data is no longer the fit's own:
+        # it is rescored, to the stored score, with one pass per net point
+        calls.clear()
+        twin = PointArray(data.coords.copy())
+        assert variation_score(sub, twin) == stored
+        assert sum(calls) == sum(len(net.points) - 1 for net in sub.nets)
+        # the fit's own data takes no pass
+        calls.clear()
         assert variation_score(sub, data) is stored
+        assert not calls
 
     def test_rank_deficient_start(self):
         rng = np.random.default_rng(98)

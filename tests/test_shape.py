@@ -275,14 +275,24 @@ class TestReadLandmarksCsv:
         path.write_text(text, encoding="utf-8")
         return path
 
-    def test_basic_two_specimens(self, tmp_path):
+    def test_basic_two_specimens(self, tmp_path, monkeypatch):
         text = "specimen_id,landmark_index,x,y\n"
         for sid in ("a", "b"):
             for i, (x, y) in enumerate(LEAF_BASE, start=1):
                 text += f"{sid},{i},{x},{y}\n"
+        # ids, indices and coordinates come from one np.loadtxt pass over the body
+        calls = []
+        loadtxt = np.loadtxt
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs.get("usecols"))
+            return loadtxt(*args, **kwargs)
+
+        monkeypatch.setattr(np, "loadtxt", counted)
         landmarks, ids = read_landmarks(self.write(tmp_path, text))
+        assert calls == [(0, 1, 2, 3)]
         assert ids == ["a", "b"]
-        np.testing.assert_allclose(landmarks[0], LEAF_BASE, atol=0.0)
+        np.testing.assert_array_equal(landmarks, np.stack([LEAF_BASE, LEAF_BASE]))
 
     def test_noncontiguous_specimen(self, tmp_path):
         text = ("specimen_id,landmark_index,x,y\n"

@@ -300,8 +300,7 @@ class TestShapeGrid:
         path = np.array([[0.1 * j, 0.3 + 0.05 * j] for j in range(4)])
 
         def levels(rows):
-            return [int(np.flatnonzero((rows == p.coords).all(axis=1))[0])
-                    for p in _resample_branch(PointArray(rows, FLAT), 4)]
+            return _resample_branch(PointArray(rows, FLAT), 4)
 
         assert levels(path) == [1, 1, 2, 3]
         # one ulp either way moves the summed step lengths, not the picks
@@ -339,6 +338,23 @@ class TestShapeGrid:
         uncentered = dataclasses.replace(sub, start=Point(np.eye(6)[0]))
         with pytest.raises(NotAShapeFitError):
             shape_grid(uncentered, 5)
+
+    def test_names_a_branch_point_that_is_no_preshape(self):
+        # PD1's second net, moved 1e-5 off centre past the start: the error
+        # names the PD, the net and the first level the grid samples
+        import dataclasses
+        sub = preshape_submanifold(levels=4)
+        index = next(i for i, net in enumerate(sub.nets) if net.direction_index == 8)
+        net = sub.nets[index]
+        rows = net.points.coords.copy()
+        rows[1:, 0] += 1e-5
+        rows[1:] /= np.linalg.norm(rows[1:], axis=1, keepdims=True)
+        moved = Net(net.direction_index, PointArray(rows), net.stop_reason)
+        nets = sub.nets[:index] + (moved,) + sub.nets[index + 1:]
+        with pytest.raises(NotAShapeFitError,
+                           match=r"^pd1 net 8 at level 2 is no preshape: coordinates carry "
+                                 r"a centroid offset"):
+            shape_grid(dataclasses.replace(sub, nets=nets), 5)
 
 
 class TestWriteSubmanifoldCsv:
