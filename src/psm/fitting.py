@@ -140,7 +140,8 @@ class Net:
 
 @dataclass(frozen=True, eq=False)
 class Submanifold:
-    """A fitted sub-manifold: the start point, its nets, and the seeding frame."""
+    """A fitted sub-manifold: the start point, its nets, and the start frame, whose
+    first config.dim rows seed the nets and first min(3, d) span the projection."""
 
     start: Point
     nets: tuple[Net, ...]
@@ -182,16 +183,17 @@ def _frame_directions(k: int, num: int) -> np.ndarray:
 def seed_directions(start: Point, frame: EigenFrame, cfg: FitConfig) -> PointArray:
     """Seed points at geodesic distance epsilon from the start, one row per net.
 
-    For a two-direction frame the seeds fan over the circle
-    Z_l = epsilon * (cos(2*l*pi/D) e1 + sin(2*l*pi/D) e2), l = 1..D, so
-    l = D/2 sits at -e1 and l = D at +e1.  One-direction frames seed the
-    pair +/- e1; higher-dimensional frames use a deterministic grid on the
-    frame's unit sphere.  The seeds come back as one PointArray.
+    The fan spans the frame's first k = min(frame.k, cfg.dim) rows.  For
+    k = 2 the seeds sit at Z_l = epsilon * (cos(2*l*pi/D) e1 + sin(2*l*pi/D)
+    e2), l = 1..D, so l = D/2 is at -e1 and l = D at +e1; k = 1 seeds the
+    pair +/- e1, and a larger k a deterministic grid on the unit sphere of
+    the k rows.  The seeds come back as one PointArray.
     """
     if frame.k < 1:
         raise ValueError("frame must hold at least one direction")
-    dirs = _frame_directions(frame.k, cfg.num_directions)
-    vecs = cfg.epsilon * np.matmul(dirs[:, None, :], frame.basis)[:, 0]
+    k = min(frame.k, cfg.dim)
+    dirs = _frame_directions(k, cfg.num_directions)
+    vecs = cfg.epsilon * np.matmul(dirs[:, None, :], frame.basis[:k])[:, 0]
     starts = np.broadcast_to(start.coords, vecs.shape)
     seeds, _ = _exp_rows(starts, vecs, start.chart)  # |vecs| = epsilon < pi/8: never cut
     return PointArray(seeds, start.chart)

@@ -80,10 +80,9 @@ class KernelSpec:
 
 @dataclass(frozen=True, eq=False)
 class EigenFrame:
-    """Top-k eigenvectors of a tangent covariance at base, one row of basis
-    (k, m) each, eigenvalues nonincreasing; both arrays are read-only."""
+    """Top-k eigenvectors of a tangent covariance, one row of basis (k, m)
+    each, eigenvalues nonincreasing; both arrays are read-only."""
 
-    base: Point
     basis: np.ndarray
     eigenvalues: np.ndarray
     degenerate: bool = False
@@ -340,12 +339,18 @@ def _top_frame_coords(cov: np.ndarray, base: np.ndarray, chart: str, k: int):
 
 
 def _frame_at(center: Point, data: _GramData, kernel: KernelSpec, k: int) -> EigenFrame:
-    """eigenframe of the raw kernel covariance at center, the fit's seeding
-    frame, from the fit's own _GramData.  When it cannot carry k directions the
-    RankDeficientError names the kernel and the data rows it weights there,
-    or, when every row weighted alike cannot carry them either, says so."""
+    """The fit's start frame: the widest eigenframe (k to max(k, min(3, d)) rows,
+    d the tangent dimension) of the raw kernel covariance at center, from the
+    fit's own _GramData.  When k rows do not rank the error names the kernel and
+    the rows it weights, or, when every row weighted alike cannot either, says so."""
+    cov = _cov_at(center.coords, data, kernel)
+    for width in range(max(k, min(3, _tangent_dim(center.chart, center.ambient_dim))), k, -1):
+        try:
+            return eigenframe(cov, center, width)
+        except RankDeficientError:
+            pass
     try:
-        return eigenframe(_cov_at(center.coords, data, kernel), center, k)
+        return eigenframe(cov, center, k)
     except RankDeficientError as exc:
         n = data.yt.shape[1]
         try:
@@ -386,7 +391,7 @@ def eigenframe(cov: np.ndarray, base: Point, k: int) -> EigenFrame:
             raise RankDeficientError(
                 f"requested {k} directions but eigenvalue {k} is {float(vals[0, k - 1])!r}")
         raise RankDeficientError("eigenvector nearly normal to the tangent space")
-    return EigenFrame(base, [_fix_sign(row) for row in rows[0]], vals[0], bool(degenerate[0]))
+    return EigenFrame([_fix_sign(row) for row in rows[0]], vals[0], bool(degenerate[0]))
 
 
 def frechet_mean(data: PointArray) -> Point:

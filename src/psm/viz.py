@@ -1,7 +1,7 @@
 """Turning fitted sub-manifolds into exportable views.
 
 Two schemes: an orthographic projection of everything onto the top-3
-eigenvectors at the start point (synthetic data; fewer where the tangent
+eigenvectors of the fit's start frame (synthetic data; fewer where the tangent
 space is smaller or the data carry variance along fewer directions there,
 with zero columns for the rest), and a square grid of recovered landmark
 shapes sampled along the principal-direction polylines (preshape data).
@@ -12,11 +12,10 @@ from __future__ import annotations
 import numpy as np
 
 from .datagen import _write_csv, _write_json
-from .errors import DimensionMismatchError, NotAShapeFitError, NotCenteredError, RankDeficientError
+from .errors import DimensionMismatchError, NotAShapeFitError, NotCenteredError
 from .fitting import Net, Submanifold
-from .geometry import Point, PointArray, _exp_rows, _tangent_dim, points_matrix
+from .geometry import Point, PointArray, _exp_rows, points_matrix
 from .shape import from_preshape
-from .tangent_stats import eigenframe, local_covariance
 
 # (row, column) step of each PD's shape-grid cells away from the center
 _GRID_AXES = {"pd1": (0, 1), "pd2": (1, 0), "pd3": (1, 1), "pd4": (1, -1)}
@@ -102,22 +101,14 @@ def project_submanifold(sub: Submanifold, data: PointArray,
     (kind, index, rows (len, 3)), geodesics by index.
 
     A row is the inner products of (p - start) with the basis, so the start
-    maps to the origin.  The basis is the largest eigenframe of the local
-    covariance at the start under the fit's kernel, of at most min(3, d)
-    directions for the tangent dimension d (m - 1 on the sphere in R^m, m on
-    a flat chart), that raises no RankDeficientError.  A p3 (and p2) column
-    with no such direction is all zero.
+    maps to the origin.  The basis is sub.frame_at_start's first min(3, d)
+    rows that rank, d the tangent dimension (m - 1 on the sphere in R^m, m on
+    a flat chart); a p3 (and p2) column with none is all zero.  data are only
+    projected, so held-out rows land on the fit's own frame.
     """
     start = sub.start
     xs = points_matrix(data, start)
-    cov = local_covariance(start, data, sub.config.kernel)
-    basis = np.zeros((0, start.ambient_dim))
-    for k in range(min(3, _tangent_dim(start.chart, start.ambient_dim)), 0, -1):
-        try:
-            basis = eigenframe(cov, start, k).basis
-            break
-        except RankDeficientError:
-            pass
+    basis = sub.frame_at_start.basis[:3]
     blocks = [("net", net.direction_index, net.points.coords) for net in sub.nets]
     blocks.append(("data", 0, xs))
     blocks += [(name, 0, points.coords) for name, points in (pds or {}).items()]

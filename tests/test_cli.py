@@ -3,7 +3,10 @@
 import ast
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -180,6 +183,23 @@ def test_written_csv_with_a_ragged_row_fails(tmp_path, monkeypatch, capsys, row)
     assert run("generate", "--family", "sea_wave", "--n", "20", "--quiet",
                "--out", str(out)) == 1
     assert "sea_wave.csv: line 22: column count mismatch" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
+def test_written_csv_without_a_header_fails(tmp_path, monkeypatch, capsys):
+    import psm.cli
+
+    write = psm.cli.write_dataset_csv
+
+    def headless(points, path, meta):
+        write(points, path, meta)
+        path.write_text("\n" + path.read_text(encoding="utf-8"), encoding="utf-8")
+
+    monkeypatch.setattr(psm.cli, "write_dataset_csv", headless)
+    out = tmp_path / "headless"
+    assert run("generate", "--family", "sea_wave", "--n", "20", "--quiet",
+               "--out", str(out)) == 1
+    assert "sea_wave.csv: written file has no header" in capsys.readouterr().err
     assert list(out.iterdir()) == []
 
 
@@ -958,6 +978,20 @@ class TestFit:
         assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["fit", "compare-geodesic"])
+def test_start_covariance_is_solved_once(tmp_path, monkeypatch, s_curve_csv, command):
+    # the seeds, the geodesics and the projection all read the fit's start frame
+    import psm.tangent_stats
+
+    calls = []
+    cov_at = psm.tangent_stats._cov_at
+    monkeypatch.setattr(psm.tangent_stats, "_cov_at",
+                        lambda *args, **kwargs: calls.append(args) or cov_at(*args, **kwargs))
+    assert run(command, str(s_curve_csv), "--directions", "8", "--quiet",
+               "--out", str(tmp_path / "out")) == 0
+    assert len(calls) == 1
+
+
 class TestCompareGeodesic:
     def test_geodesic_rows_added(self, tmp_path, s_curve_csv):
         out = tmp_path / "run"
@@ -1061,6 +1095,29 @@ class TestConfigFile:
                    "--out", str(tmp_path / "out")) == 2
         assert "n" in capsys.readouterr().err
 
+    def test_kernel_outside_the_choices(self, tmp_path, s_curve_csv, capsys):
+        # a flag's choices are argparse's; a file value is checked after the merge
+        cfg = tmp_path / "run.conf"
+        cfg.write_text("kernel = cosine\n", encoding="utf-8")
+        out = tmp_path / "out"
+        assert run("fit", str(s_curve_csv), "--config", str(cfg), "--out", str(out)) == 2
+        assert capsys.readouterr().err == "usage error: kernel must be one of uniform, gaussian\n"
+        assert not out.exists()
+
+    def test_quiet_off_prints(self, tmp_path, capsys):
+        cfg = tmp_path / "run.conf"
+        cfg.write_text("family = sea_wave\nn = 20\nquiet = off\n", encoding="utf-8")
+        out = tmp_path / "out"
+        assert run("generate", "--config", str(cfg), "--out", str(out)) == 0
+        assert f"wrote {out / 'sea_wave.csv'} (20 points" in capsys.readouterr().out
+
+    def test_quiet_needs_a_boolean(self, tmp_path, capsys):
+        cfg = tmp_path / "run.conf"
+        cfg.write_text("family = sea_wave\nquiet = maybe\n", encoding="utf-8")
+        assert run("generate", "--config", str(cfg), "--out", str(tmp_path / "out")) == 2
+        assert capsys.readouterr().err == (
+            "usage error: config key 'quiet': expected a boolean, got 'maybe'\n")
+
     def test_start_coordinates_from_a_file(self, tmp_path, s_curve_csv):
         points, _ = read_dataset_csv(s_curve_csv)
         coords = ",".join(repr(float(v)) for v in points[10].coords)
@@ -1086,6 +1143,17 @@ class TestTopLevel:
 
     def test_unknown_command(self):
         assert run("transmogrify") == 2
+
+    def test_module_runs_as_a_script(self, tmp_path):
+        # python -m psm.cli goes through entry(), which exits with main's code
+        out = tmp_path / "out"
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [str(Path(psm.__file__).parents[1]), os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run([sys.executable, "-m", "psm.cli", "generate", "--family",
+                               "sea_wave", "--n", "20", "--out", str(out), "--quiet"],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert (done.returncode, done.stdout, done.stderr) == (0, "", "")
+        assert len(read_dataset_csv(out / "sea_wave.csv")[0]) == 20
 
     @pytest.mark.parametrize("argv", [
         ["fit", "--seed", "1"], ["compare-geodesic", "--seed", "1"], ["shapes", "--seed", "1"],

@@ -43,6 +43,7 @@ from psm.geometry import (
     project_to_sphere,
 )
 from psm.tangent_stats import (
+    EigenFrame,
     KernelSpec,
     _GramData,
     eigenframe,
@@ -172,6 +173,11 @@ class TestSeedDirections:
         assert len(seeds) == 16
         for s in seeds:
             assert abs(geodesic_distance(start, s) - 0.05) <= 1e-12
+
+    def test_frame_without_rows_is_refused(self):
+        frame = EigenFrame(np.zeros((0, 3)), np.zeros(0))
+        with pytest.raises(ValueError, match="^frame must hold at least one direction$"):
+            seed_directions(Point(np.zeros(3), FLAT), frame, flat_cfg())
 
     def test_three_direction_grid(self):
         rows = [np.eye(5)[i] for i in range(3)]
@@ -428,6 +434,20 @@ class TestFitSubmanifold:
         cfg = flat_cfg(epsilon=0.05, delta=0.4, dim=1, max_net_length=0.6)
         sub = fit_submanifold(data, start, cfg)
         assert len(sub.nets) == 2
+
+    def test_flow_start_frame_also_holds_the_projection_rows(self):
+        # k = 1 on S^3: the start frame carries the three rows the projection
+        # reads, and the two seeds sit at +/- epsilon along its first row only
+        start, data = self.sphere_cluster()
+        cfg = flat_cfg(epsilon=0.05, delta=0.4, dim=1, max_net_length=0.6)
+        sub = fit_submanifold(data, start, cfg)
+        frame = sub.frame_at_start
+        assert frame.k == 3
+        np.testing.assert_array_equal(
+            frame.basis, eigenframe(local_covariance(start, data, cfg.kernel), start, 3).basis)
+        for net, sign in zip(sub.nets, (1.0, -1.0)):
+            np.testing.assert_array_equal(
+                net.points[1].coords, exp_map(start, sign * cfg.epsilon * frame.basis[0]).coords)
 
     def test_fan_matches_reference_path(self):
         # Replay every net from its seed with the public step_net and

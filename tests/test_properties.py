@@ -175,8 +175,8 @@ def test_fit_is_rotation_equivariant(entries, reflect):
     ref = _CLOUD_FIT_FROM_START
     rows = _CLOUD @ q.T
     fit = _fit_cloud_from(rows, q @ _START)
-    rotated_frame = ref.frame_at_start.basis @ q.T
-    flips = np.sign(np.sum(fit.frame_at_start.basis * rotated_frame, axis=1))
+    rotated_frame = ref.frame_at_start.basis[:_CLOUD_CFG.dim] @ q.T
+    flips = np.sign(np.sum(fit.frame_at_start.basis[:_CLOUD_CFG.dim] * rotated_frame, axis=1))
     offset, sign = _RELABEL[tuple(int(f) for f in flips)]
     for net in ref.nets:
         mate = fit.nets[(offset + sign * net.direction_index - 1) % _D]

@@ -410,6 +410,14 @@ class TestReadLandmarksBlocks:
             read_landmarks(path)
         assert exc.value.line == 2
 
+    def test_unparsable_numbers(self, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_text("0 0\n1 0\n0.5 abc\n", encoding="utf-8")
+        with pytest.raises(LandmarkFormatError) as exc:
+            read_landmarks(path)
+        assert str(exc.value) == "line 3: unparsable numbers: '0.5 abc'"
+        assert exc.value.line == 3
+
     def test_short_block(self, tmp_path):
         path = tmp_path / "short.txt"
         path.write_text("0 0\n1 0\n\n0 0\n1 0\n0 1\n", encoding="utf-8")

@@ -9,6 +9,7 @@ import pytest
 
 from psm import tangent_stats
 from psm.errors import (
+    DimensionMismatchError,
     EmptyNeighborhoodError,
     HemisphereViolationError,
     NoConvergenceError,
@@ -454,6 +455,21 @@ class TestEigenframe:
         base = Point(np.zeros(3), FLAT)
         with pytest.raises(RankDeficientError, match=r"eigenvalue 2 is 1e-13$"):
             eigenframe(np.diag([1.0, 1e-13, 0.0]), base, 2)
+
+    @pytest.mark.parametrize("cov, error, message", [
+        (np.zeros((3, 2)), ValueError, "^covariance must be a square matrix$"),
+        (np.eye(4), DimensionMismatchError, "^covariance and base point dimensions differ$"),
+    ], ids=["non-square", "wider than the base"])
+    def test_matrix_must_fit_the_base(self, cov, error, message):
+        with pytest.raises(error, match=message):
+            eigenframe(cov, Point(np.zeros(3), FLAT), 1)
+
+    def test_eigenvector_along_the_sphere_point_is_refused(self):
+        # x x^T has its one nonzero eigenvalue along x, normal to the tangent space at x
+        x = Point(np.array([0.6, 0.0, 0.8]))
+        with pytest.raises(RankDeficientError,
+                           match="^eigenvector nearly normal to the tangent space$"):
+            eigenframe(np.outer(x.coords, x.coords), x, 1)
 
     def test_degenerate_tie_flag(self):
         base = Point(np.zeros(3), FLAT)

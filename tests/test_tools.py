@@ -1,4 +1,4 @@
-"""Smoke test of tools/bench_digests.py."""
+"""Smoke tests of the scripts under tools/."""
 
 import shutil
 import subprocess
@@ -32,3 +32,16 @@ def test_bench_digests_repeat_and_write_nothing_to_the_checkout(tmp_path):
                                          "in/sea_wave.meta.json")]
     assert all(len(line) == 4 and len(line[3]) == 64 for line in lines)
     assert files_under(checkout) == before
+
+
+def test_untested_lines_lists_statements_a_run_misses(tmp_path):
+    # test_geometry.py runs no command line, so statements of cli.py are listed
+    done = subprocess.run([sys.executable, str(ROOT / "tools" / "untested_lines.py"), "-q",
+                           str(ROOT / "tests" / "test_geometry.py")],
+                          cwd=tmp_path, capture_output=True, text=True, check=True,
+                          timeout=300)
+    lines = done.stdout.splitlines()
+    listed = [line for line in lines if line.startswith("src/psm/")]
+    assert any(line.startswith("src/psm/cli.py:") for line in listed)
+    assert lines[-1] == f"{len(listed)} statements under src/psm never ran"
+    assert list(tmp_path.iterdir()) == []

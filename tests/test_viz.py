@@ -41,7 +41,7 @@ def synthetic_submanifold(num_directions=8, levels=3, epsilon=0.05, dim=2,
     start = Point(np.zeros(ambient), FLAT)
     e1 = np.eye(ambient)[0]
     e2 = np.eye(ambient)[1]
-    frame = EigenFrame(start, np.stack([e1, e2])[:dim], np.array([2.0, 1.0])[:dim])
+    frame = EigenFrame(np.stack([e1, e2])[:dim], np.array([2.0, 1.0])[:dim])
     if dim == 1:
         dirs = {1: e1, 2: -e1}
     else:
@@ -76,7 +76,7 @@ def preshape_submanifold(num_directions=8, levels=4, epsilon=0.05, dim=2,
             v = v - (v @ w) * w
         basis.append(v / np.linalg.norm(v))
     u, w = basis
-    frame = EigenFrame(start, np.stack([u, w])[:dim], np.array([2.0, 1.0])[:dim])
+    frame = EigenFrame(np.stack([u, w])[:dim], np.array([2.0, 1.0])[:dim])
     if dim == 1:
         dirs = {1: u, 2: -u}
     else:
@@ -233,6 +233,17 @@ class TestProjectSubmanifold:
             assert rows.shape == (len(net.points), 3)
         for name, points in pds.items():
             assert self.rows_of(blocks, name)[0].shape == (len(points), 3)
+
+    def test_held_out_data_land_on_the_fit_frame(self):
+        # the basis is the fit's own start frame, not one derived from the rows
+        # projected: another cloud, wide along other axes, keeps the fit's basis
+        sub, _ = self.fit_small()
+        rows = np.random.default_rng(119).standard_normal((50, 4)) * [0.1, 0.5, 1.0, 2.0]
+        (got,) = self.rows_of(project_submanifold(sub, PointArray(rows, FLAT)), "data")
+        basis = sub.frame_at_start.basis[:3]
+        want = np.zeros((len(rows), 3))
+        want[:, :len(basis)] = (rows - sub.start.coords) @ basis.T
+        np.testing.assert_array_equal(got, want)
 
     def test_default_kernel_is_fit_kernel(self):
         sub, data = self.fit_small(kernel=KernelSpec(GAUSSIAN, 0.5))
