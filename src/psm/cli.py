@@ -30,7 +30,15 @@ from .datagen import (
 )
 from .errors import PsmError
 from .fitting import FitConfig, fit_submanifold, net_length, variation_score
-from .geometry import FLAT, SPHERE, Point, PointArray, _tangent_dim, project_to_sphere
+from .geometry import (
+    _INPUT_UNIT_TOL,
+    FLAT,
+    SPHERE,
+    Point,
+    PointArray,
+    _tangent_dim,
+    project_to_sphere,
+)
 from .shape import align_dataset, read_landmarks
 from .tangent_stats import GAUSSIAN, UNIFORM_BALL, KernelSpec, frechet_mean
 from .viz import (
@@ -209,7 +217,7 @@ def _start_point(text: str, points: PointArray) -> tuple[Point, str]:
                          f"{points.coords.shape[1]} coordinate columns")
     if points.chart == SPHERE:
         norm = float(np.linalg.norm(coords))
-        if abs(norm - 1.0) > 1e-6:
+        if abs(norm - 1.0) > _INPUT_UNIT_TOL:
             raise UsageError(f"custom start must be a unit vector (norm {norm!r})")
         return project_to_sphere(coords), "custom"
     return Point(coords, FLAT), "custom"

@@ -16,11 +16,12 @@ import math
 from array import array
 from dataclasses import dataclass, field
 from numbers import Real
+from pathlib import Path
 
 import numpy as np
 
 from .errors import InfeasibleShiftError
-from .geometry import SPHERE, PointArray, _row_norms, points_matrix
+from .geometry import _INPUT_UNIT_TOL, SPHERE, PointArray, _row_norms, points_matrix
 
 GENERATOR_ID = "numpy.random.PCG64"
 
@@ -182,8 +183,6 @@ def generate(spec: GenSpec) -> tuple[PointArray, dict]:
 # -- files: the one CSV and one JSON writer; datasets, a CSV plus a JSON sidecar --
 
 def meta_path_for(path):
-    from pathlib import Path
-
     p = Path(path)
     return p.with_name(p.stem + ".meta.json")
 
@@ -307,7 +306,7 @@ def _row_fault(xs: np.ndarray, chart: str) -> tuple[int, str] | None:
         return int(bad.argmax()), "coordinates must be finite"
     if chart == SPHERE:
         norms = _row_norms(xs)
-        off = np.abs(norms - 1.0) > 1e-6
+        off = np.abs(norms - 1.0) > _INPUT_UNIT_TOL
         if off.any():
             row = int(off.argmax())
             return row, f"sphere rows must be unit vectors (norm {float(norms[row])!r})"

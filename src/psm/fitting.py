@@ -463,10 +463,7 @@ def fit_submanifold(data: PointArray, start: Point, cfg: FitConfig) -> Submanifo
 def net_length(net: Net) -> float:
     """Sum of consecutive geodesic distances along a net (0 for one point)."""
     coords = net.points.coords
-    total = 0.0
-    for gap in _distance_rows(coords[:-1], coords[1:], net.points.chart).tolist():
-        total += gap
-    return total
+    return float(_distance_rows(coords[:-1], coords[1:], net.points.chart).sum())
 
 
 @dataclass(frozen=True)
@@ -489,20 +486,20 @@ def _score_nets(sub: Submanifold, xs: np.ndarray) -> VariationScore:
     per_net = np.zeros(len(nets))
     skipped = 0
     for chunk in _chunks(len(nets), gram):
+        # the chunk's paths end to end, net j's first point at row starts[j]:
+        # its point at level i is rows[starts[j] + i]
         paths = [nets[i].points.coords for i in chunk]
-        level = 1
-        while True:
-            live = [j for j, path in enumerate(paths) if len(path) > level]
-            if not live:
-                break
-            cur = np.stack([paths[j][level] for j in live])
-            prev = np.stack([paths[j][level - 1] for j in live])
-            lv = _Level(cur, prev, gram, cfg.kernel)
+        lengths = np.array([len(path) for path in paths])
+        starts = np.cumsum(lengths) - lengths
+        rows = np.concatenate(paths)
+        for level in range(1, int(lengths.max())):
+            live = np.flatnonzero(lengths > level)
+            at = starts[live] + level
+            lv = _Level(rows[at], rows[at - 1], gram, cfg.kernel)
             frames, _ = lv.frames(cfg.dim, np.arange(0))
             terms, scored = _score_terms(lv, frames, cfg, base_w, level)
-            per_net[[chunk[j] for j in live]] += terms
+            per_net[chunk.start + live] += terms
             skipped += int((~scored).sum())
-            level += 1
     per_net = per_net.tolist()
     return VariationScore(float(sum(per_net)), tuple(per_net), skipped)
 

@@ -28,6 +28,7 @@ FLAT = "flat"
 _CHARTS = (SPHERE, FLAT)
 
 _UNIT_TOL = 1e-12     # |norm - 1| allowed for sphere points
+_INPUT_UNIT_TOL = 1e-6  # |norm - 1| accepted, then renormalized, in sphere rows read from input
 _TANGENT_TOL = 1e-10  # |<base, vec>| allowed for sphere tangents
 _ZERO_TOL = 1e-14
 _ANTIPODAL_TOL = 1e-10  # <x,y> < -1 + tol is treated as antipodal
@@ -90,11 +91,12 @@ class PointArray(Sequence):
 #
 # The row-wise forms below stack their operands and take every inner
 # product as a stacked np.matmul, which calls the same BLAS kernel per row
-# as the 1-d dot, gemv or gemm of a single call.  math.atan2, math.asin,
-# math.cos and math.sin run per row (numpy's versions can differ from them
-# in the last bit); elementwise ufuncs give the same bits anywhere in an
-# array.  A result therefore does not depend on how many rows are stacked
-# with it, and the single-point forms are the one-row case.
+# as the 1-d dot, gemv or gemm of a single call.  Every other step is an
+# elementwise ufunc (np.cos, np.sin, np.arctan2, np.arcsin, ...) on a
+# contiguous array computed here, which gives the same bits for a value
+# anywhere in it; numpy may take another loop on a reversed view.  A result
+# therefore does not depend on how many rows are stacked with it, and the
+# single-point forms are the one-row case.
 
 def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """<a[i], b[i]> for stacked (B, m) rows."""
@@ -104,10 +106,6 @@ def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _row_norms(a: np.ndarray) -> np.ndarray:
     """|a[i]| for stacked (B, m) rows, equal to np.linalg.norm of each row."""
     return np.sqrt(_row_dots(a, a))
-
-
-def _per_row(fn, *values: np.ndarray) -> np.ndarray:
-    return np.array([fn(*v) for v in zip(*(a.tolist() for a in values))], dtype=float)
 
 
 def _exp_rows(xs: np.ndarray, vs: np.ndarray, chart: str):
@@ -120,8 +118,7 @@ def _exp_rows(xs: np.ndarray, vs: np.ndarray, chart: str):
     n = _row_norms(vs)
     small = n < _ZERO_TOL
     safe = np.where(small, 1.0, n)
-    out = (_per_row(math.cos, n)[:, None] * xs
-           + (_per_row(math.sin, n) / safe)[:, None] * vs)
+    out = np.cos(n)[:, None] * xs + (np.sin(n) / safe)[:, None] * vs
     out = out / _row_norms(out)[:, None]
     out[small] = xs[small]
     return out, n >= math.pi - _CUT_LOCUS_TOL
@@ -139,7 +136,7 @@ def _log_rows(xs: np.ndarray, ys: np.ndarray, chart: str):
     u = ys - c[:, None] * xs
     nu = _row_norms(u)
     zero = nu < _ZERO_TOL
-    vecs = (_per_row(math.atan2, nu, c) / np.where(zero, 1.0, nu))[:, None] * u
+    vecs = (np.arctan2(nu, c) / np.where(zero, 1.0, nu))[:, None] * u
     vecs[zero] = 0.0
     return vecs, c < -1.0 + _ANTIPODAL_TOL
 
@@ -154,7 +151,7 @@ def _distance_rows(xs: np.ndarray, ys: np.ndarray, chart: str) -> np.ndarray:
     # negations.
     near = _row_dots(xs, ys) >= 0.0
     half = np.minimum(1.0, 0.5 * _row_norms(np.where(near[:, None], ys - xs, ys + xs)))
-    arc = 2.0 * _per_row(math.asin, half)
+    arc = 2.0 * np.arcsin(half)
     return np.where(near, arc, math.pi - arc)
 
 

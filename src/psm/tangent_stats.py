@@ -303,13 +303,6 @@ def local_covariance(center: Point, data: PointArray, kernel: KernelSpec, *,
     return _cov_at(center.coords, _GramData(xs, center.chart), kernel, demean)
 
 
-def _fix_sign(vec: np.ndarray) -> np.ndarray:
-    for comp in vec:
-        if abs(comp) > _SIGN_TOL:
-            return -vec if comp < 0 else vec
-    return vec
-
-
 def _top_frame_coords(cov: np.ndarray, base: np.ndarray, chart: str, k: int):
     """Top-k eigenpairs of stacked covariances (B, m, m) at base points (B, m).
 
@@ -369,8 +362,10 @@ def _frame_at(center: Point, data: _GramData, kernel: KernelSpec, k: int) -> Eig
 def eigenframe(cov: np.ndarray, base: Point, k: int) -> EigenFrame:
     """Top-k eigenpairs of a symmetric covariance at base, the vectors as rows.
 
-    Eigenvalues come out nonincreasing; each eigenvector has its first
-    nonzero coordinate made positive so repeated runs are bit-identical.
+    Eigenvalues come out nonincreasing.  Sign rule: each eigenvector is
+    negated, exactly, where its first coordinate larger than 1e-12 in size is
+    negative, so that coordinate is positive and repeated runs are
+    bit-identical.
     Ties within 1e-12 across the k-th boundary set the degenerate flag.
     k runs from 1 to the tangent dimension at base (ValueError otherwise).
     Raises RankDeficientError when the k-th eigenvalue is <= 1e-12.
@@ -391,7 +386,9 @@ def eigenframe(cov: np.ndarray, base: Point, k: int) -> EigenFrame:
             raise RankDeficientError(
                 f"requested {k} directions but eigenvalue {k} is {float(vals[0, k - 1])!r}")
         raise RankDeficientError("eigenvector nearly normal to the tangent space")
-    return EigenFrame([_fix_sign(row) for row in rows[0]], vals[0], bool(degenerate[0]))
+    rows = rows[0]
+    lead = rows[np.arange(k), np.argmax(np.abs(rows) > _SIGN_TOL, axis=1)]
+    return EigenFrame(np.where(lead[:, None] < 0, -rows, rows), vals[0], bool(degenerate[0]))
 
 
 def frechet_mean(data: PointArray) -> Point:

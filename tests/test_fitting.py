@@ -4,11 +4,12 @@ import dataclasses
 import math
 import re
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
 
-from psm import fitting, tangent_stats
+from psm import fitting, geometry, tangent_stats
 from psm.datagen import GenSpec, generate, write_dataset_csv
 from psm.errors import (
     AntipodalPairError,
@@ -916,3 +917,16 @@ class TestVariationScore:
         assert score.skipped == 1
         assert score.total == pytest.approx(sum(score.per_net), rel=1e-12)
         assert score.per_net[0] > 0.0
+
+
+def test_numeric_core_reads_only_pi_from_math(monkeypatch):
+    # Every step of the row kernels is a stacked matmul or a numpy ufunc: with
+    # the math module that psm.geometry sees cut down to pi, a sphere fit, the
+    # rescoring of an equal copy of its data, net lengths and distances all run.
+    monkeypatch.setattr(geometry, "math", types.SimpleNamespace(pi=math.pi))
+    data, _ = generate(GenSpec("sea_wave", 60, 3))
+    sub = fit_submanifold(data, frechet_mean(data), FitConfig(num_directions=8))
+    twin = PointArray(data.coords.copy())
+    assert variation_score(sub, twin) == variation_score(sub, data)
+    assert all(net_length(net) > 0.0 for net in sub.nets)
+    assert 0.0 < geodesic_distance(data[0], data[1]) < math.pi

@@ -27,6 +27,9 @@ from psm.geometry import (
     SPHERE,
     Point,
     PointArray,
+    _distance_rows,
+    _exp_rows,
+    _log_rows,
     exp_map,
     geodesic_distance,
     log_map,
@@ -101,6 +104,54 @@ def test_distance_is_symmetric_and_satisfies_the_triangle_inequality(chart, data
             <= geodesic_distance(x, y) + geodesic_distance(y, z) + 1e-12)
     if chart == SPHERE:
         assert geodesic_distance(x, y) <= math.pi
+
+
+def _kernel_rows(chart: str, dim: int, seed: int):
+    """240 stacked (xs, ys, vs) rows on chart: ys equal to xs, exactly
+    antipodal, an arc of about 1e-9 away, or random; vs of length 0, 1e-9,
+    or up to 3.5, past the cut locus at pi."""
+    rng = np.random.default_rng(seed)
+    count = 240
+    xs = rng.standard_normal((count, dim))
+    raw = rng.standard_normal((count, dim))
+    if chart == SPHERE:
+        xs /= np.linalg.norm(xs, axis=1)[:, None]
+        raw -= np.sum(raw * xs, axis=1)[:, None] * xs  # tangent at xs
+    unit = raw / np.linalg.norm(raw, axis=1)[:, None]
+    lengths = np.where(rng.random(count) < 0.5, rng.choice([0.0, 1e-9, math.pi, 3.5], count),
+                       rng.uniform(0.0, 3.5, count))
+    vs = lengths[:, None] * unit
+    ys = rng.standard_normal((count, dim))
+    if chart == SPHERE:
+        ys /= np.linalg.norm(ys, axis=1)[:, None]
+    kind = np.arange(count) % 4
+    ys[kind == 0] = xs[kind == 0]
+    ys[kind == 1] = -xs[kind == 1]
+    near = _exp_rows(xs, 1e-9 * unit, chart)[0]
+    ys[kind == 2] = near[kind == 2]
+    return xs, ys, vs
+
+
+@CHARTS
+@PROPERTY
+@given(dim=st.integers(min_value=2, max_value=6), seed=st.integers(0, 2**32 - 1))
+def test_row_kernels_do_not_depend_on_stacking(chart, dim, seed):
+    # Each row of _exp_rows, _log_rows and _distance_rows, values and flags
+    # alike, is the same bits alone, in the stack, and in the reversed stack.
+    def parts(out):
+        return out if isinstance(out, tuple) else (out,)
+
+    xs, ys, vs = _kernel_rows(chart, dim, seed)
+    for kernel, other in ((_exp_rows, vs), (_log_rows, ys), (_distance_rows, ys)):
+        stacked_out = parts(kernel(xs, other, chart))
+        alone = [parts(kernel(xs[i:i + 1], other[i:i + 1], chart)) for i in range(len(xs))]
+        reversed_out = parts(kernel(xs[::-1], other[::-1], chart))
+        for part, values in enumerate(stacked_out):
+            np.testing.assert_array_equal(np.concatenate([out[part] for out in alone]), values)
+            np.testing.assert_array_equal(reversed_out[part][::-1], values)
+    if chart == SPHERE:
+        assert _exp_rows(xs, vs, chart)[1].any()
+        assert _log_rows(xs, ys, chart)[1].any()
 
 
 @PROPERTY

@@ -479,11 +479,34 @@ class TestEigenframe:
         assert not clean.degenerate
 
     def test_sign_convention(self):
+        def assert_signed(frame, cov, base):
+            # each row's first coordinate above 1e-12 in size is positive, and
+            # each row is eigh's row or its exact negation
+            raw = tangent_stats._top_frame_coords(cov[None], base.coords[None], base.chart,
+                                                  frame.k)[0][0]
+            for row, unsigned in zip(frame.basis, raw):
+                assert row[np.abs(row) > 1e-12][0] > 0
+                assert np.array_equal(row, unsigned) or np.array_equal(row, -unsigned)
+
         base = Point(np.zeros(2), FLAT)
         v = np.array([-1.0, 1.0]) / math.sqrt(2.0)
         frame = eigenframe(np.outer(v, v), base, 1)
-        # first nonzero component forced positive
         assert frame.basis[0][0] > 0
+        assert_signed(frame, np.outer(v, v), base)
+        base = Point(np.zeros(3), FLAT)
+        # a leading coordinate of exactly 0, and one of size 1e-13, are passed over
+        for lead in (0.0, 1e-13):
+            v = np.array([lead, -0.6, 0.8])
+            frame = eigenframe(np.outer(v, v), base, 1)
+            assert frame.basis[0][1] > 0.5
+            assert_signed(frame, np.outer(v, v), base)
+        # a 3-row frame, each row with a negative first coordinate as built
+        q = np.linalg.qr(np.array([[2.0, 1.0, 0.5], [0.3, -1.0, 2.0], [1.0, 0.7, -0.4]]))[0].T
+        q *= -np.sign(q[:, :1])
+        cov = q.T @ np.diag([3.0, 2.0, 1.0]) @ q
+        frame = eigenframe(cov, base, 3)
+        np.testing.assert_allclose(frame.basis, -q, atol=1e-12)
+        assert_signed(frame, cov, base)
 
     def test_k_bounded_by_tangent_dimension(self):
         # S^2 in R^3 has 2 tangent directions; a flat chart of 2 columns has 2

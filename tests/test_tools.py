@@ -1,5 +1,6 @@
 """Smoke tests of the scripts under tools/."""
 
+import json
 import shutil
 import subprocess
 import sys
@@ -45,3 +46,37 @@ def test_untested_lines_lists_statements_a_run_misses(tmp_path):
     assert any(line.startswith("src/psm/cli.py:") for line in listed)
     assert lines[-1] == f"{len(listed)} statements under src/psm never ran"
     assert list(tmp_path.iterdir()) == []
+
+
+def _bench_checkout(root, with_sources=True):
+    for part in ("src", "bench") if with_sources else ("bench",):
+        shutil.copytree(ROOT / part, root / part, ignore=shutil.ignore_patterns("__pycache__"))
+    shutil.copy(ROOT / "BENCHMARK.json", root)
+    return str(root)
+
+
+def _bench_pairs(tmp_path, parent, change):
+    return subprocess.run([sys.executable, str(ROOT / "tools" / "bench_pairs.py"), parent, change,
+                           "--workloads", "sheet", "--pairs", "1", "--seconds", "0.1"],
+                          cwd=tmp_path, capture_output=True, text=True, timeout=300)
+
+
+def test_bench_pairs_reports_medians_and_every_run(tmp_path):
+    done = _bench_pairs(tmp_path, _bench_checkout(tmp_path / "parent"),
+                        _bench_checkout(tmp_path / "change"))
+    assert done.returncode == 0, done.stderr
+    report = json.loads(done.stdout)["workloads"]["sheet"]
+    assert sorted(report["metrics"]) == ["cpu_s", "peak_rss_mb", "setup_s", "wall_s"]
+    assert all(m["pairs"] == 1 and m["parent_median"] > 0 for m in report["metrics"].values())
+    assert [(run["side"], run["correct"]) for run in report["runs"]] == [
+        ("parent", True), ("change", True)]
+
+
+def test_bench_pairs_fails_when_a_run_fails(tmp_path):
+    # a checkout without sources makes bench/run.py exit 2
+    done = _bench_pairs(tmp_path, _bench_checkout(tmp_path / "parent"),
+                        _bench_checkout(tmp_path / "change", with_sources=False))
+    assert done.returncode == 1
+    runs = json.loads(done.stdout)["workloads"]["sheet"]["runs"]
+    assert [(run["side"], run["correct"]) for run in runs] == [
+        ("parent", True), ("change", False)]
