@@ -74,7 +74,6 @@ from .viz import (
 )
 from .datagen import (
     GENERATOR_ID,
-    GenSpec,
     generate,
     read_dataset_csv,
     sea_wave_height,

@@ -14,14 +14,16 @@ import argparse
 import dataclasses
 import json
 import math
+import re
 import sys
 from pathlib import Path
 
 import numpy as np
 
 from .datagen import (
+    ELLIPSOID_MODES,
     RECIPES,
-    GenSpec,
+    _open_text,
     _write_json,
     generate,
     meta_path_for,
@@ -115,7 +117,7 @@ _SETTINGS = {
     "a": _Setting(_GENERATE, float, help="ellipsoid: first semi-axis"),
     "b": _Setting(_GENERATE, float),
     "c": _Setting(_GENERATE, float),
-    "mode": _Setting(_GENERATE, str, choices=("solid", "surface"),
+    "mode": _Setting(_GENERATE, str, choices=ELLIPSOID_MODES,
                      help="ellipsoid: solid or surface sampling"),
     "shift": _Setting(_GENERATE, _shift_value, "auto", help="lift constant, 'auto' or a number"),
     "epsilon": _Setting(_FIT, float, fit_field="epsilon"),
@@ -154,7 +156,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _read_config_file(path: str) -> dict:
     values = {}
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with _open_text(path) as fh:
             for line_no, raw in enumerate(fh, start=1):
                 line = raw.split("#", 1)[0].strip()
                 if not line:
@@ -165,6 +167,8 @@ def _read_config_file(path: str) -> dict:
                 values[key.strip().replace("-", "_")] = val.strip()
     except FileNotFoundError:
         raise UsageError(f"config file not found: {path}") from None
+    except (OSError, ValueError) as exc:  # a directory, say, or not UTF-8; both name it
+        raise UsageError(str(exc)) from None
     return values
 
 
@@ -199,7 +203,10 @@ def _fit_config(merged: dict) -> FitConfig:
                 default.bandwidth if merged["bandwidth"] is None else merged["bandwidth"])
         return FitConfig(**kwargs)
     except ValueError as exc:
-        raise UsageError(str(exc)) from None
+        # FitConfig words its fields; name the settings the user set instead
+        settings = {s.fit_field: key for key, s in _SETTINGS.items() if s.fit_field}
+        text = re.sub(r"\w+", lambda word: settings.get(word[0], word[0]), str(exc))
+        raise UsageError(text) from None
 
 
 def _start_point(text: str, points: PointArray) -> tuple[Point, str]:
@@ -285,19 +292,12 @@ def _cmd_generate(merged: dict, written: _Written) -> None:
     # the family's parameters that are set; generate fills in the rest
     params = {name: merged[name] for name in RECIPES[family][1] if merged[name] is not None}
     try:
-        # GenSpec and the generators reject out-of-range values with ValueError
-        points, info = generate(GenSpec(family, merged["n"], merged["seed"],
-                                        {**params, "shift_c": merged["shift"]}))
+        # generate and the triplet makers reject out-of-range values with ValueError
+        points, info = generate(family, merged["n"], merged["seed"], params, merged["shift"])
     except ValueError as exc:
         raise UsageError(str(exc)) from None
     path = _out_dir(merged) / f"{family}.csv"
-    meta = {
-        "kind": "dataset", "chart": SPHERE, "family": family,
-        "n": merged["n"], "seed": merged["seed"], "params": info["params"],
-        "shift": merged["shift"], "resolved_shift": info["resolved_shift"],
-        "generator": info["generator"],
-    }
-    _write_dataset(points, path, meta, written)
+    _write_dataset(points, path, {"kind": "dataset", "chart": SPHERE, **info}, written)
     _say(merged, f"wrote {path} ({len(points)} points, family {family})")
 
 

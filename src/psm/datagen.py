@@ -5,7 +5,7 @@ sqrt(C - |x|^2) and normalizes.  Because every lifted row has squared norm
 exactly C, the normalization is an exact division by sqrt(C), so the lift
 places the cloud on a curved slice of the sphere rather than a great
 subsphere.  All randomness flows through numpy's seeded PCG64 generator;
-identical GenSpecs reproduce identical datasets bit for bit.
+identical generate arguments reproduce identical datasets bit for bit.
 """
 
 from __future__ import annotations
@@ -14,66 +14,41 @@ import csv
 import json
 import math
 from array import array
-from dataclasses import dataclass, field
+from contextlib import contextmanager
 from numbers import Real
 from pathlib import Path
 
 import numpy as np
 
 from .errors import InfeasibleShiftError
-from .geometry import _INPUT_UNIT_TOL, SPHERE, PointArray, _row_norms, points_matrix
+from .geometry import _CHARTS, _INPUT_UNIT_TOL, SPHERE, PointArray, _row_norms, points_matrix
 
 GENERATOR_ID = "numpy.random.PCG64"
 
 _AUTO_MARGIN = 1.1  # auto shift: C = 1.1 * max squared triplet norm
+ELLIPSOID_MODES = ("solid", "surface")
 
 
-@dataclass(frozen=True)
-class GenSpec:
-    """A reproducible dataset recipe: family, size, seed and parameters.
-
-    params may set any of the family's RECIPES parameters and shift_c; a
-    number among them must be finite.
-    """
-
-    family: str
-    n: int
-    seed: int
-    params: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.family not in RECIPES:
-            raise ValueError(f"unknown family {self.family!r}")
-        if self.n < 3:
-            raise ValueError("n must be at least 3")
-        takes = RECIPES[self.family][1]
-        for key, value in self.params.items():
-            if key != "shift_c" and key not in takes:
-                raise ValueError(f"{self.family} takes no parameter {key!r}")
-            if isinstance(value, Real) and not math.isfinite(value):
-                raise ValueError(f"{key} must be finite")
-
-
-def _resolve_shift(sq: np.ndarray, shift_c) -> float:
+def _resolve_shift(sq: np.ndarray, shift) -> float:
     """The lift constant C for squared triplet norms sq."""
-    if isinstance(shift_c, str):
-        if shift_c != "auto":
-            raise ValueError(f"shift must be 'auto' or a number, got {shift_c!r}")
+    if isinstance(shift, str):
+        if shift != "auto":
+            raise ValueError(f"shift must be 'auto' or a number, got {shift!r}")
         peak = float(sq.max())
         return _AUTO_MARGIN * peak if peak > 0 else 1.0
-    c = float(shift_c)
+    c = float(shift)
     if float(sq.max()) > c:
         raise InfeasibleShiftError(
             f"shift {c!r} leaves a negative radicand (max squared norm {float(sq.max())!r})")
     return c
 
 
-def _lift(triplets: np.ndarray, shift_c, source: str) -> tuple[PointArray, float]:
+def _lift(triplets: np.ndarray, shift, source: str) -> tuple[PointArray, float]:
     """Lift and normalize the triplets; source names the parameters that made
     them, for the ValueError raised when their squared norms are not finite."""
     sq = np.sum(triplets ** 2, axis=1)
     # an overflowing norm, or 1.1 x the largest one, leaves C infinite
-    c = _resolve_shift(sq, shift_c) if np.all(np.isfinite(sq)) else math.inf
+    c = _resolve_shift(sq, shift) if np.all(np.isfinite(sq)) else math.inf
     if not math.isfinite(c):
         raise ValueError(f"{source} are too large: the squared triplet norms overflow")
     fourth = np.sqrt(np.maximum(c - sq, 0.0))
@@ -129,8 +104,8 @@ def _ellipsoid_triplets(n, seed, a, b, c, mode) -> np.ndarray:
     uniform sphere directions onto the ellipsoid boundary, which covers the
     near-diameter regime of strongly anisotropic semi-axes.
     """
-    if mode not in ("solid", "surface"):
-        raise ValueError(f"mode must be 'solid' or 'surface', got {mode!r}")
+    if mode not in ELLIPSOID_MODES:
+        raise ValueError(f"mode must be {' or '.join(map(repr, ELLIPSOID_MODES))}, got {mode!r}")
     if min(a, b, c) <= 0:
         raise ValueError("semi-axes must be positive")
     rng = np.random.default_rng(seed)
@@ -152,8 +127,8 @@ def _ellipsoid_triplets(n, seed, a, b, c, mode) -> np.ndarray:
     return np.concatenate(collected)[:n]
 
 
-# family -> (triplet maker, {parameter: default}).  Every family also takes
-# shift_c, the lift constant: "auto" (1.1 x the largest squared triplet norm)
+# family -> (triplet maker, {parameter: default}).  generate also takes
+# shift, the lift constant: "auto" (1.1 x the largest squared triplet norm)
 # or a number, which raises InfeasibleShiftError below that norm.
 RECIPES = {
     "s_curve": (_s_curve_triplets, {"noise_scale_u": 1.0 / 32.0}),
@@ -162,22 +137,31 @@ RECIPES = {
 }
 
 
-def generate(spec: GenSpec) -> tuple[PointArray, dict]:
-    """Run a GenSpec; returns (points, info).
-
-    info holds the generator, the resolved lift constant and the family's
-    parameters, spec.params laid over the recipe's defaults (shift_c aside).
-    The points are one PointArray on the sphere chart: the lifted rows are
-    normalized as a matrix, and Points are built only when it is indexed.
-    """
-    make, defaults = RECIPES[spec.family]
-    params = {**defaults, **spec.params}
-    shift_c = params.pop("shift_c", "auto")
-    source = f"{spec.family} parameters " + ", ".join(f"{k}={v!r}" for k, v in params.items())
+def generate(family: str, n: int, seed: int, params: dict | None = None,
+             shift="auto") -> tuple[PointArray, dict]:
+    """n points of family, drawn from seed and lifted with shift, as one
+    PointArray on the sphere chart, and info, their provenance record: family,
+    n, seed, params (laid over the family's RECIPES defaults), shift, the
+    resolved lift constant and the generator.  A number among params, like
+    shift, must be finite."""
+    if family not in RECIPES:
+        raise ValueError(f"unknown family {family!r}")
+    if n < 3:
+        raise ValueError("n must be at least 3")
+    make, defaults = RECIPES[family]
+    given = params or {}
+    for key, value in [*given.items(), ("shift", shift)]:
+        if key in given and key not in defaults:  # shift is no params key
+            raise ValueError(f"{family} takes no parameter {key!r}")
+        if isinstance(value, Real) and not math.isfinite(value):
+            raise ValueError(f"{key} must be finite")
+    params = {**defaults, **given}
+    source = f"{family} parameters " + ", ".join(f"{k}={v!r}" for k, v in params.items())
     # a huge parameter overflows to inf or nan here, which _lift rejects by name
     with np.errstate(over="ignore", invalid="ignore"):
-        points, resolved = _lift(make(spec.n, spec.seed, **params), shift_c, source)
-    return points, {"generator": GENERATOR_ID, "resolved_shift": resolved, "params": params}
+        points, resolved = _lift(make(n, seed, **params), shift, source)
+    return points, {"family": family, "n": n, "seed": seed, "params": params, "shift": shift,
+                    "resolved_shift": resolved, "generator": GENERATOR_ID}
 
 
 # -- files: the one CSV and one JSON writer; datasets, a CSV plus a JSON sidecar --
@@ -225,7 +209,7 @@ def write_dataset_csv(points: PointArray, path, meta: dict | None = None) -> Non
 
 def _read_sidecar(path) -> dict:
     """The JSON object in path's metadata sidecar, or {} when there is none;
-    a sidecar that does not parse or holds no object raises ValueError naming it."""
+    a sidecar that is not one, or names an unknown chart, raises ValueError naming it."""
     mp = meta_path_for(path)
     try:
         with open(mp, "r", encoding="utf-8") as fh:
@@ -236,7 +220,20 @@ def _read_sidecar(path) -> dict:
         raise ValueError(f"{mp}: {exc}") from None
     if not isinstance(meta, dict):
         raise ValueError(f"{mp}: the sidecar must hold a JSON object, not {type(meta).__name__}")
+    if meta.get("chart", SPHERE) not in _CHARTS:
+        raise ValueError(f"{mp}: unknown chart {meta['chart']!r}")
     return meta
+
+
+@contextmanager
+def _open_text(path, newline=None):
+    """path opened for reading as UTF-8 text; a byte that is not UTF-8 raises
+    ValueError naming the file."""
+    with open(path, "r", encoding="utf-8", newline=newline) as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError:
+            raise ValueError(f"{path}: not UTF-8 text") from None
 
 
 def _body_is_empty(fh) -> bool:
@@ -272,10 +269,10 @@ def _load_coordinates(path) -> np.ndarray | None:
 def _read_coordinate_rows(path) -> tuple[np.ndarray, list[int]]:
     """The coordinate rows of a dataset CSV and their line numbers, parsed row
     by row with the csv module; a malformed file raises ValueError naming the
-    path and the line."""
+    path and the line, and one that is not UTF-8 text the path."""
     values = array("d")
     line_nos = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with _open_text(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if not header or header[0].strip() != "point_index":

@@ -1,7 +1,8 @@
 """Exception types raised across the package.
 
-Every domain failure derives from PsmError so callers (and the CLI) can
-distinguish modelling errors from programming errors.
+Modelling failures derive from PsmError; reader, step-rounding and FitConfig
+failures are ValueErrors.  The CLI exits 1 on a PsmError, an OSError or a
+ValueError (2 when a flag's value raised it).
 """
 
 

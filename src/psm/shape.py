@@ -16,7 +16,7 @@ import csv
 
 import numpy as np
 
-from .datagen import _body_is_empty
+from .datagen import _body_is_empty, _open_text
 from .errors import (
     DegenerateConfigError,
     DegenerateOrbitError,
@@ -146,12 +146,12 @@ def read_landmarks(path) -> tuple[np.ndarray, list[str]]:
     numpy's C reader parses the CSV layout; a file it cannot parse, or whose
     rows fail a check, is read row by row, which also reads the block layout.
     Layout errors raise LandmarkFormatError with a 1-based line number, a
-    coordinate that is not finite ValueError.
+    coordinate that is not finite or a file that is not UTF-8 text ValueError.
     """
     loaded = _load_landmarks_csv(path)
     if loaded is not None:
         return loaded
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with _open_text(path, newline="") as fh:
         text = fh.read()
     lines = text.splitlines()
     first = next((ln for ln in lines if ln.strip()), "")

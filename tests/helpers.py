@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from psm.geometry import SPHERE, Point, PointArray, project_to_sphere
+from psm.geometry import Point, PointArray, project_to_sphere
 
 # A "3"-like outline traced by 13 landmarks; the synthetic digit dataset
 # jitters, rotates, scales and shifts it per specimen.

@@ -9,7 +9,6 @@ values.
 
 import dataclasses
 import itertools
-import json
 import math
 import time
 
@@ -17,7 +16,7 @@ import numpy as np
 import pytest
 
 from psm.cli import main
-from psm.datagen import GenSpec, generate
+from psm.datagen import generate
 from psm.errors import DegenerateProjectionError
 from psm.fitting import (
     FitConfig,
@@ -85,7 +84,7 @@ def flat_gaussian_fit():
 def bent_sheet():
     # The pinned bent-sheet demo dataset: 200 points, seed 7.  The sheet of
     # the construction is the small sphere at latitude asin(1/sqrt(C)).
-    points, info = generate(GenSpec("s_curve", 200, 7))
+    points, info = generate("s_curve", 200, 7)
     return points, info["resolved_shift"]
 
 

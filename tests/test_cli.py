@@ -16,7 +16,7 @@ import pytest
 import psm
 from psm import cli
 from psm.cli import _build_parser, _merge_settings, main
-from psm.geometry import PointArray, points_matrix
+from psm.geometry import PointArray
 from psm.datagen import RECIPES, read_dataset_csv, write_dataset_csv
 
 from helpers import DIGIT3_BASE, digit3_configs, mirror_set, read_csv_rows, similarity_transform
@@ -90,18 +90,18 @@ class TestGenerate:
 
     @pytest.mark.parametrize("family, key", [
         (family, key) for family, (_, defaults) in RECIPES.items()
-        for key in [*defaults, "shift_c"] if key != "mode"
+        for key in [*defaults, "shift"] if key != "mode"
     ])
     @pytest.mark.parametrize("bad", ["inf", "-inf", "nan"])
     def test_non_finite_parameter_is_usage_error(self, tmp_path, monkeypatch, capsys,
                                                  family, key, bad):
-        # GenSpec rejects the value before generate runs: a solid ellipsoid
-        # with an infinite or NaN semi-axis would never accept a draw
-        def never(spec):
-            raise AssertionError("generate ran")
+        # generate rejects the value before any triplet is drawn: a solid
+        # ellipsoid with an infinite or NaN semi-axis would never accept a draw
+        def never(*args, **kwargs):
+            raise AssertionError("a triplet maker ran")
 
-        monkeypatch.setattr(cli, "generate", never)
-        flag = "--shift" if key == "shift_c" else "--" + key.replace("_", "-")
+        monkeypatch.setitem(RECIPES, family, (never, RECIPES[family][1]))
+        flag = "--" + key.replace("_", "-")
         assert run("generate", "--family", family, f"{flag}={bad}",
                    "--out", str(tmp_path)) == 2
         assert capsys.readouterr().err == f"usage error: {key} must be finite\n"
@@ -342,6 +342,15 @@ class TestShapes:
         assert code == 1
         assert "error" in capsys.readouterr().err
 
+    def test_landmarks_not_utf8_name_the_file(self, tmp_path, capsys):
+        lm = write_digit_landmarks(tmp_path / "lm.csv")
+        data = lm.read_bytes()
+        lm.write_bytes(data[:40] + b"\xff" + data[41:])
+        out = tmp_path / "out"
+        assert run("shapes", str(lm), "--out", str(out)) == 1
+        assert capsys.readouterr().err == f"error: {lm}: not UTF-8 text\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("scale", [1e-200, 1e200])
     def test_any_scale_aligns_without_warning(self, tmp_path, capsys, scale):
         # a preshape does not depend on scale: sizing the landmarks neither
@@ -523,6 +532,27 @@ class TestFit:
         assert (out / "summary.json").is_file()
         assert not (out / "shapes.json").exists()
 
+    def test_dataset_not_utf8_names_the_file(self, tmp_path, s_curve_csv, capsys):
+        bad = tmp_path / "bad.csv"
+        data = s_curve_csv.read_bytes()
+        bad.write_bytes(data[:40] + b"\xff" + data[41:])
+        out = tmp_path / "run"
+        assert run("fit", str(bad), "--out", str(out)) == 1
+        assert capsys.readouterr().err == f"error: {bad}: not UTF-8 text\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--directions", "6", "directions must be a positive multiple of 4"),
+        ("--max-length", "0", "max_length must be positive"),
+        ("--k", "0", "k must be at least 1"),
+    ])
+    def test_usage_error_names_the_setting(self, tmp_path, s_curve_csv, capsys,
+                                           flag, value, message):
+        out = tmp_path / "run"
+        assert run("fit", str(s_curve_csv), flag, value, "--out", str(out)) == 2
+        assert capsys.readouterr().err == f"usage error: {message}\n"
+        assert not out.exists()
+
     def test_summary_contents(self, tmp_path, s_curve_csv):
         out = tmp_path / "run"
         assert run("fit", str(s_curve_csv), "--directions", "8",
@@ -659,7 +689,7 @@ class TestFit:
             argv = ["--config", str(cfg)]
         out = tmp_path / "x"
         assert run("fit", str(s_curve_csv), *argv, "--out", str(out)) == 2
-        assert "usage error: max_net_length / epsilon" in capsys.readouterr().err
+        assert "usage error: max_length / epsilon" in capsys.readouterr().err
         assert not out.exists()
 
     def test_negative_bandwidth_is_usage_error(self, tmp_path, s_curve_csv, capsys):
@@ -1081,6 +1111,23 @@ class TestConfigFile:
     def test_missing_config_file(self, tmp_path):
         assert run("generate", "--config", str(tmp_path / "none.conf"),
                    "--family", "s_curve", "--out", str(tmp_path)) == 2
+
+    def test_config_directory_names_it(self, tmp_path, capsys):
+        cfg = tmp_path / "cfgdir"
+        cfg.mkdir()
+        assert run("generate", "--config", str(cfg), "--family", "s_curve",
+                   "--out", str(tmp_path / "out")) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: ") and str(cfg) in err
+        assert not (tmp_path / "out").exists()
+
+    def test_config_not_utf8_names_it(self, tmp_path, capsys):
+        cfg = tmp_path / "run.conf"
+        cfg.write_bytes(b"family = s_curve\nn = 2\xff0\n")
+        assert run("generate", "--config", str(cfg),
+                   "--out", str(tmp_path / "out")) == 2
+        assert capsys.readouterr().err == f"usage error: {cfg}: not UTF-8 text\n"
+        assert not (tmp_path / "out").exists()
 
     def test_malformed_line(self, tmp_path):
         cfg = tmp_path / "run.conf"

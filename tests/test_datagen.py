@@ -10,7 +10,6 @@ from psm import datagen, geometry
 from psm.datagen import (
     GENERATOR_ID,
     RECIPES,
-    GenSpec,
     generate,
     meta_path_for,
     read_dataset_csv,
@@ -24,8 +23,8 @@ checked = geometry._checked_coords
 
 
 def make(family, n, seed, **params):
-    """The points of generate(GenSpec(family, n, seed, params))."""
-    return generate(GenSpec(family, n, seed, params))[0]
+    """The points of generate(family, n, seed, params)."""
+    return generate(family, n, seed, params)[0]
 
 
 def recover_triplets(points, c):
@@ -34,35 +33,52 @@ def recover_triplets(points, c):
     return mat[:, :3], mat[:, 3]
 
 
-class TestGenSpec:
+class TestGenerate:
     def test_unknown_family(self):
-        with pytest.raises(ValueError):
-            GenSpec("torus", 10, 0)
+        with pytest.raises(ValueError, match="^unknown family 'torus'$"):
+            generate("torus", 10, 0)
 
     def test_minimum_size(self):
-        with pytest.raises(ValueError):
-            GenSpec("s_curve", 2, 0)
-        GenSpec("s_curve", 3, 0)
-
-    def test_frozen(self):
-        spec = GenSpec("s_curve", 10, 0)
-        with pytest.raises(Exception):
-            spec.n = 20
+        with pytest.raises(ValueError, match="^n must be at least 3$"):
+            generate("s_curve", 2, 0)
+        generate("s_curve", 3, 0)
 
     @pytest.mark.parametrize("family, key", [
         ("s_curve", "noise_level"), ("sea_wave", "a"), ("ellipsoid", "noise_scale_u"),
         ("ellipsoid", "shift"),
     ])
     def test_parameter_of_another_family_rejected(self, family, key):
+        # shift is an argument of generate, not a parameter of any family
         with pytest.raises(ValueError, match=f"{family} takes no parameter '{key}'"):
-            GenSpec(family, 10, 0, {key: 1.0})
+            generate(family, 10, 0, {key: 1.0})
 
-    @pytest.mark.parametrize("key", ["a", "shift_c"])
+    @pytest.mark.parametrize("key", ["a", "shift"])
     @pytest.mark.parametrize("bad", [math.nan, -math.inf, np.float32("inf")])
     def test_non_finite_parameter_rejected(self, key, bad):
         # every family's parameters, through the CLI: test_cli.py
+        params, shift = ({}, bad) if key == "shift" else ({key: bad}, "auto")
         with pytest.raises(ValueError, match=f"^{key} must be finite$"):
-            GenSpec("ellipsoid", 10, 0, {key: bad})
+            generate("ellipsoid", 10, 0, params, shift)
+
+    def test_checks_params_in_order_then_shift(self):
+        with pytest.raises(ValueError, match="^a must be finite$"):
+            generate("ellipsoid", 10, 0, {"a": math.nan, "d": 1.0}, shift=math.nan)
+        with pytest.raises(ValueError, match="^ellipsoid takes no parameter 'd'$"):
+            generate("ellipsoid", 10, 0, {"d": 1.0, "a": math.nan}, shift=math.nan)
+        with pytest.raises(ValueError, match="^shift must be finite$"):
+            generate("ellipsoid", 10, 0, {"a": 3.0}, shift=math.inf)
+
+    def test_generator_id(self):
+        assert GENERATOR_ID == "numpy.random.PCG64"
+
+    def test_info_holds_resolved_parameters(self):
+        _, info = generate("ellipsoid", 20, 2, {"a": 3.0}, shift=40.0)
+        assert info == {"family": "ellipsoid", "n": 20, "seed": 2,
+                        "params": {"a": 3.0, "b": math.sqrt(2.0), "c": 1.0, "mode": "solid"},
+                        "shift": 40.0, "resolved_shift": 40.0, "generator": GENERATOR_ID}
+        _, info = generate("s_curve", 20, 2)
+        assert info["params"] == {"noise_scale_u": 1.0 / 32.0}
+        assert info["shift"] == "auto" and info["resolved_shift"] > 0
 
 
 class TestLiftProperties:
@@ -74,7 +90,7 @@ class TestLiftProperties:
                                        rtol=0.0, atol=1e-12)
 
     def test_fourth_coordinate_closes_the_sum(self):
-        pts, info = generate(GenSpec("sea_wave", 40, 3))
+        pts, info = generate("sea_wave", 40, 3)
         c = info["resolved_shift"]
         triplets, fourth = recover_triplets(pts, c)
         assert np.all(fourth >= 0.0)
@@ -82,45 +98,45 @@ class TestLiftProperties:
         np.testing.assert_allclose(fourth ** 2, radicand, rtol=0.0, atol=1e-10)
 
     def test_auto_shift_margin(self):
-        pts, info = generate(GenSpec("s_curve", 60, 5))
+        pts, info = generate("s_curve", 60, 5)
         c = info["resolved_shift"]
         triplets, _ = recover_triplets(pts, c)
         peak = float(np.sum(triplets ** 2, axis=1).max())
         assert c == pytest.approx(1.1 * peak, rel=1e-9)
 
     def test_explicit_shift_respected(self):
-        pts, info = generate(GenSpec("s_curve", 30, 5, {"shift_c": 25.0}))
+        pts, info = generate("s_curve", 30, 5, shift=25.0)
         assert info["resolved_shift"] == 25.0
         triplets, _ = recover_triplets(pts, 25.0)
         assert float(np.sum(triplets ** 2, axis=1).max()) <= 25.0
 
     def test_infeasible_shift(self):
         with pytest.raises(InfeasibleShiftError):
-            make("s_curve", 30, 5, shift_c=0.5)
+            generate("s_curve", 30, 5, shift=0.5)
 
     def test_bad_shift_string(self):
         with pytest.raises(ValueError):
-            make("s_curve", 30, 5, shift_c="automatic")
+            generate("s_curve", 30, 5, shift="automatic")
 
 
 class TestSCurve:
     def test_first_coordinate_walks_the_grid(self):
         n = 40
-        pts, info = generate(GenSpec("s_curve", n, 11))
+        pts, info = generate("s_curve", n, 11)
         triplets, _ = recover_triplets(pts, info["resolved_shift"])
         i = np.arange(1, n + 1, dtype=float)
         np.testing.assert_allclose(triplets[:, 0], (i - n / 2.0) / n,
                                    rtol=0.0, atol=1e-12)
 
     def test_noise_free_bend(self):
-        pts, info = generate(GenSpec("s_curve", 50, 11, {"noise_scale_u": 0.0}))
+        pts, info = generate("s_curve", 50, 11, {"noise_scale_u": 0.0})
         triplets, _ = recover_triplets(pts, info["resolved_shift"])
         np.testing.assert_allclose(triplets[:, 1],
                                    np.sin(2.0 * triplets[:, 0]) / 6.0,
                                    rtol=0.0, atol=1e-12)
 
     def test_third_coordinate_hugs_one(self):
-        pts, info = generate(GenSpec("s_curve", 200, 7))
+        pts, info = generate("s_curve", 200, 7)
         triplets, _ = recover_triplets(pts, info["resolved_shift"])
         assert np.max(np.abs(triplets[:, 2] - 1.0)) < 0.01
 
@@ -142,7 +158,7 @@ class TestSCurve:
 
 class TestSeaWave:
     def test_noise_free_points_sit_on_sheet(self):
-        pts, info = generate(GenSpec("sea_wave", 60, 21, {"noise_level": 0.0}))
+        pts, info = generate("sea_wave", 60, 21, {"noise_level": 0.0})
         triplets, _ = recover_triplets(pts, info["resolved_shift"])
         want = sea_wave_height(triplets[:, 0], triplets[:, 1])
         np.testing.assert_allclose(triplets[:, 2], want, rtol=0.0, atol=1e-12)
@@ -165,7 +181,7 @@ class TestSeaWave:
 class TestEllipsoid:
     def test_solid_inside_body(self):
         for a in (2.5, 5.0, 10.0, 20.0):
-            pts, info = generate(GenSpec("ellipsoid", 80, 31, {"a": a}))
+            pts, info = generate("ellipsoid", 80, 31, {"a": a})
             triplets, _ = recover_triplets(pts, info["resolved_shift"])
             q = (triplets[:, 0] / a) ** 2 + (triplets[:, 1] / math.sqrt(2.0)) ** 2 \
                 + triplets[:, 2] ** 2
@@ -173,7 +189,7 @@ class TestEllipsoid:
             assert triplets.shape == (80, 3)
 
     def test_surface_on_boundary(self):
-        pts, info = generate(GenSpec("ellipsoid", 80, 32, {"mode": "surface"}))
+        pts, info = generate("ellipsoid", 80, 32, {"mode": "surface"})
         triplets, _ = recover_triplets(pts, info["resolved_shift"])
         q = (triplets[:, 0] / 2.5) ** 2 + (triplets[:, 1] / math.sqrt(2.0)) ** 2 \
             + triplets[:, 2] ** 2
@@ -189,18 +205,6 @@ class TestEllipsoid:
         a = points_matrix(make("ellipsoid", 40, 33))
         b = points_matrix(make("ellipsoid", 40, 33))
         assert np.array_equal(a, b)
-
-
-class TestGenerate:
-    def test_generator_id(self):
-        assert GENERATOR_ID == "numpy.random.PCG64"
-
-    def test_info_holds_resolved_parameters(self):
-        _, info = generate(GenSpec("ellipsoid", 20, 2, {"a": 3.0, "shift_c": 40.0}))
-        assert info == {"generator": GENERATOR_ID, "resolved_shift": 40.0,
-                        "params": {"a": 3.0, "b": math.sqrt(2.0), "c": 1.0, "mode": "solid"}}
-        _, info = generate(GenSpec("s_curve", 20, 2))
-        assert info["params"] == {"noise_scale_u": 1.0 / 32.0}
 
 
 class TestDatasetFiles:
@@ -295,8 +299,9 @@ class TestDatasetFiles:
     def test_unknown_sidecar_chart_is_refused(self, tmp_path):
         path = tmp_path / "d.csv"
         write_dataset_csv(make("s_curve", 5, 0), path, {"chart": "torus"})
-        with pytest.raises(ValueError, match="unknown chart 'torus'"):
+        with pytest.raises(ValueError, match="unknown chart 'torus'") as caught:
             read_dataset_csv(path)
+        assert str(caught.value).startswith(f"{meta_path_for(path)}: ")
 
     def test_rejects_off_sphere_rows(self, tmp_path):
         path = tmp_path / "off.csv"

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from psm import fitting, geometry, tangent_stats
-from psm.datagen import GenSpec, generate, write_dataset_csv
+from psm.datagen import generate, write_dataset_csv
 from psm.errors import (
     AntipodalPairError,
     DegenerateProjectionError,
@@ -456,7 +456,7 @@ class TestFitSubmanifold:
         # order, the seed's check first.  The fit shares one log pass per net
         # point between the two and must give the same bits.  The replay sums
         # measured step lengths for the length rule, where the fit counts steps.
-        data, _ = generate(GenSpec("sea_wave", 200, 1))
+        data, _ = generate("sea_wave", 200, 1)
         start = frechet_mean(data)
         cfg = FitConfig(num_directions=16)
         sub = fit_submanifold(data, start, cfg)
@@ -516,7 +516,7 @@ class TestFitSubmanifold:
         assert fired and set(fired) == {reason}
 
     def test_fit_on_a_point_array_builds_no_point(self, monkeypatch):
-        data, _ = generate(GenSpec("sea_wave", 200, 1))
+        data, _ = generate("sea_wave", 200, 1)
         start = frechet_mean(data)
         built = []
         post_init = Point.__post_init__
@@ -603,7 +603,7 @@ class TestFitSubmanifold:
             data = PointArray(np.stack([exp_map(center, v).coords
                                         for v in vecs]))
         else:
-            data, _ = generate(GenSpec("sea_wave", 200, 1))
+            data, _ = generate("sea_wave", 200, 1)
         if layout == FLAT:
             # the sheet's log images at its Frechet mean: a planar flat cloud
             mean = frechet_mean(data)
@@ -656,7 +656,7 @@ class TestFitSubmanifold:
         # and the covariance of a full sheet chunk allocates no more than its
         # (nets, n) weights, one stack of batch copies and (loosely) 32 arrays
         # of (nets, m, m); 180 copies at once would pass that by 0.6 MB
-        data, _ = generate(GenSpec("sea_wave", 200, 1))
+        data, _ = generate("sea_wave", 200, 1)
         xs = points_matrix(data)
         bases = xs[:180]
         lv = tangent_stats._GramLevel(bases, _GramData(xs, SPHERE), KernelSpec("gaussian", 0.4))
@@ -669,7 +669,7 @@ class TestFitSubmanifold:
         assert peak <= 8 * 180 * (200 + 32 * 3 * 3) + tangent_stats._LEVEL_ARRAY_BYTES
 
     def test_stored_score_matches_level_batched_driver(self, monkeypatch):
-        data, _ = generate(GenSpec("sea_wave", 200, 1))
+        data, _ = generate("sea_wave", 200, 1)
         start = frechet_mean(data)
         sub = fit_submanifold(data, start, FitConfig(num_directions=16))
         stored = variation_score(sub, data)
@@ -829,7 +829,7 @@ class TestNetLength:
         assert net_length(Net(1, pts, StopReason.LENGTH_EXCEEDED)) == pytest.approx(3.0)
 
     def test_fitted_net_builds_no_point(self, monkeypatch):
-        data, _ = generate(GenSpec("sea_wave", 200, 1))
+        data, _ = generate("sea_wave", 200, 1)
         sub = fit_submanifold(data, frechet_mean(data), FitConfig(num_directions=8))
         built = []
         post_init = Point.__post_init__
@@ -902,7 +902,7 @@ class TestVariationScore:
         # with antipodal_guard (it lies far outside every kernel ball, so the
         # path up to it is unchanged); the score cannot take logs at that
         # point, counts it as skipped and still scores the finished fit.
-        data, _ = generate(GenSpec("sea_wave", 200, 1))
+        data, _ = generate("sea_wave", 200, 1)
         start = frechet_mean(data)
         cfg = FitConfig(dim=1)
         net1 = next(n for n in fit_submanifold(data, start, cfg).nets if n.direction_index == 1)
@@ -924,7 +924,7 @@ def test_numeric_core_reads_only_pi_from_math(monkeypatch):
     # the math module that psm.geometry sees cut down to pi, a sphere fit, the
     # rescoring of an equal copy of its data, net lengths and distances all run.
     monkeypatch.setattr(geometry, "math", types.SimpleNamespace(pi=math.pi))
-    data, _ = generate(GenSpec("sea_wave", 60, 3))
+    data, _ = generate("sea_wave", 60, 3)
     sub = fit_submanifold(data, frechet_mean(data), FitConfig(num_directions=8))
     twin = PointArray(data.coords.copy())
     assert variation_score(sub, twin) == variation_score(sub, data)

@@ -1,10 +1,14 @@
-"""Smoke tests of the scripts under tools/."""
+"""Smoke tests of the scripts under tools/, an unused-import lint and a recipe guard."""
 
+import ast
 import json
 import shutil
 import subprocess
 import sys
 from pathlib import Path
+
+from psm.cli import _SETTINGS
+from psm.datagen import RECIPES
 
 ROOT = Path(__file__).resolve().parent.parent
 TOOL = ROOT / "tools" / "bench_digests.py"
@@ -80,3 +84,33 @@ def test_bench_pairs_fails_when_a_run_fails(tmp_path):
     runs = json.loads(done.stdout)["workloads"]["sheet"]["runs"]
     assert [(run["side"], run["correct"]) for run in runs] == [
         ("parent", True), ("change", False)]
+
+
+def _unused_imports(path):
+    """The names path imports that no ast.Name in it uses."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"{path.relative_to(ROOT)}:{line}: {name}"
+            for name, line in imported.items() if name not in used]
+
+
+def test_no_unused_imports():
+    # psm/__init__.py imports to re-export; bench/ belongs to the benchmark
+    paths = [p for p in sorted((ROOT / "src" / "psm").glob("*.py")) if p.name != "__init__.py"]
+    paths += sorted((ROOT / "tests").glob("*.py")) + sorted((ROOT / "tools").glob("*.py"))
+    assert [entry for path in paths for entry in _unused_imports(path)] == []
+
+
+def test_every_recipe_parameter_is_a_generate_setting():
+    # _cmd_generate reads each of the family's parameters from the settings
+    for family, (_, defaults) in RECIPES.items():
+        for key in defaults:
+            assert key in _SETTINGS and "generate" in _SETTINGS[key].commands, (family, key)

@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from psm.datagen import GenSpec, generate
+from psm.datagen import generate
 from psm.errors import NotAShapeFitError
 from psm.fitting import FitConfig, Net, StopReason, Submanifold, fit_submanifold
 from psm.geometry import FLAT, Point, PointArray, exp_map, log_map
@@ -148,7 +148,7 @@ class TestPairingOnFits:
         (2, 16, ["pd1", "pd2", "pd3", "pd4"]),
     ])
     def test_paired_seeds_are_opposite(self, dim, num_directions, names):
-        data, _ = generate(GenSpec("sea_wave", 200, 1))
+        data, _ = generate("sea_wave", 200, 1)
         start = frechet_mean(data)
         sub = fit_submanifold(data, start, FitConfig(dim=dim, num_directions=num_directions))
         pairs = _pd_pairs(sub)
