@@ -30,7 +30,7 @@ from .datagen import (
     read_dataset_csv,
     write_dataset_csv,
 )
-from .errors import PsmError
+from .errors import InfeasibleShiftError, PsmError
 from .fitting import FitConfig, fit_submanifold, net_length, variation_score
 from .geometry import (
     _INPUT_UNIT_TOL,
@@ -292,9 +292,9 @@ def _cmd_generate(merged: dict, written: _Written) -> None:
     # the family's parameters that are set; generate fills in the rest
     params = {name: merged[name] for name in RECIPES[family][1] if merged[name] is not None}
     try:
-        # generate and the triplet makers reject out-of-range values with ValueError
+        # out-of-range values raise ValueError, an infeasible shift InfeasibleShiftError
         points, info = generate(family, merged["n"], merged["seed"], params, merged["shift"])
-    except ValueError as exc:
+    except (ValueError, InfeasibleShiftError) as exc:
         raise UsageError(str(exc)) from None
     path = _out_dir(merged) / f"{family}.csv"
     _write_dataset(points, path, {"kind": "dataset", "chart": SPHERE, **info}, written)

@@ -15,7 +15,7 @@ import json
 import math
 from array import array
 from contextlib import contextmanager
-from numbers import Real
+from numbers import Integral, Real
 from pathlib import Path
 
 import numpy as np
@@ -148,6 +148,8 @@ def generate(family: str, n: int, seed: int, params: dict | None = None,
         raise ValueError(f"unknown family {family!r}")
     if n < 3:
         raise ValueError("n must be at least 3")
+    if not isinstance(seed, Integral) or isinstance(seed, bool) or seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
     make, defaults = RECIPES[family]
     given = params or {}
     for key, value in [*given.items(), ("shift", shift)]:

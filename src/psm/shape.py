@@ -143,8 +143,8 @@ def read_landmarks(path) -> tuple[np.ndarray, list[str]]:
 
     Returns (landmarks, ids): a C-contiguous float (N, k, 2) array of N
     specimens of k >= 3 finite landmarks each, and the N specimen ids.
-    numpy's C reader parses the CSV layout; a file it cannot parse, or whose
-    rows fail a check, is read row by row, which also reads the block layout.
+    numpy's C reader parses the CSV layout; a file it cannot parse, or where
+    _specimen_fault finds a fault, is read row by row, as the block layout is.
     Layout errors raise LandmarkFormatError with a 1-based line number, a
     coordinate that is not finite or a file that is not UTF-8 text ValueError.
     """
@@ -164,8 +164,8 @@ def read_landmarks(path) -> tuple[np.ndarray, list[str]]:
 def _load_landmarks_csv(path) -> tuple[np.ndarray, list[str]] | None:
     """A CSV-layout file parsed by one np.loadtxt pass into (id, landmark_index,
     x, y) rows, then checked as arrays; None when the file is in another
-    layout, holds a _ROW_LOOP_ONLY character, or fails a parse or check, for
-    the row loop to read it."""
+    layout, holds a _ROW_LOOP_ONLY character, or fails a parse or a
+    _specimen_fault check, for the row loop to read it and word the fault."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             while (line := fh.readline()) and not line.strip():
@@ -184,121 +184,106 @@ def _load_landmarks_csv(path) -> tuple[np.ndarray, list[str]] | None:
                               usecols=(0, 1, 2, 3), ndmin=1)
         except ValueError:  # a row numpy cannot parse, or bad UTF-8
             return None
-    ids = rows["id"]
-    # specimens split where the raw id changes; the row loop strips ids, which
-    # merges no two of them when the stripped names are distinct (checked below)
-    starts = np.flatnonzero(np.concatenate(([True], ids[1:] != ids[:-1])))
-    k = len(ids) // len(starts)
-    if k < 3 or not np.array_equal(starts, np.arange(0, len(ids), k)):
-        return None  # a specimen of another landmark count, or under 3
-    index = rows["index"].reshape(-1, k)
-    # each specimen's indices step by 1; a last index below the first flags int64 wrap-around
-    if np.any(np.diff(index, axis=1) != 1) or np.any(index[:, -1] < index[:, 0]):
-        return None
+    # specimens split where the raw id changes; two adjacent ids that strip
+    # alike repeat a name here, and the row loop, which strips first, reads them
+    starts, names, fault = _specimen_fault(rows["id"], rows["index"])
+    return None if fault else _checked_configs(rows["xy"], starts, names, "specimens")
+
+
+def _specimen_fault(ids, index) -> tuple[np.ndarray, list[str], tuple | None]:
+    """(starts, names, fault) of CSV rows of specimen ids and landmark indices
+    index (int64, or Python ints in an object array): each specimen's first
+    row and stripped id, and (row, reason) of the first fault that reading
+    row by row meets, or None.  A specimen of under 3 rows is met at the
+    next specimen's first row, or at len(ids) after the last, before a
+    repeated name on that row; an index step other than +1 at its own row
+    (the test also catches int64 wrap-around)."""
+    new = np.concatenate(([len(ids) > 0], ids[1:] != ids[:-1]))
+    starts = np.flatnonzero(new)
     names = [name.strip() for name in ids[starts].tolist()]
-    xy = np.ascontiguousarray(rows["xy"].reshape(-1, k, 2))
-    if len(set(names)) < len(names) or not np.isfinite(xy).all():
-        return None  # a specimen in two blocks, or a coordinate not finite
-    return xy, names
+    sizes = np.diff(starts, append=len(ids))
+    first: dict[str, int] = {}  # each name's first specimen
+    repeated = [j for j, name in enumerate(names) if first.setdefault(name, j) != j]
+    prev, cur = index[:-1], index[1:]
+    faults = [(int(starts[i] + sizes[i]), f"specimen {names[i]!r} has only {sizes[i]} "
+               "landmarks (need >= 3)") for i in np.flatnonzero(sizes < 3)[:1]]
+    faults += [(int(starts[j]), f"specimen {names[j]!r} appears in two separate blocks")
+               for j in repeated[:1]]
+    faults += [(int(r), f"landmark_index jumps from {index[r - 1]} to {index[r]}")
+               for r in np.flatnonzero(((cur - prev != 1) | (cur < prev)) & ~new[1:])[:1] + 1]
+    # min keeps the first of equal rows: a short specimen, then a repeated name
+    return starts, names, min(faults, key=lambda fault: fault[0], default=None)
 
 
 def _read_landmarks_csv(lines) -> tuple[np.ndarray, list[str]]:
-    reader = csv.reader(lines)
-    blocks: list[list[tuple[float, float]]] = []
-    ids: list[str] = []
-    seen: set[str] = set()
-    current: str | None = None
-    rows: list[tuple[float, float]] = []
-    last_index: int | None = None
-
-    def flush(line_no):
-        if current is None:
-            return
-        if len(rows) < 3:
-            raise LandmarkFormatError(
-                f"specimen {current!r} has only {len(rows)} landmarks (need >= 3)", line_no)
-        blocks.append(rows)
-        ids.append(current)
-
-    header_seen = False
-    for line_no, row in enumerate(reader, start=1):
-        if not "".join(row).strip():
-            continue
-        if not header_seen:
-            header_seen = True
-            continue
+    """The CSV layout tokenized row by row up to the first row of under 4
+    columns or that does not parse, the stop.  A _specimen_fault on a row
+    before the stop comes first, then the stop, then a fault at the end."""
+    table, line_nos, stop = [], [], None
+    rows = ((no, row) for no, row in enumerate(csv.reader(lines), start=1) if "".join(row).strip())
+    next(rows, None)  # the header
+    for line_no, row in rows:
         if len(row) < 4:
-            raise LandmarkFormatError(f"expected 4 columns, got {len(row)}", line_no)
-        sid = row[0].strip()
+            stop = LandmarkFormatError(f"expected 4 columns, got {len(row)}", line_no)
+            break
         try:
-            idx = int(row[1])
-            x, y = float(row[2]), float(row[3])
+            table.append((row[0].strip(), int(row[1]), float(row[2]), float(row[3])))
         except ValueError as exc:
-            raise LandmarkFormatError(f"unparsable row: {exc}", line_no) from None
-        if sid != current:
-            flush(line_no)
-            if sid in seen:
-                raise LandmarkFormatError(
-                    f"specimen {sid!r} appears in two separate blocks", line_no)
-            seen.add(sid)
-            current = sid
-            rows = []
-            last_index = None
-        if last_index is not None and idx != last_index + 1:
-            raise LandmarkFormatError(
-                f"landmark_index jumps from {last_index} to {idx}", line_no)
-        last_index = idx
-        rows.append((x, y))
-    flush(len(lines))
-    return _checked_configs(blocks, ids, "specimens")
+            stop = LandmarkFormatError(f"unparsable row: {exc}", line_no)
+            break
+        line_nos.append(line_no)
+    table = np.array(table, dtype=object).reshape(-1, 4)
+    starts, names, fault = _specimen_fault(table[:, 0], table[:, 1])
+    if fault and (stop is None or fault[0] < len(table)):
+        raise LandmarkFormatError(fault[1], (line_nos + [len(lines)])[fault[0]])
+    if stop:
+        raise stop
+    return _checked_configs(table[:, 2:].astype(float), starts, names, "specimens")
 
 
 def _read_landmarks_blocks(lines) -> tuple[np.ndarray, list[str]]:
-    blocks: list[list[tuple[float, float]]] = []
-    rows: list[tuple[float, float]] = []
-    block_start = None
-
-    def flush(line_no):
-        nonlocal rows, block_start
-        if not rows:
-            return
-        if len(rows) < 3:
-            raise LandmarkFormatError(
-                f"block starting at line {block_start} has only {len(rows)} rows (need >= 3)",
-                line_no)
-        blocks.append(rows)
-        rows = []
-        block_start = None
-
+    """The block layout tokenized row by row up to the first row that is not
+    two numbers, the stop; a block of under 3 rows is met at the blank line
+    after it, or at the last line, and comes first when that is before the stop."""
+    pairs, line_nos, stop = [], [], None
     for line_no, line in enumerate(lines, start=1):
-        stripped = line.strip()
-        if not stripped:
-            flush(line_no)
+        parts = line.split()
+        if not parts:
             continue
-        parts = stripped.split()
         if len(parts) != 2:
-            raise LandmarkFormatError(
+            stop = LandmarkFormatError(
                 f"expected two whitespace-separated numbers, got {len(parts)} fields", line_no)
+            break
         try:
-            pair = (float(parts[0]), float(parts[1]))
+            pairs.append((float(parts[0]), float(parts[1])))
         except ValueError:
-            raise LandmarkFormatError(f"unparsable numbers: {stripped!r}", line_no) from None
-        if block_start is None:
-            block_start = line_no
-        rows.append(pair)
-    flush(len(lines))
-    return _checked_configs(blocks, [str(i) for i in range(1, len(blocks) + 1)], "blocks")
+            stop = LandmarkFormatError(f"unparsable numbers: {line.strip()!r}", line_no)
+            break
+        line_nos.append(line_no)
+    starts = np.flatnonzero(np.diff(line_nos, prepend=-1) != 1)
+    sizes = np.diff(starts, append=len(line_nos))
+    for i in np.flatnonzero(sizes < 3)[:1]:
+        first, size = line_nos[starts[i]], int(sizes[i])
+        met = min(first + size, len(lines))
+        if stop is None or met < stop.line:
+            raise LandmarkFormatError(
+                f"block starting at line {first} has only {size} rows (need >= 3)", met)
+    if stop:
+        raise stop
+    ids = [str(i) for i in range(1, len(starts) + 1)]
+    return _checked_configs(np.array(pairs, dtype=float).reshape(-1, 2), starts, ids, "blocks")
 
 
-def _checked_configs(blocks: list, ids: list[str], units: str) -> tuple[np.ndarray, list[str]]:
-    """The row loops' blocks of (x, y) rows stacked into one (N, k, 2) array,
-    with their ids; every block already holds k >= 3 rows."""
-    if not blocks:
+def _checked_configs(xy: np.ndarray, starts: np.ndarray, ids: list[str],
+                     units: str) -> tuple[np.ndarray, list[str]]:
+    """The (n, 2) rows xy of the specimens that begin at rows starts, each of
+    k >= 3 rows, as one C-contiguous (N, k, 2) array, with their ids."""
+    if not len(starts):
         raise LandmarkFormatError("no landmark rows found", 1)
-    counts = {len(block) for block in blocks}
+    counts = sorted(set(np.diff(starts, append=len(xy)).tolist()))
     if len(counts) > 1:
-        raise LandmarkFormatError(f"inconsistent landmark counts across {units}: {sorted(counts)}")
-    landmarks = np.array(blocks, dtype=float)
+        raise LandmarkFormatError(f"inconsistent landmark counts across {units}: {counts}")
+    landmarks = np.ascontiguousarray(xy.reshape(len(starts), -1, 2))
     if not np.isfinite(landmarks).all():
         raise ValueError("landmark coordinates must be finite")
     return landmarks, ids

@@ -337,26 +337,23 @@ def _frame_at(center: Point, data: _GramData, kernel: KernelSpec, k: int) -> Eig
     fit's own _GramData.  When k rows do not rank the error names the kernel and
     the rows it weights, or, when every row weighted alike cannot either, says so."""
     cov = _cov_at(center.coords, data, kernel)
-    for width in range(max(k, min(3, _tangent_dim(center.chart, center.ambient_dim))), k, -1):
+    for width in range(max(k, min(3, _tangent_dim(center.chart, center.ambient_dim))), k - 1, -1):
         try:
             return eigenframe(cov, center, width)
-        except RankDeficientError:
-            pass
+        except RankDeficientError as exc:
+            error = exc  # the last, at k rows, words the message
+    n = data.yt.shape[1]
     try:
-        return eigenframe(cov, center, k)
-    except RankDeficientError as exc:
-        n = data.yt.shape[1]
-        try:
-            eigenframe(_cov_at(center.coords, data, KernelSpec()), center, k)
-        except RankDeficientError:
-            raise RankDeficientError(
-                f"{exc} at the start: the {n} data rows span fewer than {k} directions "
-                "there, whatever the bandwidth") from None
-        weighted = int(np.count_nonzero(_GramLevel(center.coords[None], data, kernel).w))
+        eigenframe(_cov_at(center.coords, data, KernelSpec()), center, k)
+    except RankDeficientError:
         raise RankDeficientError(
-            f"{exc} at the start: the {kernel.kind} kernel of bandwidth "
-            f"{kernel.bandwidth!r} gives weight to {weighted} of {n} "
-            "data rows there; a larger --bandwidth lets more rows carry weight") from None
+            f"{error} at the start: the {n} data rows span fewer than {k} directions "
+            "there, whatever the bandwidth") from None
+    weighted = int(np.count_nonzero(_GramLevel(center.coords[None], data, kernel).w))
+    raise RankDeficientError(
+        f"{error} at the start: the {kernel.kind} kernel of bandwidth "
+        f"{kernel.bandwidth!r} gives weight to {weighted} of {n} "
+        "data rows there; a larger --bandwidth lets more rows carry weight")
 
 
 def eigenframe(cov: np.ndarray, base: Point, k: int) -> EigenFrame:

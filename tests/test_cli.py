@@ -74,9 +74,17 @@ class TestGenerate:
     def test_infeasible_shift_is_an_error(self, tmp_path, capsys):
         code = run("generate", "--family", "s_curve", "--n", "20",
                    "--shift", "0.001", "--out", str(tmp_path))
-        assert code == 1
-        assert "error" in capsys.readouterr().err
+        assert code == 2
+        assert capsys.readouterr().err.startswith(
+            "usage error: shift 0.001 leaves a negative radicand")
         assert not (tmp_path / "s_curve.csv").exists()
+
+    def test_negative_seed_is_usage_error(self, tmp_path, capsys):
+        assert run("generate", "--family", "s_curve", "--seed", "-1",
+                   "--out", str(tmp_path)) == 2
+        assert capsys.readouterr().err == \
+            "usage error: seed must be a non-negative integer, got -1\n"
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("argv, message", [
         (["--family", "s_curve", "--n", "2"], "n must be at least 3"),

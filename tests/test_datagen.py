@@ -43,6 +43,12 @@ class TestGenerate:
             generate("s_curve", 2, 0)
         generate("s_curve", 3, 0)
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, True, "3"])
+    def test_seed_must_be_a_non_negative_integer(self, seed):
+        with pytest.raises(ValueError) as exc:
+            generate("s_curve", 10, seed)
+        assert str(exc.value) == f"seed must be a non-negative integer, got {seed!r}"
+
     @pytest.mark.parametrize("family, key", [
         ("s_curve", "noise_level"), ("sea_wave", "a"), ("ellipsoid", "noise_scale_u"),
         ("ellipsoid", "shift"),

@@ -319,7 +319,7 @@ def landmark_files(draw):
     """CSV-layout landmark text: 0-4 specimens of k landmarks, now and then
     one short or long, empty lines between them, an extra column, ids that
     repeat, carry spaces or are _ODD_IDS, first indices up to the int64
-    edge, and indices that are no int (1.0, 1_0, one)."""
+    edge and past it, and indices that are no int (1.0, 1_0, one)."""
     k = draw(st.integers(3, 4))
     extra = draw(st.sampled_from(["", "", "", ",9"]))
     lines = ["specimen_id,landmark_index,x,y" + extra]
@@ -331,7 +331,7 @@ def landmark_files(draw):
     gap = draw(st.sampled_from([[], [], [], [""]]))  # an empty line before each specimen
     for sid in ids:
         lines += gap
-        first = draw(st.sampled_from([0] * 6 + [1, -1, 2**63 - 2]))
+        first = draw(st.sampled_from([0] * 6 + [1, -1, 2**63 - 2, 2**64]))
         count = k + draw(st.sampled_from([0] * 10 + [-1, 1]))
         for i in range(count):
             index = str(first + i) if draw(st.integers(0, 79)) else \

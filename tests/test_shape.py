@@ -390,6 +390,21 @@ class TestReadLandmarksCsv:
             read_landmarks(self.write(tmp_path, "specimen_id,landmark_index,x,y\n" + body))
         assert str(exc.value) == message
 
+    def test_index_beyond_int64_jumps_exactly(self, tmp_path):
+        # 2**64 and 2**64 + 2 round to one float64; the jump names both ints
+        body = f"a,{2**64},0,0\na,{2**64 + 2},1,0\na,{2**64 + 3},0,1\n"
+        with pytest.raises(LandmarkFormatError) as exc:
+            read_landmarks(self.write(tmp_path, "specimen_id,landmark_index,x,y\n" + body))
+        assert str(exc.value) == \
+            f"line 3: landmark_index jumps from {2**64} to {2**64 + 2}"
+
+    def test_ids_that_strip_alike_are_one_specimen(self, tmp_path):
+        body = "a,1,0,0\n a,2,1,0\na,3,0,1\n"
+        landmarks, ids = read_landmarks(
+            self.write(tmp_path, "specimen_id,landmark_index,x,y\n" + body))
+        assert ids == ["a"]
+        np.testing.assert_array_equal(landmarks, [[[0, 0], [1, 0], [0, 1]]])
+
 
 class TestReadLandmarksBlocks:
     def test_blank_line_separated(self, tmp_path):
@@ -437,3 +452,51 @@ class TestReadLandmarksBlocks:
         with pytest.raises(LandmarkFormatError) as exc:
             read_landmarks(path)
         assert str(exc.value) == "inconsistent landmark counts across blocks: [3, 4]"
+
+    # Each message and line is the one that reading row by row meets first:
+    # a block's row count is checked at the blank line after it, or at the
+    # last line, before any later row is parsed.
+    @pytest.mark.parametrize("text, message", [
+        ("0 0\n1 0\n\n0 0\nx 1\n0 1\n",
+         "line 3: block starting at line 1 has only 2 rows (need >= 3)"),
+        ("0 0\nx 1\n\n0 0\n1 0\n0 1\n", "line 2: unparsable numbers: 'x 1'"),
+        ("0 0\n1 0\n0 1\n\n0 0\n1 0",
+         "line 6: block starting at line 5 has only 2 rows (need >= 3)"),
+        ("0 0\n1 0\n0 1\n\n0 0\n1 0\n\n\n",
+         "line 7: block starting at line 5 has only 2 rows (need >= 3)"),
+        ("0 0\n1 0\n0 1 2\n",
+         "line 3: expected two whitespace-separated numbers, got 3 fields"),
+    ])
+    def test_errors_name_the_first_line(self, tmp_path, text, message):
+        path = tmp_path / "blocks.txt"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(LandmarkFormatError) as exc:
+            read_landmarks(path)
+        assert str(exc.value) == message
+
+
+def test_landmark_rules_live_once(tmp_path, monkeypatch):
+    # one array check states the specimen rules: numpy's path hands it int64
+    # indices, the CSV row loop Python ints, and no streaming state is left
+    import inspect
+
+    import psm.shape
+
+    check, seen = psm.shape._specimen_fault, []
+
+    def spy(ids, index):
+        seen.append(index.dtype)
+        return check(ids, index)
+
+    monkeypatch.setattr(psm.shape, "_specimen_fault", spy)
+    header = "specimen_id,landmark_index,x,y\n"
+    path = tmp_path / "lm.csv"
+    path.write_text(header + "a,1,0,0\na,2,1,0\na,3,0,1\n", encoding="utf-8")
+    read_landmarks(path)
+    assert seen == [np.int64]
+    path.write_text(header + "a,1,0,0\na,3,1,0\na,4,0,1\n", encoding="utf-8")
+    with pytest.raises(LandmarkFormatError):
+        read_landmarks(path)
+    assert seen == [np.int64, np.int64, object]
+    assert "flush" not in inspect.getsource(psm.shape)
+
