@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import math
 import re
 import sys
@@ -232,9 +231,9 @@ def _start_point(text: str, points: PointArray) -> tuple[Point, str]:
 
 # -- output bookkeeping: compute first, write late, clean up on failure --
 
-# each output path -> the data rows a dataset must hold, or None; a path is
-# registered before its writer opens it, so a failure part-way removes it too
-_Written = dict[Path, int | None]
+# each output path, registered before its writer opens it, so a failure
+# part-way removes it too
+_Written = list[Path]
 
 
 def _remove_outputs(written: _Written) -> None:
@@ -243,30 +242,6 @@ def _remove_outputs(written: _Written) -> None:
             p.unlink()
         except OSError:
             pass
-
-
-def _validate_written(written: _Written) -> None:
-    """Read every written file back once: JSON must parse, every CSV row must
-    match its header's width, and a dataset must hold the rows it was given."""
-    for p, expected in written.items():
-        if p.suffix == ".json":
-            with open(p, "r", encoding="utf-8") as fh:
-                json.load(fh)
-            continue
-        rows = 0
-        with open(p, "r", encoding="utf-8") as fh:
-            header = fh.readline().rstrip("\n")
-            if not header:
-                raise PsmError(f"{p}: written file has no header")
-            commas = header.count(",")
-            for line_no, line in enumerate(fh, start=2):
-                if not line.strip() or line.startswith("#"):
-                    continue
-                if line.count(",") != commas:
-                    raise PsmError(f"{p}: line {line_no}: column count mismatch")
-                rows += 1
-        if expected is not None and rows != expected:
-            raise PsmError(f"{p}: wrote {expected} points but read back {rows}")
 
 
 def _say(merged: dict, text: str) -> None:
@@ -281,7 +256,7 @@ def _out_dir(merged: dict) -> Path:
 
 
 def _write_dataset(points: PointArray, path: Path, meta: dict, written: _Written) -> None:
-    written.update({path: len(points), meta_path_for(path): None})
+    written.extend([path, meta_path_for(path)])
     write_dataset_csv(points, path, meta)
 
 
@@ -354,9 +329,9 @@ def _cmd_fit(merged: dict, input_path: Path, written: _Written,
     sub_path = out / "submanifold.csv"
     proj_path = out / "projected.csv"
     summary_path = out / "summary.json"
-    written[sub_path] = None
+    written.append(sub_path)
     write_submanifold_csv(sub, sub_path)
-    written[proj_path] = None
+    written.append(proj_path)
     write_projected_csv(proj_path, proj)
     summary = {
         "command": "compare-geodesic" if with_geodesics else "fit",
@@ -374,18 +349,18 @@ def _cmd_fit(merged: dict, input_path: Path, written: _Written,
         summary["note"] = note
     if geodesics is not None:
         summary["geodesic_levels"] = {str(k): len(v) for k, v in geodesics.items()}
-    written[summary_path] = None
+    written.append(summary_path)
     _write_json(summary_path, summary, sort_keys=True)
     if grid is not None:
         shapes_path = out / "shapes.json"
-        written[shapes_path] = None
+        written.append(shapes_path)
         write_shapes_json(shapes_path, grid, start_kind)
     for p in written:
         _say(merged, f"wrote {p}")
 
 
 def main(argv=None) -> int:
-    written: _Written = {}
+    written: _Written = []
     try:
         try:
             flag_values = vars(_build_parser().parse_args(argv)).copy()
@@ -408,7 +383,6 @@ def main(argv=None) -> int:
         else:
             _cmd_fit(merged, input_path, written,
                      with_geodesics=(command == "compare-geodesic"))
-        _validate_written(written)
     except UsageError as exc:
         _remove_outputs(written)
         print(f"usage error: {exc}", file=sys.stderr)

@@ -268,6 +268,17 @@ def _load_coordinates(path) -> np.ndarray | None:
     return np.ascontiguousarray(table[:, 1:])
 
 
+def _csv_records(lines):
+    """(line, row) of each csv record of lines, an open file or a list of
+    strings: line is the 1-based physical line on which the record starts,
+    which differs from its count once a quoted field spans lines."""
+    reader = csv.reader(lines)
+    start = 1
+    for row in reader:
+        yield start, row
+        start = reader.line_num + 1
+
+
 def _read_coordinate_rows(path) -> tuple[np.ndarray, list[int]]:
     """The coordinate rows of a dataset CSV and their line numbers, parsed row
     by row with the csv module; a malformed file raises ValueError naming the
@@ -275,14 +286,14 @@ def _read_coordinate_rows(path) -> tuple[np.ndarray, list[int]]:
     values = array("d")
     line_nos = []
     with _open_text(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
+        records = _csv_records(fh)
+        _, header = next(records, (1, None))
         if not header or header[0].strip() != "point_index":
             raise ValueError(f"{path}: expected a point_index,c0,... header")
         width = len(header) - 1
         if width < 2:
             raise ValueError(f"{path}: line 1: expected at least two coordinate columns")
-        for line_no, row in enumerate(reader, start=2):
+        for line_no, row in records:
             if not "".join(row).strip():
                 continue
             if len(row) != width + 1:

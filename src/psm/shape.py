@@ -12,11 +12,9 @@ preshape matrix.
 
 from __future__ import annotations
 
-import csv
-
 import numpy as np
 
-from .datagen import _body_is_empty, _open_text
+from .datagen import _body_is_empty, _csv_records, _open_text
 from .errors import (
     DegenerateConfigError,
     DegenerateOrbitError,
@@ -220,7 +218,7 @@ def _read_landmarks_csv(lines) -> tuple[np.ndarray, list[str]]:
     columns or that does not parse, the stop.  A _specimen_fault on a row
     before the stop comes first, then the stop, then a fault at the end."""
     table, line_nos, stop = [], [], None
-    rows = ((no, row) for no, row in enumerate(csv.reader(lines), start=1) if "".join(row).strip())
+    rows = ((no, row) for no, row in _csv_records(lines) if "".join(row).strip())
     next(rows, None)  # the header
     for line_no, row in rows:
         if len(row) < 4:

@@ -17,7 +17,7 @@ import psm
 from psm import cli
 from psm.cli import _build_parser, _merge_settings, main
 from psm.geometry import PointArray
-from psm.datagen import RECIPES, read_dataset_csv, write_dataset_csv
+from psm.datagen import RECIPES, meta_path_for, read_dataset_csv, write_dataset_csv
 
 from helpers import DIGIT3_BASE, digit3_configs, mirror_set, read_csv_rows, similarity_transform
 
@@ -148,67 +148,107 @@ class TestGenerate:
         assert meta["params"]["b"] == pytest.approx(math.sqrt(2.0))
 
 
-@pytest.mark.parametrize("command", ["generate", "shapes"])
-def test_written_dataset_is_read_back_once(tmp_path, monkeypatch, capsys, command):
-    # The one read-back in _validate_written checks the row count; nothing
-    # parses the written dataset as data.
-    import psm.cli
+def check_outputs(out: Path) -> None:
+    """Every file a run wrote to out reads back as psm's one CSV and one JSON
+    writer promise: a dataset CSV (one with a .meta.json sidecar) through
+    read_dataset_csv with one row per point, every other CSV with its
+    header's width on each line that is not a comment, and JSON that parses."""
+    for path in sorted(out.iterdir()):
+        text = path.read_text(encoding="utf-8")
+        if path.suffix == ".json":
+            json.loads(text)
+        elif meta_path_for(path).is_file():
+            points, meta = read_dataset_csv(path)
+            assert len(points) == meta["n"], f"{path}: {meta['n']} points in {len(points)} rows"
+        else:
+            header, *rows = text.splitlines() or [""]
+            assert header, f"{path}: no header"
+            for line_no, row in enumerate(rows, start=2):
+                if row.strip() and not row.startswith("#"):
+                    assert row.count(",") == header.count(","), f"{path}: line {line_no} is ragged"
 
-    if command == "generate":
-        argv = ["generate", "--family", "sea_wave", "--n", "20"]
-    else:
-        argv = ["shapes", str(write_digit_landmarks(tmp_path / "digits.csv"))]
+
+def _command_runs(tmp_path) -> dict:
+    """out directory name -> (argv, the file names it writes) of one run each
+    of generate, shapes, fit on the preshapes (with the shape grid) and
+    compare-geodesic, in an order in which each run's input exists."""
+    lm = write_digit_landmarks(tmp_path / "digits.csv")
+    return {
+        "gen": (["generate", "--family", "sea_wave", "--n", "40"],
+                ["sea_wave.csv", "sea_wave.meta.json"]),
+        "pre": (["shapes", str(lm)], ["preshapes.csv", "preshapes.meta.json"]),
+        "fit": (["fit", str(tmp_path / "pre" / "preshapes.csv"), "--directions", "8"],
+                ["projected.csv", "shapes.json", "submanifold.csv", "summary.json"]),
+        "geo": (["compare-geodesic", str(tmp_path / "gen" / "sea_wave.csv"),
+                 "--directions", "8", "--bandwidth", "inf"],
+                ["projected.csv", "submanifold.csv", "summary.json"]),
+    }
+
+
+def test_every_output_reads_back(tmp_path, monkeypatch):
+    # the CLI opens none of its outputs to read; they are checked here instead
     reads = []
-    read = psm.cli.read_dataset_csv
-    monkeypatch.setattr(psm.cli, "read_dataset_csv",
-                        lambda path: reads.append(path) or read(path))
-    assert run(*argv, "--quiet", "--out", str(tmp_path / "ok")) == 0
-    assert reads == []
-    # a writer that drops a row fails the run, which leaves no outputs
-    write = psm.cli.write_dataset_csv
-    monkeypatch.setattr(psm.cli, "write_dataset_csv",
-                        lambda points, path, meta: write(points[:-1], path, meta))
-    out = tmp_path / "short"
-    assert run(*argv, "--quiet", "--out", str(out)) == 1
-    n = 20 if command == "generate" else 12
-    assert f"wrote {n} points but read back {n - 1}" in capsys.readouterr().err
-    assert list(out.iterdir()) == []
+    real_open = open
+
+    def spy(file, mode="r", *args, **kwargs):
+        if "r" in mode:
+            reads.append(Path(file).parent)
+        return real_open(file, mode, *args, **kwargs)
+
+    for out, (argv, names) in _command_runs(tmp_path).items():
+        reads.clear()
+        with monkeypatch.context() as m:
+            m.setattr("builtins.open", spy)
+            assert run(*argv, "--quiet", "--out", str(tmp_path / out)) == 0
+        # the spy sees the inputs: the fit reads the preshapes and their sidecar
+        assert (tmp_path / "pre" in reads) == (out == "fit")
+        assert tmp_path / out not in reads
+        assert sorted(p.name for p in (tmp_path / out).iterdir()) == names
+        check_outputs(tmp_path / out)
 
 
-@pytest.mark.parametrize("row", ["20,1.0", "20,1,0,0,0,0"])
-def test_written_csv_with_a_ragged_row_fails(tmp_path, monkeypatch, capsys, row):
+def _drop_last_row(path):
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    path.write_text("".join(lines[:-1]), encoding="utf-8")
+
+
+def _spoil_with(edit):
+    return lambda path: path.write_text(edit(path.read_text(encoding="utf-8")), encoding="utf-8")
+
+
+@pytest.mark.parametrize("writer, spoil, error, message", [
+    ("write_dataset_csv", _drop_last_row, AssertionError, "20 points in 19 rows"),
+    ("write_dataset_csv", _spoil_with(lambda text: text + "20,1.0\n"), ValueError,
+     "sea_wave.csv: line 22: expected 5 columns"),
+    ("write_dataset_csv", _spoil_with(lambda text: text + "20,1,0,0,0,0\n"), ValueError,
+     "sea_wave.csv: line 22: expected 5 columns"),
+    ("write_dataset_csv", _spoil_with(lambda text: "\n" + text), ValueError,
+     "sea_wave.csv: expected a point_index,c0,... header"),
+    ("write_projected_csv", _spoil_with(lambda text: text.replace("\n", "\ndata,0,0,1\n", 1)),
+     AssertionError, "projected.csv: line 2 is ragged"),
+    ("write_submanifold_csv", _spoil_with(lambda text: "\n" + text), AssertionError,
+     "submanifold.csv: no header"),
+    ("_write_json", _spoil_with(lambda text: text[:-3]), ValueError, "Expecting"),
+])
+def test_output_check_rejects_a_faulty_writer(tmp_path, monkeypatch, s_curve_csv, writer, spoil,
+                                               error, message):
+    # a writer that drops a row, adds a ragged one, loses the header or cuts
+    # its JSON short: the run still exits 0, and check_outputs rejects the file
     import psm.cli
 
-    write = psm.cli.write_dataset_csv
+    write = getattr(psm.cli, writer)
 
-    def ragged(points, path, meta):
-        write(points, path, meta)
-        with open(path, "a", encoding="utf-8") as fh:
-            fh.write(row + "\n")
+    def faulty(*args, **kwargs):
+        write(*args, **kwargs)
+        spoil(next(Path(a) for a in args if isinstance(a, (str, Path))))
 
-    monkeypatch.setattr(psm.cli, "write_dataset_csv", ragged)
-    out = tmp_path / "ragged"
-    assert run("generate", "--family", "sea_wave", "--n", "20", "--quiet",
-               "--out", str(out)) == 1
-    assert "sea_wave.csv: line 22: column count mismatch" in capsys.readouterr().err
-    assert list(out.iterdir()) == []
-
-
-def test_written_csv_without_a_header_fails(tmp_path, monkeypatch, capsys):
-    import psm.cli
-
-    write = psm.cli.write_dataset_csv
-
-    def headless(points, path, meta):
-        write(points, path, meta)
-        path.write_text("\n" + path.read_text(encoding="utf-8"), encoding="utf-8")
-
-    monkeypatch.setattr(psm.cli, "write_dataset_csv", headless)
-    out = tmp_path / "headless"
-    assert run("generate", "--family", "sea_wave", "--n", "20", "--quiet",
-               "--out", str(out)) == 1
-    assert "sea_wave.csv: written file has no header" in capsys.readouterr().err
-    assert list(out.iterdir()) == []
+    monkeypatch.setattr(psm.cli, writer, faulty)
+    argv = ["generate", "--family", "sea_wave", "--n", "20"] if writer == "write_dataset_csv" \
+        else ["fit", str(s_curve_csv), "--directions", "8"]
+    out = tmp_path / "out"
+    assert run(*argv, "--quiet", "--out", str(out)) == 0
+    with pytest.raises(error, match=re.escape(message)):
+        check_outputs(out)
 
 
 def test_well_formed_inputs_never_reach_the_row_loops(tmp_path, monkeypatch):
@@ -274,8 +314,9 @@ def test_writer_failing_part_way_leaves_no_file(tmp_path, monkeypatch, capsys, w
 
 
 def test_every_output_goes_through_the_one_csv_and_json_writer(tmp_path, monkeypatch):
-    # each file a command registers for clean-up and read-back is written by
-    # datagen's _write_csv or _write_json, wherever the name is bound
+    # each file a command writes goes through datagen's _write_csv or
+    # _write_json, wherever the name is bound, and is registered for clean-up:
+    # a failure after the last write hands _remove_outputs every output
     import psm.datagen
     import psm.viz
 
@@ -291,26 +332,25 @@ def test_every_output_goes_through_the_one_csv_and_json_writer(tmp_path, monkeyp
             if getattr(module, name, None) is writer:
                 monkeypatch.setattr(module, name, recording)
     registered = []
-    validate = psm.cli._validate_written
-    monkeypatch.setattr(psm.cli, "_validate_written",
-                        lambda written: registered.extend(written) or validate(written))
-    lm = write_digit_landmarks(tmp_path / "digits.csv")
-    runs = {
-        "gen": (["generate", "--family", "sea_wave", "--n", "40"],
-                ["sea_wave.csv", "sea_wave.meta.json"]),
-        "pre": (["shapes", str(lm)], ["preshapes.csv", "preshapes.meta.json"]),
-        "fit": (["fit", str(tmp_path / "pre" / "preshapes.csv"), "--directions", "8"],
-                ["projected.csv", "shapes.json", "submanifold.csv", "summary.json"]),
-        "geo": (["compare-geodesic", str(tmp_path / "gen" / "sea_wave.csv"),
-                 "--directions", "8", "--bandwidth", "inf"],
-                ["projected.csv", "submanifold.csv", "summary.json"]),
-    }
-    for out, (argv, names) in runs.items():
+    remove = psm.cli._remove_outputs
+    monkeypatch.setattr(psm.cli, "_remove_outputs",
+                        lambda written: registered.extend(written) or remove(written))
+
+    def late(merged, text):
+        raise OSError("failed after the last write")
+
+    for out, (argv, names) in _command_runs(tmp_path).items():
         through.clear()
-        registered.clear()
         assert run(*argv, "--quiet", "--out", str(tmp_path / out)) == 0
+        assert sorted(through) == sorted(tmp_path / out / n for n in names)
         assert sorted(p.name for p in (tmp_path / out).iterdir()) == names
-        assert sorted(registered) == sorted(through) == sorted(tmp_path / out / n for n in names)
+        # every command's last step is to report the files it wrote
+        registered.clear()
+        with monkeypatch.context() as m:
+            m.setattr(psm.cli, "_say", late)
+            assert run(*argv, "--quiet", "--out", str(tmp_path / "late")) == 1
+        assert sorted(registered) == sorted(tmp_path / "late" / n for n in names)
+        assert list((tmp_path / "late").iterdir()) == []
 
 
 def test_quiet_fit_computes_no_net_lengths(tmp_path, monkeypatch, capsys):

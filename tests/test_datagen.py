@@ -343,6 +343,22 @@ class TestDatasetFiles:
         with pytest.raises(ValueError, match=r"blanks\.csv: line 6: expected 3 columns"):
             read_dataset_csv(path)
 
+    # a record's line is the physical line it starts on, also after a quoted
+    # field that spans lines
+    @pytest.mark.parametrize("body, message", [
+        ('"0\n",1,0,0\n1,0,1,0\n2,x,0,1\n', "line 5: unparsable coordinates"),
+        ('0,"1\n\n",0,0\n1,0,"\n1",0\n2,0,0,2\n',
+         "line 7: sphere rows must be unit vectors (norm 2.0)"),
+        ('"0\r\n",1,0,0\r\n1,0,1,nan\r\n', "line 4: coordinates must be finite"),
+        ('0,1,0,0\n1,"x\ny",0,0\n', "line 3: unparsable coordinates"),
+    ])
+    def test_errors_name_the_first_line(self, tmp_path, body, message):
+        path = tmp_path / "lines.csv"
+        path.write_text("point_index,c0,c1,c2\n" + body, encoding="utf-8", newline="")
+        with pytest.raises(ValueError) as exc:
+            read_dataset_csv(path)
+        assert str(exc.value) == f"{path}: {message}"
+
     def test_leading_blank_line_is_a_bad_header(self, tmp_path):
         path = tmp_path / "lead.csv"
         path.write_text("\npoint_index,c0,c1\n0,1,0\n", encoding="utf-8")

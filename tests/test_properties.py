@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from psm import datagen, shape
 from psm.cli import main
-from psm.datagen import meta_path_for
+from psm.datagen import generate, meta_path_for
 from psm.errors import PsmError
 from psm.fitting import FitConfig, fit_submanifold
 from psm.geometry import (
@@ -172,79 +172,125 @@ _CLOUD = np.random.default_rng(7).standard_normal((40, 3)) * [1.0, 0.5, 0.2]
 _CLOUD_CFG = FitConfig(epsilon=0.05, delta=0.5, kernel=KernelSpec(GAUSSIAN, 0.5),
                        num_directions=8, max_net_length=1.0)
 
+# A sea_wave sheet on S^3, fitted from its Frechet mean with a Gaussian
+# kernel, which has no edge for a rounding to carry a data row across.  Every
+# decision of the reference fit keeps a margin far above rounding: at each
+# net point the hull test's min <log_c(y), log_c(prev)> / |log_c(prev)| is
+# at least 0.43 from 0, the nearest data row at least 3.6e-3 from delta, and
+# the second and third eigenvalues of each covariance at least 0.43 of the
+# first apart (0.26 for the first two at the start, which order the fan).
+# Rotated and permuted fits matched every net to 5e-15 in a probe of 60 each;
+# the sphere tests allow 1e-12.
+_SHEET = generate("sea_wave", 100, 3)[0].coords
+_SHEET_CFG = FitConfig(epsilon=0.05, kernel=KernelSpec(GAUSSIAN, 0.3), num_directions=16,
+                       max_net_length=0.6)
+_SHEET_START = frechet_mean(PointArray(_SHEET)).coords
 
-def _fit_cloud(rows: np.ndarray):
-    return fit_submanifold(PointArray(rows, FLAT), Point(np.zeros(3), FLAT),
-                           _CLOUD_CFG)
+
+def _fit_from(rows: np.ndarray, start: np.ndarray, chart: str, cfg: FitConfig):
+    return fit_submanifold(PointArray(rows, chart), Point(start, chart), cfg)
 
 
-_CLOUD_FIT = _fit_cloud(_CLOUD)
+def _assert_same_nets(fit, ref, atol: float, relabel=lambda index: index, rotate=None):
+    """Each net of ref equals fit's net relabel(index), its points times rotate.T."""
+    assert len(fit.nets) == len(ref.nets)
+    for net in ref.nets:
+        mate = fit.nets[relabel(net.direction_index) - 1]
+        assert mate.stop_reason is net.stop_reason
+        assert len(mate.points) == len(net.points)
+        want = points_matrix(net.points)
+        np.testing.assert_allclose(points_matrix(mate.points),
+                                   want if rotate is None else want @ rotate.T,
+                                   rtol=0.0, atol=atol)
+
+
+_CLOUD_FIT = _fit_from(_CLOUD, np.zeros(3), FLAT, _CLOUD_CFG)
+_SHEET_FIT = _fit_from(_SHEET, _SHEET_START, SPHERE, _SHEET_CFG)
 
 
 @PROPERTY
 @given(order=st.permutations(range(len(_CLOUD))))
 def test_fit_does_not_depend_on_data_order(order):
-    fit = _fit_cloud(_CLOUD[list(order)])
-    for net, ref in zip(fit.nets, _CLOUD_FIT.nets):
-        assert net.stop_reason is ref.stop_reason
-        assert len(net.points) == len(ref.points)
-        np.testing.assert_allclose(points_matrix(net.points), points_matrix(ref.points),
-                                   rtol=0.0, atol=1e-9)
+    fit = _fit_from(_CLOUD[list(order)], np.zeros(3), FLAT, _CLOUD_CFG)
+    _assert_same_nets(fit, _CLOUD_FIT, atol=1e-9)
+
+
+@PROPERTY
+@given(order=st.permutations(range(len(_SHEET))))
+def test_sphere_fit_does_not_depend_on_data_order(order):
+    fit = _fit_from(_SHEET[list(order)], _SHEET_START, SPHERE, _SHEET_CFG)
+    _assert_same_nets(fit, _SHEET_FIT, atol=1e-12)
 
 
 # An orthogonal Q applied to the data and the start maps every net to Q times
 # a net of the original fan.  eigenframe fixes each eigenvector's sign by its
 # first nonzero coordinate, so the rotated fit's e1 and e2 are +/- Q e1 and
 # +/- Q e2, and the fan is relabelled: net l maps to net l, D/2 - l, D - l or
-# D/2 + l (mod D).  The start is off the origin, which every Q fixes.
+# D/2 + l (mod D).  The flat cloud's start is off the origin, which every Q
+# fixes.
 _START = np.array([0.1, -0.05, 0.02])
-_D = _CLOUD_CFG.num_directions
 # (e1 sign, e2 sign) -> (offset, sign) of the relabelling l -> offset + sign * l
-_RELABEL = {(1, 1): (0, 1), (-1, 1): (_D // 2, -1), (1, -1): (0, -1), (-1, -1): (_D // 2, 1)}
+_RELABEL = {(1, 1): (0, 1), (-1, 1): (1, -1), (1, -1): (0, -1), (-1, -1): (1, 1)}
 
 
-def _fit_cloud_from(rows: np.ndarray, start: np.ndarray):
-    return fit_submanifold(PointArray(rows, FLAT), Point(start, FLAT), _CLOUD_CFG)
+class _Rotated:
+    """A reference fit of rows from start, and its exports, for rotations of
+    both to be checked against: nets, PD1 and PD2, and the data block of the
+    projection, to atol."""
+
+    def __init__(self, rows, start, chart, cfg, atol):
+        self.rows, self.start, self.chart, self.cfg, self.atol = rows, start, chart, cfg, atol
+        self.fit = _fit_from(rows, start, chart, cfg)
+        self.pds = principal_directions(self.fit)[0]
+        self.data_block = self.block(self.fit, rows)
+
+    def block(self, sub, rows):
+        blocks = project_submanifold(sub, PointArray(rows, self.chart))
+        return next(block for kind, _, block in blocks if kind == "data")
+
+    def check(self, q: np.ndarray) -> None:
+        ref, dim, num = self.fit, self.cfg.dim, self.cfg.num_directions
+        rows = self.rows @ q.T
+        fit = _fit_from(rows, q @ self.start, self.chart, self.cfg)
+        rotated_frame = ref.frame_at_start.basis[:dim] @ q.T
+        flips = np.sign(np.sum(fit.frame_at_start.basis[:dim] * rotated_frame, axis=1))
+        half, sign = _RELABEL[tuple(int(f) for f in flips)]
+        _assert_same_nets(fit, ref, self.atol, rotate=q,
+                          relabel=lambda index: (half * num // 2 + sign * index - 1) % num + 1)
+        # the exports: the relabelling maps PD1's net pair (D/2, D) onto
+        # itself, reversed when e1 flips, and PD2's (D/4, 3D/4) reversed when
+        # e2 flips; the projection basis maps to its rotation up to one sign
+        # per vector
+        pds, _ = principal_directions(fit)
+        for name, flip in (("pd1", flips[0]), ("pd2", flips[1])):
+            got = pds[name].coords[::-1] if flip < 0 else pds[name].coords
+            np.testing.assert_allclose(got, self.pds[name].coords @ q.T, rtol=0.0, atol=self.atol)
+        got = self.block(fit, rows)
+        column_signs = np.where(np.sum(got * self.data_block, axis=0) < 0.0, -1.0, 1.0)
+        np.testing.assert_allclose(got, self.data_block * column_signs, rtol=0.0, atol=self.atol)
 
 
-def _data_block(sub, rows: np.ndarray) -> np.ndarray:
-    blocks = project_submanifold(sub, PointArray(rows, FLAT))
-    return next(block for kind, _, block in blocks if kind == "data")
+_CLOUD_ROTATED = _Rotated(_CLOUD, _START, FLAT, _CLOUD_CFG, atol=1e-9)
+_SHEET_ROTATED = _Rotated(_SHEET, _SHEET_START, SPHERE, _SHEET_CFG, atol=1e-12)
 
 
-_CLOUD_FIT_FROM_START = _fit_cloud_from(_CLOUD, _START)
-_CLOUD_PDS = principal_directions(_CLOUD_FIT_FROM_START)[0]
-_CLOUD_DATA_BLOCK = _data_block(_CLOUD_FIT_FROM_START, _CLOUD)
+def _orthogonal(entries, reflect: bool) -> np.ndarray:
+    n = math.isqrt(len(entries))
+    q, _ = np.linalg.qr(np.reshape(entries, (n, n)))
+    return -q if reflect else q
 
 
 @PROPERTY
 @given(entries=st.lists(COORD, min_size=9, max_size=9), reflect=st.booleans())
 def test_fit_is_rotation_equivariant(entries, reflect):
-    q, _ = np.linalg.qr(np.reshape(entries, (3, 3)))  # orthogonal
-    if reflect:
-        q = -q
-    ref = _CLOUD_FIT_FROM_START
-    rows = _CLOUD @ q.T
-    fit = _fit_cloud_from(rows, q @ _START)
-    rotated_frame = ref.frame_at_start.basis[:_CLOUD_CFG.dim] @ q.T
-    flips = np.sign(np.sum(fit.frame_at_start.basis[:_CLOUD_CFG.dim] * rotated_frame, axis=1))
-    offset, sign = _RELABEL[tuple(int(f) for f in flips)]
-    for net in ref.nets:
-        mate = fit.nets[(offset + sign * net.direction_index - 1) % _D]
-        assert mate.stop_reason is net.stop_reason
-        assert len(mate.points) == len(net.points)
-        np.testing.assert_allclose(points_matrix(mate.points), points_matrix(net.points) @ q.T,
-                                   rtol=0.0, atol=1e-9)
-    # the exports: the relabelling maps PD1's net pair (D/2, D) onto itself,
-    # reversed when e1 flips, and PD2's (D/4, 3D/4) reversed when e2 flips;
-    # the projection basis maps to its rotation up to one sign per vector
-    pds, _ = principal_directions(fit)
-    for name, flip in (("pd1", flips[0]), ("pd2", flips[1])):
-        got = pds[name].coords[::-1] if flip < 0 else pds[name].coords
-        np.testing.assert_allclose(got, _CLOUD_PDS[name].coords @ q.T, rtol=0.0, atol=1e-9)
-    got = _data_block(fit, rows)
-    column_signs = np.where(np.sum(got * _CLOUD_DATA_BLOCK, axis=0) < 0.0, -1.0, 1.0)
-    np.testing.assert_allclose(got, _CLOUD_DATA_BLOCK * column_signs, rtol=0.0, atol=1e-9)
+    _CLOUD_ROTATED.check(_orthogonal(entries, reflect))
+
+
+@PROPERTY
+@given(entries=st.lists(COORD, min_size=16, max_size=16), reflect=st.booleans())
+def test_sphere_fit_is_rotation_equivariant(entries, reflect):
+    # Q in O(4) maps S^3 onto itself; rows and start stay unit vectors
+    _SHEET_ROTATED.check(_orthogonal(entries, reflect))
 
 
 # -- file readers: numpy's parse against the row loops that word its errors --
@@ -267,14 +313,15 @@ def _number(draw, value: float) -> str:
 
 def _spoil(draw, lines: list[str]) -> list[str]:
     """lines with 0-2 of: an odd row inserted, a field of a data row swapped
-    for an odd token, dropped, doubled or quoted."""
+    for an odd token, dropped, doubled, quoted, or quoted with a line break
+    inside, so that its record spans two lines."""
     for _ in range(draw(st.integers(0, 2))):
         if len(lines) < 2:
             break
         at = draw(st.integers(1, len(lines) - 1))
         fields = lines[at].split(",")
         col = draw(st.integers(0, len(fields) - 1))
-        kind = draw(st.integers(0, 4))
+        kind = draw(st.integers(0, 5))
         if kind == 0:
             lines.insert(at, draw(st.sampled_from(_ODD_ROWS)))
             continue
@@ -284,8 +331,12 @@ def _spoil(draw, lines: list[str]) -> list[str]:
             del fields[col]
         elif kind == 3:
             fields.insert(col, fields[col])
-        else:
+        elif kind == 4:
             fields[col] = f'"{fields[col]}"'
+        else:
+            cut = draw(st.integers(0, len(fields[col])))
+            fields[col] = '"' + fields[col][:cut] + draw(st.sampled_from(["\n", "\r\n"])) \
+                + fields[col][cut:] + '"'
         lines[at] = ",".join(fields)
     return lines
 

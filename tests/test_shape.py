@@ -381,6 +381,13 @@ class TestReadLandmarksCsv:
         # blank lines count, quoted fields parse
         ('\na,1,0,0\n\n"a",2,1,0\na,3,0,1\nb,1,0,0\n', LandmarkFormatError,
          "line 7: specimen 'b' has only 1 landmarks (need >= 3)"),
+        # a quoted id that spans lines: the next row's line is physical
+        ('"a\nb",1,0,0\n"a\nb",2,1,0\n"a\nb",3,0,1\nc,x,1,0\n', LandmarkFormatError,
+         "line 8: unparsable row: invalid literal for int() with base 10: 'x'"),
+        ('"a\r\nb",1,0,0\n"a\nb",2,1,0\n\n"a\nb",3,0,1\nc,1,0,0\nd,1,0,0\n',
+         LandmarkFormatError, "line 10: specimen 'c' has only 1 landmarks (need >= 3)"),
+        ('a,1,0,0\n"a\nb",x,1,0\n', LandmarkFormatError,
+         "line 3: unparsable row: invalid literal for int() with base 10: 'x'"),
         # int64 steps from the largest index to the smallest by +1 (mod 2**64)
         (f"a,{2**63 - 1},0,0\na,{-2**63},1,0\na,{1 - 2**63},0,1\n", LandmarkFormatError,
          f"line 3: landmark_index jumps from {2**63 - 1} to {-2**63}"),
